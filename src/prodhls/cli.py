@@ -1,8 +1,7 @@
 """Command-line harness.
 
-Subcommands: ``pointwise``, ``necessity``, ``normcheck``,
-``bench-maximal``.  Exit codes: 0 all assertions pass, 1 assertion
-failure, 2 configuration error.
+Subcommands: ``pointwise``, ``necessity``, ``normcheck``.  Exit codes:
+0 all assertions pass, 1 assertion failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (ConfigError, ExperimentConfig, run_bench_maximal,
-                      run_necessity_sweep, run_norm_check,
-                      run_pointwise_campaign, write_certificates_json,
-                      write_slopes_csv, write_summary_json)
+from .harness import (ConfigError, ExperimentConfig, run_necessity_sweep,
+                      run_norm_check, run_pointwise_campaign,
+                      write_certificates_json, write_slopes_csv,
+                      write_summary_json)
 from .hedberg import CertificateViolation
 
 
@@ -27,14 +26,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
             ("pointwise", "certify the pointwise bound over a point sample"),
             ("necessity", "fit norm-ratio scaling slopes under dilation"),
-            ("normcheck", "measure the norm inequality across a family suite"),
-            ("bench-maximal", "time the strong maximal operator")):
+            ("normcheck", "measure the norm inequality across a family suite")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--parallel", type=int, default=1,
-                         help="worker threads for campaigns")
     return parser
 
 
@@ -63,22 +59,20 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "pointwise":
-            return _run_pointwise(cfg, out_dir, args.parallel)
+            return _run_pointwise(cfg, out_dir)
         if args.command == "necessity":
             return _run_necessity(cfg, out_dir)
         if args.command == "normcheck":
             return _run_normcheck(cfg, out_dir)
-        if args.command == "bench-maximal":
-            return _run_bench(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")
 
 
-def _run_pointwise(cfg: ExperimentConfig, out_dir: Path, parallel: int) -> int:
+def _run_pointwise(cfg: ExperimentConfig, out_dir: Path) -> int:
     try:
-        report = run_pointwise_campaign(cfg, parallel=parallel)
+        report = run_pointwise_campaign(cfg)
     except CertificateViolation as exc:
         dump = out_dir / "violation.json"
         dump.write_text(json.dumps(exc.diagnostics, sort_keys=True, indent=2) + "\n")
@@ -118,17 +112,6 @@ def _run_normcheck(cfg: ExperimentConfig, out_dir: Path) -> int:
     print(f"{status} normcheck: max ||f*k||_q/||f||_p = {report.max_ratio:.6g} "
           f"(pinned constant: {pinned})")
     return 0 if report.passed else 1
-
-
-def _run_bench(cfg: ExperimentConfig, out_dir: Path) -> int:
-    report = run_bench_maximal(cfg)
-    (out_dir / "bench.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    for entry in report["results"]:
-        extra = ""
-        if "max_rel_dev_vs_naive" in entry:
-            extra = f", dev vs naive {entry['max_rel_dev_vs_naive']:.2e}"
-        print(f"N={entry['points_per_axis']}: {entry['seconds']:.4f} s{extra}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .grid import GridFunction, normalize_point
 from .kernel import Exponents
@@ -82,14 +81,19 @@ def convolve_direct(f: GridFunction, k: GridFunction) -> GridFunction:
 def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     """Same contract as :func:`convolve_direct` via zero-padded FFT.
 
-    The transform length covers the full linear convolution, so no
-    periodic wrap-around contaminates the box.  Tiny negative rounding
-    residues are clipped to keep the result a valid sample field.
+    Each axis is padded to 2N, which covers the 2N-1 full linear
+    convolution, so no periodic wrap-around contaminates the box.  Tiny
+    negative rounding residues are clipped to keep the result a valid
+    sample field.
     """
     _require_same_grid(f, k)
     grid = f.grid
     N = grid.points_per_axis
-    full = fftconvolve(f.values, k.values, mode="full")
+    axes = tuple(range(grid.rank))
+    shape = (2 * N,) * grid.rank
+    spectrum = (np.fft.rfftn(f.values, shape, axes=axes)
+                * np.fft.rfftn(k.values, shape, axes=axes))
+    full = np.fft.irfftn(spectrum, shape, axes=axes)
     window = (slice(N // 2, N // 2 + N),) * grid.rank
     out = full[window] * grid.cell_volume
     return GridFunction(grid, np.maximum(out, 0.0))

@@ -7,11 +7,9 @@ canonical configuration and the library version.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +18,9 @@ import numpy as np
 from . import __version__
 from .convolution import convolve_fast
 from .grid import GridFunction, ProductGrid, dilate, lp_norm, sample_function
-from .hedberg import (HedbergCertificate, certify_point, check_exponents,
-                      prepare_certification)
+from .hedberg import (CERTIFICATE_SCHEMA_VERSION, HedbergCertificate,
+                      certify_point, check_exponents, prepare_certification)
 from .kernel import Exponents, riesz_kernel
-from .maximal import WindowFamily, strong_maximal
 
 __all__ = [
     "ConfigError",
@@ -38,7 +35,6 @@ __all__ = [
     "SweepRow",
     "run_norm_check",
     "NormCheckReport",
-    "run_bench_maximal",
     "write_summary_json",
     "write_certificates_json",
     "write_slopes_csv",
@@ -283,7 +279,21 @@ def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
                           certificates=certs)
 
 
-def run_pointwise_campaign(cfg: ExperimentConfig, parallel: int = 1) -> PointwiseReport:
+def _family_spread(results: list[tuple[str, float]],
+                   families: tuple[str, ...]) -> dict[str, float | None]:
+    """Per-family max/min of the positive ratios across dilations.
+
+    ``results`` holds ``(family, ratio)`` pairs; a family with no positive
+    ratio gets ``None``.
+    """
+    spread: dict[str, float | None] = {}
+    for family in families:
+        ratios = [r for fam, r in results if fam == family and r > 0.0]
+        spread[family] = (max(ratios) / min(ratios)) if ratios else None
+    return spread
+
+
+def run_pointwise_campaign(cfg: ExperimentConfig) -> PointwiseReport:
     """Certify every configured instance on a sublattice of grid nodes.
 
     Raises :class:`prodhls.hedberg.CertificateViolation` if any region
@@ -295,20 +305,12 @@ def run_pointwise_campaign(cfg: ExperimentConfig, parallel: int = 1) -> Pointwis
             f"pointwise campaign needs admissible exponents "
             f"(violated: {report.first_violation})")
     points = _sample_points(cfg.grid, cfg.points_stride)
-    jobs = [(family, s, t) for family in cfg.families for s, t in cfg.dilations]
-    if parallel > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
-            instances = list(pool.map(
-                lambda j: _certify_instance(cfg, j[0], j[1], j[2], points), jobs))
-    else:
-        instances = [_certify_instance(cfg, *job, points) for job in jobs]
+    instances = [_certify_instance(cfg, family, s, t, points)
+                 for family in cfg.families for s, t in cfg.dilations]
 
     max_ratio = max((r.max_ratio for r in instances), default=0.0)
-    stability: dict[str, float | None] = {}
-    for family in cfg.families:
-        ratios = [r.max_ratio for r in instances
-                  if r.family == family and r.max_ratio > 0.0]
-        stability[family] = (max(ratios) / min(ratios)) if ratios else None
+    stability = _family_spread([(r.family, r.max_ratio) for r in instances],
+                               cfg.families)
 
     factor = cfg.stability_factor()
     suite_constant = cfg.tolerances.get("suite_constant")
@@ -458,10 +460,8 @@ def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
                          "norm_p": norm_p,
                          "ratio": norm_q / norm_p if norm_p > 0.0 else 0.0})
     max_ratio = max((r["ratio"] for r in rows), default=0.0)
-    stability: dict[str, float | None] = {}
-    for family in cfg.families:
-        ratios = [r["ratio"] for r in rows if r["family"] == family and r["ratio"] > 0.0]
-        stability[family] = (max(ratios) / min(ratios)) if ratios else None
+    stability = _family_spread([(r["family"], r["ratio"]) for r in rows],
+                               cfg.families)
     factor = cfg.stability_factor()
     pinned = cfg.tolerances.get("norm_constant")
     stable = all(v is None or v < factor for v in stability.values())
@@ -469,50 +469,6 @@ def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
     return NormCheckReport(rows=rows, max_ratio=max_ratio, family_stability=stability,
                            stability_factor=factor,
                            pinned_constant=pinned, passed=bool(stable and within))
-
-
-def run_bench_maximal(cfg: ExperimentConfig) -> dict:
-    """Time the strong maximal operator across grid sizes.
-
-    Also cross-checks the windowed implementation against a naive
-    enumeration on a small grid.  Timings vary run to run, so this
-    report is exempt from the byte-determinism guarantee.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    results = []
-    for N in (16, 32, 64, cfg.grid.points_per_axis):
-        grid = ProductGrid(m=1, n=1, half_width=cfg.grid.half_width, points_per_axis=N)
-        f = GridFunction(grid, rng.uniform(0.0, 1.0, size=grid.shape))
-        w = WindowFamily.dyadic(grid)
-        start = time.perf_counter()
-        out = strong_maximal(f, w)
-        elapsed = time.perf_counter() - start
-        entry = {"points_per_axis": N, "seconds": elapsed}
-        if N <= 16:
-            naive = _naive_strong_maximal(f, w)
-            entry["max_rel_dev_vs_naive"] = float(
-                np.max(np.abs(out.values - naive) / np.maximum(naive, 1e-300)))
-        results.append(entry)
-    return {"experiment": "bench-maximal", "results": results}
-
-
-def _naive_strong_maximal(f: GridFunction, w: WindowFamily) -> np.ndarray:
-    # reference path: explicit loops, 1-d blocks only
-    grid = f.grid
-    N = grid.points_per_axis
-    radii = w.cell_radii(grid)
-    out = np.zeros(grid.shape)
-    for i in range(N):
-        for j in range(N):
-            best = 0.0
-            for rx in radii:
-                for ry in radii:
-                    xs = slice(max(i - rx + 1, 0), min(i + rx, N))
-                    ys = slice(max(j - ry + 1, 0), min(j + ry, N))
-                    total = float(f.values[xs, ys].sum())
-                    best = max(best, total / ((2 * rx - 1) * (2 * ry - 1)))
-            out[i, j] = best
-    return out
 
 
 def _embed_metadata(payload: dict, cfg: ExperimentConfig) -> dict:
@@ -533,7 +489,7 @@ def write_summary_json(path, payload: dict, cfg: ExperimentConfig) -> Path:
 def write_certificates_json(path, report: PointwiseReport,
                             cfg: ExperimentConfig) -> Path:
     payload = _embed_metadata({
-        "schema_version": 1,
+        "schema_version": CERTIFICATE_SCHEMA_VERSION,
         "instances": [{
             "family": r.family, "s": r.s, "t": r.t,
             "certificates": [c.to_json_dict() for c in r.certificates],

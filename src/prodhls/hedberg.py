@@ -26,10 +26,8 @@ hard failure, not a warning.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -59,7 +57,6 @@ __all__ = [
     "prepare_certification",
     "HedbergCertificate",
     "certify_point",
-    "certificates_to_json",
 ]
 
 CERTIFICATE_SCHEMA_VERSION = 1
@@ -160,8 +157,7 @@ def inner_ball_constant(dim: int, exponent: float) -> float:
 def tail_integral_constant(dim: int, decay: float) -> float:
     """Integral of |u|^(-decay) over the complement of the unit ball."""
     if not decay > dim:
-        raise ExponentError("tail_x" if dim == 1 else "tail",
-                            f"tail decay {decay} must exceed the dimension {dim}")
+        raise ValueError(f"tail decay {decay} must exceed the dimension {dim}")
     return sphere_surface(dim) / (decay - dim)
 
 
@@ -527,17 +523,3 @@ def certify_point(f: GridFunction, exps: Exponents, point,
         r1=r1, r2=r2, region_bounds=regions, m_value=m_value, g_value=g_value,
         n1=n1_val, n2=n2_val, f_norm=f_norm, final_bound=final,
         lhs=regions.total, region_limits=limits, slack_factors=slacks)
-
-
-def certificates_to_json(certificates, path, metadata: dict | None = None) -> Path:
-    """Serialize a certificate list (schema-versioned) to a JSON file."""
-    payload = {
-        "schema_version": CERTIFICATE_SCHEMA_VERSION,
-        "certificates": [c.to_json_dict() for c in certificates],
-    }
-    if metadata:
-        payload.update(metadata)
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return out

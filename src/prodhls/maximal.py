@@ -139,26 +139,24 @@ def strong_maximal(f: GridFunction, w: WindowFamily) -> GridFunction:
     return GridFunction(grid, best)
 
 
+def _partial_maximal(f: GridFunction, w: WindowFamily,
+                     axes: tuple[int, ...]) -> GridFunction:
+    """Maximal averages over windows on the block spanned by ``axes``."""
+    best = np.zeros(f.grid.shape)
+    for rc in w.cell_radii(f.grid):
+        avg = _group_window_sum(f.values, axes, rc) / _group_window_count(len(axes), rc)
+        np.maximum(best, avg, out=best)
+    return GridFunction(f.grid, best)
+
+
 def partial_maximal_x(f: GridFunction, w: WindowFamily) -> GridFunction:
     """Maximal averages over x-block windows with the y-variables frozen."""
-    grid = f.grid
-    x_axes = tuple(range(grid.m))
-    best = np.zeros(grid.shape)
-    for rc in w.cell_radii(grid):
-        avg = _group_window_sum(f.values, x_axes, rc) / _group_window_count(grid.m, rc)
-        np.maximum(best, avg, out=best)
-    return GridFunction(grid, best)
+    return _partial_maximal(f, w, tuple(range(f.grid.m)))
 
 
 def partial_maximal_y(f: GridFunction, w: WindowFamily) -> GridFunction:
-    """Mirror of :func:`partial_maximal_x` acting on the y-block."""
-    grid = f.grid
-    y_axes = tuple(range(grid.m, grid.rank))
-    best = np.zeros(grid.shape)
-    for rc in w.cell_radii(grid):
-        avg = _group_window_sum(f.values, y_axes, rc) / _group_window_count(grid.n, rc)
-        np.maximum(best, avg, out=best)
-    return GridFunction(grid, best)
+    """Maximal averages over y-block windows with the x-variables frozen."""
+    return _partial_maximal(f, w, tuple(range(f.grid.m, f.grid.rank)))
 
 
 @dataclass(frozen=True)

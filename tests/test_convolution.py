@@ -1,5 +1,7 @@
 """Convolution contracts: delta identity, oracles, fast path, region split."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,16 @@ def test_fast_matches_direct_random():
     d = convolve_direct(f, k).values
     fa = convolve_fast(f, k).values
     assert np.max(np.abs(d - fa)) <= 1e-10 * np.max(np.abs(d))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2)])
+def test_fast_emits_no_warning(m, n):
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=8)
+    f = random_function(g, seed=9)
+    k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        convolve_fast(f, k)
 
 
 def test_fast_spike_identity():

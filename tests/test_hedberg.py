@@ -19,7 +19,8 @@ from prodhls import (Exponents, ExponentError, GridFunction,
                      region_slack_factors, riesz_kernel, sample_function,
                      select_radii_case1, select_radii_case2,
                      tail_integral_constant)
-from prodhls.hedberg import certificates_to_json
+from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport,
+                             write_certificates_json)
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
 
@@ -83,6 +84,14 @@ def test_tail_constant_quad_oracle():
     assert tail_integral_constant(1, 2.0) == pytest.approx(val, rel=1e-10)
 
 
+def test_tail_constant_rejects_slow_decay_without_naming_a_block():
+    # the constant does not know which block it serves; the region bounds
+    # name the failing tail condition before they ask for it
+    with pytest.raises(ValueError) as info:
+        tail_integral_constant(2, 1.5)
+    assert not isinstance(info.value, ExponentError)
+
+
 def test_region22_constant_value():
     # c22 = (2 * 2)^(1/4) for the standard configuration
     b = bound_region22(1.0, 1.0, 1.0, STD)
@@ -111,6 +120,17 @@ def test_region12_21_symmetry():
     b12 = bound_region12(1.3, 0.7, 2.1, e)
     b21 = bound_region21(1.3, 2.1, 0.7, swapped)
     assert b12 == pytest.approx(b21, rel=1e-12)
+
+
+def test_mixed_regions_name_the_failing_tail():
+    y_fails = Exponents(m=1, n=1, alpha=0.5, beta=0.9, p=4 / 3, q=4.0)
+    with pytest.raises(ExponentError) as info:
+        bound_region12(1.0, 1.0, 1.0, y_fails)
+    assert info.value.condition == "tail_y"
+    x_fails = Exponents(m=1, n=1, alpha=0.9, beta=0.5, p=4 / 3, q=4.0)
+    with pytest.raises(ExponentError) as info:
+        bound_region21(1.0, 1.0, 1.0, x_fails)
+    assert info.value.condition == "tail_x"
 
 
 def test_region22_rejects_failed_tail():
@@ -369,10 +389,20 @@ def test_certificate_json_round_trip(tmp_path):
     assert back.point == cert.point
     assert back.final_bound == cert.final_bound
     assert back.slack_factors == cert.slack_factors
-    path = certificates_to_json([cert], tmp_path / "certs.json")
+    instance = InstanceResult(family="gaussian", s=1.0, t=1.0, n_points=1,
+                              max_ratio=cert.ratio, worst_point=cert.point,
+                              case_counts={str(cert.case_id): 1},
+                              certificates=[cert])
+    report = PointwiseReport(instances=[instance], max_ratio=cert.ratio,
+                             family_stability={"gaussian": None},
+                             stability_factor=2.0, suite_constant=None,
+                             passed=True)
+    cfg = ExperimentConfig(grid=g, exponents=STD)
+    path = write_certificates_json(tmp_path / "certs.json", report, cfg)
     payload = json.loads(path.read_text())
     assert payload["schema_version"] == 1
-    assert len(payload["certificates"]) == 1
+    [written] = payload["instances"][0]["certificates"]
+    assert HedbergCertificate.from_json_dict(written).to_json_dict() == d
 
 
 def test_slack_factors_positive_and_stable():

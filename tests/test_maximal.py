@@ -107,11 +107,12 @@ def test_strong_maximal_spike_matches_brute_force():
 
 
 def test_strong_maximal_random_matches_brute_force():
-    g = grid_1x1(N=12)
-    f = random_function(g, seed=1)
-    w = WindowFamily.dyadic(g)
-    brute = brute_strong(f, w)
-    assert np.max(np.abs(strong_maximal(f, w).values - brute) / brute) <= 1e-12
+    for N in (12, 16):
+        g = grid_1x1(N=N)
+        f = random_function(g, seed=1)
+        w = WindowFamily.dyadic(g)
+        brute = brute_strong(f, w)
+        assert np.max(np.abs(strong_maximal(f, w).values - brute) / brute) <= 1e-12
 
 
 def test_reflection_symmetry():
