@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 
 from .grid import (GridFunction, ProductGrid, dilate, load_grid_function,
                    lp_norm, sample_function, save_grid_function,
-                   slice_lp_norm_x, slice_lp_norm_y, slice_lp_norms_x,
-                   slice_lp_norms_y)
+                   slice_lp_norms_x, slice_lp_norms_y)
 from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
                      profile_ball_integral, riesz_kernel, sphere_surface)
 from .convolution import RegionBounds, convolve_direct, convolve_fast, region_split
@@ -44,8 +43,8 @@ from .harness import (ConfigError, ExperimentConfig, make_family,
 
 __all__ = [
     "__version__",
-    "ProductGrid", "GridFunction", "lp_norm", "slice_lp_norm_x",
-    "slice_lp_norm_y", "slice_lp_norms_x", "slice_lp_norms_y", "dilate",
+    "ProductGrid", "GridFunction", "lp_norm", "slice_lp_norms_x",
+    "slice_lp_norms_y", "dilate",
     "sample_function", "save_grid_function", "load_grid_function",
     "Exponents", "riesz_kernel", "LayerCake", "layer_cake",
     "sphere_surface", "ball_volume", "profile_ball_integral",

@@ -21,8 +21,6 @@ __all__ = [
     "ProductGrid",
     "GridFunction",
     "lp_norm",
-    "slice_lp_norm_x",
-    "slice_lp_norm_y",
     "slice_lp_norms_x",
     "slice_lp_norms_y",
     "dilate",
@@ -111,23 +109,18 @@ def _block_norms(centers: np.ndarray, dim: int) -> np.ndarray:
     return np.hypot(centers[:, None], centers[None, :])
 
 
-def normalize_block_index(index, dim: int, points_per_axis: int) -> tuple[int, ...]:
-    """Validate a per-block multi-index (int for 1-d blocks, pair for 2-d)."""
-    if isinstance(index, (int, np.integer)):
-        idx = (int(index),)
+def normalize_point(point, rank: int, points_per_axis: int) -> tuple[int, ...]:
+    """Validate a grid-node multi-index (an int is accepted for rank 1)."""
+    if isinstance(point, (int, np.integer)):
+        idx = (int(point),)
     else:
-        idx = tuple(int(i) for i in index)
-    if len(idx) != dim:
-        raise ValueError(f"index {index!r} does not address a {dim}-dimensional block")
+        idx = tuple(int(i) for i in point)
+    if len(idx) != rank:
+        raise ValueError(f"index {point!r} does not address a rank-{rank} grid node")
     for i in idx:
         if not 0 <= i < points_per_axis:
-            raise ValueError(f"index {index!r} lies outside the grid")
+            raise ValueError(f"index {point!r} lies outside the grid")
     return idx
-
-
-def normalize_point(point, rank: int, points_per_axis: int) -> tuple[int, ...]:
-    """Validate a full grid-node multi-index."""
-    return normalize_block_index(point, rank, points_per_axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,11 +146,6 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def values_2d(self) -> np.ndarray:
-        """The samples reshaped to (N^m, N^n): x-block rows, y-block columns."""
-        N = self.grid.points_per_axis
-        return self.values.reshape(N ** self.grid.m, N ** self.grid.n)
-
 
 def sample_function(grid: ProductGrid, fn: Callable[..., np.ndarray]) -> GridFunction:
     """Sample ``fn`` at the cell centers.
@@ -182,44 +170,25 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return (total * f.grid.cell_volume) ** (1.0 / p)
 
 
-def slice_lp_norm_x(g: GridFunction, p: float, x) -> float:
-    """L^p norm in the y-variables of the slice of ``g`` at x-node ``x``.
+def slice_lp_norms_x(g: GridFunction, p: float) -> np.ndarray:
+    """L^p norms in the y-variables of the slices at every x-node, shape (N,)*m.
 
     Realizes the norm-as-a-function-of-x construction: the y-block is
-    integrated out by midpoint quadrature while ``x`` stays frozen.
+    integrated out by midpoint quadrature while x stays frozen.
     """
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    idx = normalize_block_index(x, g.grid.m, g.grid.points_per_axis)
-    sub = g.values[idx]
-    return float((np.sum(sub ** p) * g.grid.spacing ** g.grid.n) ** (1.0 / p))
-
-
-def slice_lp_norm_y(g: GridFunction, p: float, y) -> float:
-    """Mirror of :func:`slice_lp_norm_x`: integrates the x-block at fixed y."""
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    idx = normalize_block_index(y, g.grid.n, g.grid.points_per_axis)
-    sub = g.values[(slice(None),) * g.grid.m + idx]
-    return float((np.sum(sub ** p) * g.grid.spacing ** g.grid.m) ** (1.0 / p))
-
-
-def slice_lp_norms_x(g: GridFunction, p: float) -> np.ndarray:
-    """Vector of y-slice norms over all x-nodes, shape (N,)*m."""
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    grid = g.grid
-    y_axes = tuple(range(grid.m, grid.rank))
-    return (np.sum(g.values ** p, axis=y_axes) * grid.spacing ** grid.n) ** (1.0 / p)
+    return _slice_lp_norms(g, p, tuple(range(g.grid.m, g.grid.rank)))
 
 
 def slice_lp_norms_y(g: GridFunction, p: float) -> np.ndarray:
-    """Vector of x-slice norms over all y-nodes, shape (N,)*n."""
+    """Mirror of :func:`slice_lp_norms_x`: x-slice norms at every y-node, shape (N,)*n."""
+    return _slice_lp_norms(g, p, tuple(range(g.grid.m)))
+
+
+def _slice_lp_norms(g: GridFunction, p: float, summed_axes: tuple[int, ...]) -> np.ndarray:
     if not p >= 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    grid = g.grid
-    x_axes = tuple(range(grid.m))
-    return (np.sum(g.values ** p, axis=x_axes) * grid.spacing ** grid.m) ** (1.0 / p)
+    total = np.sum(g.values ** p, axis=summed_axes)
+    return (total * g.grid.spacing ** len(summed_axes)) ** (1.0 / p)
 
 
 def dilate(f: GridFunction, s: float, t: float) -> GridFunction:

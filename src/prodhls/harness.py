@@ -40,7 +40,20 @@ __all__ = [
     "write_slopes_csv",
 ]
 
-FAMILY_NAMES = ("gaussian", "box", "tensor-box", "spike", "random")
+# Parameter keys and defaults of each family, read by make_family and by
+# config validation; the spike's default half extent (None) is 8 cells.
+_FAMILY_PARAMS = {
+    "gaussian": {"sigma": 0.125},
+    "box": {"half_extent": 0.5},
+    "tensor-box": {"half_extent_x": 0.5, "half_extent_y": 0.25},
+    "spike": {"half_extent": None},
+    "random": {},
+}
+FAMILY_NAMES = tuple(_FAMILY_PARAMS)
+_CONFIG_KEYS = ("grid", "exponents", "families", "family", "family_params",
+                "dilations", "seed", "points_stride", "tolerances")
+_TOLERANCE_KEYS = ("stability_factor", "suite_constant", "norm_constant",
+                   "slope_tolerance")
 
 DEFAULT_STABILITY_FACTOR = 2.0
 DEFAULT_SLOPE_TOLERANCE = 0.05
@@ -66,14 +79,20 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not self.families:
+            raise ConfigError("families must be nonempty")
         for name in self.families:
-            if _canonical_family(name) not in FAMILY_NAMES:
-                raise ConfigError(f"unknown function family {name!r}")
+            _family_params(name, None)
+        for name, params in _check_keys(self.family_params, FAMILY_NAMES + ("random-seeded",),
+                                        "family_params").items():
+            _family_params(name, params)
+        for key, value in _check_keys(self.tolerances, _TOLERANCE_KEYS, "tolerances").items():
+            _number(value, f"tolerances {key}")
         if not self.dilations:
             raise ConfigError("dilation ladder must be nonempty")
         for s, t in self.dilations:
-            if not (s > 0 and t > 0):
-                raise ConfigError(f"dilations must be positive, got ({s}, {t})")
+            if not (0.0 < s < math.inf and 0.0 < t < math.inf):
+                raise ConfigError(f"dilations must be positive and finite, got ({s}, {t})")
         if self.points_stride < 1:
             raise ConfigError(f"points_stride must be >= 1, got {self.points_stride}")
         if max(self.grid.m, self.grid.n) == 2 and self.grid.points_per_axis > 48:
@@ -83,13 +102,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Parse a JSON config; unknown keys, non-finite numbers and
+        non-integer counts raise :class:`ConfigError`."""
         try:
-            g = raw["grid"]
-            grid = ProductGrid(m=int(g["m"]), n=int(g["n"]),
-                               half_width=float(g["half_width"]),
-                               points_per_axis=int(g["points_per_axis"]))
-            e = raw["exponents"]
-            if "q" in e and e["q"] is not None:
+            _check_keys(raw, _CONFIG_KEYS, "config")
+            g = _check_keys(raw["grid"], ("m", "n", "half_width", "points_per_axis"), "grid")
+            seed, stride = raw.get("seed", 0), raw.get("points_stride", 8)
+            for where, value in (("grid m", g["m"]), ("grid n", g["n"]),
+                                 ("grid points_per_axis", g["points_per_axis"]),
+                                 ("seed", seed), ("points_stride", stride)):
+                _number(value, where, integer=True)
+            grid = ProductGrid(m=g["m"], n=g["n"], half_width=float(g["half_width"]),
+                               points_per_axis=g["points_per_axis"])
+            e = _check_keys(raw["exponents"], ("alpha", "beta", "p", "q"), "exponents")
+            if e.get("q") is not None:
                 exps = Exponents(m=grid.m, n=grid.n, alpha=float(e["alpha"]),
                                  beta=float(e["beta"]), p=float(e["p"]), q=float(e["q"]))
             else:
@@ -101,12 +127,11 @@ class ExperimentConfig:
             dil = tuple((float(s), float(t)) for s, t in raw.get("dilations", [(1.0, 1.0)]))
             return cls(grid=grid, exponents=exps, families=tuple(families),
                        family_params=dict(raw.get("family_params", {})),
-                       dilations=dil, seed=int(raw.get("seed", 0)),
-                       points_stride=int(raw.get("points_stride", 8)),
+                       dilations=dil, seed=seed, points_stride=stride,
                        tolerances=dict(raw.get("tolerances", {})))
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
 
     def to_canonical_dict(self) -> dict:
@@ -140,6 +165,36 @@ def _canonical_family(name: str) -> str:
     return "random" if name == "random-seeded" else name
 
 
+def _check_keys(section, allowed, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    unknown = sorted(str(k) for k in section if k not in allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(unknown)}")
+    return section
+
+
+def _number(value, where: str, integer: bool = False):
+    ok = (isinstance(value, int) if integer
+          else isinstance(value, (int, float)) and math.isfinite(value))
+    if isinstance(value, bool) or not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _family_params(name: str, params: dict | None) -> dict:
+    """The family's default parameters overridden by ``params``."""
+    kind = _canonical_family(name)
+    if kind not in _FAMILY_PARAMS:
+        raise ConfigError(f"unknown function family {name!r}")
+    params = _check_keys(params or {}, _FAMILY_PARAMS[kind], f"{name} parameter")
+    for key, value in params.items():  # every family parameter is a length
+        if not _number(value, f"{name} parameter {key}") > 0:
+            raise ConfigError(f"{name} parameter {key} must be positive, got {value!r}")
+    return {**_FAMILY_PARAMS[kind], **params}
+
+
 def make_family(name: str, grid: ProductGrid, params: dict | None = None,
                 seed: int = 0):
     """Build a dilation family: a callable (s, t) -> GridFunction.
@@ -147,66 +202,47 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
     The analytic families (gaussian, box, tensor-box, spike) are
     evaluated directly at the scaled coordinates, which is the exact
     dilation f(s x, t y); the seeded random family resamples a fixed
-    noise field through :func:`prodhls.grid.dilate`.
+    noise field through :func:`prodhls.grid.dilate`.  Unknown names or
+    parameter keys and non-positive parameters raise :class:`ConfigError`.
     """
-    params = dict(params or {})
     kind = _canonical_family(name)
-    m, n = grid.m, grid.n
-
-    def split_squares(coords, s, t):
-        sq = sum((s * c) ** 2 for c in coords[:m])
-        sq = sq + sum((t * c) ** 2 for c in coords[m:])
-        return sq
+    params = _family_params(name, params)
+    m = grid.m
 
     if kind == "gaussian":
-        sigma = float(params.get("sigma", 0.125))
-
-        def fam(s, t):
-            return sample_function(
-                grid, lambda *cs: np.exp(-split_squares(cs, s, t) / (2.0 * sigma ** 2)))
-    elif kind == "box":
-        w = float(params.get("half_extent", 0.5))
+        sigma = float(params["sigma"])
 
         def fam(s, t):
             def values(*cs):
-                inside = 1.0
-                for i, c in enumerate(cs):
-                    scale = s if i < m else t
-                    inside = inside * (np.abs(scale * c) <= w)
-                return inside.astype(np.float64)
+                # one expression: numpy reuses the unnamed temporaries in place
+                return np.exp(-(sum((s * c) ** 2 for c in cs[:m])
+                                + sum((t * c) ** 2 for c in cs[m:])) / (2.0 * sigma ** 2))
             return sample_function(grid, values)
-    elif kind == "tensor-box":
-        wx = float(params.get("half_extent_x", 0.5))
-        wy = float(params.get("half_extent_y", 0.25))
-
-        def fam(s, t):
-            def values(*cs):
-                inside = 1.0
-                for i, c in enumerate(cs):
-                    scale, w = (s, wx) if i < m else (t, wy)
-                    inside = inside * (np.abs(scale * c) <= w)
-                return inside.astype(np.float64)
-            return sample_function(grid, values)
-    elif kind == "spike":
-        # near-delta: a unit-mass box a few cells wide at unit dilation,
-        # wide enough that a 4x shrink still covers several cells
-        w = float(params.get("half_extent", 8.0 * grid.spacing))
-        amp = (2.0 * w) ** (-grid.rank)
-
-        def fam(s, t):
-            def values(*cs):
-                inside = 1.0
-                for i, c in enumerate(cs):
-                    scale = s if i < m else t
-                    inside = inside * (np.abs(scale * c) <= w)
-                return amp * inside.astype(np.float64)
-            return sample_function(grid, values)
-    else:  # random
+        return fam
+    if kind == "random":
         rng = np.random.default_rng(seed)
         base = GridFunction(grid, rng.uniform(0.0, 1.0, size=grid.shape))
+        return lambda s, t: dilate(base, s, t)
 
-        def fam(s, t):
-            return dilate(base, s, t)
+    # box, tensor-box and spike: amp times the indicator of the box
+    # |s x_i| <= wx (x-block axes), |t y_j| <= wy (y-block axes)
+    if kind == "tensor-box":
+        wx, wy, amp = float(params["half_extent_x"]), float(params["half_extent_y"]), 1.0
+    else:
+        # the spike is a near-delta: a unit-mass box a few cells wide at
+        # unit dilation, wide enough that a 4x shrink still covers cells
+        w = params["half_extent"]
+        w = float(8.0 * grid.spacing if w is None else w)
+        wx, wy, amp = w, w, ((2.0 * w) ** (-grid.rank) if kind == "spike" else 1.0)
+
+    def fam(s, t):
+        def values(*cs):
+            inside = 1.0
+            for i, c in enumerate(cs):
+                scale, half = (s, wx) if i < m else (t, wy)
+                inside = inside * (np.abs(scale * c) <= half)
+            return amp * inside  # float64: the first factor is 1.0 * bool
+        return sample_function(grid, values)
 
     return fam
 
@@ -279,18 +315,29 @@ def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
                           certificates=certs)
 
 
-def _family_spread(results: list[tuple[str, float]],
-                   families: tuple[str, ...]) -> dict[str, float | None]:
-    """Per-family max/min of the positive ratios across dilations.
+def _require_admissible(cfg: ExperimentConfig, experiment: str) -> None:
+    report = check_exponents(cfg.exponents)
+    if not report.ok:
+        raise ConfigError(
+            f"{experiment} needs admissible exponents "
+            f"(violated: {report.first_violation})")
 
-    ``results`` holds ``(family, ratio)`` pairs; a family with no positive
-    ratio gets ``None``.
-    """
+
+def _verdict(cfg: ExperimentConfig, results: list[tuple[str, float]],
+             pinned: float | None) -> tuple[float, dict, float, bool]:
+    """Max ratio, per-family dilation spread, stability factor and verdict
+    of ``(family, ratio)`` pairs.  A spread is the max/min of a family's
+    positive ratios (None if none); the run passes when every spread is
+    below the factor and the max ratio is finite and at most ``pinned``."""
+    max_ratio = max((r for _, r in results), default=0.0)
     spread: dict[str, float | None] = {}
-    for family in families:
+    for family in cfg.families:
         ratios = [r for fam, r in results if fam == family and r > 0.0]
         spread[family] = (max(ratios) / min(ratios)) if ratios else None
-    return spread
+    factor = cfg.stability_factor()
+    stable = all(v is None or v < factor for v in spread.values())
+    within = pinned is None or max_ratio <= float(pinned)
+    return max_ratio, spread, factor, bool(stable and within and math.isfinite(max_ratio))
 
 
 def run_pointwise_campaign(cfg: ExperimentConfig) -> PointwiseReport:
@@ -299,28 +346,16 @@ def run_pointwise_campaign(cfg: ExperimentConfig) -> PointwiseReport:
     Raises :class:`prodhls.hedberg.CertificateViolation` if any region
     check fails anywhere; the CLI turns that into a diagnostic dump.
     """
-    report = check_exponents(cfg.exponents)
-    if not report.ok:
-        raise ConfigError(
-            f"pointwise campaign needs admissible exponents "
-            f"(violated: {report.first_violation})")
+    _require_admissible(cfg, "pointwise campaign")
     points = _sample_points(cfg.grid, cfg.points_stride)
     instances = [_certify_instance(cfg, family, s, t, points)
                  for family in cfg.families for s, t in cfg.dilations]
-
-    max_ratio = max((r.max_ratio for r in instances), default=0.0)
-    stability = _family_spread([(r.family, r.max_ratio) for r in instances],
-                               cfg.families)
-
-    factor = cfg.stability_factor()
     suite_constant = cfg.tolerances.get("suite_constant")
-    stable = all(v is None or v < factor for v in stability.values())
-    within = suite_constant is None or max_ratio <= float(suite_constant)
-    finite = math.isfinite(max_ratio)
+    max_ratio, stability, factor, passed = _verdict(
+        cfg, [(r.family, r.max_ratio) for r in instances], suite_constant)
     return PointwiseReport(instances=instances, max_ratio=max_ratio,
                            family_stability=stability, stability_factor=factor,
-                           suite_constant=suite_constant,
-                           passed=bool(stable and within and finite))
+                           suite_constant=suite_constant, passed=passed)
 
 
 @dataclass
@@ -442,11 +477,7 @@ class NormCheckReport:
 
 def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
     """Measure ||f * kernel||_q / ||f||_p over every configured instance."""
-    report = check_exponents(cfg.exponents)
-    if not report.ok:
-        raise ConfigError(
-            f"norm check needs admissible exponents "
-            f"(violated: {report.first_violation})")
+    _require_admissible(cfg, "norm check")
     exps = cfg.exponents
     kernel = riesz_kernel(cfg.grid, exps)
     rows = []
@@ -459,46 +490,33 @@ def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
             rows.append({"family": family, "s": s, "t": t, "norm_q": norm_q,
                          "norm_p": norm_p,
                          "ratio": norm_q / norm_p if norm_p > 0.0 else 0.0})
-    max_ratio = max((r["ratio"] for r in rows), default=0.0)
-    stability = _family_spread([(r["family"], r["ratio"]) for r in rows],
-                               cfg.families)
-    factor = cfg.stability_factor()
     pinned = cfg.tolerances.get("norm_constant")
-    stable = all(v is None or v < factor for v in stability.values())
-    within = pinned is None or max_ratio <= float(pinned)
+    max_ratio, stability, factor, passed = _verdict(
+        cfg, [(r["family"], r["ratio"]) for r in rows], pinned)
     return NormCheckReport(rows=rows, max_ratio=max_ratio, family_stability=stability,
-                           stability_factor=factor,
-                           pinned_constant=pinned, passed=bool(stable and within))
-
-
-def _embed_metadata(payload: dict, cfg: ExperimentConfig) -> dict:
-    payload = dict(payload)
-    payload["config_sha256"] = cfg.sha256()
-    payload["library_version"] = __version__
-    return payload
+                           stability_factor=factor, pinned_constant=pinned,
+                           passed=passed)
 
 
 def write_summary_json(path, payload: dict, cfg: ExperimentConfig) -> Path:
+    """Write ``payload`` as sorted JSON with the config sha256 and the
+    library version embedded."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(_embed_metadata(payload, cfg), sort_keys=True,
-                              indent=2) + "\n")
+    payload = dict(payload, config_sha256=cfg.sha256(), library_version=__version__)
+    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return out
 
 
 def write_certificates_json(path, report: PointwiseReport,
                             cfg: ExperimentConfig) -> Path:
-    payload = _embed_metadata({
+    return write_summary_json(path, {
         "schema_version": CERTIFICATE_SCHEMA_VERSION,
         "instances": [{
             "family": r.family, "s": r.s, "t": r.t,
             "certificates": [c.to_json_dict() for c in r.certificates],
         } for r in report.instances],
     }, cfg)
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return out
 
 
 def write_slopes_csv(path, report: SlopeReport) -> Path:

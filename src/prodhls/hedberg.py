@@ -33,7 +33,7 @@ import numpy as np
 
 from .convolution import RegionBounds, region_split
 from .grid import GridFunction, lp_norm, normalize_point, slice_lp_norms_x, slice_lp_norms_y
-from .kernel import Exponents, sphere_surface
+from .kernel import Exponents, profile_ball_integral, sphere_surface
 from .maximal import (WindowFamily, partial_maximal_x, partial_maximal_y,
                       strong_maximal)
 
@@ -103,8 +103,7 @@ class AdmissibilityReport:
 
     @property
     def ok(self) -> bool:
-        return (self.balanced_x and self.balanced_y and self.combined
-                and self.tail_x and self.tail_y)
+        return self.first_violation is None
 
     @property
     def first_violation(self) -> str | None:
@@ -124,20 +123,27 @@ def check_exponents(exps: Exponents) -> AdmissibilityReport:
     res_x = gap - exps.alpha / exps.m
     res_y = gap - exps.beta / exps.n
     res_c = 1.0 / exps.q - (1.0 / exps.p - (exps.alpha + exps.beta) / (exps.m + exps.n))
-    gx = exps.tail_exponent_x
-    gy = exps.tail_exponent_y
+    _, gx, tail_x = _tail(exps, "x")
+    _, gy, tail_y = _tail(exps, "y")
     return AdmissibilityReport(
         balanced_x=abs(res_x) <= _IDENTITY_TOL,
         balanced_y=abs(res_y) <= _IDENTITY_TOL,
         combined=abs(res_c) <= _IDENTITY_TOL,
-        tail_x=gx > exps.m,
-        tail_y=gy > exps.n,
+        tail_x=tail_x,
+        tail_y=tail_y,
         balance_residual_x=res_x,
         balance_residual_y=res_y,
         combined_residual=res_c,
         tail_exponent_x=gx,
         tail_exponent_y=gy,
     )
+
+
+def _tail(exps: Exponents, side: str) -> tuple[int, float, bool]:
+    """Dimension d, decay (d - a) p' and integrability (d - a) p' > d of one block's tail."""
+    dim, decay = ((exps.m, exps.tail_exponent_x) if side == "x"
+                  else (exps.n, exps.tail_exponent_y))
+    return dim, decay, decay > dim
 
 
 def _require_admissible(exps: Exponents) -> None:
@@ -149,9 +155,7 @@ def _require_admissible(exps: Exponents) -> None:
 
 def inner_ball_constant(dim: int, exponent: float) -> float:
     """Integral of |u|^(exponent - dim) over the unit ball of R^dim."""
-    if not 0.0 < exponent < dim:
-        raise ValueError(f"exponent must lie in (0, {dim}), got {exponent}")
-    return sphere_surface(dim) / exponent
+    return profile_ball_integral(dim, exponent, 1.0)
 
 
 def tail_integral_constant(dim: int, decay: float) -> float:
@@ -161,10 +165,28 @@ def tail_integral_constant(dim: int, decay: float) -> float:
     return sphere_surface(dim) / (decay - dim)
 
 
+def _tail_constant(exps: Exponents, side: str) -> float:
+    """Tail integral of one block at its dual-power decay, if integrable."""
+    dim, decay, integrable = _tail(exps, side)
+    if not integrable:
+        raise ExponentError(f"tail_{side}",
+                            f"{side}-block tail (d - a) p' = {decay} must exceed d = {dim}")
+    return tail_integral_constant(dim, decay)
+
+
 def _check_positive(**named) -> None:
     for name, value in named.items():
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _mixed_constant(exps: Exponents, inner: str) -> float:
+    # the ball constant of the inner block ("x" or "y") times the tail
+    # constant of the other block raised to 1/p' (the Hoelder step)
+    dim, exponent, outer = ((exps.m, exps.alpha, "y") if inner == "x"
+                            else (exps.n, exps.beta, "x"))
+    return (inner_ball_constant(dim, exponent)
+            * _tail_constant(exps, outer) ** (1.0 / exps.p_conjugate))
 
 
 def bound_region11(mf_at_point: float, r1: float, r2: float, exps: Exponents) -> float:
@@ -186,13 +208,7 @@ def bound_region22(f_norm: float, r1: float, r2: float, exps: Exponents) -> floa
     Hoelder step.  Requires both tail conditions.
     """
     _check_positive(f_norm=f_norm, r1=r1, r2=r2)
-    gx, gy = exps.tail_exponent_x, exps.tail_exponent_y
-    if not gx > exps.m:
-        raise ExponentError("tail_x", f"(m - alpha) p' = {gx} must exceed m = {exps.m}")
-    if not gy > exps.n:
-        raise ExponentError("tail_y", f"(n - beta) p' = {gy} must exceed n = {exps.n}")
-    c22 = (tail_integral_constant(exps.m, gx)
-           * tail_integral_constant(exps.n, gy)) ** (1.0 / exps.p_conjugate)
+    c22 = (_tail_constant(exps, "x") * _tail_constant(exps, "y")) ** (1.0 / exps.p_conjugate)
     return (c22 * f_norm
             * r1 ** (exps.alpha - exps.m / exps.p)
             * r2 ** (exps.beta - exps.n / exps.p))
@@ -201,22 +217,14 @@ def bound_region22(f_norm: float, r1: float, r2: float, exps: Exponents) -> floa
 def bound_region12(n1_at_x: float, r1: float, r2: float, exps: Exponents) -> float:
     """Inner-outer bound: c12 * ||M1 f(x, .)||_p * r1^alpha * r2^(beta - n/p)."""
     _check_positive(n1_at_x=n1_at_x, r1=r1, r2=r2)
-    gy = exps.tail_exponent_y
-    if not gy > exps.n:
-        raise ExponentError("tail_y", f"(n - beta) p' = {gy} must exceed n = {exps.n}")
-    c12 = (inner_ball_constant(exps.m, exps.alpha)
-           * tail_integral_constant(exps.n, gy) ** (1.0 / exps.p_conjugate))
+    c12 = _mixed_constant(exps, "x")
     return c12 * n1_at_x * r1 ** exps.alpha * r2 ** (exps.beta - exps.n / exps.p)
 
 
 def bound_region21(n2_at_y: float, r1: float, r2: float, exps: Exponents) -> float:
     """Outer-inner bound: c21 * ||M2 f(., y)||_p * r1^(alpha - m/p) * r2^beta."""
     _check_positive(n2_at_y=n2_at_y, r1=r1, r2=r2)
-    gx = exps.tail_exponent_x
-    if not gx > exps.m:
-        raise ExponentError("tail_x", f"(m - alpha) p' = {gx} must exceed m = {exps.m}")
-    c21 = (inner_ball_constant(exps.n, exps.beta)
-           * tail_integral_constant(exps.m, gx) ** (1.0 / exps.p_conjugate))
+    c21 = _mixed_constant(exps, "y")
     return c21 * n2_at_y * r1 ** (exps.alpha - exps.m / exps.p) * r2 ** exps.beta
 
 

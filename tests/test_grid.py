@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from prodhls import (GridFunction, ProductGrid, dilate, load_grid_function,
                      lp_norm, sample_function, save_grid_function,
-                     slice_lp_norm_x, slice_lp_norm_y, slice_lp_norms_x,
-                     slice_lp_norms_y)
+                     slice_lp_norms_x, slice_lp_norms_y)
 
 
 def grid_1x1(N=16, L=1.0):
@@ -91,8 +90,9 @@ def test_lp_norm_matches_loop_oracle():
 def test_lp_norm_rejects_bad_p():
     f = random_function(grid_1x1(N=4))
     for p in (0.5, 0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            lp_norm(f, p)
+        for norm in (lp_norm, slice_lp_norms_x, slice_lp_norms_y):
+            with pytest.raises(ValueError):
+                norm(f, p)
 
 
 @settings(max_examples=30, deadline=None)
@@ -111,7 +111,12 @@ def test_slice_norm_constant():
     # g = 1, n = 1, L = 1, p = 1: length of the y-interval
     g = grid_1x1(N=10)
     f = GridFunction(g, np.ones(g.shape))
-    assert slice_lp_norm_x(f, 1.0, 3) == pytest.approx(2.0, rel=1e-13)
+    assert slice_lp_norms_x(f, 1.0)[3] == pytest.approx(2.0, rel=1e-13)
+    # a 2-d x-block: the y-slices have length 2, the x-slices area 4
+    g21 = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=6)
+    f21 = GridFunction(g21, np.ones(g21.shape))
+    assert slice_lp_norms_x(f21, 1.0) == pytest.approx(np.full((6, 6), 2.0), rel=1e-13)
+    assert slice_lp_norms_y(f21, 1.0) == pytest.approx(np.full(6, 4.0), rel=1e-13)
 
 
 def test_slice_norm_tensor_factorization():
@@ -123,27 +128,23 @@ def test_slice_norm_tensor_factorization():
     p = 2.5
     b_norm = (np.sum(b ** p) * g.spacing) ** (1 / p)
     for i in (0, 7, 15):
-        assert slice_lp_norm_x(f, p, i) == pytest.approx(a[i] * b_norm, rel=1e-12)
+        assert slice_lp_norms_x(f, p)[i] == pytest.approx(a[i] * b_norm, rel=1e-12)
     a_norm = (np.sum(a ** p) * g.spacing) ** (1 / p)
     for j in (0, 8):
-        assert slice_lp_norm_y(f, p, j) == pytest.approx(b[j] * a_norm, rel=1e-12)
+        assert slice_lp_norms_y(f, p)[j] == pytest.approx(b[j] * a_norm, rel=1e-12)
+
+
+def loop_slice_norms_x(f, p):
+    """Hand-loop oracle: y-slice norms of a rank-2 function at every x-node."""
+    g = f.grid
+    N = g.points_per_axis
+    return [sum(f.values[i, j] ** p * g.spacing for j in range(N)) ** (1 / p)
+            for i in range(N)]
 
 
 def test_slice_norm_matches_loop_oracle():
-    g = grid_1x1(N=12)
-    f = random_function(g, seed=9)
-    p = 1.7
-    for i in range(12):
-        acc = sum(f.values[i, j] ** p * g.spacing for j in range(12))
-        assert slice_lp_norm_x(f, p, i) == pytest.approx(acc ** (1 / p), rel=1e-12)
-
-
-def test_slice_norm_out_of_grid_rejected():
-    f = random_function(grid_1x1(N=8))
-    with pytest.raises(ValueError):
-        slice_lp_norm_x(f, 2.0, 8)
-    with pytest.raises(ValueError):
-        slice_lp_norm_x(f, 2.0, -1)
+    f = random_function(grid_1x1(N=12), seed=9)
+    assert slice_lp_norms_x(f, 1.7) == pytest.approx(loop_slice_norms_x(f, 1.7), rel=1e-12)
 
 
 def test_slice_consistency_recovers_full_norm():
@@ -160,11 +161,12 @@ def test_slice_consistency_recovers_full_norm():
 
 
 def test_slice_norms_match_pointwise_api():
-    g = grid_1x1(N=8)
-    f = random_function(g, seed=2)
-    all_x = slice_lp_norms_x(f, 2.0)
-    for i in range(8):
-        assert all_x[i] == pytest.approx(slice_lp_norm_x(f, 2.0, i), rel=1e-14)
+    # both mirrors against the hand loop; the y-mirror via the transpose
+    f = random_function(grid_1x1(N=8), seed=2)
+    ft = GridFunction(f.grid, f.values.T)
+    for p in (1.0, 2.0):
+        assert slice_lp_norms_x(f, p) == pytest.approx(loop_slice_norms_x(f, p), rel=1e-14)
+        assert slice_lp_norms_y(f, p) == pytest.approx(loop_slice_norms_x(ft, p), rel=1e-14)
 
 
 # ---------------------------------------------------------------- dilate

@@ -64,6 +64,58 @@ def test_config_rejects_missing_q_when_unbalanced():
         ExperimentConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw.update(bogus_key=1),
+    lambda raw: raw["grid"].update(points=8),
+    lambda raw: raw["exponents"].update(gamma=0.5),
+    lambda raw: raw.update(tolerances={"norm_constnat": 1e-3}),
+    lambda raw: raw.update(family_params={"gaussian": {"sigmma": 0.5}}),
+    lambda raw: raw.update(family_params={"gausian": {"sigma": 0.5}}),
+    lambda raw: raw.update(family_params={"tensor-box": {"half_extent": 0.5}}),
+    lambda raw: raw.update(family_params={"gaussian": [0.5]}),
+    lambda raw: raw.update(tolerances={"stability_factor": math.inf}),
+    lambda raw: raw.update(tolerances={"suite_constant": math.nan}),
+    lambda raw: raw.update(tolerances={"slope_tolerance": "0.05"}),
+    lambda raw: raw.update(family_params={"gaussian": {"sigma": math.inf}}),
+    lambda raw: raw.update(family_params={"gaussian": {"sigma": 0.0}}),
+    lambda raw: raw.update(family_params={"spike": {"half_extent": 0}}),
+    lambda raw: raw.update(family_params={"box": {"half_extent": -0.5}}),
+    lambda raw: raw.update(dilations=[[math.inf, 1.0]]),
+    lambda raw: raw["grid"].update(points_per_axis=32.0),
+    lambda raw: raw["grid"].update(m=1.5),
+    lambda raw: raw.update(seed=7.5),
+    lambda raw: raw.update(seed=math.inf),
+    lambda raw: raw.update(points_stride=8.5),
+    lambda raw: raw.update(points_stride=True),
+    lambda raw: raw.update(families=[]),
+], ids=["top-level", "grid", "exponents", "tolerance-key", "family-param-key",
+        "family-params-family", "family-param-of-other-family", "family-params-list",
+        "inf-tolerance", "nan-tolerance", "string-tolerance", "inf-family-param",
+        "zero-sigma", "zero-spike", "negative-box",
+        "inf-dilation", "float-points", "float-m", "float-seed", "inf-seed",
+        "float-stride", "bool-stride", "empty-families"])
+def test_config_rejects_malformed(edit):
+    raw = small_config()
+    edit(raw)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_config_accepts_every_documented_key():
+    raw = small_config(
+        families=["gaussian", "box", "tensor-box", "spike", "random-seeded"],
+        family_params={"gaussian": {"sigma": 0.2}, "box": {"half_extent": 0.4},
+                       "tensor-box": {"half_extent_x": 0.5, "half_extent_y": 0.2},
+                       "spike": {"half_extent": 0.1}, "random-seeded": {}},
+        tolerances={"stability_factor": 2, "suite_constant": 12.0,
+                    "norm_constant": 8.0, "slope_tolerance": 0.05})
+    raw["exponents"]["q"] = 4.0
+    cfg = ExperimentConfig.from_dict(raw)
+    assert cfg.stability_factor() == 2.0
+    del raw["families"]
+    assert ExperimentConfig.from_dict(dict(raw, family="box")).families == ("box",)
+
+
 def test_random_seeded_alias():
     cfg = ExperimentConfig.from_dict(small_config(families=["random-seeded"]))
     fam = make_family("random-seeded", cfg.grid, seed=3)
@@ -88,6 +140,28 @@ def test_spike_family_keeps_cells_at_strong_dilation():
     fam = make_family("spike", grid, {"half_extent": 0.125})
     f = fam(4.0, 4.0)
     assert np.any(f.values > 0)
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 128), (2, 1, 32)])
+def test_spike_family_has_unit_mass(m, n, N):
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    f = make_family("spike", grid, {"half_extent": 0.125})(1.0, 1.0)
+    assert f.values.sum() * grid.cell_volume == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("s, t", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)])
+def test_indicator_families_support_on_2d_x_block(s, t):
+    grid = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=32)
+
+    def cells(w):
+        # cells per axis whose center c has |c| <= w: 2 floor(w/h + 1/2)
+        return 2 * math.floor(w / grid.spacing + 0.5)
+
+    box = make_family("box", grid, {"half_extent": 0.5})(s, t)
+    assert np.count_nonzero(box.values) == cells(0.5 / s) ** 2 * cells(0.5 / t)
+    tensor = make_family("tensor-box", grid)(s, t)  # defaults 0.5 and 0.25
+    assert np.count_nonzero(tensor.values) == cells(0.5 / s) ** 2 * cells(0.25 / t)
+    assert set(np.unique(box.values)) | set(np.unique(tensor.values)) == {0.0, 1.0}
 
 
 def test_tensor_box_asymmetric():
@@ -228,9 +302,20 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["pointwise", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
     bad = write_config(tmp_path, {"grid": {"m": 9}}, "bad.json")
     assert cli_main(["pointwise", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # a misspelled pin is rejected, not ignored
+    typo = write_config(tmp_path, small_config(tolerances={"norm_constnat": 1e-3}), "typo.json")
+    assert cli_main(["normcheck", "--config", str(typo), "--out", str(tmp_path / "o")]) == 2
     # ladder too short is also a config error
     cfg_path = write_config(tmp_path, small_config(), "short.json")
     assert cli_main(["necessity", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["pointwise", "necessity", "normcheck"])
+def test_cli_rejects_empty_families(tmp_path, command):
+    cfg_path = write_config(tmp_path, small_config(families=[]))
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not (out / "summary.json").exists()
 
 
 def test_cli_assertion_failure_exit_code(tmp_path):
