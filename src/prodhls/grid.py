@@ -159,13 +159,17 @@ def sample_function(grid: ProductGrid, fn: Callable[..., np.ndarray]) -> GridFun
     return GridFunction(grid, vals)
 
 
+def _check_exponent(p: float) -> None:
+    if not 1.0 <= p < math.inf:  # NaN fails too; p = inf would give x ** 0 = 1
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     """Discrete L^p norm: (sum of f^p times the cell volume) ** (1/p).
 
     Exact for cell-constant functions; zero iff ``f`` vanishes identically.
     """
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_exponent(p)
     total = float(np.sum(f.values ** p))
     return (total * f.grid.cell_volume) ** (1.0 / p)
 
@@ -185,8 +189,7 @@ def slice_lp_norms_y(g: GridFunction, p: float) -> np.ndarray:
 
 
 def _slice_lp_norms(g: GridFunction, p: float, summed_axes: tuple[int, ...]) -> np.ndarray:
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    _check_exponent(p)
     total = np.sum(g.values ** p, axis=summed_axes)
     return (total * g.grid.spacing ** len(summed_axes)) ** (1.0 / p)
 

@@ -52,8 +52,11 @@ _FAMILY_PARAMS = {
 FAMILY_NAMES = tuple(_FAMILY_PARAMS)
 _CONFIG_KEYS = ("grid", "exponents", "families", "family", "family_params",
                 "dilations", "seed", "points_stride", "tolerances")
-_TOLERANCE_KEYS = ("stability_factor", "suite_constant", "norm_constant",
-                   "slope_tolerance")
+# The tolerance keys each experiment reads; it rejects every other key.
+_TOLERANCE_READERS = {"pointwise": ("suite_constant", "stability_factor"),
+                      "necessity": ("slope_tolerance",),
+                      "normcheck": ("norm_constant", "stability_factor")}
+_TOLERANCE_KEYS = {k for keys in _TOLERANCE_READERS.values() for k in keys}
 
 DEFAULT_STABILITY_FACTOR = 2.0
 DEFAULT_SLOPE_TOLERANCE = 0.05
@@ -93,6 +96,8 @@ class ExperimentConfig:
         for s, t in self.dilations:
             if not (0.0 < s < math.inf and 0.0 < t < math.inf):
                 raise ConfigError(f"dilations must be positive and finite, got ({s}, {t})")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.points_stride < 1:
             raise ConfigError(f"points_stride must be >= 1, got {self.points_stride}")
         if max(self.grid.m, self.grid.n) == 2 and self.grid.points_per_axis > 48:
@@ -346,6 +351,7 @@ def run_pointwise_campaign(cfg: ExperimentConfig) -> PointwiseReport:
     Raises :class:`prodhls.hedberg.CertificateViolation` if any region
     check fails anywhere; the CLI turns that into a diagnostic dump.
     """
+    _check_keys(cfg.tolerances, _TOLERANCE_READERS["pointwise"], "pointwise tolerances")
     _require_admissible(cfg, "pointwise campaign")
     points = _sample_points(cfg.grid, cfg.points_stride)
     instances = [_certify_instance(cfg, family, s, t, points)
@@ -417,6 +423,7 @@ def run_necessity_sweep(cfg: ExperimentConfig) -> SlopeReport:
     The configured dilation pairs must contain an (s, 1) ladder and a
     (1, t) ladder, each with at least five points spanning a decade.
     """
+    _check_keys(cfg.tolerances, _TOLERANCE_READERS["necessity"], "necessity tolerances")
     family = cfg.families[0]
     fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
     s_ladder = sorted({s for s, t in cfg.dilations if t == 1.0})
@@ -477,6 +484,7 @@ class NormCheckReport:
 
 def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
     """Measure ||f * kernel||_q / ||f||_p over every configured instance."""
+    _check_keys(cfg.tolerances, _TOLERANCE_READERS["normcheck"], "normcheck tolerances")
     _require_admissible(cfg, "norm check")
     exps = cfg.exponents
     kernel = riesz_kernel(cfg.grid, exps)

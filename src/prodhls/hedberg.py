@@ -336,32 +336,27 @@ class HedbergContext:
 
     f: GridFunction
     exps: Exponents
-    windows: WindowFamily
     mf: GridFunction
     n1: np.ndarray
     n2: np.ndarray
     f_norm: float
 
 
-def prepare_certification(f: GridFunction, exps: Exponents,
-                          windows: WindowFamily | None = None) -> HedbergContext:
-    """Precompute the maximal fields and slice norms for a function.
-
-    The slack factors reported by :func:`region_slack_factors` are
-    derived for the dyadic window family; pass a custom family only for
-    experimentation.
+def prepare_certification(f: GridFunction, exps: Exponents) -> HedbergContext:
+    """Precompute the maximal fields and slice norms for a function over
+    the dyadic window family, the family the slack factors reported by
+    :func:`region_slack_factors` are derived for.
     """
     _require_admissible(exps)
     if (f.grid.m, f.grid.n) != (exps.m, exps.n):
         raise ValueError(
             f"grid blocks ({f.grid.m}, {f.grid.n}) do not match exponents "
             f"({exps.m}, {exps.n})")
-    w = windows if windows is not None else WindowFamily.dyadic(f.grid)
+    w = WindowFamily.dyadic(f.grid)
     p = exps.p
     return HedbergContext(
         f=f,
         exps=exps,
-        windows=w,
         mf=strong_maximal(f, w),
         n1=slice_lp_norms_x(partial_maximal_x(f, w), p),
         n2=slice_lp_norms_y(partial_maximal_y(f, w), p),

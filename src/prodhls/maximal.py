@@ -72,70 +72,51 @@ class WindowFamily:
         return tuple(out)
 
 
-def _box_window_sum(vals: np.ndarray, axis: int, half: int) -> np.ndarray:
-    """Sliding sum over cells within ``half`` cells along ``axis``, zero-extended."""
-    if half == 0:  # single cell: keep exact, no cumsum rounding
-        return np.asarray(vals, dtype=np.float64)
-    N = vals.shape[axis]
-    csum = np.cumsum(vals, axis=axis)
-    zero_shape = list(vals.shape)
-    zero_shape[axis] = 1
-    csum = np.concatenate([np.zeros(zero_shape), csum], axis=axis)
-    hi = np.minimum(np.arange(N) + half + 1, N)
-    lo = np.maximum(np.arange(N) - half, 0)
-    return np.take(csum, hi, axis=axis) - np.take(csum, lo, axis=axis)
+def _window_rows(dim: int, rc: int) -> list[tuple[int, int]]:
+    """Rows of the block window of strict radius ``rc`` cells: each row is
+    an offset along the block's first axis and a half-width along its
+    last axis.  A 1-d block is the one row ``(0, rc - 1)``."""
+    offsets = range(1 - rc, rc) if dim == 2 else (0,)
+    return [(d, math.isqrt(rc * rc - d * d - 1)) for d in offsets]
 
 
-def _shift_zero(arr: np.ndarray, axis: int, d: int) -> np.ndarray:
-    """out[i] = arr[i - d] along ``axis``, zero-filled at the ends."""
-    if d == 0:
-        return arr
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    if d > 0:
-        dst[axis] = slice(d, None)
-        src[axis] = slice(0, -d)
-    else:
-        dst[axis] = slice(0, d)
-        src[axis] = slice(-d, None)
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
-
-def _group_window_sum(vals: np.ndarray, axes: tuple[int, ...], rc: int) -> np.ndarray:
-    """Sum over the block window of strict radius ``rc`` cells."""
-    if len(axes) == 1:
-        return _box_window_sum(vals, axes[0], rc - 1)
-    a1, a2 = axes
-    out = np.zeros_like(vals, dtype=np.float64)
-    for dy in range(-(rc - 1), rc):
-        w = math.isqrt(rc * rc - dy * dy - 1)
-        out += _shift_zero(_box_window_sum(vals, a2, w), a1, dy)
-    return out
-
-
-def _group_window_count(dim: int, rc: int) -> int:
-    """Full cell count of the block window (clipping ignored)."""
-    if dim == 1:
-        return 2 * rc - 1
-    return sum(2 * math.isqrt(rc * rc - dy * dy - 1) + 1 for dy in range(-(rc - 1), rc))
+def _window_sums(vals: np.ndarray, axes: tuple[int, ...], radii: tuple[int, ...]):
+    """Yield ``(window sum, full cell count)`` over the block on ``axes``
+    for each radius, zero-extended: one prefix sum along the block's last
+    axis, each row added into place in ascending offset order.  Rows lying
+    wholly outside the box add nothing but still count."""
+    first, last = axes[0], axes[-1]
+    N = vals.shape[last]
+    idx = np.arange(N)
+    csum = np.cumsum(np.insert(vals, 0, 0.0, axis=last), axis=last)  # csum[k]: first k cells
+    for rc in radii:
+        rows = _window_rows(len(axes), rc)
+        total = np.zeros(vals.shape)
+        for d, w in rows:
+            if abs(d) >= N:
+                continue
+            src, dst = [slice(None)] * vals.ndim, [slice(None)] * vals.ndim
+            if d:  # out[i] = row[i - d] along the first axis
+                src[first] = slice(max(-d, 0), N - max(d, 0))
+                dst[first] = slice(max(d, 0), N - max(-d, 0))
+            if w == 0:  # single cell: keep exact, no cumsum rounding
+                row = vals[tuple(src)]
+            else:
+                part = csum[tuple(src)]  # clipping the indices clips the row ends
+                row = (np.take(part, idx + w + 1, axis=last, mode="clip")
+                       - np.take(part, idx - w, axis=last, mode="clip"))
+            total[tuple(dst)] += row
+        yield total, sum(2 * w + 1 for _, w in rows)
 
 
 def strong_maximal(f: GridFunction, w: WindowFamily) -> GridFunction:
     """Supremum of product-window averages of ``f`` at every cell."""
     grid = f.grid
-    x_axes = tuple(range(grid.m))
-    y_axes = tuple(range(grid.m, grid.rank))
     radii = w.cell_radii(grid)
     best = np.zeros(grid.shape)
-    for rc_y in radii:
-        y_sum = _group_window_sum(f.values, y_axes, rc_y)
-        count_y = _group_window_count(grid.n, rc_y)
-        for rc_x in radii:
-            total = _group_window_sum(y_sum, x_axes, rc_x)
-            count = _group_window_count(grid.m, rc_x) * count_y
-            np.maximum(best, total / count, out=best)
+    for y_sum, count_y in _window_sums(f.values, tuple(range(grid.m, grid.rank)), radii):
+        for total, count_x in _window_sums(y_sum, tuple(range(grid.m)), radii):
+            np.maximum(best, total / (count_x * count_y), out=best)
     return GridFunction(grid, best)
 
 
@@ -143,9 +124,8 @@ def _partial_maximal(f: GridFunction, w: WindowFamily,
                      axes: tuple[int, ...]) -> GridFunction:
     """Maximal averages over windows on the block spanned by ``axes``."""
     best = np.zeros(f.grid.shape)
-    for rc in w.cell_radii(f.grid):
-        avg = _group_window_sum(f.values, axes, rc) / _group_window_count(len(axes), rc)
-        np.maximum(best, avg, out=best)
+    for total, count in _window_sums(f.values, axes, w.cell_radii(f.grid)):
+        np.maximum(best, total / count, out=best)
     return GridFunction(f.grid, best)
 
 

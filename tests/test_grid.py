@@ -1,5 +1,7 @@
 """Grid geometry, quadrature norms, slice norms, dilation, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,7 +91,7 @@ def test_lp_norm_matches_loop_oracle():
 
 def test_lp_norm_rejects_bad_p():
     f = random_function(grid_1x1(N=4))
-    for p in (0.5, 0.0, -1.0, float("nan")):
+    for p in (0.5, 0.0, -1.0, float("nan"), math.inf):
         for norm in (lp_norm, slice_lp_norms_x, slice_lp_norms_y):
             with pytest.raises(ValueError):
                 norm(f, p)

@@ -33,6 +33,13 @@ def small_config(**overrides):
     return raw
 
 
+def ladder_config(**overrides):
+    """An (s, 1) and a (1, t) ladder of five points over a decade."""
+    lad = [float(s) for s in np.logspace(-0.5, 0.5, 5)]
+    return small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad],
+                        families=["gaussian"], **overrides)
+
+
 # ---------------------------------------------------------------- config
 
 def test_config_round_trip_and_hash():
@@ -85,6 +92,7 @@ def test_config_rejects_missing_q_when_unbalanced():
     lambda raw: raw["grid"].update(m=1.5),
     lambda raw: raw.update(seed=7.5),
     lambda raw: raw.update(seed=math.inf),
+    lambda raw: raw.update(seed=-5),
     lambda raw: raw.update(points_stride=8.5),
     lambda raw: raw.update(points_stride=True),
     lambda raw: raw.update(families=[]),
@@ -92,7 +100,7 @@ def test_config_rejects_missing_q_when_unbalanced():
         "family-params-family", "family-param-of-other-family", "family-params-list",
         "inf-tolerance", "nan-tolerance", "string-tolerance", "inf-family-param",
         "zero-sigma", "zero-spike", "negative-box",
-        "inf-dilation", "float-points", "float-m", "float-seed", "inf-seed",
+        "inf-dilation", "float-points", "float-m", "float-seed", "inf-seed", "negative-seed",
         "float-stride", "bool-stride", "empty-families"])
 def test_config_rejects_malformed(edit):
     raw = small_config()
@@ -211,10 +219,7 @@ def test_necessity_ladder_validation():
 
 
 def test_necessity_small_grid_structure():
-    lad = [float(s) for s in np.logspace(-0.5, 0.5, 5)]
-    raw = small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad],
-                       families=["gaussian"],
-                       tolerances={"slope_tolerance": 1.0})
+    raw = ladder_config(tolerances={"slope_tolerance": 1.0})
     rep = run_necessity_sweep(ExperimentConfig.from_dict(raw))
     assert rep.theoretical_slope_s == pytest.approx(0.0, abs=1e-12)
     assert len(rep.rows) == 10
@@ -250,9 +255,7 @@ def test_summary_embeds_hash_and_version(tmp_path):
 
 
 def test_slopes_csv_columns(tmp_path):
-    lad = [float(s) for s in np.logspace(-0.5, 0.5, 5)]
-    raw = small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad],
-                       families=["gaussian"], tolerances={"slope_tolerance": 1.0})
+    raw = ladder_config(tolerances={"slope_tolerance": 1.0})
     rep = run_necessity_sweep(ExperimentConfig.from_dict(raw))
     path = write_slopes_csv(tmp_path / "slopes.csv", rep)
     lines = path.read_text().strip().splitlines()
@@ -276,9 +279,7 @@ def test_cli_pointwise_and_determinism(tmp_path):
 
 
 def test_cli_necessity_writes_outputs(tmp_path):
-    lad = [float(s) for s in np.logspace(-0.5, 0.5, 5)]
-    raw = small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad],
-                       families=["gaussian"], tolerances={"slope_tolerance": 1.0})
+    raw = ladder_config(tolerances={"slope_tolerance": 1.0})
     cfg_path = write_config(tmp_path, raw)
     out = tmp_path / "out"
     assert cli_main(["necessity", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -305,6 +306,12 @@ def test_cli_config_error_exit_code(tmp_path):
     # a misspelled pin is rejected, not ignored
     typo = write_config(tmp_path, small_config(tolerances={"norm_constnat": 1e-3}), "typo.json")
     assert cli_main(["normcheck", "--config", str(typo), "--out", str(tmp_path / "o")]) == 2
+    # a negative seed is rejected from the config and from --seed alike
+    negative = write_config(tmp_path, small_config(seed=-5), "negative.json")
+    assert cli_main(["normcheck", "--config", str(negative), "--out", str(tmp_path / "o")]) == 2
+    ok = write_config(tmp_path, small_config(), "ok.json")
+    assert cli_main(["normcheck", "--config", str(ok), "--out", str(tmp_path / "o"),
+                     "--seed", "-5"]) == 2
     # ladder too short is also a config error
     cfg_path = write_config(tmp_path, small_config(), "short.json")
     assert cli_main(["necessity", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
@@ -315,6 +322,24 @@ def test_cli_rejects_empty_families(tmp_path, command):
     cfg_path = write_config(tmp_path, small_config(families=[]))
     out = tmp_path / "out"
     assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command, reads, foreign", [
+    ("pointwise", {"suite_constant": 100.0, "stability_factor": 2.0}, "norm_constant"),
+    ("necessity", {"slope_tolerance": 1.0}, "stability_factor"),
+    ("normcheck", {"norm_constant": 100.0, "stability_factor": 2.0}, "suite_constant"),
+])
+def test_cli_rejects_tolerance_the_command_does_not_read(tmp_path, capsys, command, reads,
+                                                         foreign):
+    make = ladder_config if command == "necessity" else small_config
+    good = write_config(tmp_path, make(tolerances=reads), "good.json")
+    assert cli_main([command, "--config", str(good), "--out", str(tmp_path / "good")]) == 0
+    # a pin under another command's key would be ignored, so it is an error
+    bad = write_config(tmp_path, make(tolerances={**reads, foreign: 1e-6}), "bad.json")
+    out = tmp_path / "bad"
+    assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2
+    assert foreign in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 

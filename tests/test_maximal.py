@@ -1,5 +1,7 @@
 """Maximal operators against exhaustive window oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,42 @@ def test_strong_maximal_2d_block_matches_brute_force():
                 out[i1, i2, j] = best
     M = strong_maximal(f, w).values
     assert np.max(np.abs(M - out) / out) <= 1e-12
+
+
+def block_windows(dim, N, rc):
+    """Exhaustive block window of strict radius rc cells: W[i, j] = 1 when
+    block cell j lies within rc of block cell i, and the full cell count
+    of the unclipped window."""
+    cells = np.array(list(np.ndindex(*(N,) * dim)))
+    dist2 = ((cells[:, None, :] - cells[None, :, :]) ** 2).sum(axis=-1)
+    full = sum(1 for d in itertools.product(range(1 - rc, rc), repeat=dim)
+               if sum(x * x for x in d) < rc * rc)
+    return (dist2 < rc * rc).astype(float), full
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2)])
+def test_disc_windows_match_brute_force(m, n):
+    # N = 6: the largest dyadic radius (8 cells) puts whole disc rows
+    # outside the box, which add nothing but still count; each radius is
+    # also checked alone, since the largest window rarely attains the sup
+    N = 6
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    f = GridFunction(g, np.random.default_rng(10 * m + n).uniform(0, 1, g.shape))
+    dyadic = WindowFamily.dyadic(g)
+    assert dyadic.cell_radii(g)[-1] > N
+    F = f.values.reshape(N ** m, N ** n)
+    for w in [dyadic] + [WindowFamily(radii=(r,)) for r in dyadic.radii]:
+        radii = w.cell_radii(g)
+        x_windows = [block_windows(m, N, rc) for rc in radii]
+        y_windows = [block_windows(n, N, rc) for rc in radii]
+        strong = np.max([Wx @ F @ Wy.T / (cx * cy)
+                         for Wx, cx in x_windows for Wy, cy in y_windows], axis=0)
+        m1 = np.max([Wx @ F / cx for Wx, cx in x_windows], axis=0)
+        m2 = np.max([F @ Wy.T / cy for Wy, cy in y_windows], axis=0)
+        for op, brute in ((strong_maximal, strong), (partial_maximal_x, m1),
+                          (partial_maximal_y, m2)):
+            got = op(f, w).values.reshape(F.shape)
+            assert np.max(np.abs(got - brute) / brute) <= 1e-12
 
 
 # ---------------------------------------------------------------- partial maximal
