@@ -20,9 +20,9 @@ ctx = prepare_certification(f, exps)
 print(f"||f||_p = {ctx.f_norm:.6f}\n")
 
 for point in ((32, 32), (22, 40), (8, 8), (1, 62)):
-    cert = certify_point(f, exps, point, context=ctx)
+    cert = certify_point(ctx, point)
     coords = ", ".join(f"{c:+.3f}" for c in cert.point_coordinates)
-    rb = cert.region_bounds
+    rb = cert.regions
     print(f"node {point} at ({coords}):")
     print(f"  case {cert.case_id}  (G f = {cert.g_value:.4f} vs "
           f"M f . ||f|| = {cert.m_value * cert.f_norm:.4f})")

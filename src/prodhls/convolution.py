@@ -14,13 +14,12 @@ for norms and scaling fits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, normalize_point
-from .kernel import Exponents
+from .grid import GridFunction, check_positive, normalize_point
+from .kernel import Exponents, check_blocks
 
 __all__ = [
     "RegionBounds",
@@ -44,8 +43,6 @@ class RegionBounds:
     t12: float
     t21: float
     t22: float
-    r1: float
-    r2: float
 
     @property
     def total(self) -> float:
@@ -107,14 +104,9 @@ def region_split(f: GridFunction, exps: Exponents, point, r1: float,
     from a materialized kernel grid), so radii larger than the box stay
     meaningful.  Summation order within each region is row-major.
     """
-    if not (r1 > 0 and math.isfinite(r1)):
-        raise ValueError(f"r1 must be positive and finite, got {r1}")
-    if not (r2 > 0 and math.isfinite(r2)):
-        raise ValueError(f"r2 must be positive and finite, got {r2}")
+    check_positive(r1=r1, r2=r2)
     grid = f.grid
-    if (grid.m, grid.n) != (exps.m, exps.n):
-        raise ValueError(
-            f"grid blocks ({grid.m}, {grid.n}) do not match exponents ({exps.m}, {exps.n})")
+    check_blocks(grid, exps)
     N = grid.points_per_axis
     idx = normalize_point(point, grid.rank, N)
 
@@ -147,6 +139,4 @@ def region_split(f: GridFunction, exps: Exponents, point, r1: float,
         t12=float(weights[np.ix_(in_x, out_y)].sum()),
         t21=float(weights[np.ix_(out_x, in_y)].sum()),
         t22=float(weights[np.ix_(out_x, out_y)].sum()),
-        r1=float(r1),
-        r2=float(r2),
     )

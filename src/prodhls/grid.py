@@ -109,6 +109,13 @@ def _block_norms(centers: np.ndarray, dim: int) -> np.ndarray:
     return np.hypot(centers[:, None], centers[None, :])
 
 
+def check_positive(**named) -> None:
+    """Raise ``ValueError`` for the first named value that is not positive and finite."""
+    for name, value in named.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def normalize_point(point, rank: int, points_per_axis: int) -> tuple[int, ...]:
     """Validate a grid-node multi-index (an int is accepted for rank 1)."""
     if isinstance(point, (int, np.integer)):
@@ -201,10 +208,7 @@ def dilate(f: GridFunction, s: float, t: float) -> GridFunction:
     zero extension outside the box.  Deterministic; ``s = t = 1`` is the
     identity.
     """
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError(f"x-dilation must be positive and finite, got {s}")
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError(f"y-dilation must be positive and finite, got {t}")
+    check_positive(**{"x-dilation": s, "y-dilation": t})
     grid = f.grid
     out = f.values
     scales = (s,) * grid.m + (t,) * grid.n

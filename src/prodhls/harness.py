@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -262,16 +263,31 @@ def _sample_points(grid: ProductGrid, stride: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class InstanceResult:
-    """Certification outcome for one (family, s, t) instance."""
+    """Certification outcome for one (family, s, t) instance; an all-zero
+    instance has no certificates."""
 
     family: str
     s: float
     t: float
-    n_points: int
-    max_ratio: float
-    worst_point: tuple[int, ...] | None
-    case_counts: dict
     certificates: list[HedbergCertificate]
+
+    @property
+    def n_points(self) -> int:
+        return len(self.certificates)
+
+    @property
+    def max_ratio(self) -> float:
+        return max((c.ratio for c in self.certificates), default=0.0)
+
+    @property
+    def worst_point(self) -> tuple[int, ...] | None:
+        """The first node with the largest ratio."""
+        worst = max(self.certificates, key=lambda c: c.ratio, default=None)
+        return None if worst is None else worst.point
+
+    @property
+    def case_counts(self) -> dict:
+        return dict(Counter(str(c.case_id) for c in self.certificates))
 
 
 @dataclass
@@ -302,22 +318,12 @@ class PointwiseReport:
 
 def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
                       points) -> InstanceResult:
-    fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
-    f = fam(s, t)
-    if not np.any(f.values):
-        return InstanceResult(family=family, s=s, t=t, n_points=0, max_ratio=0.0,
-                              worst_point=None, case_counts={}, certificates=[])
-    ctx = prepare_certification(f, cfg.exponents)
-    certs = [certify_point(f, cfg.exponents, pt, context=ctx) for pt in points]
-    ratios = [c.ratio for c in certs]
-    worst = int(np.argmax(ratios))
-    cases: dict[str, int] = {}
-    for c in certs:
-        cases[str(c.case_id)] = cases.get(str(c.case_id), 0) + 1
-    return InstanceResult(family=family, s=s, t=t, n_points=len(certs),
-                          max_ratio=float(ratios[worst]),
-                          worst_point=certs[worst].point, case_counts=cases,
-                          certificates=certs)
+    f = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)(s, t)
+    certs = []
+    if np.any(f.values):
+        ctx = prepare_certification(f, cfg.exponents)
+        certs = [certify_point(ctx, pt) for pt in points]
+    return InstanceResult(family=family, s=s, t=t, certificates=certs)
 
 
 def _require_admissible(cfg: ExperimentConfig, experiment: str) -> None:

@@ -26,14 +26,14 @@ hard failure, not a warning.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .convolution import RegionBounds, region_split
-from .grid import GridFunction, lp_norm, normalize_point, slice_lp_norms_x, slice_lp_norms_y
-from .kernel import Exponents, profile_ball_integral, sphere_surface
+from .grid import (GridFunction, check_positive, lp_norm, normalize_point, slice_lp_norms_x,
+                   slice_lp_norms_y)
+from .kernel import Exponents, check_blocks, profile_ball_integral, sphere_surface
 from .maximal import (WindowFamily, partial_maximal_x, partial_maximal_y,
                       strong_maximal)
 
@@ -174,12 +174,6 @@ def _tail_constant(exps: Exponents, side: str) -> float:
     return tail_integral_constant(dim, decay)
 
 
-def _check_positive(**named) -> None:
-    for name, value in named.items():
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def _mixed_constant(exps: Exponents, inner: str) -> float:
     # the ball constant of the inner block ("x" or "y") times the tail
     # constant of the other block raised to 1/p' (the Hoelder step)
@@ -195,7 +189,7 @@ def bound_region11(mf_at_point: float, r1: float, r2: float, exps: Exponents) ->
     c11 is the exact kernel mass over the unit product ball, scaled by
     power-law homogeneity to (r1, r2).
     """
-    _check_positive(mf_at_point=mf_at_point, r1=r1, r2=r2)
+    check_positive(mf_at_point=mf_at_point, r1=r1, r2=r2)
     c11 = inner_ball_constant(exps.m, exps.alpha) * inner_ball_constant(exps.n, exps.beta)
     return c11 * mf_at_point * r1 ** exps.alpha * r2 ** exps.beta
 
@@ -207,7 +201,7 @@ def bound_region22(f_norm: float, r1: float, r2: float, exps: Exponents) -> floa
     kernel raised to the dual power p', itself raised to 1/p' per the
     Hoelder step.  Requires both tail conditions.
     """
-    _check_positive(f_norm=f_norm, r1=r1, r2=r2)
+    check_positive(f_norm=f_norm, r1=r1, r2=r2)
     c22 = (_tail_constant(exps, "x") * _tail_constant(exps, "y")) ** (1.0 / exps.p_conjugate)
     return (c22 * f_norm
             * r1 ** (exps.alpha - exps.m / exps.p)
@@ -216,14 +210,14 @@ def bound_region22(f_norm: float, r1: float, r2: float, exps: Exponents) -> floa
 
 def bound_region12(n1_at_x: float, r1: float, r2: float, exps: Exponents) -> float:
     """Inner-outer bound: c12 * ||M1 f(x, .)||_p * r1^alpha * r2^(beta - n/p)."""
-    _check_positive(n1_at_x=n1_at_x, r1=r1, r2=r2)
+    check_positive(n1_at_x=n1_at_x, r1=r1, r2=r2)
     c12 = _mixed_constant(exps, "x")
     return c12 * n1_at_x * r1 ** exps.alpha * r2 ** (exps.beta - exps.n / exps.p)
 
 
 def bound_region21(n2_at_y: float, r1: float, r2: float, exps: Exponents) -> float:
     """Outer-inner bound: c21 * ||M2 f(., y)||_p * r1^(alpha - m/p) * r2^beta."""
-    _check_positive(n2_at_y=n2_at_y, r1=r1, r2=r2)
+    check_positive(n2_at_y=n2_at_y, r1=r1, r2=r2)
     c21 = _mixed_constant(exps, "y")
     return c21 * n2_at_y * r1 ** (exps.alpha - exps.m / exps.p) * r2 ** exps.beta
 
@@ -307,14 +301,14 @@ def select_radii_case1(m_value: float, n1: float, n2: float, f_norm: float,
     Postconditions (verified): r1^(-m/p) r2^(-n/p) = Mf/||f|| and
     r1^(-m/p) / r2^(-n/p) = n1/n2, both to 1e-12 relative.
     """
-    _check_positive(m_value=m_value, n1=n1, n2=n2, f_norm=f_norm)
+    check_positive(m_value=m_value, n1=n1, n2=n2, f_norm=f_norm)
     return _balanced_radii(m_value / f_norm, n1, n2, exps)
 
 
 def select_radii_case2(g_value: float, n1: float, n2: float, f_norm: float,
                        exps: Exponents) -> tuple[float, float]:
     """Case-2 radii: the maximal ratio is replaced by G f / ||f||^2."""
-    _check_positive(g_value=g_value, n1=n1, n2=n2, f_norm=f_norm)
+    check_positive(g_value=g_value, n1=n1, n2=n2, f_norm=f_norm)
     return _balanced_radii(g_value / f_norm ** 2, n1, n2, exps)
 
 
@@ -332,7 +326,7 @@ def final_bound_case2(g_value: float, f_norm: float, exps: Exponents) -> float:
 
 @dataclass
 class HedbergContext:
-    """Shared read-only precomputation for certifying many points."""
+    """Shared read-only precomputation for certifying many points of ``f``."""
 
     f: GridFunction
     exps: Exponents
@@ -340,6 +334,7 @@ class HedbergContext:
     n1: np.ndarray
     n2: np.ndarray
     f_norm: float
+    slack_factors: dict
 
 
 def prepare_certification(f: GridFunction, exps: Exponents) -> HedbergContext:
@@ -348,10 +343,7 @@ def prepare_certification(f: GridFunction, exps: Exponents) -> HedbergContext:
     :func:`region_slack_factors` are derived for.
     """
     _require_admissible(exps)
-    if (f.grid.m, f.grid.n) != (exps.m, exps.n):
-        raise ValueError(
-            f"grid blocks ({f.grid.m}, {f.grid.n}) do not match exponents "
-            f"({exps.m}, {exps.n})")
+    check_blocks(f.grid, exps)
     w = WindowFamily.dyadic(f.grid)
     p = exps.p
     return HedbergContext(
@@ -361,7 +353,27 @@ def prepare_certification(f: GridFunction, exps: Exponents) -> HedbergContext:
         n1=slice_lp_norms_x(partial_maximal_x(f, w), p),
         n2=slice_lp_norms_y(partial_maximal_y(f, w), p),
         f_norm=lp_norm(f, p),
+        slack_factors=region_slack_factors(exps),
     )
+
+
+def _check_json_keys(d, expected, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
+    missing, unknown = sorted(set(expected) - set(d)), sorted(set(d) - set(expected))
+    if missing or unknown:
+        raise ValueError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+
+
+def _read_regions(d) -> RegionBounds:
+    _check_json_keys(d, [f.name for f in fields(RegionBounds)], "certificate regions")
+    return RegionBounds(**{k: float(v) for k, v in d.items()})
+
+
+# JSON value -> field value, by the field's annotation
+_READERS = {"tuple[int, ...]": lambda v: tuple(map(int, v)),
+            "tuple[float, ...]": lambda v: tuple(map(float, v)),
+            "int": int, "float": float, "dict": dict, "RegionBounds": _read_regions}
 
 
 @dataclass(frozen=True)
@@ -370,10 +382,12 @@ class HedbergCertificate:
 
     ``case_id`` is 1 exactly when ``g_value <= m_value * f_norm``.  The
     final bound is ``m_value^(p/q) f_norm^(1-p/q)`` in case 1 and
-    ``g_value^(p/q) f_norm^(1-2p/q)`` in case 2; ``lhs`` is the actual
-    convolution value, recovered as the total of the region sums.
-    ``region_limits`` holds the analytic per-region bound values and
-    ``slack_factors`` the discretization slacks they were checked with.
+    ``g_value^(p/q) f_norm^(1-2p/q)`` in case 2.  ``regions`` holds the
+    four region sums at the radii ``(r1, r2)``; their total ``lhs`` is the
+    actual convolution value.  ``region_limits`` holds the analytic
+    per-region bound values and ``slack_factors`` the discretization
+    slacks they were checked with.  The JSON record (schema 1) holds every
+    field plus ``lhs``, ``ratio`` and ``schema_version``.
     """
 
     point: tuple[int, ...]
@@ -381,16 +395,20 @@ class HedbergCertificate:
     case_id: int
     r1: float
     r2: float
-    region_bounds: RegionBounds
+    regions: RegionBounds
     m_value: float
     g_value: float
     n1: float
     n2: float
     f_norm: float
     final_bound: float
-    lhs: float
     region_limits: dict = field(default_factory=dict)
     slack_factors: dict = field(default_factory=dict)
+
+    @property
+    def lhs(self) -> float:
+        """The convolution value at the node: the total of the region sums."""
+        return self.regions.total
 
     @property
     def ratio(self) -> float:
@@ -398,86 +416,57 @@ class HedbergCertificate:
         return self.lhs / self.final_bound if self.final_bound > 0.0 else 0.0
 
     def to_json_dict(self) -> dict:
-        rb = self.region_bounds
-        return {
-            "schema_version": CERTIFICATE_SCHEMA_VERSION,
-            "point": list(self.point),
-            "point_coordinates": list(self.point_coordinates),
-            "case_id": self.case_id,
-            "r1": self.r1,
-            "r2": self.r2,
-            "regions": {"t11": rb.t11, "t12": rb.t12, "t21": rb.t21, "t22": rb.t22},
-            "m_value": self.m_value,
-            "g_value": self.g_value,
-            "n1": self.n1,
-            "n2": self.n2,
-            "f_norm": self.f_norm,
-            "final_bound": self.final_bound,
-            "lhs": self.lhs,
-            "ratio": self.ratio,
-            "region_limits": dict(self.region_limits),
-            "slack_factors": dict(self.slack_factors),
-        }
+        d = dict(vars(self), regions=vars(self.regions), schema_version=CERTIFICATE_SCHEMA_VERSION,
+                 lhs=self.lhs, ratio=self.ratio)
+        # tuples become lists; the region sums and the mappings become new dicts
+        return {k: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
+                for k, v in d.items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HedbergCertificate":
+        """Parse a schema-1 record; missing or unknown keys, and an ``lhs`` or
+        ``ratio`` other than the one the fields give, raise ``ValueError``."""
         if d.get("schema_version") != CERTIFICATE_SCHEMA_VERSION:
             raise ValueError(f"unsupported certificate schema: {d.get('schema_version')}")
-        regions = d["regions"]
-        return cls(
-            point=tuple(int(i) for i in d["point"]),
-            point_coordinates=tuple(float(c) for c in d["point_coordinates"]),
-            case_id=int(d["case_id"]),
-            r1=float(d["r1"]),
-            r2=float(d["r2"]),
-            region_bounds=RegionBounds(t11=regions["t11"], t12=regions["t12"],
-                                       t21=regions["t21"], t22=regions["t22"],
-                                       r1=float(d["r1"]), r2=float(d["r2"])),
-            m_value=float(d["m_value"]),
-            g_value=float(d["g_value"]),
-            n1=float(d["n1"]),
-            n2=float(d["n2"]),
-            f_norm=float(d["f_norm"]),
-            final_bound=float(d["final_bound"]),
-            lhs=float(d["lhs"]),
-            region_limits=dict(d["region_limits"]),
-            slack_factors=dict(d["slack_factors"]),
-        )
+        _check_json_keys(d, ["schema_version", *(f.name for f in fields(cls)), "lhs", "ratio"],
+                         "certificate")
+        cert = cls(**{f.name: _READERS[f.type](d[f.name]) for f in fields(cls)})
+        for key in ("lhs", "ratio"):
+            if d[key] != getattr(cert, key):
+                raise ValueError(f"certificate {key} {d[key]!r} differs from the "
+                                 f"{getattr(cert, key)!r} its fields give")
+        return cert
 
 
 # relative headroom for pure floating-point noise in the hard checks
 _CHECK_REL = 1e-9
 
 
-def certify_point(f: GridFunction, exps: Exponents, point,
-                  context: HedbergContext | None = None) -> HedbergCertificate:
-    """Run the full pointwise bound chain at one grid node.
+def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
+    """Run the full pointwise bound chain at one grid node of ``ctx.f``.
 
     Selects the case from the computed maximal and mixed-norm values,
     picks the balancing radii in closed form, splits the convolution at
     those radii, and verifies every region sum against its analytic
     bound times the documented slack.  Raises
-    :class:`CertificateViolation` if any region check fails and
-    :class:`ExponentError` for inadmissible exponents.
+    :class:`CertificateViolation` if any region check fails.
     """
-    ctx = context if context is not None else prepare_certification(f, exps)
+    f, exps = ctx.f, ctx.exps
     grid = f.grid
     idx = normalize_point(point, grid.rank, grid.points_per_axis)
     coords = grid.point_coordinates(idx)
+    slacks = dict(ctx.slack_factors)
 
     if ctx.f_norm == 0.0:
         return HedbergCertificate(
             point=idx, point_coordinates=coords, case_id=1, r1=0.0, r2=0.0,
-            region_bounds=RegionBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            regions=RegionBounds(0.0, 0.0, 0.0, 0.0),
             m_value=0.0, g_value=0.0, n1=0.0, n2=0.0, f_norm=0.0,
-            final_bound=0.0, lhs=0.0,
-            region_limits={}, slack_factors=region_slack_factors(exps))
+            final_bound=0.0, region_limits={}, slack_factors=slacks)
 
-    x_idx = idx[:grid.m]
-    y_idx = idx[grid.m:]
     m_value = float(ctx.mf.values[idx])
-    n1_val = float(ctx.n1[x_idx])
-    n2_val = float(ctx.n2[y_idx])
+    n1_val = float(ctx.n1[idx[:grid.m]])
+    n2_val = float(ctx.n2[idx[grid.m:]])
     g_value = n1_val * n2_val
     f_norm = ctx.f_norm
 
@@ -496,7 +485,6 @@ def certify_point(f: GridFunction, exps: Exponents, point,
         "region21": bound_region21(n2_val, r1, r2, exps),
         "region22": bound_region22(f_norm, r1, r2, exps),
     }
-    slacks = region_slack_factors(exps)
     observed = {"region11": regions.t11, "region12": regions.t12,
                 "region21": regions.t21, "region22": regions.t22}
     for name, value in observed.items():
@@ -523,6 +511,6 @@ def certify_point(f: GridFunction, exps: Exponents, point,
 
     return HedbergCertificate(
         point=idx, point_coordinates=coords, case_id=1 if case1 else 2,
-        r1=r1, r2=r2, region_bounds=regions, m_value=m_value, g_value=g_value,
+        r1=r1, r2=r2, regions=regions, m_value=m_value, g_value=g_value,
         n1=n1_val, n2=n2_val, f_norm=f_norm, final_bound=final,
-        lhs=regions.total, region_limits=limits, slack_factors=slacks)
+        region_limits=limits, slack_factors=slacks)

@@ -125,6 +125,13 @@ class Exponents:
         return (self.n - self.beta) * self.p_conjugate
 
 
+def check_blocks(grid: ProductGrid, exps: Exponents) -> None:
+    """Raise ``ValueError`` unless the grid's blocks (m, n) are the exponents'."""
+    if (grid.m, grid.n) != (exps.m, exps.n):
+        raise ValueError(
+            f"grid blocks ({grid.m}, {grid.n}) do not match exponents ({exps.m}, {exps.n})")
+
+
 def riesz_kernel(grid: ProductGrid, exps: Exponents) -> GridFunction:
     """Materialize |x|^(alpha-m) |y|^(beta-n) at the cell centers.
 
@@ -132,9 +139,7 @@ def riesz_kernel(grid: ProductGrid, exps: Exponents) -> GridFunction:
     the y-block factor, so separability holds exactly.  Every value is
     finite because no cell center sits at either block origin.
     """
-    if (grid.m, grid.n) != (exps.m, exps.n):
-        raise ValueError(
-            f"grid blocks ({grid.m}, {grid.n}) do not match exponents ({exps.m}, {exps.n})")
+    check_blocks(grid, exps)
     x_factor = grid.x_norms() ** (exps.alpha - exps.m)
     y_factor = grid.y_norms() ** (exps.beta - exps.n)
     return GridFunction(grid, np.multiply.outer(x_factor, y_factor))

@@ -174,10 +174,13 @@ def g_function(f: GridFunction, exps: Exponents, w: WindowFamily) -> GridFunctio
     The output factors exactly as the outer product of an x-block grid
     and a y-block grid.
     """
-    p = exps.p
-    n1 = slice_lp_norms_x(partial_maximal_x(f, w), p)
-    n2 = slice_lp_norms_y(partial_maximal_y(f, w), p)
-    return GridFunction(f.grid, np.multiply.outer(n1, n2))
+    return _g_field(partial_maximal_x(f, w), partial_maximal_y(f, w), exps.p)
+
+
+def _g_field(m1: GridFunction, m2: GridFunction, p: float) -> GridFunction:
+    n1 = slice_lp_norms_x(m1, p)
+    n2 = slice_lp_norms_y(m2, p)
+    return GridFunction(m1.grid, np.multiply.outer(n1, n2))
 
 
 @dataclass(frozen=True)
@@ -210,10 +213,11 @@ def g_norm_bound(f: GridFunction, exps: Exponents,
     if w is None:
         w = WindowFamily.dyadic(f.grid)
     p = exps.p
-    g = g_function(f, exps, w)
+    m1 = partial_maximal_x(f, w)
+    m2 = partial_maximal_y(f, w)
     return GNormReport(
-        g_norm=lp_norm(g, p),
+        g_norm=lp_norm(_g_field(m1, m2, p), p),
         f_norm=lp_norm(f, p),
-        m1_norm=lp_norm(partial_maximal_x(f, w), p),
-        m2_norm=lp_norm(partial_maximal_y(f, w), p),
+        m1_norm=lp_norm(m1, p),
+        m2_norm=lp_norm(m2, p),
     )

@@ -191,6 +191,27 @@ def test_pointwise_campaign_small():
     assert sum(r.n_points for r in rep.instances) == len(cfg.dilations) * 2 * 16
 
 
+def test_instance_results_derive_from_certificates():
+    # the spike is narrower than a cell at every dilation: an all-zero instance
+    raw = small_config(families=["gaussian", "spike"], dilations=[[1.0, 1.0]],
+                       family_params={"gaussian": {"sigma": 0.2},
+                                      "spike": {"half_extent": 0.001}})
+    rep = run_pointwise_campaign(ExperimentConfig.from_dict(raw))
+    gauss, spike = rep.instances
+    assert spike.certificates == []
+    assert (spike.n_points, spike.max_ratio, spike.worst_point, spike.case_counts) == \
+        (0, 0.0, None, {})
+    ratios = [c.ratio for c in gauss.certificates]
+    cases = [str(c.case_id) for c in gauss.certificates]
+    assert gauss.n_points == len(ratios) == 16
+    assert gauss.max_ratio == max(ratios) > 0.0
+    assert gauss.worst_point == gauss.certificates[ratios.index(max(ratios))].point
+    assert gauss.case_counts == {k: cases.count(k) for k in set(cases)}
+    entries = rep.summary_dict()["instances"]
+    assert [(e["points"], e["max_ratio"], e["worst_point"], e["case_counts"]) for e in entries] \
+        == [(16, gauss.max_ratio, list(gauss.worst_point), gauss.case_counts), (0, 0.0, None, {})]
+
+
 def test_pointwise_campaign_zero_function_trivial_pass():
     # a spike family dilated so hard no cell survives produces empty instances
     raw = small_config(families=["spike"],

@@ -287,7 +287,7 @@ def gaussian(grid, sigma=0.2):
 def test_certificate_gaussian_origin_cell():
     g = grid_1x1(N=64)
     f = gaussian(g)
-    cert = certify_point(f, STD, (32, 32))
+    cert = certify_point(prepare_certification(f, STD), (32, 32))
     assert cert.case_id in (1, 2)
     assert math.isfinite(cert.ratio)
     assert 0 < cert.ratio < 16.0  # suite constant is O(10)
@@ -299,7 +299,7 @@ def test_certificate_case_rule():
     f = gaussian(g)
     ctx = prepare_certification(f, STD)
     for pt in ((16, 16), (0, 0), (5, 28)):
-        cert = certify_point(f, STD, pt, context=ctx)
+        cert = certify_point(ctx, pt)
         case1 = cert.g_value <= cert.m_value * cert.f_norm
         assert cert.case_id == (1 if case1 else 2)
         if cert.case_id == 1:
@@ -315,7 +315,7 @@ def test_certificate_lhs_is_convolution_value():
     conv = convolve_direct(f, riesz_kernel(g, STD)).values
     ctx = prepare_certification(f, STD)
     for pt in ((16, 16), (3, 29), (10, 10)):
-        cert = certify_point(f, STD, pt, context=ctx)
+        cert = certify_point(ctx, pt)
         assert cert.lhs == pytest.approx(conv[pt], rel=1e-10)
 
 
@@ -326,7 +326,7 @@ def test_certificate_spike_degenerates_gracefully():
     f = GridFunction(g, vals)
     ctx = prepare_certification(f, STD)
     for pt in ((16, 16), (15, 16), (0, 31)):
-        cert = certify_point(f, STD, pt, context=ctx)
+        cert = certify_point(ctx, pt)
         assert math.isfinite(cert.final_bound) and cert.final_bound > 0
         assert cert.lhs <= sum(cert.slack_factors[k] * cert.region_limits[k]
                                for k in cert.region_limits)
@@ -338,8 +338,8 @@ def test_certificate_homogeneity():
     c = 3.5
     scaled = GridFunction(g, c * f.values)
     for pt in ((16, 16), (4, 20), (10, 24)):
-        base = certify_point(f, STD, pt)
-        big = certify_point(scaled, STD, pt)
+        base = certify_point(prepare_certification(f, STD), pt)
+        big = certify_point(prepare_certification(scaled, STD), pt)
         # both sides of the case comparison scale as c^2; the label can
         # only flip when the comparison is an exact tie, where the two
         # cases produce the same radii and bound anyway
@@ -355,17 +355,17 @@ def test_certificate_homogeneity():
 def test_certificate_zero_function_trivial():
     g = grid_1x1(N=16)
     f = GridFunction(g, np.zeros(g.shape))
-    cert = certify_point(f, STD, (8, 8))
+    cert = certify_point(prepare_certification(f, STD), (8, 8))
     assert cert.lhs == 0.0 and cert.final_bound == 0.0 and cert.ratio == 0.0
 
 
 def test_certificate_region_checks_recorded():
     g = grid_1x1(N=32)
     f = gaussian(g)
-    cert = certify_point(f, STD, (16, 16))
+    cert = certify_point(prepare_certification(f, STD), (16, 16))
     assert set(cert.region_limits) == {"region11", "region12", "region21", "region22"}
     assert set(cert.slack_factors) == {"region11", "region12", "region21", "region22"}
-    rb = cert.region_bounds
+    rb = cert.regions
     for name, value in (("region11", rb.t11), ("region12", rb.t12),
                         ("region21", rb.t21), ("region22", rb.t22)):
         assert value <= cert.slack_factors[name] * cert.region_limits[name] * (1 + 1e-9)
@@ -376,23 +376,20 @@ def test_certificate_rejects_inadmissible_exponents():
     f = gaussian(g)
     bad = Exponents(m=1, n=1, alpha=0.7, beta=0.5, p=4 / 3, q=4.0)
     with pytest.raises(ExponentError):
-        certify_point(f, bad, (8, 8))
+        certify_point(prepare_certification(f, bad), (8, 8))
 
 
 def test_certificate_json_round_trip(tmp_path):
     g = grid_1x1(N=32)
     f = gaussian(g)
-    cert = certify_point(f, STD, (16, 16))
+    cert = certify_point(prepare_certification(f, STD), (16, 16))
     d = cert.to_json_dict()
     assert d["schema_version"] == 1
     back = HedbergCertificate.from_json_dict(json.loads(json.dumps(d)))
     assert back.point == cert.point
     assert back.final_bound == cert.final_bound
     assert back.slack_factors == cert.slack_factors
-    instance = InstanceResult(family="gaussian", s=1.0, t=1.0, n_points=1,
-                              max_ratio=cert.ratio, worst_point=cert.point,
-                              case_counts={str(cert.case_id): 1},
-                              certificates=[cert])
+    instance = InstanceResult(family="gaussian", s=1.0, t=1.0, certificates=[cert])
     report = PointwiseReport(instances=[instance], max_ratio=cert.ratio,
                              family_stability={"gaussian": None},
                              stability_factor=2.0, suite_constant=None,
@@ -403,6 +400,41 @@ def test_certificate_json_round_trip(tmp_path):
     assert payload["schema_version"] == 1
     [written] = payload["instances"][0]["certificates"]
     assert HedbergCertificate.from_json_dict(written).to_json_dict() == d
+
+
+def test_certificate_json_keys_are_schema_1():
+    g = grid_1x1(N=32)
+    cert = certify_point(prepare_certification(gaussian(g), STD), (16, 16))
+    d = cert.to_json_dict()
+    assert set(d) == {"schema_version", "point", "point_coordinates", "case_id", "r1", "r2",
+                      "regions", "m_value", "g_value", "n1", "n2", "f_norm", "final_bound",
+                      "lhs", "ratio", "region_limits", "slack_factors"}
+    assert set(d["regions"]) == {"t11", "t12", "t21", "t22"}
+    regions = {"region11", "region12", "region21", "region22"}
+    assert set(d["region_limits"]) == set(d["slack_factors"]) == regions
+    assert json.loads(json.dumps(d)) == d  # JSON data only: lists, not tuples
+    assert d["lhs"] == cert.regions.total and d["ratio"] == d["lhs"] / d["final_bound"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d.pop("n1"), r"missing keys \['n1'\]", id="missing-key"),
+    pytest.param(lambda d: d.update(extra=1.0), r"unknown keys \['extra'\]", id="unknown-key"),
+    pytest.param(lambda d: d["regions"].pop("t22"), r"regions: missing keys \['t22'\]",
+                 id="missing-region"),
+    pytest.param(lambda d: d["regions"].update(t33=0.0), r"regions: .*unknown keys \['t33'\]",
+                 id="unknown-region"),
+    pytest.param(lambda d: d.update(lhs=d["lhs"] * (1.0 + 1e-9)), "certificate lhs",
+                 id="edited-lhs"),
+    pytest.param(lambda d: d.update(ratio=2.0 * d["ratio"]), "certificate ratio",
+                 id="edited-ratio"),
+])
+def test_certificate_json_rejects_malformed(edit, message):
+    g = grid_1x1(N=32)
+    cert = certify_point(prepare_certification(gaussian(g), STD), (16, 16))
+    d = json.loads(json.dumps(cert.to_json_dict()))
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        HedbergCertificate.from_json_dict(d)
 
 
 def test_slack_factors_positive_and_stable():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prodhls import (Exponents, GridFunction, ProductGrid, WindowFamily,
-                     composition_check, g_function, g_norm_bound,
+                     composition_check, g_function, g_norm_bound, lp_norm,
                      partial_maximal_x, partial_maximal_y, sample_function,
                      slice_lp_norms_x, slice_lp_norms_y, strong_maximal)
 
@@ -349,6 +349,28 @@ def test_g_norm_zero_function():
     f = GridFunction(g, np.zeros(g.shape))
     rep = g_norm_bound(f, STD)
     assert rep.g_norm == 0.0 and rep.f_norm == 0.0 and rep.ratio == 0.0
+
+
+def test_g_norm_bound_computes_each_partial_maximal_once(monkeypatch):
+    import prodhls.maximal as maximal
+    g = grid_1x1(N=16)
+    f = random_function(g, seed=3)
+    w = WindowFamily.dyadic(g)
+    calls = {"partial_maximal_x": 0, "partial_maximal_y": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(maximal, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(maximal, name, counted)
+    rep = g_norm_bound(f, STD, w)
+    assert calls == {"partial_maximal_x": 1, "partial_maximal_y": 1}
+    monkeypatch.undo()
+    # the same values as the field and the norms computed separately
+    p = STD.p
+    assert rep.g_norm == lp_norm(g_function(f, STD, w), p)
+    assert rep.f_norm == lp_norm(f, p)
+    assert rep.m1_norm == lp_norm(partial_maximal_x(f, w), p)
+    assert rep.m2_norm == lp_norm(partial_maximal_y(f, w), p)
 
 
 def test_g_norm_factorization_identity():
