@@ -10,10 +10,16 @@ at the kernel-grid cell centers, so a power-law kernel is never
 evaluated at its singularity; the price is that fixed half-cell offset
 between the discrete result and the continuum convolution, immaterial
 for norms and scaling fits.
+
+:func:`convolve_fast` transforms each kernel once: its zero-padded
+spectrum is cached on the kernel object, so a sweep convolving many
+dilates of f against one kernel pays for one kernel transform.  The
+inverse transform computes only the rows that land in the box.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,25 +81,42 @@ def convolve_direct(f: GridFunction, k: GridFunction) -> GridFunction:
     return GridFunction(grid, out)
 
 
+# Zero-padded spectrum of each kernel given to convolve_fast.  A
+# GridFunction is frozen, holds a read-only array and compares by
+# identity, so the kernel object is a sound key; weak keys let an entry
+# go with its kernel.
+_KERNEL_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     """Same contract as :func:`convolve_direct` via zero-padded FFT.
 
     Each axis is padded to 2N, which covers the 2N-1 full linear
-    convolution, so no periodic wrap-around contaminates the box.  Tiny
-    negative rounding residues are clipped to keep the result a valid
-    sample field.
+    convolution, so no periodic wrap-around contaminates the box.  The
+    kernel's spectrum is computed on the first call with that kernel and
+    reused for as long as the kernel object lives.  The spectrum of f is
+    multiplied and inverted in place, one axis at a time as ``irfftn``
+    does, keeping after each leading axis only the N rows of the box, so
+    the last-axis ``irfft`` runs on the box rows alone; every kept value
+    is computed exactly as by the full inverse.  Tiny negative rounding
+    residues are clipped to keep the result a valid sample field.
     """
     _require_same_grid(f, k)
     grid = f.grid
     N = grid.points_per_axis
     axes = tuple(range(grid.rank))
     shape = (2 * N,) * grid.rank
-    spectrum = (np.fft.rfftn(f.values, shape, axes=axes)
-                * np.fft.rfftn(k.values, shape, axes=axes))
-    full = np.fft.irfftn(spectrum, shape, axes=axes)
-    window = (slice(N // 2, N // 2 + N),) * grid.rank
-    out = full[window] * grid.cell_volume
-    return GridFunction(grid, np.maximum(out, 0.0))
+    kernel_spectrum = _KERNEL_SPECTRA.get(k)
+    if kernel_spectrum is None:
+        kernel_spectrum = _KERNEL_SPECTRA[k] = np.fft.rfftn(k.values, shape, axes=axes)
+    spectrum = np.fft.rfftn(f.values, shape, axes=axes)
+    spectrum *= kernel_spectrum
+    box = slice(N // 2, N // 2 + N)
+    for axis in axes[:-1]:
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+        spectrum = spectrum[(slice(None),) * axis + (box,)]
+    out = np.fft.irfft(spectrum, 2 * N, axis=-1)[..., box] * grid.cell_volume
+    return GridFunction(grid, np.maximum(out, 0.0, out=out))
 
 
 def region_split(f: GridFunction, exps: Exponents, point, r1: float,

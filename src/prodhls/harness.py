@@ -427,7 +427,9 @@ def run_necessity_sweep(cfg: ExperimentConfig) -> SlopeReport:
     """Fit the norm-ratio scaling exponents under anisotropic dilation.
 
     The configured dilation pairs must contain an (s, 1) ladder and a
-    (1, t) ladder, each with at least five points spanning a decade.
+    (1, t) ladder, each with at least five points spanning a decade, and
+    no dilated instance may vanish on the grid; otherwise
+    :class:`ConfigError` is raised.
     """
     _check_keys(cfg.tolerances, _TOLERANCE_READERS["necessity"], "necessity tolerances")
     family = cfg.families[0]
@@ -442,8 +444,13 @@ def run_necessity_sweep(cfg: ExperimentConfig) -> SlopeReport:
 
     def measure(s: float, t: float) -> SweepRow:
         f = fam(s, t)
-        return SweepRow(s=s, t=t, norm_q=lp_norm(convolve_fast(f, kernel), exps.q),
-                        norm_p=lp_norm(f, exps.p))
+        row = SweepRow(s=s, t=t, norm_q=lp_norm(convolve_fast(f, kernel), exps.q),
+                       norm_p=lp_norm(f, exps.p))
+        if not row.ratio > 0.0:
+            # log(0) would make both fitted slopes NaN
+            raise ConfigError(f"{family} instance at (s, t) = ({s!r}, {t!r}) vanishes "
+                              "on the grid; its norm ratio has no logarithm")
+        return row
 
     rows = [measure(s, 1.0) for s in s_ladder]
     rows += [measure(1.0, t) for t in t_ladder]

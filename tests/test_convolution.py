@@ -1,5 +1,6 @@
 """Convolution contracts: delta identity, oracles, fast path, region split."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodhls import (Exponents, GridFunction, ProductGrid, convolve_direct,
-                     convolve_fast, region_split, riesz_kernel)
+                     convolve_fast, region_split, riesz_kernel, sample_function)
+from prodhls import convolution
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
 
@@ -109,12 +111,56 @@ def test_fast_zero_kernel():
 
 
 def test_fast_matches_direct_random():
-    g = grid_1x1(N=32)
-    f = random_function(g, seed=8)
+    # the inverse slices each leading axis in turn, so every block layout
+    # of the axes is its own case
+    for m, n, N in [(1, 1, 32), (2, 1, 8), (1, 2, 8), (2, 2, 8)]:
+        g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+        f = random_function(g, seed=8)
+        k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
+        d = convolve_direct(f, k).values
+        fa = convolve_fast(f, k).values
+        assert np.max(np.abs(d - fa)) <= 1e-10 * np.max(np.abs(d)), (m, n)
+
+
+def three_transform_convolve(f, k):
+    """The padded-FFT formula with full forward and inverse transforms."""
+    g = f.grid
+    N = g.points_per_axis
+    axes = tuple(range(g.rank))
+    shape = (2 * N,) * g.rank
+    spectrum = (np.fft.rfftn(f.values, shape, axes=axes)
+                * np.fft.rfftn(k.values, shape, axes=axes))
+    full = np.fft.irfftn(spectrum, shape, axes=axes)
+    out = full[(slice(N // 2, N // 2 + N),) * g.rank] * g.cell_volume
+    return np.maximum(out, 0.0)
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 32), (2, 1, 8), (1, 2, 8), (2, 2, 8)])
+def test_fast_bytes_match_three_transform_formula(m, n, N):
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
+    # the first input fills the kernel's cached spectrum, the others read it
+    inputs = {
+        "random": random_function(g, seed=10),
+        "gaussian": sample_function(g, lambda *cs: np.exp(-sum(c ** 2 for c in cs) / 0.1)),
+        "box": sample_function(g, lambda *cs: (sum(c ** 2 for c in cs) <= 0.25) * 1.0),
+        "zero": GridFunction(g, np.zeros(g.shape)),
+    }
+    for name, f in inputs.items():
+        out = convolve_fast(f, k).values
+        assert out.tobytes() == three_transform_convolve(f, k).tobytes(), name
+
+
+def test_kernel_spectrum_cache_lets_the_kernel_go():
+    gc.collect()
+    before = len(convolution._KERNEL_SPECTRA)
+    g = grid_1x1(N=16)
     k = riesz_kernel(g, STD)
-    d = convolve_direct(f, k).values
-    fa = convolve_fast(f, k).values
-    assert np.max(np.abs(d - fa)) <= 1e-10 * np.max(np.abs(d))
+    convolve_fast(random_function(g), k)
+    assert k in convolution._KERNEL_SPECTRA
+    del k
+    gc.collect()
+    assert len(convolution._KERNEL_SPECTRA) == before == 0
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2)])

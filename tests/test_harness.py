@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import prodhls
+import prodhls.convolution
+import prodhls.harness
 from prodhls import ConfigError, ExperimentConfig, make_family
 from prodhls.cli import main as cli_main
 from prodhls.grid import ProductGrid
@@ -38,6 +40,15 @@ def ladder_config(**overrides):
     lad = [float(s) for s in np.logspace(-0.5, 0.5, 5)]
     return small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad],
                         families=["gaussian"], **overrides)
+
+
+def vanishing_box_ladder(half_extent):
+    """A box ladder on the 32-point grid, whose nearest cell centers sit at
+    +-1/32: with half-extent 0.01 every dilated box misses every center,
+    with 0.05 only the most contracted ones do."""
+    raw = ladder_config(tolerances={"slope_tolerance": 1.0})
+    raw.update(families=["box"], family_params={"box": {"half_extent": half_extent}})
+    return raw
 
 
 # ---------------------------------------------------------------- config
@@ -247,6 +258,38 @@ def test_necessity_small_grid_structure():
     assert rep.passed  # loose tolerance: structure only
 
 
+@pytest.mark.parametrize("half_extent", [0.01, 0.05])
+def test_necessity_rejects_vanishing_instance(half_extent):
+    raw = vanishing_box_ladder(half_extent)
+    with pytest.raises(ConfigError, match=r"box instance at \(s, t\) = \(.+\) vanishes"):
+        run_necessity_sweep(ExperimentConfig.from_dict(raw))
+
+
+@pytest.mark.parametrize("run, raw", [
+    (run_necessity_sweep, ladder_config(tolerances={"slope_tolerance": 1.0})),
+    (run_norm_check, small_config()),
+], ids=["necessity", "normcheck"])
+def test_sweep_transforms_its_kernel_once(monkeypatch, run, raw):
+    kernels, transformed = [], []
+
+    def record_kernel(*args):
+        kernels.append(prodhls.riesz_kernel(*args))
+        return kernels[-1]
+
+    rfftn = np.fft.rfftn
+
+    def record_rfftn(a, *args, **kwargs):
+        transformed.append(a)
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(prodhls.harness, "riesz_kernel", record_kernel)
+    monkeypatch.setattr(prodhls.convolution.np.fft, "rfftn", record_rfftn)
+    run(ExperimentConfig.from_dict(raw))
+    [kernel] = kernels
+    assert sum(a is kernel.values for a in transformed) == 1
+    assert len(transformed) > 2  # the kernel served several convolutions
+
+
 def test_norm_check_small():
     cfg = ExperimentConfig.from_dict(small_config())
     rep = run_norm_check(cfg)
@@ -336,6 +379,15 @@ def test_cli_config_error_exit_code(tmp_path):
     # ladder too short is also a config error
     cfg_path = write_config(tmp_path, small_config(), "short.json")
     assert cli_main(["necessity", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("half_extent", [0.01, 0.05])
+def test_cli_necessity_vanishing_instance_is_config_error(tmp_path, capsys, half_extent):
+    cfg_path = write_config(tmp_path, vanishing_box_ladder(half_extent))
+    out = tmp_path / "out"
+    assert cli_main(["necessity", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "box instance at (s, t)" in capsys.readouterr().err
+    assert not list(out.glob("*"))
 
 
 @pytest.mark.parametrize("command", ["pointwise", "necessity", "normcheck"])
