@@ -20,8 +20,7 @@ and provides:
 
 __version__ = "0.1.0"
 
-from .grid import (GridFunction, ProductGrid, dilate, load_grid_function,
-                   lp_norm, sample_function, save_grid_function,
+from .grid import (GridFunction, ProductGrid, dilate, lp_norm, sample_function,
                    slice_lp_norms_x, slice_lp_norms_y)
 from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
                      profile_ball_integral, riesz_kernel, sphere_surface)
@@ -45,7 +44,7 @@ __all__ = [
     "__version__",
     "ProductGrid", "GridFunction", "lp_norm", "slice_lp_norms_x",
     "slice_lp_norms_y", "dilate",
-    "sample_function", "save_grid_function", "load_grid_function",
+    "sample_function",
     "Exponents", "riesz_kernel", "LayerCake", "layer_cake",
     "sphere_surface", "ball_volume", "profile_ball_integral",
     "RegionBounds", "convolve_direct", "convolve_fast", "region_split",

@@ -55,8 +55,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    # the report writers create the directory, so a configuration error
+    # raised during the run leaves nothing behind
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "pointwise":
             return _run_pointwise(cfg, out_dir)
@@ -74,6 +75,7 @@ def _run_pointwise(cfg: ExperimentConfig, out_dir: Path) -> int:
     try:
         report = run_pointwise_campaign(cfg)
     except CertificateViolation as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
         dump = out_dir / "violation.json"
         dump.write_text(json.dumps(exc.diagnostics, sort_keys=True, indent=2) + "\n")
         print(f"FAIL region bound violation: {exc} (diagnostics in {dump})",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridFunction, check_positive, normalize_point
-from .kernel import Exponents, check_blocks
+from .kernel import Exponents, block_factors
 
 __all__ = [
     "RegionBounds",
@@ -123,35 +123,26 @@ def region_split(f: GridFunction, exps: Exponents, point, r1: float,
                  r2: float) -> RegionBounds:
     """Split the convolution sum at ``point`` by the radii (r1, r2).
 
-    The kernel factor is evaluated analytically per offset (not read
-    from a materialized kernel grid), so radii larger than the box stay
-    meaningful.  Summation order within each region is row-major.
+    The node's window ``f[i - j + N/2]`` (zero outside the box) is one
+    reversed slice of f, weighted by the kernel factors of
+    :func:`~prodhls.kernel.block_factors` at the box offsets, so a
+    radius beyond the box only puts every offset in the inner region.
+    Summation order within each region is row-major.
     """
     check_positive(r1=r1, r2=r2)
     grid = f.grid
-    check_blocks(grid, exps)
+    x_norm, y_norm, x_factor, y_factor = block_factors(grid, exps)
     N = grid.points_per_axis
     idx = normalize_point(point, grid.rank, N)
 
-    # f[i - j + N/2] per axis, with zero extension outside the box
-    gather_axes = []
-    valid_axes = []
-    for p_i in idx:
-        t = p_i - np.arange(N) + N // 2
-        valid_axes.append((t >= 0) & (t < N))
-        gather_axes.append(np.clip(t, 0, N - 1))
-    gathered = f.values[np.ix_(*gather_axes)].astype(np.float64)
-    for axis, valid in enumerate(valid_axes):
-        shape = [1] * grid.rank
-        shape[axis] = N
-        gathered = gathered * valid.reshape(shape)
+    # per axis the offsets j and the sample indices i - j + N/2 that land
+    # in the box span the same run, traversed in opposite directions
+    run = tuple(slice(max(0, i - N // 2 + 1), min(N, i + N // 2 + 1)) for i in idx)
+    window = np.zeros(grid.shape)
+    window[run] = f.values[run][(slice(None, None, -1),) * grid.rank]
 
-    x_norm = grid.x_norms().reshape(-1)
-    y_norm = grid.y_norms().reshape(-1)
-    weights = (gathered.reshape(x_norm.size, y_norm.size)
-               * (x_norm ** (exps.alpha - exps.m))[:, None]
-               * (y_norm ** (exps.beta - exps.n))[None, :]
-               * grid.cell_volume)
+    weights = (window.reshape(x_norm.size, y_norm.size)
+               * x_factor[:, None] * y_factor[None, :] * grid.cell_volume)
 
     in_x = x_norm <= r1
     in_y = y_norm <= r2

@@ -9,10 +9,8 @@ whole-space integrals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,8 +23,6 @@ __all__ = [
     "slice_lp_norms_y",
     "dilate",
     "sample_function",
-    "save_grid_function",
-    "load_grid_function",
 ]
 
 
@@ -142,7 +138,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64, order="C")
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid shape {self.grid.shape}")
@@ -226,41 +222,3 @@ def _resample_axis(vals: np.ndarray, axis: int, scale: float, grid: ProductGrid)
     shape = [1] * vals.ndim
     shape[axis] = N
     return np.where(valid.reshape(shape), taken, 0.0)
-
-
-def save_grid_function(f: GridFunction, base_path) -> Path:
-    """Write ``<base>.json`` (header) and ``<base>.bin`` (row-major float64).
-
-    The header carries the grid geometry under the keys m, n, L, N; the
-    payload is the raw value bytes, so the round trip is bit exact.
-    Returns the header path.
-    """
-    base = Path(base_path)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    json_path = base.with_suffix(".json")
-    bin_path = base.with_suffix(".bin")
-    header = {
-        "schema": 1,
-        "m": f.grid.m,
-        "n": f.grid.n,
-        "L": f.grid.half_width,
-        "N": f.grid.points_per_axis,
-        "dtype": "<f8",
-        "order": "C",
-        "data_file": bin_path.name,
-    }
-    bin_path.write_bytes(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-    json_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-    return json_path
-
-
-def load_grid_function(path) -> GridFunction:
-    """Inverse of :func:`save_grid_function`; accepts the header or base path."""
-    p = Path(path)
-    if p.suffix != ".json":
-        p = p.with_suffix(".json")
-    header = json.loads(p.read_text())
-    grid = ProductGrid(m=int(header["m"]), n=int(header["n"]),
-                       half_width=float(header["L"]), points_per_axis=int(header["N"]))
-    data = np.frombuffer((p.parent / header["data_file"]).read_bytes(), dtype=header["dtype"])
-    return GridFunction(grid, data.reshape(grid.shape))

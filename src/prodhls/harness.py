@@ -118,19 +118,20 @@ class ExperimentConfig:
                                  ("grid points_per_axis", g["points_per_axis"]),
                                  ("seed", seed), ("points_stride", stride)):
                 _number(value, where, integer=True)
-            grid = ProductGrid(m=g["m"], n=g["n"], half_width=float(g["half_width"]),
+            grid = ProductGrid(m=g["m"], n=g["n"],
+                               half_width=float(_number(g["half_width"], "grid half_width")),
                                points_per_axis=g["points_per_axis"])
             e = _check_keys(raw["exponents"], ("alpha", "beta", "p", "q"), "exponents")
-            if e.get("q") is not None:
-                exps = Exponents(m=grid.m, n=grid.n, alpha=float(e["alpha"]),
-                                 beta=float(e["beta"]), p=float(e["p"]), q=float(e["q"]))
+            e = {k: float(_number(v, f"exponents {k}")) for k, v in e.items() if v is not None}
+            if "q" in e:
+                exps = Exponents(m=grid.m, n=grid.n, **e)
             else:
-                exps = Exponents.from_balance(m=grid.m, n=grid.n, alpha=float(e["alpha"]),
-                                              beta=float(e["beta"]), p=float(e["p"]))
+                exps = Exponents.from_balance(m=grid.m, n=grid.n, **e)
             families = raw.get("families")
             if families is None:
                 families = [raw["family"]] if "family" in raw else ["gaussian"]
-            dil = tuple((float(s), float(t)) for s, t in raw.get("dilations", [(1.0, 1.0)]))
+            dil = tuple((float(_number(s, "dilation s")), float(_number(t, "dilation t")))
+                        for s, t in raw.get("dilations", [(1.0, 1.0)]))
             return cls(grid=grid, exponents=exps, families=tuple(families),
                        family_params=dict(raw.get("family_params", {})),
                        dilations=dil, seed=seed, points_stride=stride,

@@ -448,8 +448,9 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
     Selects the case from the computed maximal and mixed-norm values,
     picks the balancing radii in closed form, splits the convolution at
     those radii, and verifies every region sum against its analytic
-    bound times the documented slack.  Raises
-    :class:`CertificateViolation` if any region check fails.
+    bound times the documented slack, and in case 1 the collapse of the
+    mixed bound.  Raises :class:`CertificateViolation` at the first
+    check that fails.
     """
     f, exps = ctx.f, ctx.exps
     grid = f.grid
@@ -485,29 +486,22 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
         "region21": bound_region21(n2_val, r1, r2, exps),
         "region22": bound_region22(f_norm, r1, r2, exps),
     }
-    observed = {"region11": regions.t11, "region12": regions.t12,
-                "region21": regions.t21, "region22": regions.t22}
-    for name, value in observed.items():
-        allowance = slacks[name] * limits[name] * (1.0 + _CHECK_REL)
-        if value > allowance:
-            raise CertificateViolation(
-                f"{name} sum {value} exceeds analytic bound {limits[name]} "
-                f"times slack {slacks[name]} at point {idx}",
-                diagnostics={"point": list(idx), "region": name, "value": value,
-                             "limit": limits[name], "slack": slacks[name],
-                             "r1": r1, "r2": r2, "case_id": 1 if case1 else 2})
-
+    checks = [(name, value, limits[name], slacks[name]) for name, value in
+              zip(limits, (regions.t11, regions.t12, regions.t21, regions.t22))]
     if case1:
         # the mixed-bound common value must itself collapse under the
         # case hypothesis: n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q)
-        mixed_common = n1_val * r1 ** exps.alpha * r2 ** (exps.beta - exps.n / exps.p)
-        if mixed_common > final * (1.0 + _CHECK_REL):
+        checks.append(("mixed_collapse",
+                       n1_val * r1 ** exps.alpha * r2 ** (exps.beta - exps.n / exps.p),
+                       final, 1.0))
+    for name, value, limit, slack in checks:
+        if value > slack * limit * (1.0 + _CHECK_REL):
             raise CertificateViolation(
-                f"mixed-region collapse failed at point {idx}: "
-                f"{mixed_common} > {final}",
-                diagnostics={"point": list(idx), "region": "mixed_collapse",
-                             "value": mixed_common, "limit": final,
-                             "slack": 1.0, "r1": r1, "r2": r2, "case_id": 1})
+                f"{name} value {value} exceeds its bound {limit} times slack {slack} "
+                f"at point {idx}",
+                diagnostics={"point": list(idx), "region": name, "value": value,
+                             "limit": limit, "slack": slack,
+                             "r1": r1, "r2": r2, "case_id": 1 if case1 else 2})
 
     return HedbergCertificate(
         point=idx, point_coordinates=coords, case_id=1 if case1 else 2,

@@ -132,6 +132,18 @@ def check_blocks(grid: ProductGrid, exps: Exponents) -> None:
             f"grid blocks ({grid.m}, {grid.n}) do not match exponents ({exps.m}, {exps.n})")
 
 
+def block_factors(grid: ProductGrid, exps: Exponents) -> tuple[np.ndarray, ...]:
+    """Flattened block norms |x|, |y| and kernel factors |x|^(alpha-m), |y|^(beta-n).
+
+    The one place the kernel formula is evaluated; each array is
+    ordered as the block's cells in row-major order.
+    """
+    check_blocks(grid, exps)
+    x_norm = grid.x_norms().reshape(-1)
+    y_norm = grid.y_norms().reshape(-1)
+    return x_norm, y_norm, x_norm ** (exps.alpha - exps.m), y_norm ** (exps.beta - exps.n)
+
+
 def riesz_kernel(grid: ProductGrid, exps: Exponents) -> GridFunction:
     """Materialize |x|^(alpha-m) |y|^(beta-n) at the cell centers.
 
@@ -139,10 +151,8 @@ def riesz_kernel(grid: ProductGrid, exps: Exponents) -> GridFunction:
     the y-block factor, so separability holds exactly.  Every value is
     finite because no cell center sits at either block origin.
     """
-    check_blocks(grid, exps)
-    x_factor = grid.x_norms() ** (exps.alpha - exps.m)
-    y_factor = grid.y_norms() ** (exps.beta - exps.n)
-    return GridFunction(grid, np.multiply.outer(x_factor, y_factor))
+    _, _, x_factor, y_factor = block_factors(grid, exps)
+    return GridFunction(grid, np.multiply.outer(x_factor, y_factor).reshape(grid.shape))
 
 
 @dataclass(frozen=True)

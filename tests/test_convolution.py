@@ -2,6 +2,7 @@
 
 import gc
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -302,3 +303,55 @@ def test_region_split_rank3():
     for r1, r2 in ((0.3, 0.4), (1.0, 0.2), (5.0, 5.0)):
         rb = region_split(f, e, pt, r1, r2)
         assert rb.total == pytest.approx(conv[pt], rel=1e-12)
+
+
+def index_gather_split(f, exps, point, r1, r2):
+    """The split written with per-axis index arrays and validity masks."""
+    g = f.grid
+    N = g.points_per_axis
+    gather, valid = [], []
+    for i in point:
+        t = i - np.arange(N) + N // 2
+        valid.append((t >= 0) & (t < N))
+        gather.append(np.clip(t, 0, N - 1))
+    window = f.values[np.ix_(*gather)].astype(np.float64)
+    for axis, mask in enumerate(valid):
+        shape = [1] * g.rank
+        shape[axis] = N
+        window = window * mask.reshape(shape)
+    x_norm = g.x_norms().reshape(-1)
+    y_norm = g.y_norms().reshape(-1)
+    weights = (window.reshape(x_norm.size, y_norm.size)
+               * (x_norm ** (exps.alpha - exps.m))[:, None]
+               * (y_norm ** (exps.beta - exps.n))[None, :]
+               * g.cell_volume)
+    in_x, in_y = x_norm <= r1, y_norm <= r2
+    return [float(weights[np.ix_(a, b)].sum())
+            for a, b in ((in_x, in_y), (in_x, ~in_y), (~in_x, in_y), (~in_x, ~in_y))]
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (1, 2, 8), (2, 2, 6)])
+@pytest.mark.parametrize("family", ["random", "gaussian", "box", "zero"])
+def test_region_split_bytes_match_index_gather(m, n, N, family):
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    if family == "random":
+        f = random_function(g, seed=18)
+    elif family == "gaussian":
+        f = sample_function(g, lambda *cs: np.exp(-sum(c ** 2 for c in cs) / 0.18))
+    elif family == "box":
+        f = sample_function(g, lambda *cs: reduce(np.multiply, [np.abs(c) <= 0.4 for c in cs]))
+    else:
+        f = GridFunction(g, np.zeros(g.shape))
+    rank = m + n
+    nodes = [(0,) * rank, (N - 1,) * rank,                  # corners
+             (0,) + (N // 2,) * (rank - 1), (N // 2 - 1,) * (rank - 1) + (N - 1,),  # edges
+             (N // 2 - 1,) * rank, (N // 2,) * rank,        # interior
+             tuple(range(1, rank + 1))]
+    for point in nodes:
+        for r1, r2 in ((0.3, 0.5), (0.05, 2.0), (10.0, 10.0)):
+            rb = region_split(f, e, point, r1, r2)
+            got = np.array([rb.t11, rb.t12, rb.t21, rb.t22])
+            want = np.array(index_gather_split(f, e, point, r1, r2))
+            assert got.tobytes() == want.tobytes(), (point, r1, r2)
+

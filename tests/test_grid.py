@@ -1,4 +1,4 @@
-"""Grid geometry, quadrature norms, slice norms, dilation, serialization."""
+"""Grid geometry, quadrature norms, slice norms, dilation."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodhls import (GridFunction, ProductGrid, dilate, load_grid_function,
-                     lp_norm, sample_function, save_grid_function,
-                     slice_lp_norms_x, slice_lp_norms_y)
+from prodhls import (Exponents, GridFunction, ProductGrid, convolve_fast, dilate,
+                     lp_norm, riesz_kernel, sample_function, slice_lp_norms_x,
+                     slice_lp_norms_y)
 
 
 def grid_1x1(N=16, L=1.0):
@@ -58,6 +58,21 @@ def test_gridfunction_values_immutable():
     f = random_function(grid_1x1())
     with pytest.raises(ValueError):
         f.values[0, 0] = 2.0
+
+
+def test_gridfunction_owns_its_values():
+    # the caller's array stays writable and changing it reaches neither the
+    # kernel's values nor a convolution served from its cached spectrum
+    g = grid_1x1(N=8)
+    f = random_function(g, seed=3)
+    values = riesz_kernel(g, Exponents.from_balance(1, 1, 0.5, 0.5, 1.5)).values.copy()
+    k = GridFunction(g, values)
+    before_values = k.values.copy()
+    before_conv = convolve_fast(f, k).values.copy()
+    values.setflags(write=True)  # a no-op unless the field froze the caller's array
+    values *= 2.0
+    assert k.values.tobytes() == before_values.tobytes()
+    assert convolve_fast(f, k).values.tobytes() == before_conv.tobytes()
 
 
 # ---------------------------------------------------------------- lp_norm
@@ -207,23 +222,3 @@ def test_dilate_rejects_nonpositive():
     for s, t in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)):
         with pytest.raises(ValueError):
             dilate(f, s, t)
-
-
-# ---------------------------------------------------------------- serialization
-
-def test_round_trip_exact(tmp_path):
-    g = ProductGrid(m=2, n=1, half_width=0.75, points_per_axis=6)
-    f = random_function(g, seed=13)
-    base = tmp_path / "field"
-    save_grid_function(f, base)
-    loaded = load_grid_function(base)
-    assert loaded.grid == g
-    assert np.array_equal(loaded.values, f.values)
-
-
-def test_header_uses_specified_keys(tmp_path):
-    import json
-    f = random_function(grid_1x1(N=4))
-    path = save_grid_function(f, tmp_path / "f")
-    header = json.loads(path.read_text())
-    assert {"m", "n", "L", "N"} <= set(header)

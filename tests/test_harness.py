@@ -107,12 +107,21 @@ def test_config_rejects_missing_q_when_unbalanced():
     lambda raw: raw.update(points_stride=8.5),
     lambda raw: raw.update(points_stride=True),
     lambda raw: raw.update(families=[]),
+    lambda raw: raw["grid"].update(half_width=True),
+    lambda raw: raw["grid"].update(half_width="1.0"),
+    lambda raw: raw["exponents"].update(alpha="0.5"),
+    lambda raw: raw["exponents"].update(p="1.3333333333333333"),
+    lambda raw: raw["exponents"].update(q="4.0"),
+    lambda raw: raw.update(dilations=[[True, 1.0]]),
+    lambda raw: raw.update(dilations=[[1.0, "2.0"]]),
 ], ids=["top-level", "grid", "exponents", "tolerance-key", "family-param-key",
         "family-params-family", "family-param-of-other-family", "family-params-list",
         "inf-tolerance", "nan-tolerance", "string-tolerance", "inf-family-param",
         "zero-sigma", "zero-spike", "negative-box",
         "inf-dilation", "float-points", "float-m", "float-seed", "inf-seed", "negative-seed",
-        "float-stride", "bool-stride", "empty-families"])
+        "float-stride", "bool-stride", "empty-families", "bool-half-width",
+        "string-half-width", "string-alpha", "string-p", "string-q", "bool-dilation",
+        "string-dilation"])
 def test_config_rejects_malformed(edit):
     raw = small_config()
     edit(raw)
@@ -387,7 +396,7 @@ def test_cli_necessity_vanishing_instance_is_config_error(tmp_path, capsys, half
     out = tmp_path / "out"
     assert cli_main(["necessity", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "box instance at (s, t)" in capsys.readouterr().err
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["pointwise", "necessity", "normcheck"])
@@ -413,7 +422,7 @@ def test_cli_rejects_tolerance_the_command_does_not_read(tmp_path, capsys, comma
     out = tmp_path / "bad"
     assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2
     assert foreign in capsys.readouterr().err
-    assert not (out / "summary.json").exists()
+    assert not out.exists()
 
 
 def test_cli_assertion_failure_exit_code(tmp_path):

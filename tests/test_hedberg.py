@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from prodhls import (Exponents, ExponentError, GridFunction,
+from prodhls import hedberg
+from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunction,
                      HedbergCertificate, ProductGrid, bound_region11,
                      bound_region12, bound_region21, bound_region22,
                      certify_point, check_exponents, convolve_direct,
@@ -369,6 +370,62 @@ def test_certificate_region_checks_recorded():
     for name, value in (("region11", rb.t11), ("region12", rb.t12),
                         ("region21", rb.t21), ("region22", rb.t22)):
         assert value <= cert.slack_factors[name] * cert.region_limits[name] * (1 + 1e-9)
+
+
+def violation_setup(case_id):
+    """A context and the unpatched certificate at a node of the requested
+    case whose four region sums are all positive."""
+    g = grid_1x1(N=32)
+    f = GridFunction(g, np.random.default_rng(21).uniform(0.1, 1.0, g.shape) * gaussian(g).values)
+    ctx = prepare_certification(f, STD)
+    for pt in ((12, 12), (12, 18), (15, 12), (15, 15)):
+        cert = certify_point(ctx, pt)
+        rb = cert.regions
+        if cert.case_id == case_id and min(rb.t11, rb.t12, rb.t21, rb.t22) > 0.0:
+            return ctx, cert
+    raise AssertionError(f"no sampled node is in case {case_id} with four nonzero regions")
+
+
+TINY_LIMIT = 1e-300
+
+
+@pytest.mark.parametrize("case_id", [1, 2])
+@pytest.mark.parametrize("name, bound", [("region11", "bound_region11"),
+                                         ("region12", "bound_region12"),
+                                         ("region21", "bound_region21"),
+                                         ("region22", "bound_region22")])
+def test_region_violation_diagnostics(monkeypatch, case_id, name, bound):
+    ctx, cert = violation_setup(case_id)
+    monkeypatch.setattr(hedberg, bound, lambda *args: TINY_LIMIT)
+    with pytest.raises(CertificateViolation) as info:
+        certify_point(ctx, cert.point)
+    value = getattr(cert.regions, "t" + name[-2:])
+    assert info.value.diagnostics == {
+        "point": list(cert.point), "region": name, "value": value, "limit": TINY_LIMIT,
+        "slack": cert.slack_factors[name], "r1": cert.r1, "r2": cert.r2,
+        "case_id": case_id}
+
+
+def test_mixed_collapse_violation_diagnostics(monkeypatch):
+    ctx, cert = violation_setup(1)
+    monkeypatch.setattr(hedberg, "final_bound_case1", lambda *args: TINY_LIMIT)
+    with pytest.raises(CertificateViolation) as info:
+        certify_point(ctx, cert.point)
+    mixed = cert.n1 * cert.r1 ** STD.alpha * cert.r2 ** (STD.beta - STD.n / STD.p)
+    assert info.value.diagnostics == {
+        "point": list(cert.point), "region": "mixed_collapse", "value": mixed,
+        "limit": TINY_LIMIT, "slack": 1.0, "r1": cert.r1, "r2": cert.r2, "case_id": 1}
+
+
+def test_violation_checks_run_in_order(monkeypatch):
+    # the region checks run in the order 11, 12, 21, 22, then the mixed collapse
+    ctx, cert = violation_setup(1)
+    monkeypatch.setattr(hedberg, "final_bound_case1", lambda *args: TINY_LIMIT)
+    for bound in ("bound_region22", "bound_region21", "bound_region12", "bound_region11"):
+        monkeypatch.setattr(hedberg, bound, lambda *args: TINY_LIMIT)
+        with pytest.raises(CertificateViolation) as info:
+            certify_point(ctx, cert.point)
+        assert info.value.diagnostics["region"] == "region" + bound[-2:]
 
 
 def test_certificate_rejects_inadmissible_exponents():

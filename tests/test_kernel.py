@@ -87,6 +87,17 @@ def test_kernel_separability_exact():
     assert np.array_equal(k.values, np.outer(xf, yf))
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_kernel_bytes_match_outer_of_block_factors(m, n):
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=6)
+    e = Exponents.from_balance(m, n, 0.4 * m, 0.4 * n, 1.5)
+    xf = g.x_norms() ** (e.alpha - m)
+    yf = g.y_norms() ** (e.beta - n)
+    k = riesz_kernel(g, e)
+    assert k.values.shape == g.shape
+    assert k.values.tobytes() == np.multiply.outer(xf, yf).tobytes()
+
+
 def test_kernel_finite_everywhere():
     g = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=8)
     e = Exponents.from_balance(2, 1, 1.0, 0.5, 1.5)
