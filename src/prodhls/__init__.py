@@ -29,13 +29,10 @@ from .maximal import (CompositionReport, GNormReport, WindowFamily,
                       composition_check, g_function, g_norm_bound,
                       partial_maximal_x, partial_maximal_y, strong_maximal)
 from .hedberg import (AdmissibilityReport, CertificateViolation, ExponentError,
-                      HedbergCertificate, HedbergContext, bound_region11,
-                      bound_region12, bound_region21, bound_region22,
-                      certify_point, check_exponents, final_bound_case1,
-                      final_bound_case2, inner_ball_constant,
-                      prepare_certification, region_slack_factors,
-                      select_radii_case1, select_radii_case2,
-                      tail_integral_constant)
+                      HedbergCertificate, HedbergContext, balanced_radii,
+                      certify_point, check_exponents, final_bound,
+                      inner_ball_constant, prepare_certification, region_limits,
+                      region_slack_factors, tail_integral_constant)
 from .harness import (ConfigError, ExperimentConfig, make_family,
                       run_necessity_sweep, run_norm_check,
                       run_pointwise_campaign)
@@ -53,9 +50,8 @@ __all__ = [
     "g_function", "g_norm_bound", "GNormReport",
     "AdmissibilityReport", "check_exponents", "ExponentError",
     "CertificateViolation", "inner_ball_constant", "tail_integral_constant",
-    "bound_region11", "bound_region12", "bound_region21", "bound_region22",
-    "region_slack_factors", "select_radii_case1", "select_radii_case2",
-    "final_bound_case1", "final_bound_case2", "HedbergContext",
+    "region_limits", "region_slack_factors", "balanced_radii", "final_bound",
+    "HedbergContext",
     "prepare_certification", "HedbergCertificate", "certify_point",
     "ConfigError", "ExperimentConfig", "make_family",
     "run_pointwise_campaign", "run_necessity_sweep", "run_norm_check",

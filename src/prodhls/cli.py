@@ -42,23 +42,28 @@ def _load_config(args) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):  # from_dict rejects a non-object
         raw["seed"] = args.seed
     return ExperimentConfig.from_dict(raw)
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Reject an output path under which no directory can be created."""
+    existing = out_dir
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out_dir}: {existing} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
     # the report writers create the directory, so a configuration error
     # raised during the run leaves nothing behind
     out_dir = Path(args.out)
     try:
+        cfg = _load_config(args)
+        _check_out_dir(out_dir)
         if args.command == "pointwise":
             return _run_pointwise(cfg, out_dir)
         if args.command == "necessity":

@@ -127,9 +127,13 @@ class ExperimentConfig:
                 exps = Exponents(m=grid.m, n=grid.n, **e)
             else:
                 exps = Exponents.from_balance(m=grid.m, n=grid.n, **e)
+            if not isinstance(raw.get("family", ""), str):
+                raise ConfigError(f"family must be a string, got {raw['family']!r}")
             families = raw.get("families")
             if families is None:
                 families = [raw["family"]] if "family" in raw else ["gaussian"]
+            if not (isinstance(families, list) and all(isinstance(f, str) for f in families)):
+                raise ConfigError(f"families must be a list of strings, got {families!r}")
             dil = tuple((float(_number(s, "dilation s")), float(_number(t, "dilation t")))
                         for s, t in raw.get("dilations", [(1.0, 1.0)]))
             return cls(grid=grid, exponents=exps, families=tuple(families),

@@ -44,15 +44,10 @@ __all__ = [
     "check_exponents",
     "inner_ball_constant",
     "tail_integral_constant",
-    "bound_region11",
-    "bound_region22",
-    "bound_region12",
-    "bound_region21",
+    "region_limits",
     "region_slack_factors",
-    "select_radii_case1",
-    "select_radii_case2",
-    "final_bound_case1",
-    "final_bound_case2",
+    "balanced_radii",
+    "final_bound",
     "HedbergContext",
     "prepare_certification",
     "HedbergCertificate",
@@ -174,52 +169,34 @@ def _tail_constant(exps: Exponents, side: str) -> float:
     return tail_integral_constant(dim, decay)
 
 
-def _mixed_constant(exps: Exponents, inner: str) -> float:
-    # the ball constant of the inner block ("x" or "y") times the tail
-    # constant of the other block raised to 1/p' (the Hoelder step)
-    dim, exponent, outer = ((exps.m, exps.alpha, "y") if inner == "x"
-                            else (exps.n, exps.beta, "x"))
-    return (inner_ball_constant(dim, exponent)
-            * _tail_constant(exps, outer) ** (1.0 / exps.p_conjugate))
+def region_limits(m_value: float, n1: float, n2: float, f_norm: float,
+                  r1: float, r2: float, exps: Exponents) -> dict[str, float]:
+    """The analytic bounds of the four region sums at radii (r1, r2).
 
+    Region ij is bounded by ``c * value * r1^ex * r2^ey`` with::
 
-def bound_region11(mf_at_point: float, r1: float, r2: float, exps: Exponents) -> float:
-    """Inner-inner bound: c11 * Mf * r1^alpha * r2^beta.
+        region    c                        value    ex             ey
+        region11  ball_x ball_y            M f      alpha          beta
+        region12  ball_x tail_y^(1/p')     n1       alpha          beta - n/p
+        region21  ball_y tail_x^(1/p')     n2       alpha - m/p    beta
+        region22  (tail_x tail_y)^(1/p')   ||f||    alpha - m/p    beta - n/p
 
-    c11 is the exact kernel mass over the unit product ball, scaled by
-    power-law homogeneity to (r1, r2).
+    ``ball`` is the exact kernel mass over a block's unit ball, scaled to
+    the radius by power-law homogeneity, and ``tail`` the closed-form
+    integral of the block's kernel tail at its dual power p', raised to
+    1/p' per the Hoelder step.  Requires both tail conditions.
     """
-    check_positive(mf_at_point=mf_at_point, r1=r1, r2=r2)
-    c11 = inner_ball_constant(exps.m, exps.alpha) * inner_ball_constant(exps.n, exps.beta)
-    return c11 * mf_at_point * r1 ** exps.alpha * r2 ** exps.beta
-
-
-def bound_region22(f_norm: float, r1: float, r2: float, exps: Exponents) -> float:
-    """Outer-outer bound: c22 * ||f|| * r1^(alpha - m/p) * r2^(beta - n/p).
-
-    c22 is the product of the two closed-form tail integrals of the
-    kernel raised to the dual power p', itself raised to 1/p' per the
-    Hoelder step.  Requires both tail conditions.
-    """
-    check_positive(f_norm=f_norm, r1=r1, r2=r2)
-    c22 = (_tail_constant(exps, "x") * _tail_constant(exps, "y")) ** (1.0 / exps.p_conjugate)
-    return (c22 * f_norm
-            * r1 ** (exps.alpha - exps.m / exps.p)
-            * r2 ** (exps.beta - exps.n / exps.p))
-
-
-def bound_region12(n1_at_x: float, r1: float, r2: float, exps: Exponents) -> float:
-    """Inner-outer bound: c12 * ||M1 f(x, .)||_p * r1^alpha * r2^(beta - n/p)."""
-    check_positive(n1_at_x=n1_at_x, r1=r1, r2=r2)
-    c12 = _mixed_constant(exps, "x")
-    return c12 * n1_at_x * r1 ** exps.alpha * r2 ** (exps.beta - exps.n / exps.p)
-
-
-def bound_region21(n2_at_y: float, r1: float, r2: float, exps: Exponents) -> float:
-    """Outer-inner bound: c21 * ||M2 f(., y)||_p * r1^(alpha - m/p) * r2^beta."""
-    check_positive(n2_at_y=n2_at_y, r1=r1, r2=r2)
-    c21 = _mixed_constant(exps, "y")
-    return c21 * n2_at_y * r1 ** (exps.alpha - exps.m / exps.p) * r2 ** exps.beta
+    check_positive(m_value=m_value, n1=n1, n2=n2, f_norm=f_norm, r1=r1, r2=r2)
+    ball_x = inner_ball_constant(exps.m, exps.alpha)
+    ball_y = inner_ball_constant(exps.n, exps.beta)
+    tail_x, tail_y = _tail_constant(exps, "x"), _tail_constant(exps, "y")
+    inv_pc = 1.0 / exps.p_conjugate
+    out_x, out_y = exps.alpha - exps.m / exps.p, exps.beta - exps.n / exps.p
+    rows = (("region11", ball_x * ball_y, m_value, exps.alpha, exps.beta),
+            ("region12", ball_x * tail_y ** inv_pc, n1, exps.alpha, out_y),
+            ("region21", ball_y * tail_x ** inv_pc, n2, out_x, exps.beta),
+            ("region22", (tail_x * tail_y) ** inv_pc, f_norm, out_x, out_y))
+    return {name: c * value * r1 ** ex * r2 ** ey for name, c, value, ex, ey in rows}
 
 
 def _window_cover_slack(dim: int) -> float:
@@ -276,7 +253,20 @@ def region_slack_factors(exps: Exponents) -> dict[str, float]:
     }
 
 
-def _balanced_radii(ratio: float, n1: float, n2: float, exps: Exponents) -> tuple[float, float]:
+def balanced_radii(ratio: float, n1: float, n2: float, exps: Exponents) -> tuple[float, float]:
+    """Radii equalizing the inner bound with the outer bound and the two
+    mixed bounds with each other.
+
+    ``ratio`` is ``Mf/||f||`` in case 1 and ``Gf/||f||^2`` in case 2.
+    Closed forms::
+
+        r1 = [ ratio (n1/n2) ]^(-p/2m)
+        r2 = [ ratio (n2/n1) ]^(-p/2n)
+
+    Postconditions (verified): r1^(-m/p) r2^(-n/p) = ratio and
+    r1^(-m/p) / r2^(-n/p) = n1/n2, both to 1e-12 relative.
+    """
+    check_positive(ratio=ratio, n1=n1, n2=n2)
     b = n1 / n2
     r1 = (ratio * b) ** (-exps.p / (2.0 * exps.m))
     r2 = (ratio / b) ** (-exps.p / (2.0 * exps.n))
@@ -289,39 +279,13 @@ def _balanced_radii(ratio: float, n1: float, n2: float, exps: Exponents) -> tupl
     return r1, r2
 
 
-def select_radii_case1(m_value: float, n1: float, n2: float, f_norm: float,
-                       exps: Exponents) -> tuple[float, float]:
-    """Radii equalizing the inner bound with the outer bound (case 1).
-
-    Closed forms::
-
-        r1 = [ (Mf/||f||) (n1/n2) ]^(-p/2m)
-        r2 = [ (Mf/||f||) (n2/n1) ]^(-p/2n)
-
-    Postconditions (verified): r1^(-m/p) r2^(-n/p) = Mf/||f|| and
-    r1^(-m/p) / r2^(-n/p) = n1/n2, both to 1e-12 relative.
-    """
-    check_positive(m_value=m_value, n1=n1, n2=n2, f_norm=f_norm)
-    return _balanced_radii(m_value / f_norm, n1, n2, exps)
-
-
-def select_radii_case2(g_value: float, n1: float, n2: float, f_norm: float,
-                       exps: Exponents) -> tuple[float, float]:
-    """Case-2 radii: the maximal ratio is replaced by G f / ||f||^2."""
-    check_positive(g_value=g_value, n1=n1, n2=n2, f_norm=f_norm)
-    return _balanced_radii(g_value / f_norm ** 2, n1, n2, exps)
-
-
-def final_bound_case1(m_value: float, f_norm: float, exps: Exponents) -> float:
-    """Collapsed pointwise bound M f^(p/q) ||f||^(1 - p/q)."""
+def final_bound(value: float, f_norm: float, case_id: int, exps: Exponents) -> float:
+    """Collapsed pointwise bound ``value^(p/q) ||f||^(1 - case_id p/q)``:
+    ``value`` is M f in case 1 and G f in case 2."""
+    if case_id not in (1, 2):
+        raise ValueError(f"case_id must be 1 or 2, got {case_id!r}")
     e = exps.p / exps.q
-    return m_value ** e * f_norm ** (1.0 - e)
-
-
-def final_bound_case2(g_value: float, f_norm: float, exps: Exponents) -> float:
-    """Collapsed pointwise bound G f^(p/q) ||f||^(1 - 2 p/q)."""
-    e = exps.p / exps.q
-    return g_value ** e * f_norm ** (1.0 - 2.0 * e)
+    return value ** e * f_norm ** (1.0 - case_id * e)
 
 
 @dataclass
@@ -471,24 +435,16 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
     g_value = n1_val * n2_val
     f_norm = ctx.f_norm
 
-    case1 = g_value <= m_value * f_norm
-    if case1:
-        r1, r2 = select_radii_case1(m_value, n1_val, n2_val, f_norm, exps)
-        final = final_bound_case1(m_value, f_norm, exps)
-    else:
-        r1, r2 = select_radii_case2(g_value, n1_val, n2_val, f_norm, exps)
-        final = final_bound_case2(g_value, f_norm, exps)
+    case_id = 1 if g_value <= m_value * f_norm else 2
+    case_value = m_value if case_id == 1 else g_value
+    r1, r2 = balanced_radii(case_value / f_norm ** case_id, n1_val, n2_val, exps)
+    final = final_bound(case_value, f_norm, case_id, exps)
 
     regions = region_split(f, exps, idx, r1, r2)
-    limits = {
-        "region11": bound_region11(m_value, r1, r2, exps),
-        "region12": bound_region12(n1_val, r1, r2, exps),
-        "region21": bound_region21(n2_val, r1, r2, exps),
-        "region22": bound_region22(f_norm, r1, r2, exps),
-    }
+    limits = region_limits(m_value, n1_val, n2_val, f_norm, r1, r2, exps)
     checks = [(name, value, limits[name], slacks[name]) for name, value in
               zip(limits, (regions.t11, regions.t12, regions.t21, regions.t22))]
-    if case1:
+    if case_id == 1:
         # the mixed-bound common value must itself collapse under the
         # case hypothesis: n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q)
         checks.append(("mixed_collapse",
@@ -501,10 +457,10 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
                 f"at point {idx}",
                 diagnostics={"point": list(idx), "region": name, "value": value,
                              "limit": limit, "slack": slack,
-                             "r1": r1, "r2": r2, "case_id": 1 if case1 else 2})
+                             "r1": r1, "r2": r2, "case_id": case_id})
 
     return HedbergCertificate(
-        point=idx, point_coordinates=coords, case_id=1 if case1 else 2,
+        point=idx, point_coordinates=coords, case_id=case_id,
         r1=r1, r2=r2, regions=regions, m_value=m_value, g_value=g_value,
         n1=n1_val, n2=n2_val, f_norm=f_norm, final_bound=final,
         region_limits=limits, slack_factors=slacks)

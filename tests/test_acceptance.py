@@ -15,8 +15,7 @@ import numpy as np
 from prodhls import (Exponents, GridFunction, ProductGrid, WindowFamily,
                      composition_check, convolve_direct, convolve_fast,
                      g_norm_bound, layer_cake, make_family,
-                     region_split, riesz_kernel, select_radii_case1,
-                     select_radii_case2, final_bound_case1, final_bound_case2)
+                     region_split, riesz_kernel, balanced_radii, final_bound)
 from prodhls.harness import (ExperimentConfig, run_necessity_sweep,
                              run_norm_check, run_pointwise_campaign,
                              write_summary_json)
@@ -124,20 +123,20 @@ def test_criterion_5_balancing_identities():
     e = STD
     for _ in range(1000):
         mf, n1, n2, fn = 10.0 ** rng.uniform(-3, 3, 4)
-        r1, r2 = select_radii_case1(mf, n1, n2, fn, e)
+        r1, r2 = balanced_radii(mf / fn, n1, n2, e)
         worst = max(
             worst,
             abs(r1 ** (-e.m / e.p) * r2 ** (-e.n / e.p) / (mf / fn) - 1.0),
             abs((r1 ** (-e.m / e.p) / r2 ** (-e.n / e.p)) / (n1 / n2) - 1.0),
-            abs(mf * r1 ** e.alpha * r2 ** e.beta / final_bound_case1(mf, fn, e) - 1.0))
+            abs(mf * r1 ** e.alpha * r2 ** e.beta / final_bound(mf, fn, 1, e) - 1.0))
         gv = n1 * n2
-        r1, r2 = select_radii_case2(gv, n1, n2, fn, e)
+        r1, r2 = balanced_radii(gv / fn ** 2, n1, n2, e)
         worst = max(
             worst,
             abs(r1 ** (-e.m / e.p) * r2 ** (-e.n / e.p) / (gv / fn ** 2) - 1.0),
             abs((r1 ** (-e.m / e.p) / r2 ** (-e.n / e.p)) / (n1 / n2) - 1.0),
             abs((gv / fn) * r1 ** e.alpha * r2 ** e.beta
-                / final_bound_case2(gv, fn, e) - 1.0))
+                / final_bound(gv, fn, 2, e) - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
     report(5, ok, f"balancing and collapse residual {worst:.3e} over 1000 "

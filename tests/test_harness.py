@@ -82,38 +82,52 @@ def test_config_rejects_missing_q_when_unbalanced():
         ExperimentConfig.from_dict(raw)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda raw: raw.update(bogus_key=1),
-    lambda raw: raw["grid"].update(points=8),
-    lambda raw: raw["exponents"].update(gamma=0.5),
-    lambda raw: raw.update(tolerances={"norm_constnat": 1e-3}),
-    lambda raw: raw.update(family_params={"gaussian": {"sigmma": 0.5}}),
-    lambda raw: raw.update(family_params={"gausian": {"sigma": 0.5}}),
-    lambda raw: raw.update(family_params={"tensor-box": {"half_extent": 0.5}}),
-    lambda raw: raw.update(family_params={"gaussian": [0.5]}),
-    lambda raw: raw.update(tolerances={"stability_factor": math.inf}),
-    lambda raw: raw.update(tolerances={"suite_constant": math.nan}),
-    lambda raw: raw.update(tolerances={"slope_tolerance": "0.05"}),
-    lambda raw: raw.update(family_params={"gaussian": {"sigma": math.inf}}),
-    lambda raw: raw.update(family_params={"gaussian": {"sigma": 0.0}}),
-    lambda raw: raw.update(family_params={"spike": {"half_extent": 0}}),
-    lambda raw: raw.update(family_params={"box": {"half_extent": -0.5}}),
-    lambda raw: raw.update(dilations=[[math.inf, 1.0]]),
-    lambda raw: raw["grid"].update(points_per_axis=32.0),
-    lambda raw: raw["grid"].update(m=1.5),
-    lambda raw: raw.update(seed=7.5),
-    lambda raw: raw.update(seed=math.inf),
-    lambda raw: raw.update(seed=-5),
-    lambda raw: raw.update(points_stride=8.5),
-    lambda raw: raw.update(points_stride=True),
-    lambda raw: raw.update(families=[]),
-    lambda raw: raw["grid"].update(half_width=True),
-    lambda raw: raw["grid"].update(half_width="1.0"),
-    lambda raw: raw["exponents"].update(alpha="0.5"),
-    lambda raw: raw["exponents"].update(p="1.3333333333333333"),
-    lambda raw: raw["exponents"].update(q="4.0"),
-    lambda raw: raw.update(dilations=[[True, 1.0]]),
-    lambda raw: raw.update(dilations=[[1.0, "2.0"]]),
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(bogus_key=1), "unknown config key"),
+    (lambda raw: raw["grid"].update(points=8), "unknown grid key"),
+    (lambda raw: raw["exponents"].update(gamma=0.5), "unknown exponents key"),
+    (lambda raw: raw.update(tolerances={"norm_constnat": 1e-3}), "unknown tolerances key"),
+    (lambda raw: raw.update(family_params={"gaussian": {"sigmma": 0.5}}),
+     "unknown gaussian parameter key"),
+    (lambda raw: raw.update(family_params={"gausian": {"sigma": 0.5}}),
+     "unknown family_params key"),
+    (lambda raw: raw.update(family_params={"tensor-box": {"half_extent": 0.5}}),
+     "unknown tensor-box parameter key"),
+    (lambda raw: raw.update(family_params={"gaussian": [0.5]}),
+     "gaussian parameter must be a JSON object"),
+    (lambda raw: raw.update(tolerances={"stability_factor": math.inf}),
+     "tolerances stability_factor"),
+    (lambda raw: raw.update(tolerances={"suite_constant": math.nan}), "tolerances suite_constant"),
+    (lambda raw: raw.update(tolerances={"slope_tolerance": "0.05"}),
+     "tolerances slope_tolerance"),
+    (lambda raw: raw.update(family_params={"gaussian": {"sigma": math.inf}}),
+     "gaussian parameter sigma"),
+    (lambda raw: raw.update(family_params={"gaussian": {"sigma": 0.0}}),
+     "gaussian parameter sigma"),
+    (lambda raw: raw.update(family_params={"spike": {"half_extent": 0}}),
+     "spike parameter half_extent"),
+    (lambda raw: raw.update(family_params={"box": {"half_extent": -0.5}}),
+     "box parameter half_extent"),
+    (lambda raw: raw.update(dilations=[[math.inf, 1.0]]), "dilation s"),
+    (lambda raw: raw["grid"].update(points_per_axis=32.0), "grid points_per_axis"),
+    (lambda raw: raw["grid"].update(m=1.5), "grid m"),
+    (lambda raw: raw.update(seed=7.5), "seed"),
+    (lambda raw: raw.update(seed=math.inf), "seed"),
+    (lambda raw: raw.update(seed=-5), "seed"),
+    (lambda raw: raw.update(points_stride=8.5), "points_stride"),
+    (lambda raw: raw.update(points_stride=True), "points_stride"),
+    (lambda raw: raw.update(families=[]), "families"),
+    (lambda raw: raw["grid"].update(half_width=True), "grid half_width"),
+    (lambda raw: raw["grid"].update(half_width="1.0"), "grid half_width"),
+    (lambda raw: raw["exponents"].update(alpha="0.5"), "exponents alpha"),
+    (lambda raw: raw["exponents"].update(p="1.3333333333333333"), "exponents p"),
+    (lambda raw: raw["exponents"].update(q="4.0"), "exponents q"),
+    (lambda raw: raw.update(dilations=[[True, 1.0]]), "dilation s"),
+    (lambda raw: raw.update(dilations=[[1.0, "2.0"]]), "dilation t"),
+    (lambda raw: raw.update(families="gaussian"), "families must be a list of strings"),
+    (lambda raw: raw.update(families=[["gaussian"]]), "families must be a list of strings"),
+    (lambda raw: (raw.pop("families"), raw.update(family=["gaussian"])),
+     "family must be a string"),
 ], ids=["top-level", "grid", "exponents", "tolerance-key", "family-param-key",
         "family-params-family", "family-param-of-other-family", "family-params-list",
         "inf-tolerance", "nan-tolerance", "string-tolerance", "inf-family-param",
@@ -121,11 +135,12 @@ def test_config_rejects_missing_q_when_unbalanced():
         "inf-dilation", "float-points", "float-m", "float-seed", "inf-seed", "negative-seed",
         "float-stride", "bool-stride", "empty-families", "bool-half-width",
         "string-half-width", "string-alpha", "string-p", "string-q", "bool-dilation",
-        "string-dilation"])
-def test_config_rejects_malformed(edit):
+        "string-dilation", "string-families", "nested-families", "list-family"])
+def test_config_rejects_malformed(edit, message):
     raw = small_config()
     edit(raw)
-    with pytest.raises(ConfigError):
+    # the message names the offending key
+    with pytest.raises(ConfigError, match=message):
         ExperimentConfig.from_dict(raw)
 
 
@@ -388,6 +403,12 @@ def test_cli_config_error_exit_code(tmp_path):
     # ladder too short is also a config error
     cfg_path = write_config(tmp_path, small_config(), "short.json")
     assert cli_main(["necessity", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    # a config that is not a JSON object is rejected with and without --seed
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for seed in ([], ["--seed", "3"]):
+        assert cli_main(["normcheck", "--config", str(listed), "--out", str(tmp_path / "o"),
+                         *seed]) == 2
 
 
 @pytest.mark.parametrize("half_extent", [0.01, 0.05])
@@ -397,6 +418,26 @@ def test_cli_necessity_vanishing_instance_is_config_error(tmp_path, capsys, half
     assert cli_main(["necessity", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "box instance at (s, t)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pointwise", "necessity", "normcheck"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_cli_rejects_out_under_a_file_before_the_run(tmp_path, capsys, monkeypatch, command, out):
+    import prodhls.cli as cli_module
+
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    for run in ("run_pointwise_campaign", "run_necessity_sweep", "run_norm_check"):
+        monkeypatch.setattr(cli_module, run, no_run)
+    cfg_path = write_config(tmp_path, small_config())
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out") and "Traceback" not in err
+    assert afile.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
 
 
 @pytest.mark.parametrize("command", ["pointwise", "necessity", "normcheck"])

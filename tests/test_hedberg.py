@@ -1,5 +1,6 @@
 """Certification engine: admissibility, constants, radii, certificates."""
 
+import itertools
 import json
 import math
 
@@ -12,16 +13,13 @@ from scipy.optimize import brentq
 
 from prodhls import hedberg
 from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunction,
-                     HedbergCertificate, ProductGrid, bound_region11,
-                     bound_region12, bound_region21, bound_region22,
+                     HedbergCertificate, ProductGrid, balanced_radii,
                      certify_point, check_exponents, convolve_direct,
-                     final_bound_case1, final_bound_case2,
-                     inner_ball_constant, prepare_certification,
-                     region_slack_factors, riesz_kernel, sample_function,
-                     select_radii_case1, select_radii_case2,
-                     tail_integral_constant)
+                     final_bound, inner_ball_constant, prepare_certification,
+                     region_limits, region_slack_factors, riesz_kernel,
+                     sample_function, tail_integral_constant)
 from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport,
-                             write_certificates_json)
+                             make_family, write_certificates_json)
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
 
@@ -70,6 +68,14 @@ def test_tail_exponents_reported():
 
 # ---------------------------------------------------------------- constants
 
+def limit(region, value, r1, r2, exps):
+    """One region's bound with ``value`` in its own row and 1.0 in the others."""
+    values = dict(m_value=1.0, n1=1.0, n2=1.0, f_norm=1.0)
+    values[{"region11": "m_value", "region12": "n1", "region21": "n2",
+            "region22": "f_norm"}[region]] = value
+    return region_limits(**values, r1=r1, r2=r2, exps=exps)[region]
+
+
 def test_inner_ball_constant_quad_oracle():
     # each 1-d factor with exponent 1/2: 2 * integral_0^1 r^(-1/2) dr = 4
     val, _ = quad(lambda r: 2.0 * r ** (-0.5), 0, 1)
@@ -95,51 +101,51 @@ def test_tail_constant_rejects_slow_decay_without_naming_a_block():
 
 def test_region22_constant_value():
     # c22 = (2 * 2)^(1/4) for the standard configuration
-    b = bound_region22(1.0, 1.0, 1.0, STD)
+    b = limit("region22", 1.0, 1.0, 1.0, STD)
     assert b == pytest.approx(4.0 ** 0.25, rel=1e-12)
 
 
 def test_region12_constant_value():
     # c12 = 4 * 2^(1/4): inner x-ball constant times the y-tail constant
-    b = bound_region12(1.0, 1.0, 1.0, STD)
+    b = limit("region12", 1.0, 1.0, 1.0, STD)
     assert b == pytest.approx(4.0 * 2.0 ** 0.25, rel=1e-12)
 
 
 def test_region11_scaling_and_value():
-    base = bound_region11(1.0, 1.0, 1.0, STD)
+    base = limit("region11", 1.0, 1.0, 1.0, STD)
     assert base == pytest.approx(16.0, rel=1e-12)
-    assert bound_region11(1.0, 2.0, 1.0, STD) == pytest.approx(
+    assert limit("region11", 1.0, 2.0, 1.0, STD) == pytest.approx(
         2.0 ** STD.alpha * base, rel=1e-12)
-    assert bound_region22(1.0, 2.0, 1.0, STD) == pytest.approx(
-        2.0 ** (STD.alpha - 1 / STD.p) * bound_region22(1.0, 1.0, 1.0, STD), rel=1e-12)
+    assert limit("region22", 1.0, 2.0, 1.0, STD) == pytest.approx(
+        2.0 ** (STD.alpha - 1 / STD.p) * limit("region22", 1.0, 1.0, 1.0, STD), rel=1e-12)
 
 
 def test_region12_21_symmetry():
     # swapping (m, alpha, r1, n1) with (n, beta, r2, n2) exchanges the bounds
     e = Exponents(m=1, n=1, alpha=0.4, beta=0.6, p=1.6, q=4.0)
     swapped = Exponents(m=1, n=1, alpha=0.6, beta=0.4, p=1.6, q=4.0)
-    b12 = bound_region12(1.3, 0.7, 2.1, e)
-    b21 = bound_region21(1.3, 2.1, 0.7, swapped)
+    b12 = limit("region12", 1.3, 0.7, 2.1, e)
+    b21 = limit("region21", 1.3, 2.1, 0.7, swapped)
     assert b12 == pytest.approx(b21, rel=1e-12)
 
 
 def test_mixed_regions_name_the_failing_tail():
     y_fails = Exponents(m=1, n=1, alpha=0.5, beta=0.9, p=4 / 3, q=4.0)
     with pytest.raises(ExponentError) as info:
-        bound_region12(1.0, 1.0, 1.0, y_fails)
+        limit("region12", 1.0, 1.0, 1.0, y_fails)
     assert info.value.condition == "tail_y"
     x_fails = Exponents(m=1, n=1, alpha=0.9, beta=0.5, p=4 / 3, q=4.0)
     with pytest.raises(ExponentError) as info:
-        bound_region21(1.0, 1.0, 1.0, x_fails)
+        limit("region21", 1.0, 1.0, 1.0, x_fails)
     assert info.value.condition == "tail_x"
 
 
 def test_region22_rejects_failed_tail():
     e = Exponents(m=1, n=1, alpha=0.9, beta=0.5, p=4 / 3, q=4.0)
     with pytest.raises(ExponentError):
-        bound_region22(1.0, 1.0, 1.0, e)
+        limit("region22", 1.0, 1.0, 1.0, e)
     with pytest.raises(ExponentError):
-        bound_region21(1.0, 1.0, 1.0, e)
+        limit("region21", 1.0, 1.0, 1.0, e)
 
 
 def test_region11_constant_function_ratio_flat():
@@ -150,21 +156,21 @@ def test_region11_constant_function_ratio_flat():
     ratios = []
     for r in (0.25, 0.5, 1.0):
         rb = region_split(f, STD, (16, 16), r, r)
-        ratios.append(rb.t11 / bound_region11(1.0, r, r, STD))
+        ratios.append(rb.t11 / limit("region11", 1.0, r, r, STD))
     assert max(ratios) / min(ratios) < 1.25
 
 
 # ---------------------------------------------------------------- radii
 
 def test_radii_case1_unit():
-    r1, r2 = select_radii_case1(1.0, 1.0, 1.0, 1.0, STD)
+    r1, r2 = balanced_radii(1.0, 1.0, 1.0, STD)
     assert r1 == pytest.approx(1.0, rel=1e-12)
     assert r2 == pytest.approx(1.0, rel=1e-12)
 
 
 def test_radii_case1_worked_example():
     # Mf/||f|| = 4, n1 = n2: r1^(-m/p) = 2, so r1 = 2^(-4/3)
-    r1, r2 = select_radii_case1(4.0, 1.0, 1.0, 1.0, STD)
+    r1, r2 = balanced_radii(4.0, 1.0, 1.0, STD)
     assert r1 == pytest.approx(2.0 ** (-4.0 / 3.0), rel=1e-12)
     assert r2 == pytest.approx(2.0 ** (-4.0 / 3.0), rel=1e-12)
 
@@ -175,7 +181,7 @@ def test_radii_case1_root_solve_oracle():
     e = STD
     for _ in range(20):
         mf, n1, n2, fn = rng.uniform(0.05, 20.0, 4)
-        r1, r2 = select_radii_case1(mf, n1, n2, fn, e)
+        r1, r2 = balanced_radii(mf / fn, n1, n2, e)
 
         # eliminate r2 using the second equation, then solve the first
         def second(rr1, rr2):
@@ -195,7 +201,7 @@ def test_radii_case2_root_solve_oracle():
     e = STD
     for _ in range(20):
         gv, n1, n2, fn = rng.uniform(0.05, 20.0, 4)
-        r1, r2 = select_radii_case2(gv, n1, n2, fn, e)
+        r1, r2 = balanced_radii(gv / fn ** 2, n1, n2, e)
 
         def first(rr1):
             rr2 = ((n2 / n1) * rr1 ** (-e.m / e.p)) ** (-e.p / e.n)
@@ -207,7 +213,7 @@ def test_radii_case2_root_solve_oracle():
 
 def test_radii_case2_unit():
     # g = ||f||^2 with equal slice norms pins both radii at 1
-    r1, r2 = select_radii_case2(2.25, 1.0, 1.0, 1.5, STD)
+    r1, r2 = balanced_radii(2.25 / 1.5 ** 2, 1.0, 1.0, STD)
     assert r1 == pytest.approx(1.0, rel=1e-12)
     assert r2 == pytest.approx(1.0, rel=1e-12)
 
@@ -220,13 +226,13 @@ def test_region12_bound_not_tight_under_support_exhaustion():
     f = gaussian(g)
     rb = region_split(f, STD, (8, 8), 0.5, 10.0)
     assert rb.t12 == 0.0
-    assert bound_region12(1.0, 0.5, 10.0, STD) > 0.0
+    assert limit("region12", 1.0, 0.5, 10.0, STD) > 0.0
 
 
 def test_radii_case2_swap_symmetry():
     gv, fn = 3.0, 1.4
-    r1, r2 = select_radii_case2(gv, 2.0, 5.0, fn, STD)
-    s1, s2 = select_radii_case2(gv, 5.0, 2.0, fn, STD)
+    r1, r2 = balanced_radii(gv / fn ** 2, 2.0, 5.0, STD)
+    s1, s2 = balanced_radii(gv / fn ** 2, 5.0, 2.0, STD)
     # swapping n1 and n2 swaps the roles of r1^(-m/p) and r2^(-n/p)
     assert r1 ** (-STD.m / STD.p) == pytest.approx(s2 ** (-STD.n / STD.p), rel=1e-12)
     assert r2 ** (-STD.n / STD.p) == pytest.approx(s1 ** (-STD.m / STD.p), rel=1e-12)
@@ -235,23 +241,23 @@ def test_radii_case2_swap_symmetry():
 def test_radii_reject_degenerate_inputs():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            select_radii_case1(bad, 1.0, 1.0, 1.0, STD)
+            balanced_radii(bad, 1.0, 1.0, STD)
         with pytest.raises(ValueError):
-            select_radii_case2(1.0, bad, 1.0, 1.0, STD)
+            balanced_radii(1.0, bad, 1.0, STD)
 
 
 @settings(max_examples=80, deadline=None)
 @given(mf=positive, n1=positive, n2=positive, fn=positive)
 def test_case1_balancing_identities(mf, n1, n2, fn):
     e = STD
-    r1, r2 = select_radii_case1(mf, n1, n2, fn, e)
+    r1, r2 = balanced_radii(mf / fn, n1, n2, e)
     assert r1 ** (-e.m / e.p) * r2 ** (-e.n / e.p) == pytest.approx(mf / fn, rel=1e-12)
     assert r1 ** (-e.m / e.p) / r2 ** (-e.n / e.p) == pytest.approx(n1 / n2, rel=1e-12)
     # both sides of the balancing equation agree and collapse
     lhs = mf * r1 ** e.alpha * r2 ** e.beta
     rhs = fn * r1 ** (e.alpha - e.m / e.p) * r2 ** (e.beta - e.n / e.p)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert lhs == pytest.approx(final_bound_case1(mf, fn, e), rel=1e-12)
+    assert lhs == pytest.approx(final_bound(mf, fn, 1, e), rel=1e-12)
     # mixed-bound common value in terms of the computed quantities
     g = n1 * n2
     mixed = n1 * r1 ** e.alpha * r2 ** (e.beta - e.n / e.p)
@@ -263,19 +269,67 @@ def test_case1_balancing_identities(mf, n1, n2, fn):
 @given(gv=positive, n1=positive, n2=positive, fn=positive)
 def test_case2_balancing_identities(gv, n1, n2, fn):
     e = STD
-    r1, r2 = select_radii_case2(gv, n1, n2, fn, e)
+    r1, r2 = balanced_radii(gv / fn ** 2, n1, n2, e)
     assert r1 ** (-e.m / e.p) * r2 ** (-e.n / e.p) == pytest.approx(gv / fn ** 2, rel=1e-12)
     lhs = (gv / fn) * r1 ** e.alpha * r2 ** e.beta
     rhs = fn * r1 ** (e.alpha - e.m / e.p) * r2 ** (e.beta - e.n / e.p)
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert lhs == pytest.approx(final_bound_case2(gv, fn, e), rel=1e-12)
+    assert lhs == pytest.approx(final_bound(gv, fn, 2, e), rel=1e-12)
 
 
 def test_substituted_radii_make_est_ratio_one():
-    r1, r2 = select_radii_case1(2.0, 3.0, 0.5, 1.25, STD)
+    r1, r2 = balanced_radii(2.0 / 1.25, 3.0, 0.5, STD)
     lhs = 2.0 * r1 ** STD.alpha * r2 ** STD.beta
     rhs = 1.25 * r1 ** (STD.alpha - 1 / STD.p) * r2 ** (STD.beta - 1 / STD.p)
     assert lhs / rhs == pytest.approx(1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------- one closed form per step
+
+# balanced exponents alpha = m/2, beta = n/2 at every block-rank pair
+BALANCED = [Exponents.from_balance(m, n, m / 2, n / 2, p)
+            for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)) for p in (4 / 3, 1.5)]
+
+
+@pytest.mark.parametrize("e", BALANCED, ids=lambda e: f"m{e.m}-n{e.n}-p{e.p:.3f}")
+def test_closed_forms_equal_the_per_case_formulas(e):
+    # the per-region and per-case formulas, written out, against the one
+    # closed form of each step, bit for bit
+    rng = np.random.default_rng(10 * e.m + e.n)
+    inv_pc = 1.0 / e.p_conjugate
+    ball_x, ball_y = inner_ball_constant(e.m, e.alpha), inner_ball_constant(e.n, e.beta)
+    tail_x = tail_integral_constant(e.m, e.tail_exponent_x)
+    tail_y = tail_integral_constant(e.n, e.tail_exponent_y)
+    out_x, out_y = e.alpha - e.m / e.p, e.beta - e.n / e.p
+    pq = e.p / e.q
+    for _ in range(50):
+        mf, gv, n1, n2, fn = 10.0 ** rng.uniform(-3, 3, 5)
+        for case_id, value, ratio, final in ((1, mf, mf / fn, mf ** pq * fn ** (1.0 - pq)),
+                                             (2, gv, gv / fn ** 2,
+                                              gv ** pq * fn ** (1.0 - 2.0 * pq))):
+            b = n1 / n2
+            r1 = (ratio * b) ** (-e.p / (2.0 * e.m))
+            r2 = (ratio / b) ** (-e.p / (2.0 * e.n))
+            assert balanced_radii(value / fn ** case_id, n1, n2, e) == (r1, r2)
+            assert final_bound(value, fn, case_id, e) == final
+            assert region_limits(mf, n1, n2, fn, r1, r2, e) == {
+                "region11": ball_x * ball_y * mf * r1 ** e.alpha * r2 ** e.beta,
+                "region12": ball_x * tail_y ** inv_pc * n1 * r1 ** e.alpha * r2 ** out_y,
+                "region21": ball_y * tail_x ** inv_pc * n2 * r1 ** out_x * r2 ** e.beta,
+                "region22": (tail_x * tail_y) ** inv_pc * fn * r1 ** out_x * r2 ** out_y}
+
+
+def test_final_bound_rejects_unknown_case():
+    with pytest.raises(ValueError, match="case_id"):
+        final_bound(1.0, 1.0, 3, STD)
+
+
+def test_region_limits_reject_degenerate_inputs():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            region_limits(1.0, 1.0, 1.0, 1.0, bad, 1.0, STD)
+        with pytest.raises(ValueError):
+            region_limits(1.0, 1.0, 1.0, bad, 1.0, 1.0, STD)
 
 
 # ---------------------------------------------------------------- certificates
@@ -304,9 +358,9 @@ def test_certificate_case_rule():
         case1 = cert.g_value <= cert.m_value * cert.f_norm
         assert cert.case_id == (1 if case1 else 2)
         if cert.case_id == 1:
-            expected = final_bound_case1(cert.m_value, cert.f_norm, STD)
+            expected = final_bound(cert.m_value, cert.f_norm, 1, STD)
         else:
-            expected = final_bound_case2(cert.g_value, cert.f_norm, STD)
+            expected = final_bound(cert.g_value, cert.f_norm, 2, STD)
         assert cert.final_bound == pytest.approx(expected, rel=1e-12)
 
 
@@ -372,6 +426,50 @@ def test_certificate_region_checks_recorded():
         assert value <= cert.slack_factors[name] * cert.region_limits[name] * (1 + 1e-9)
 
 
+def brute_force_regions(f, exps, point, r1, r2):
+    """The four region sums at ``point`` by a loop over every kernel offset."""
+    grid = f.grid
+    N = grid.points_per_axis
+    centers = (np.arange(N) + 0.5) * grid.spacing - grid.half_width
+    sums = {"t11": 0.0, "t12": 0.0, "t21": 0.0, "t22": 0.0}
+    for offset in itertools.product(range(N), repeat=grid.rank):
+        sample = tuple(i - j + N // 2 for i, j in zip(point, offset))
+        if not all(0 <= t < N for t in sample):
+            continue
+        u = math.hypot(*centers[list(offset[:grid.m])])
+        v = math.hypot(*centers[list(offset[grid.m:])])
+        term = (f.values[sample] * u ** (exps.alpha - exps.m) * v ** (exps.beta - exps.n)
+                * grid.cell_volume)
+        sums[f"t{1 if u <= r1 else 2}{1 if v <= r2 else 2}"] += term
+    return sums
+
+
+def test_certificate_regions_and_radii_match_a_brute_force_split():
+    # every recorded region sum is the split at the recorded radii, and the
+    # recorded radii satisfy the balancing identities of their case; nodes
+    # with both radii past the box put every offset in region 11, so only
+    # nodes with a radius inside the box are checked
+    cases = set()
+    for m, n, N in ((1, 1, 16), (2, 1, 8)):
+        grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+        e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+        f = make_family("tensor-box", grid)(1.0, 1.0)
+        ctx = prepare_certification(f, e)
+        certs = [certify_point(ctx, pt) for pt in itertools.product(range(0, N, 2), repeat=m + n)]
+        certs = [c for c in certs if min(c.r1, c.r2) < grid.half_width]
+        assert len(certs) >= 16
+        for cert in certs:
+            cases.add(cert.case_id)
+            for name, want in brute_force_regions(f, e, cert.point, cert.r1, cert.r2).items():
+                assert abs(getattr(cert.regions, name) - want) <= 1e-12 * want, (cert.point, name)
+            inner_x, inner_y = cert.r1 ** (-e.m / e.p), cert.r2 ** (-e.n / e.p)
+            ratio = (cert.m_value / cert.f_norm if cert.case_id == 1
+                     else cert.g_value / cert.f_norm ** 2)
+            assert inner_x * inner_y == pytest.approx(ratio, rel=1e-12, abs=0.0)
+            assert inner_x / inner_y == pytest.approx(cert.n1 / cert.n2, rel=1e-12, abs=0.0)
+    assert cases == {1, 2}
+
+
 def violation_setup(case_id):
     """A context and the unpatched certificate at a node of the requested
     case whose four region sums are all positive."""
@@ -389,14 +487,22 @@ def violation_setup(case_id):
 TINY_LIMIT = 1e-300
 
 
+def shrink_limit(monkeypatch, name):
+    """Make ``hedberg.region_limits`` return TINY_LIMIT for one region."""
+    real = hedberg.region_limits
+    monkeypatch.setattr(hedberg, "region_limits",
+                        lambda *args: {**real(*args), name: TINY_LIMIT})
+
+
+REGIONS = ("region11", "region12", "region21", "region22")
+
+
 @pytest.mark.parametrize("case_id", [1, 2])
-@pytest.mark.parametrize("name, bound", [("region11", "bound_region11"),
-                                         ("region12", "bound_region12"),
-                                         ("region21", "bound_region21"),
-                                         ("region22", "bound_region22")])
-def test_region_violation_diagnostics(monkeypatch, case_id, name, bound):
+# the ids keep the test names the suite has always reported
+@pytest.mark.parametrize("name", REGIONS, ids=[f"{r}-bound_{r}" for r in REGIONS])
+def test_region_violation_diagnostics(monkeypatch, case_id, name):
     ctx, cert = violation_setup(case_id)
-    monkeypatch.setattr(hedberg, bound, lambda *args: TINY_LIMIT)
+    shrink_limit(monkeypatch, name)
     with pytest.raises(CertificateViolation) as info:
         certify_point(ctx, cert.point)
     value = getattr(cert.regions, "t" + name[-2:])
@@ -408,7 +514,7 @@ def test_region_violation_diagnostics(monkeypatch, case_id, name, bound):
 
 def test_mixed_collapse_violation_diagnostics(monkeypatch):
     ctx, cert = violation_setup(1)
-    monkeypatch.setattr(hedberg, "final_bound_case1", lambda *args: TINY_LIMIT)
+    monkeypatch.setattr(hedberg, "final_bound", lambda *args: TINY_LIMIT)
     with pytest.raises(CertificateViolation) as info:
         certify_point(ctx, cert.point)
     mixed = cert.n1 * cert.r1 ** STD.alpha * cert.r2 ** (STD.beta - STD.n / STD.p)
@@ -420,12 +526,12 @@ def test_mixed_collapse_violation_diagnostics(monkeypatch):
 def test_violation_checks_run_in_order(monkeypatch):
     # the region checks run in the order 11, 12, 21, 22, then the mixed collapse
     ctx, cert = violation_setup(1)
-    monkeypatch.setattr(hedberg, "final_bound_case1", lambda *args: TINY_LIMIT)
-    for bound in ("bound_region22", "bound_region21", "bound_region12", "bound_region11"):
-        monkeypatch.setattr(hedberg, bound, lambda *args: TINY_LIMIT)
+    monkeypatch.setattr(hedberg, "final_bound", lambda *args: TINY_LIMIT)
+    for name in ("region22", "region21", "region12", "region11"):
+        shrink_limit(monkeypatch, name)  # each patch wraps the previous one
         with pytest.raises(CertificateViolation) as info:
             certify_point(ctx, cert.point)
-        assert info.value.diagnostics["region"] == "region" + bound[-2:]
+        assert info.value.diagnostics["region"] == name
 
 
 def test_certificate_rejects_inadmissible_exponents():
