@@ -6,25 +6,24 @@ composition of the two partial ones (constant exactly 1 for product
 windows) and the exact factorization of the mixed-norm field's norm.
 """
 
+import math
+
 import numpy as np
 
-from prodhls import (Exponents, ProductGrid, WindowFamily, composition_check,
-                     g_norm_bound, partial_maximal_x, sample_function,
-                     strong_maximal)
+from prodhls import (Exponents, ProductGrid, composition_check, g_norm_bound,
+                     maximal_fields, sample_function)
 
 grid = ProductGrid(m=1, n=1, half_width=1.0, points_per_axis=64)
 exps = Exponents.from_balance(1, 1, alpha=0.5, beta=0.5, p=4 / 3)
-windows = WindowFamily.dyadic(grid)
-print(f"dyadic window radii (cells): "
-      f"{[round(r / grid.spacing) for r in windows.radii]}")
+levels = math.ceil(math.log2(grid.points_per_axis))
+print(f"dyadic window radii (cells): {[2 ** k for k in range(levels + 1)]}")
 
 f = sample_function(grid, lambda x, y: np.exp(-(x ** 2 + 4 * y ** 2) / (2 * 0.15 ** 2)))
-M = strong_maximal(f, windows)
-M1 = partial_maximal_x(f, windows)
+M, M1, _ = maximal_fields(f)
 print(f"\nanisotropic Gaussian: peak f = {f.values.max():.3f}, "
       f"peak M f = {M.values.max():.3f}, peak M1 f = {M1.values.max():.3f}")
 
-rep = composition_check(f, windows)
+rep = composition_check(f)
 print(f"composition check: max M f / M1(M2 f) = {rep.max_ratio:.15f} "
       f"(must not exceed 1)")
 

@@ -25,9 +25,8 @@ from .grid import (GridFunction, ProductGrid, dilate, lp_norm, sample_function,
 from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
                      profile_ball_integral, riesz_kernel, sphere_surface)
 from .convolution import RegionBounds, convolve_direct, convolve_fast, region_split
-from .maximal import (CompositionReport, GNormReport, WindowFamily,
-                      composition_check, g_function, g_norm_bound,
-                      partial_maximal_x, partial_maximal_y, strong_maximal)
+from .maximal import (CompositionReport, GNormReport, composition_check, g_function,
+                      g_norm_bound, maximal_fields, partial_maximal_x, partial_maximal_y)
 from .hedberg import (AdmissibilityReport, CertificateViolation, ExponentError,
                       HedbergCertificate, HedbergContext, balanced_radii,
                       certify_point, check_exponents, final_bound,
@@ -45,7 +44,7 @@ __all__ = [
     "Exponents", "riesz_kernel", "LayerCake", "layer_cake",
     "sphere_surface", "ball_volume", "profile_ball_integral",
     "RegionBounds", "convolve_direct", "convolve_fast", "region_split",
-    "WindowFamily", "strong_maximal", "partial_maximal_x",
+    "maximal_fields", "partial_maximal_x",
     "partial_maximal_y", "composition_check", "CompositionReport",
     "g_function", "g_norm_bound", "GNormReport",
     "AdmissibilityReport", "check_exponents", "ExponentError",

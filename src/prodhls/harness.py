@@ -129,6 +129,8 @@ class ExperimentConfig:
                 exps = Exponents.from_balance(m=grid.m, n=grid.n, **e)
             if not isinstance(raw.get("family", ""), str):
                 raise ConfigError(f"family must be a string, got {raw['family']!r}")
+            if "family" in raw and "families" in raw:
+                raise ConfigError("give either family or families, not both")
             families = raw.get("families")
             if families is None:
                 families = [raw["family"]] if "family" in raw else ["gaussian"]

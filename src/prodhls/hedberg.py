@@ -34,8 +34,7 @@ from .convolution import RegionBounds, region_split
 from .grid import (GridFunction, check_positive, lp_norm, normalize_point, slice_lp_norms_x,
                    slice_lp_norms_y)
 from .kernel import Exponents, check_blocks, profile_ball_integral, sphere_surface
-from .maximal import (WindowFamily, partial_maximal_x, partial_maximal_y,
-                      strong_maximal)
+from .maximal import maximal_fields
 
 __all__ = [
     "ExponentError",
@@ -302,20 +301,20 @@ class HedbergContext:
 
 
 def prepare_certification(f: GridFunction, exps: Exponents) -> HedbergContext:
-    """Precompute the maximal fields and slice norms for a function over
-    the dyadic window family, the family the slack factors reported by
-    :func:`region_slack_factors` are derived for.
+    """Precompute the maximal fields (one pass over the dyadic windows, the
+    family the slack factors reported by :func:`region_slack_factors` are
+    derived for) and the slice norms for a function.
     """
     _require_admissible(exps)
     check_blocks(f.grid, exps)
-    w = WindowFamily.dyadic(f.grid)
+    mf, m1, m2 = maximal_fields(f)
     p = exps.p
     return HedbergContext(
         f=f,
         exps=exps,
-        mf=strong_maximal(f, w),
-        n1=slice_lp_norms_x(partial_maximal_x(f, w), p),
-        n2=slice_lp_norms_y(partial_maximal_y(f, w), p),
+        mf=mf,
+        n1=slice_lp_norms_x(m1, p),
+        n2=slice_lp_norms_y(m2, p),
         f_norm=lp_norm(f, p),
         slack_factors=region_slack_factors(exps),
     )

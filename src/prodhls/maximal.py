@@ -21,8 +21,7 @@ from .grid import GridFunction, ProductGrid, lp_norm, slice_lp_norms_x, slice_lp
 from .kernel import Exponents
 
 __all__ = [
-    "WindowFamily",
-    "strong_maximal",
+    "maximal_fields",
     "partial_maximal_x",
     "partial_maximal_y",
     "composition_check",
@@ -33,43 +32,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WindowFamily:
-    """Finite family of window radii shared by both blocks.
-
-    The canonical family is dyadic: radii ``h * 2^k`` for
-    ``k = 0 .. ceil(log2 N)``, i.e. from the single cell up to a window
-    that covers the whole box from any center.
-    """
-
-    radii: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.radii:
-            raise ValueError("a window family needs at least one radius")
-        if any(not (r > 0 and math.isfinite(r)) for r in self.radii):
-            raise ValueError("window radii must be positive and finite")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("window radii must be strictly increasing")
-
-    @classmethod
-    def dyadic(cls, grid: ProductGrid) -> "WindowFamily":
-        levels = math.ceil(math.log2(grid.points_per_axis))
-        h = grid.spacing
-        return cls(tuple(h * 2.0 ** k for k in range(levels + 1)))
-
-    def cell_radii(self, grid: ProductGrid) -> tuple[int, ...]:
-        """Radii in units of cells; each family radius must be a whole
-        number of cells and at least one cell wide."""
-        out = []
-        h = grid.spacing
-        for r in self.radii:
-            rc = int(round(r / h))
-            if rc < 1 or abs(rc - r / h) > 1e-9 * max(rc, 1):
-                raise ValueError(
-                    f"window radius {r} is not a whole positive number of cells (h = {h})")
-            out.append(rc)
-        return tuple(out)
+def _dyadic_radii(grid: ProductGrid) -> tuple[int, ...]:
+    """Window radii in cells, ``2^k`` for ``k = 0 .. ceil(log2 N)``: from
+    the single cell up to a window that covers the whole box from any
+    center."""
+    return tuple(2 ** k for k in range(math.ceil(math.log2(grid.points_per_axis)) + 1))
 
 
 def _window_rows(dim: int, rc: int) -> list[tuple[int, int]]:
@@ -109,34 +76,43 @@ def _window_sums(vals: np.ndarray, axes: tuple[int, ...], radii: tuple[int, ...]
         yield total, sum(2 * w + 1 for _, w in rows)
 
 
-def strong_maximal(f: GridFunction, w: WindowFamily) -> GridFunction:
-    """Supremum of product-window averages of ``f`` at every cell."""
+def maximal_fields(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:
+    """Strong maximal M f and the partial maximals M1 f (x-block windows)
+    and M2 f (y-block windows) of ``f``, from one pass over the product
+    windows.  The smallest window on a block is the cell itself, so the
+    windows with a one-cell y-factor give M1 f and those with a one-cell
+    x-factor give M2 f."""
     grid = f.grid
-    radii = w.cell_radii(grid)
-    best = np.zeros(grid.shape)
-    for y_sum, count_y in _window_sums(f.values, tuple(range(grid.m, grid.rank)), radii):
-        for total, count_x in _window_sums(y_sum, tuple(range(grid.m)), radii):
-            np.maximum(best, total / (count_x * count_y), out=best)
-    return GridFunction(grid, best)
+    radii = _dyadic_radii(grid)
+    mf, m1, m2 = (np.zeros(grid.shape) for _ in range(3))
+    x_axes, y_axes = tuple(range(grid.m)), tuple(range(grid.m, grid.rank))
+    for ky, (y_sum, count_y) in enumerate(_window_sums(f.values, y_axes, radii)):
+        for kx, (total, count_x) in enumerate(_window_sums(y_sum, x_axes, radii)):
+            total /= count_x * count_y
+            np.maximum(mf, total, out=mf)
+            if ky == 0:
+                np.maximum(m1, total, out=m1)
+            if kx == 0:
+                np.maximum(m2, total, out=m2)
+    return GridFunction(grid, mf), GridFunction(grid, m1), GridFunction(grid, m2)
 
 
-def _partial_maximal(f: GridFunction, w: WindowFamily,
-                     axes: tuple[int, ...]) -> GridFunction:
+def _partial_maximal(f: GridFunction, axes: tuple[int, ...]) -> GridFunction:
     """Maximal averages over windows on the block spanned by ``axes``."""
     best = np.zeros(f.grid.shape)
-    for total, count in _window_sums(f.values, axes, w.cell_radii(f.grid)):
+    for total, count in _window_sums(f.values, axes, _dyadic_radii(f.grid)):
         np.maximum(best, total / count, out=best)
     return GridFunction(f.grid, best)
 
 
-def partial_maximal_x(f: GridFunction, w: WindowFamily) -> GridFunction:
+def partial_maximal_x(f: GridFunction) -> GridFunction:
     """Maximal averages over x-block windows with the y-variables frozen."""
-    return _partial_maximal(f, w, tuple(range(f.grid.m)))
+    return _partial_maximal(f, tuple(range(f.grid.m)))
 
 
-def partial_maximal_y(f: GridFunction, w: WindowFamily) -> GridFunction:
+def partial_maximal_y(f: GridFunction) -> GridFunction:
     """Maximal averages over y-block windows with the x-variables frozen."""
-    return _partial_maximal(f, w, tuple(range(f.grid.m, f.grid.rank)))
+    return _partial_maximal(f, tuple(range(f.grid.m, f.grid.rank)))
 
 
 @dataclass(frozen=True)
@@ -151,15 +127,15 @@ class CompositionReport:
         return self.max_ratio <= 1.0 + 1e-12
 
 
-def composition_check(f: GridFunction, w: WindowFamily) -> CompositionReport:
+def composition_check(f: GridFunction) -> CompositionReport:
     """Verify pointwise domination of the strong maximal by the composition.
 
     Because every product window is the product of its per-block
     windows, the domination constant here is exactly 1, which the
     returned maximal ratio makes observable.
     """
-    strong = strong_maximal(f, w).values
-    composed = partial_maximal_x(partial_maximal_y(f, w), w).values
+    mf, _, m2 = maximal_fields(f)
+    strong, composed = mf.values, partial_maximal_x(m2).values
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(composed > 0.0, strong / composed,
                          np.where(strong == 0.0, 1.0, np.inf))
@@ -168,13 +144,13 @@ def composition_check(f: GridFunction, w: WindowFamily) -> CompositionReport:
     return CompositionReport(max_ratio=float(ratio.flat[flat]), worst_point=worst)
 
 
-def g_function(f: GridFunction, exps: Exponents, w: WindowFamily) -> GridFunction:
+def g_function(f: GridFunction, exps: Exponents) -> GridFunction:
     """Mixed-norm field: y-slice norm of M1 f times x-slice norm of M2 f.
 
     The output factors exactly as the outer product of an x-block grid
     and a y-block grid.
     """
-    return _g_field(partial_maximal_x(f, w), partial_maximal_y(f, w), exps.p)
+    return _g_field(partial_maximal_x(f), partial_maximal_y(f), exps.p)
 
 
 def _g_field(m1: GridFunction, m2: GridFunction, p: float) -> GridFunction:
@@ -201,8 +177,7 @@ class GNormReport:
         return self.g_norm / self.f_norm_squared if self.f_norm > 0.0 else 0.0
 
 
-def g_norm_bound(f: GridFunction, exps: Exponents,
-                 w: WindowFamily | None = None) -> GNormReport:
+def g_norm_bound(f: GridFunction, exps: Exponents) -> GNormReport:
     """Compute the norm of the mixed-norm field and its ratio to ||f||^2.
 
     The full norm of the field equals the product of the full norms of
@@ -210,11 +185,9 @@ def g_norm_bound(f: GridFunction, exps: Exponents,
     ratio to ||f||^2 is then controlled by the one-block maximal bounds
     and stays stable across dilation families.
     """
-    if w is None:
-        w = WindowFamily.dyadic(f.grid)
     p = exps.p
-    m1 = partial_maximal_x(f, w)
-    m2 = partial_maximal_y(f, w)
+    m1 = partial_maximal_x(f)
+    m2 = partial_maximal_y(f)
     return GNormReport(
         g_norm=lp_norm(_g_field(m1, m2, p), p),
         f_norm=lp_norm(f, p),

@@ -12,9 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from prodhls import (Exponents, GridFunction, ProductGrid, WindowFamily,
-                     composition_check, convolve_direct, convolve_fast,
-                     g_norm_bound, layer_cake, make_family,
+from prodhls import (Exponents, GridFunction, ProductGrid, composition_check,
+                     convolve_direct, convolve_fast, g_norm_bound, layer_cake, make_family,
                      region_split, riesz_kernel, balanced_radii, final_bound)
 from prodhls.harness import (ExperimentConfig, run_necessity_sweep,
                              run_norm_check, run_pointwise_campaign,
@@ -90,7 +89,7 @@ def test_criterion_3_maximal_composition():
     for _family, _s, _t, f in _suite_instances():
         if not np.any(f.values):
             continue
-        rep = composition_check(f, WindowFamily.dyadic(f.grid))
+        rep = composition_check(f)
         worst = max(worst, rep.max_ratio)
     report(3, worst <= 1.0 + 1e-12,
            f"strong maximal vs composed partial maximals: max ratio {worst:.15f}")

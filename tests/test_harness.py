@@ -128,6 +128,7 @@ def test_config_rejects_missing_q_when_unbalanced():
     (lambda raw: raw.update(families=[["gaussian"]]), "families must be a list of strings"),
     (lambda raw: (raw.pop("families"), raw.update(family=["gaussian"])),
      "family must be a string"),
+    (lambda raw: raw.update(family="spike"), "either family or families"),
 ], ids=["top-level", "grid", "exponents", "tolerance-key", "family-param-key",
         "family-params-family", "family-param-of-other-family", "family-params-list",
         "inf-tolerance", "nan-tolerance", "string-tolerance", "inf-family-param",
@@ -135,7 +136,8 @@ def test_config_rejects_missing_q_when_unbalanced():
         "inf-dilation", "float-points", "float-m", "float-seed", "inf-seed", "negative-seed",
         "float-stride", "bool-stride", "empty-families", "bool-half-width",
         "string-half-width", "string-alpha", "string-p", "string-q", "bool-dilation",
-        "string-dilation", "string-families", "nested-families", "list-family"])
+        "string-dilation", "string-families", "nested-families", "list-family",
+        "family-and-families"])
 def test_config_rejects_malformed(edit, message):
     raw = small_config()
     edit(raw)

@@ -1,5 +1,6 @@
 """Certification engine: admissibility, constants, radii, certificates."""
 
+import inspect
 import itertools
 import json
 import math
@@ -347,6 +348,33 @@ def test_certificate_gaussian_origin_cell():
     assert math.isfinite(cert.ratio)
     assert 0 < cert.ratio < 16.0  # suite constant is O(10)
     assert cert.lhs <= 16.0 * cert.final_bound
+
+
+def test_prepare_certification_makes_one_maximal_call_per_instance(monkeypatch):
+    import prodhls.harness as harness
+    import prodhls.maximal as maximal
+    events = []
+
+    def counted(name, inner):
+        def call(*args, **kwargs):
+            events.append(name)
+            return inner(*args, **kwargs)
+        return call
+
+    for name in maximal.__all__:
+        fn = getattr(maximal, name)
+        if inspect.isfunction(fn):  # every binding of it, inside maximal too
+            for module in (maximal, hedberg):
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted(name, fn))
+    monkeypatch.setattr(harness, "prepare_certification",
+                        counted("prepare", harness.prepare_certification))
+    cfg = ExperimentConfig.from_dict({
+        "grid": {"m": 2, "n": 1, "half_width": 1.0, "points_per_axis": 8},
+        "exponents": {"alpha": 1.0, "beta": 0.5, "p": 4 / 3},
+        "families": ["gaussian", "box"], "dilations": [[1.0, 1.0], [2.0, 2.0]]})
+    harness.run_pointwise_campaign(cfg)
+    assert events == ["prepare", "maximal_fields"] * 4
 
 
 def test_certificate_case_rule():

@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from prodhls import (Exponents, GridFunction, ProductGrid, WindowFamily,
-                     composition_check, g_function, g_norm_bound, lp_norm,
+from prodhls import (Exponents, GridFunction, ProductGrid, composition_check,
+                     g_function, g_norm_bound, lp_norm, maximal_fields,
                      partial_maximal_x, partial_maximal_y, sample_function,
-                     slice_lp_norms_x, slice_lp_norms_y, strong_maximal)
+                     slice_lp_norms_x, slice_lp_norms_y)
+from prodhls.maximal import _dyadic_radii, _window_sums
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
 
@@ -22,11 +23,15 @@ def random_function(grid, seed=0):
     return GridFunction(grid, rng.uniform(0.0, 1.0, size=grid.shape))
 
 
-def brute_strong(f, w):
+def strong_field(f):
+    return maximal_fields(f)[0].values
+
+
+def brute_strong(f):
     """Exhaustive enumeration over all window pairs, 1-d blocks."""
     g = f.grid
     N = g.points_per_axis
-    radii = w.cell_radii(g)
+    radii = _dyadic_radii(g)
     out = np.zeros(g.shape)
     for i in range(N):
         for j in range(N):
@@ -41,10 +46,10 @@ def brute_strong(f, w):
     return out
 
 
-def brute_partial_x(f, w):
+def brute_partial_x(f):
     g = f.grid
     N = g.points_per_axis
-    radii = w.cell_radii(g)
+    radii = _dyadic_radii(g)
     out = np.zeros(g.shape)
     for i in range(N):
         for j in range(N):
@@ -59,29 +64,10 @@ def brute_partial_x(f, w):
 # ---------------------------------------------------------------- window family
 
 def test_dyadic_family_shape():
-    g = grid_1x1(N=128)
-    w = WindowFamily.dyadic(g)
-    h = g.spacing
-    assert w.radii[0] == pytest.approx(h)
-    assert w.radii[-1] >= g.half_width
-    for a, b in zip(w.radii, w.radii[1:]):
-        assert b == pytest.approx(2 * a)
-
-
-def test_family_validation():
-    with pytest.raises(ValueError):
-        WindowFamily(radii=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        WindowFamily(radii=(1.0, 0.5))
-    with pytest.raises(ValueError):
-        WindowFamily(radii=())
-
-
-def test_non_cell_aligned_radius_rejected():
-    g = grid_1x1(N=8)
-    w = WindowFamily(radii=(g.spacing * 1.4,))
-    with pytest.raises(ValueError):
-        strong_maximal(random_function(g), w)
+    # radii in cells from the single cell up to a window over the whole box
+    assert _dyadic_radii(grid_1x1(N=128)) == (1, 2, 4, 8, 16, 32, 64, 128)
+    assert _dyadic_radii(grid_1x1(N=6)) == (1, 2, 4, 8)
+    assert _dyadic_radii(grid_1x1(N=48)) == (1, 2, 4, 8, 16, 32, 64)
 
 
 # ---------------------------------------------------------------- strong maximal
@@ -90,31 +76,27 @@ def test_constant_function_center_value():
     # away from clipping, averages of a constant are the constant
     g = grid_1x1(N=32)
     f = GridFunction(g, np.full(g.shape, 3.25))
-    w = WindowFamily.dyadic(g)
-    M = strong_maximal(f, w)
+    M = strong_field(f)
     center = (16, 16)
-    assert M.values[center] == pytest.approx(3.25, rel=1e-13)
+    assert M[center] == pytest.approx(3.25, rel=1e-13)
     # boundary clipping can only lower the sup below the constant
-    assert np.all(M.values <= 3.25 * (1 + 1e-13))
+    assert np.all(M <= 3.25 * (1 + 1e-13))
 
 
-def test_strong_maximal_spike_matches_brute_force():
+def test_strong_field_spike_matches_brute_force():
     g = grid_1x1(N=12)
     vals = np.zeros(g.shape)
     vals[4, 7] = 1.0
     f = GridFunction(g, vals)
-    w = WindowFamily.dyadic(g)
-    assert np.allclose(strong_maximal(f, w).values, brute_strong(f, w),
-                       rtol=1e-12, atol=0.0)
+    assert np.allclose(strong_field(f), brute_strong(f), rtol=1e-12, atol=0.0)
 
 
-def test_strong_maximal_random_matches_brute_force():
+def test_strong_field_random_matches_brute_force():
     for N in (12, 16):
         g = grid_1x1(N=N)
         f = random_function(g, seed=1)
-        w = WindowFamily.dyadic(g)
-        brute = brute_strong(f, w)
-        assert np.max(np.abs(strong_maximal(f, w).values - brute) / brute) <= 1e-12
+        brute = brute_strong(f)
+        assert np.max(np.abs(strong_field(f) - brute) / brute) <= 1e-12
 
 
 def test_reflection_symmetry():
@@ -124,7 +106,7 @@ def test_reflection_symmetry():
     vals = np.concatenate([half, half[::-1, ::-1]], axis=0)
     vals = vals + vals[::-1, ::-1]  # symmetric under (x, y) -> (-x, -y)
     f = GridFunction(g, vals)
-    M = strong_maximal(f, WindowFamily.dyadic(g)).values
+    M = strong_field(f)
     assert np.allclose(M, M[::-1, ::-1], rtol=1e-13)
 
 
@@ -132,27 +114,23 @@ def test_dominates_pointwise_value():
     # the single-cell window is in the family, so domination is exact
     g = grid_1x1(N=16)
     f = random_function(g, seed=3)
-    M = strong_maximal(f, WindowFamily.dyadic(g)).values
-    assert np.all(M >= f.values)
+    assert np.all(strong_field(f) >= f.values)
 
 
 def test_positive_homogeneity():
     g = grid_1x1(N=16)
     f = random_function(g, seed=4)
-    w = WindowFamily.dyadic(g)
     c = 3.7
     scaled = GridFunction(g, c * f.values)
-    assert np.allclose(strong_maximal(scaled, w).values,
-                       c * strong_maximal(f, w).values, rtol=1e-13)
+    assert np.allclose(strong_field(scaled), c * strong_field(f), rtol=1e-13)
 
 
-def test_strong_maximal_2d_block_matches_brute_force():
+def test_strong_field_2d_block_matches_brute_force():
     # m = 2, n = 1: x-windows are Euclidean discs of cells
     g = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=6)
     rng = np.random.default_rng(5)
     f = GridFunction(g, rng.uniform(0, 1, g.shape))
-    w = WindowFamily.dyadic(g)
-    radii = w.cell_radii(g)
+    radii = _dyadic_radii(g)
     N = 6
     out = np.zeros(g.shape)
     for i1 in range(N):
@@ -171,8 +149,7 @@ def test_strong_maximal_2d_block_matches_brute_force():
                                 total += float(f.values[a, b, ys].sum())
                         best = max(best, total / (len(disc) * (2 * ry - 1)))
                 out[i1, i2, j] = best
-    M = strong_maximal(f, w).values
-    assert np.max(np.abs(M - out) / out) <= 1e-12
+    assert np.max(np.abs(strong_field(f) - out) / out) <= 1e-12
 
 
 def block_windows(dim, N, rc):
@@ -189,26 +166,72 @@ def block_windows(dim, N, rc):
 @pytest.mark.parametrize("m, n", [(2, 1), (1, 2), (2, 2)])
 def test_disc_windows_match_brute_force(m, n):
     # N = 6: the largest dyadic radius (8 cells) puts whole disc rows
-    # outside the box, which add nothing but still count; each radius is
-    # also checked alone, since the largest window rarely attains the sup
+    # outside the box, which add nothing but still count; each radius pair
+    # is also checked alone, since the largest window rarely attains the sup
     N = 6
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = GridFunction(g, np.random.default_rng(10 * m + n).uniform(0, 1, g.shape))
-    dyadic = WindowFamily.dyadic(g)
-    assert dyadic.cell_radii(g)[-1] > N
+    radii = _dyadic_radii(g)
+    assert radii[-1] > N
     F = f.values.reshape(N ** m, N ** n)
-    for w in [dyadic] + [WindowFamily(radii=(r,)) for r in dyadic.radii]:
-        radii = w.cell_radii(g)
-        x_windows = [block_windows(m, N, rc) for rc in radii]
-        y_windows = [block_windows(n, N, rc) for rc in radii]
-        strong = np.max([Wx @ F @ Wy.T / (cx * cy)
-                         for Wx, cx in x_windows for Wy, cy in y_windows], axis=0)
-        m1 = np.max([Wx @ F / cx for Wx, cx in x_windows], axis=0)
-        m2 = np.max([F @ Wy.T / cy for Wy, cy in y_windows], axis=0)
-        for op, brute in ((strong_maximal, strong), (partial_maximal_x, m1),
-                          (partial_maximal_y, m2)):
-            got = op(f, w).values.reshape(F.shape)
-            assert np.max(np.abs(got - brute) / brute) <= 1e-12
+    x_windows = [block_windows(m, N, rc) for rc in radii]
+    y_windows = [block_windows(n, N, rc) for rc in radii]
+    products = []
+    y_sums = _window_sums(f.values, tuple(range(m, m + n)), radii)
+    for (y_sum, count_y), (Wy, cy) in zip(y_sums, y_windows, strict=True):
+        x_sums = _window_sums(y_sum, tuple(range(m)), radii)
+        for (total, count_x), (Wx, cx) in zip(x_sums, x_windows, strict=True):
+            assert (count_x, count_y) == (cx, cy)
+            products.append(Wx @ F @ Wy.T / (cx * cy))
+            got = total.reshape(F.shape) / (count_x * count_y)
+            assert np.max(np.abs(got - products[-1]) / products[-1]) <= 1e-12
+    strong = np.max(products, axis=0)
+    m1 = np.max([Wx @ F / cx for Wx, cx in x_windows], axis=0)
+    m2 = np.max([F @ Wy.T / cy for Wy, cy in y_windows], axis=0)
+    for got, brute in zip(maximal_fields(f), (strong, m1, m2)):
+        assert np.max(np.abs(got.values.reshape(F.shape) - brute) / brute) <= 1e-12
+
+
+def separate_strong_pass(f):
+    """M f from a double loop of its own over the window sums, apart from
+    the partial maximals."""
+    g = f.grid
+    radii = _dyadic_radii(g)
+    best = np.zeros(g.shape)
+    for y_sum, count_y in _window_sums(f.values, tuple(range(g.m, g.rank)), radii):
+        for total, count_x in _window_sums(y_sum, tuple(range(g.m)), radii):
+            np.maximum(best, total / (count_x * count_y), out=best)
+    return best
+
+
+def sampled_input(g, kind):
+    rng = np.random.default_rng(g.rank * 100 + g.points_per_axis)
+    if kind == "uniform":
+        return GridFunction(g, rng.uniform(0, 1, g.shape))
+    if kind == "sparse":  # about 80% of the cells are zero
+        return GridFunction(g, rng.uniform(0, 1, g.shape) * (rng.uniform(0, 1, g.shape) < 0.2))
+    return sample_function(g, lambda *xs: np.exp(
+        -sum((k + 1) * x ** 2 for k, x in enumerate(xs)) / (2 * 0.3 ** 2)))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "sparse", "gaussian"])
+@pytest.mark.parametrize("N", [6, 8, 12, 16])
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_maximal_fields_match_the_separate_passes(m, n, N, kind):
+    # N = 6: the largest window reaches past the box on every side
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    f = sampled_input(g, kind)
+    mf, m1, m2 = maximal_fields(f)
+    assert m1.values.tobytes() == partial_maximal_x(f).values.tobytes()
+    assert m2.values.tobytes() == partial_maximal_y(f).values.tobytes()
+    assert mf.values.tobytes() == separate_strong_pass(f).tobytes()
+    # and the strong pass against exhaustive product windows
+    F = f.values.reshape(N ** m, N ** n)
+    x_windows = [block_windows(m, N, rc) for rc in _dyadic_radii(g)]
+    y_windows = [block_windows(n, N, rc) for rc in _dyadic_radii(g)]
+    brute = np.max([Wx @ F @ Wy.T / (cx * cy)
+                    for Wx, cx in x_windows for Wy, cy in y_windows], axis=0)
+    assert np.allclose(mf.values.reshape(F.shape), brute, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------- partial maximal
@@ -219,13 +242,12 @@ def test_partial_tensor_factorization():
     a = rng.uniform(0.1, 1.0, 16)
     b = rng.uniform(0.1, 1.0, 16)
     f = GridFunction(g, np.outer(a, b))
-    w = WindowFamily.dyadic(g)
-    m1 = partial_maximal_x(f, w).values
+    m1 = partial_maximal_x(f).values
     # one-dimensional maximal of the x-profile, computed by enumeration
     m1a = np.zeros(16)
     for i in range(16):
         best = 0.0
-        for rx in w.cell_radii(g):
+        for rx in _dyadic_radii(g):
             xs = slice(max(i - rx + 1, 0), min(i + rx, 16))
             best = max(best, a[xs].sum() / (2 * rx - 1))
         m1a[i] = best
@@ -235,21 +257,19 @@ def test_partial_tensor_factorization():
 def test_partial_constant_center():
     g = grid_1x1(N=32)
     f = GridFunction(g, np.ones(g.shape))
-    w = WindowFamily.dyadic(g)
-    assert partial_maximal_x(f, w).values[16, 16] == pytest.approx(1.0, rel=1e-13)
-    assert partial_maximal_y(f, w).values[16, 16] == pytest.approx(1.0, rel=1e-13)
+    assert partial_maximal_x(f).values[16, 16] == pytest.approx(1.0, rel=1e-13)
+    assert partial_maximal_y(f).values[16, 16] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_partial_matches_brute_force():
     g = grid_1x1(N=16)
     f = random_function(g, seed=7)
-    w = WindowFamily.dyadic(g)
-    brute = brute_partial_x(f, w)
-    assert np.max(np.abs(partial_maximal_x(f, w).values - brute) / brute) <= 1e-12
+    brute = brute_partial_x(f)
+    assert np.max(np.abs(partial_maximal_x(f).values - brute) / brute) <= 1e-12
     # the y-direction mirrors the x-direction on the transpose
     ft = GridFunction(g, f.values.T.copy())
-    assert np.allclose(partial_maximal_y(f, w).values,
-                       partial_maximal_x(ft, w).values.T, rtol=1e-13)
+    assert np.allclose(partial_maximal_y(f).values,
+                       partial_maximal_x(ft).values.T, rtol=1e-13)
 
 
 # ---------------------------------------------------------------- composition
@@ -257,33 +277,30 @@ def test_partial_matches_brute_force():
 def test_composition_constant():
     g = grid_1x1(N=16)
     f = GridFunction(g, np.full(g.shape, 2.0))
-    rep = composition_check(f, WindowFamily.dyadic(g))
+    rep = composition_check(f)
     assert rep.max_ratio <= 1 + 1e-12
     # both sides equal the constant at the box center
-    w = WindowFamily.dyadic(g)
-    strong = strong_maximal(f, w).values[8, 8]
-    comp = partial_maximal_x(partial_maximal_y(f, w), w).values[8, 8]
+    strong = strong_field(f)[8, 8]
+    comp = partial_maximal_x(partial_maximal_y(f)).values[8, 8]
     assert strong == pytest.approx(comp, rel=1e-13)
 
 
 def test_composition_spike_and_random():
     g = grid_1x1(N=16)
-    w = WindowFamily.dyadic(g)
     vals = np.zeros(g.shape)
     vals[3, 12] = 5.0
     for f in (GridFunction(g, vals), random_function(g, seed=8),
               random_function(g, seed=9)):
-        rep = composition_check(f, w)
+        rep = composition_check(f)
         assert rep.max_ratio <= 1 + 1e-12
 
 
 def test_composition_brute_force_both_sides():
     g = grid_1x1(N=10)
     f = random_function(g, seed=10)
-    w = WindowFamily.dyadic(g)
-    strong = brute_strong(f, w)
-    m2 = partial_maximal_y(f, w)
-    comp = brute_partial_x(m2, w)
+    strong = brute_strong(f)
+    m2 = partial_maximal_y(f)
+    comp = brute_partial_x(m2)
     assert np.all(strong <= comp * (1 + 1e-12))
 
 
@@ -292,7 +309,7 @@ def test_composition_brute_force_both_sides():
 def test_g_zero():
     g = grid_1x1(N=8)
     f = GridFunction(g, np.zeros(g.shape))
-    G = g_function(f, STD, WindowFamily.dyadic(g))
+    G = g_function(f, STD)
     assert np.all(G.values == 0.0)
 
 
@@ -302,30 +319,28 @@ def test_g_tensor_factorization():
     a = rng.uniform(0.1, 1.0, 16)
     b = rng.uniform(0.1, 1.0, 16)
     f = GridFunction(g, np.outer(a, b))
-    w = WindowFamily.dyadic(g)
-    G = g_function(f, STD, w).values
+    G = g_function(f, STD).values
     p = STD.p
-    m1 = partial_maximal_x(f, w)
-    m2 = partial_maximal_y(f, w)
+    m1 = partial_maximal_x(f)
+    m2 = partial_maximal_y(f)
     n1 = slice_lp_norms_x(m1, p)
     n2 = slice_lp_norms_y(m2, p)
     assert np.array_equal(G, np.outer(n1, n2))
     # tensor structure: n1(x) = (M1 a)(x) ||b||_p and n2(y) = (M2 b)(y) ||a||_p
     h = g.spacing
     b_norm = (np.sum(b ** p) * h) ** (1 / p)
-    m1a = brute_partial_x(f, w)[:, 0] / b[0]
+    m1a = brute_partial_x(f)[:, 0] / b[0]
     assert np.allclose(n1, m1a * b_norm, rtol=1e-12)
 
 
 def test_g_matches_oracle_composition():
     g = grid_1x1(N=12)
     f = random_function(g, seed=12)
-    w = WindowFamily.dyadic(g)
     p = STD.p
-    G = g_function(f, STD, w).values
-    m1 = brute_partial_x(f, w)
+    G = g_function(f, STD).values
+    m1 = brute_partial_x(f)
     ft = GridFunction(g, f.values.T.copy())
-    m2 = brute_partial_x(ft, w).T
+    m2 = brute_partial_x(ft).T
     h = g.spacing
     n1 = (np.sum(m1 ** p, axis=1) * h) ** (1 / p)
     n2 = (np.sum(m2 ** p, axis=0) * h) ** (1 / p)
@@ -335,11 +350,10 @@ def test_g_matches_oracle_composition():
 def test_g_quadratic_homogeneity():
     g = grid_1x1(N=16)
     f = random_function(g, seed=13)
-    w = WindowFamily.dyadic(g)
     c = 2.5
     scaled = GridFunction(g, c * f.values)
-    assert np.allclose(g_function(scaled, STD, w).values,
-                       c ** 2 * g_function(f, STD, w).values, rtol=1e-12)
+    assert np.allclose(g_function(scaled, STD).values,
+                       c ** 2 * g_function(f, STD).values, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- G norm bound
@@ -355,22 +369,21 @@ def test_g_norm_bound_computes_each_partial_maximal_once(monkeypatch):
     import prodhls.maximal as maximal
     g = grid_1x1(N=16)
     f = random_function(g, seed=3)
-    w = WindowFamily.dyadic(g)
     calls = {"partial_maximal_x": 0, "partial_maximal_y": 0}
     for name in calls:
         def counted(*args, _inner=getattr(maximal, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
         monkeypatch.setattr(maximal, name, counted)
-    rep = g_norm_bound(f, STD, w)
+    rep = g_norm_bound(f, STD)
     assert calls == {"partial_maximal_x": 1, "partial_maximal_y": 1}
     monkeypatch.undo()
     # the same values as the field and the norms computed separately
     p = STD.p
-    assert rep.g_norm == lp_norm(g_function(f, STD, w), p)
+    assert rep.g_norm == lp_norm(g_function(f, STD), p)
     assert rep.f_norm == lp_norm(f, p)
-    assert rep.m1_norm == lp_norm(partial_maximal_x(f, w), p)
-    assert rep.m2_norm == lp_norm(partial_maximal_y(f, w), p)
+    assert rep.m1_norm == lp_norm(partial_maximal_x(f), p)
+    assert rep.m2_norm == lp_norm(partial_maximal_y(f), p)
 
 
 def test_g_norm_factorization_identity():
@@ -397,7 +410,6 @@ def test_g_norm_tensor_indicator_pinned():
     # maximal norm ratios; with equal factors it is that ratio squared
     g = grid_1x1(N=64)
     f = sample_function(g, lambda x, y: ((np.abs(x) <= 0.5) & (np.abs(y) <= 0.5)).astype(float))
-    w = WindowFamily.dyadic(g)
     rep = g_norm_bound(f, STD)
     r1 = rep.m1_norm / rep.f_norm
     r2 = rep.m2_norm / rep.f_norm
