@@ -6,14 +6,15 @@ and provides:
 
 * quadrature norms, slice norms, and anisotropic dilation of sampled
   functions (:mod:`prodhls.grid`);
-* the kernel and dyadic layer-cake envelopes (:mod:`prodhls.kernel`);
+* the exponent tuple with its admissibility rule, the kernel, and
+  dyadic layer-cake envelopes (:mod:`prodhls.kernel`);
 * direct and FFT convolution plus the four-region split of the
   convolution sum at a point (:mod:`prodhls.convolution`);
 * strong and partial maximal operators over dyadic product windows and
   the mixed-norm field built from them (:mod:`prodhls.maximal`);
-* the pointwise certification engine: admissibility checks, explicit
-  region constants, closed-form balancing radii, and per-point
-  certificates (:mod:`prodhls.hedberg`);
+* the pointwise certification engine: explicit region constants,
+  closed-form balancing radii, and per-point certificates
+  (:mod:`prodhls.hedberg`);
 * experiment campaigns and the CLI harness (:mod:`prodhls.harness`,
   :mod:`prodhls.cli`).
 """
@@ -27,11 +28,10 @@ from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
 from .convolution import RegionBounds, convolve_direct, convolve_fast, region_split
 from .maximal import (CompositionReport, GNormReport, composition_check, g_function,
                       g_norm_bound, maximal_fields, partial_maximal_x, partial_maximal_y)
-from .hedberg import (AdmissibilityReport, CertificateViolation, ExponentError,
-                      HedbergCertificate, HedbergContext, balanced_radii,
-                      certify_point, check_exponents, final_bound,
-                      inner_ball_constant, prepare_certification, region_limits,
-                      region_slack_factors, tail_integral_constant)
+from .hedberg import (CertificateViolation, ExponentError, HedbergCertificate,
+                      HedbergContext, balanced_radii, certify_point, final_bound,
+                      prepare_certification, region_limits, region_slack_factors,
+                      tail_integral_constant)
 from .harness import (ConfigError, ExperimentConfig, make_family,
                       run_necessity_sweep, run_norm_check,
                       run_pointwise_campaign)
@@ -47,8 +47,7 @@ __all__ = [
     "maximal_fields", "partial_maximal_x",
     "partial_maximal_y", "composition_check", "CompositionReport",
     "g_function", "g_norm_bound", "GNormReport",
-    "AdmissibilityReport", "check_exponents", "ExponentError",
-    "CertificateViolation", "inner_ball_constant", "tail_integral_constant",
+    "ExponentError", "CertificateViolation", "tail_integral_constant",
     "region_limits", "region_slack_factors", "balanced_radii", "final_bound",
     "HedbergContext",
     "prepare_certification", "HedbergCertificate", "certify_point",

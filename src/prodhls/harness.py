@@ -20,7 +20,7 @@ from . import __version__
 from .convolution import convolve_fast
 from .grid import GridFunction, ProductGrid, dilate, lp_norm, sample_function
 from .hedberg import (CERTIFICATE_SCHEMA_VERSION, HedbergCertificate,
-                      certify_point, check_exponents, prepare_certification)
+                      certify_point, prepare_certification)
 from .kernel import Exponents, riesz_kernel
 
 __all__ = [
@@ -51,7 +51,7 @@ _FAMILY_PARAMS = {
     "random": {},
 }
 FAMILY_NAMES = tuple(_FAMILY_PARAMS)
-_CONFIG_KEYS = ("grid", "exponents", "families", "family", "family_params",
+_CONFIG_KEYS = ("grid", "exponents", "families", "family_params",
                 "dilations", "seed", "points_stride", "tolerances")
 # The tolerance keys each experiment reads; it rejects every other key.
 _TOLERANCE_READERS = {"pointwise": ("suite_constant", "stability_factor"),
@@ -87,8 +87,7 @@ class ExperimentConfig:
             raise ConfigError("families must be nonempty")
         for name in self.families:
             _family_params(name, None)
-        for name, params in _check_keys(self.family_params, FAMILY_NAMES + ("random-seeded",),
-                                        "family_params").items():
+        for name, params in _check_keys(self.family_params, FAMILY_NAMES, "family_params").items():
             _family_params(name, params)
         for key, value in _check_keys(self.tolerances, _TOLERANCE_KEYS, "tolerances").items():
             _number(value, f"tolerances {key}")
@@ -127,13 +126,9 @@ class ExperimentConfig:
                 exps = Exponents(m=grid.m, n=grid.n, **e)
             else:
                 exps = Exponents.from_balance(m=grid.m, n=grid.n, **e)
-            if not isinstance(raw.get("family", ""), str):
-                raise ConfigError(f"family must be a string, got {raw['family']!r}")
-            if "family" in raw and "families" in raw:
-                raise ConfigError("give either family or families, not both")
             families = raw.get("families")
             if families is None:
-                families = [raw["family"]] if "family" in raw else ["gaussian"]
+                families = ["gaussian"]
             if not (isinstance(families, list) and all(isinstance(f, str) for f in families)):
                 raise ConfigError(f"families must be a list of strings, got {families!r}")
             dil = tuple((float(_number(s, "dilation s")), float(_number(t, "dilation t")))
@@ -174,10 +169,6 @@ class ExperimentConfig:
         return float(self.tolerances.get("slope_tolerance", DEFAULT_SLOPE_TOLERANCE))
 
 
-def _canonical_family(name: str) -> str:
-    return "random" if name == "random-seeded" else name
-
-
 def _check_keys(section, allowed, where: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object, got {section!r}")
@@ -198,14 +189,13 @@ def _number(value, where: str, integer: bool = False):
 
 def _family_params(name: str, params: dict | None) -> dict:
     """The family's default parameters overridden by ``params``."""
-    kind = _canonical_family(name)
-    if kind not in _FAMILY_PARAMS:
+    if name not in _FAMILY_PARAMS:
         raise ConfigError(f"unknown function family {name!r}")
-    params = _check_keys(params or {}, _FAMILY_PARAMS[kind], f"{name} parameter")
+    params = _check_keys(params or {}, _FAMILY_PARAMS[name], f"{name} parameter")
     for key, value in params.items():  # every family parameter is a length
         if not _number(value, f"{name} parameter {key}") > 0:
             raise ConfigError(f"{name} parameter {key} must be positive, got {value!r}")
-    return {**_FAMILY_PARAMS[kind], **params}
+    return {**_FAMILY_PARAMS[name], **params}
 
 
 def make_family(name: str, grid: ProductGrid, params: dict | None = None,
@@ -218,11 +208,10 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
     noise field through :func:`prodhls.grid.dilate`.  Unknown names or
     parameter keys and non-positive parameters raise :class:`ConfigError`.
     """
-    kind = _canonical_family(name)
     params = _family_params(name, params)
     m = grid.m
 
-    if kind == "gaussian":
+    if name == "gaussian":
         sigma = float(params["sigma"])
 
         def fam(s, t):
@@ -232,21 +221,21 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
                                 + sum((t * c) ** 2 for c in cs[m:])) / (2.0 * sigma ** 2))
             return sample_function(grid, values)
         return fam
-    if kind == "random":
+    if name == "random":
         rng = np.random.default_rng(seed)
         base = GridFunction(grid, rng.uniform(0.0, 1.0, size=grid.shape))
         return lambda s, t: dilate(base, s, t)
 
     # box, tensor-box and spike: amp times the indicator of the box
     # |s x_i| <= wx (x-block axes), |t y_j| <= wy (y-block axes)
-    if kind == "tensor-box":
+    if name == "tensor-box":
         wx, wy, amp = float(params["half_extent_x"]), float(params["half_extent_y"]), 1.0
     else:
         # the spike is a near-delta: a unit-mass box a few cells wide at
         # unit dilation, wide enough that a 4x shrink still covers cells
         w = params["half_extent"]
         w = float(8.0 * grid.spacing if w is None else w)
-        wx, wy, amp = w, w, ((2.0 * w) ** (-grid.rank) if kind == "spike" else 1.0)
+        wx, wy, amp = w, w, ((2.0 * w) ** (-grid.rank) if name == "spike" else 1.0)
 
     def fam(s, t):
         def values(*cs):
@@ -334,11 +323,8 @@ def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
 
 
 def _require_admissible(cfg: ExperimentConfig, experiment: str) -> None:
-    report = check_exponents(cfg.exponents)
-    if not report.ok:
-        raise ConfigError(
-            f"{experiment} needs admissible exponents "
-            f"(violated: {report.first_violation})")
+    if (violation := cfg.exponents.violation) is not None:
+        raise ConfigError(f"{experiment} needs admissible exponents (violated: {violation})")
 
 
 def _verdict(cfg: ExperimentConfig, results: list[tuple[str, float]],

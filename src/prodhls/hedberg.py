@@ -39,9 +39,6 @@ from .maximal import maximal_fields
 __all__ = [
     "ExponentError",
     "CertificateViolation",
-    "AdmissibilityReport",
-    "check_exponents",
-    "inner_ball_constant",
     "tail_integral_constant",
     "region_limits",
     "region_slack_factors",
@@ -55,6 +52,7 @@ __all__ = [
 
 CERTIFICATE_SCHEMA_VERSION = 1
 
+# relative tolerance of the radius balancing identities in balanced_radii
 _IDENTITY_TOL = 1e-12
 
 
@@ -74,82 +72,9 @@ class CertificateViolation(RuntimeError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of the three admissibility checks on an exponent tuple.
-
-    ``balanced`` is the two-sided balance relation, ``combined`` the
-    implied single identity 1/q = 1/p - (alpha+beta)/(m+n), and the two
-    tail flags ask for (m-alpha) p' > m and (n-beta) p' > n, i.e. that
-    the dual-power kernel tails are integrable.
-    """
-
-    balanced_x: bool
-    balanced_y: bool
-    combined: bool
-    tail_x: bool
-    tail_y: bool
-    balance_residual_x: float
-    balance_residual_y: float
-    combined_residual: float
-    tail_exponent_x: float
-    tail_exponent_y: float
-
-    @property
-    def ok(self) -> bool:
-        return self.first_violation is None
-
-    @property
-    def first_violation(self) -> str | None:
-        for name, good in (("balance_alpha", self.balanced_x),
-                           ("balance_beta", self.balanced_y),
-                           ("combined_identity", self.combined),
-                           ("tail_x", self.tail_x),
-                           ("tail_y", self.tail_y)):
-            if not good:
-                return name
-        return None
-
-
-def check_exponents(exps: Exponents) -> AdmissibilityReport:
-    """Report balance, the combined identity, and tail integrability."""
-    gap = 1.0 / exps.p - 1.0 / exps.q
-    res_x = gap - exps.alpha / exps.m
-    res_y = gap - exps.beta / exps.n
-    res_c = 1.0 / exps.q - (1.0 / exps.p - (exps.alpha + exps.beta) / (exps.m + exps.n))
-    _, gx, tail_x = _tail(exps, "x")
-    _, gy, tail_y = _tail(exps, "y")
-    return AdmissibilityReport(
-        balanced_x=abs(res_x) <= _IDENTITY_TOL,
-        balanced_y=abs(res_y) <= _IDENTITY_TOL,
-        combined=abs(res_c) <= _IDENTITY_TOL,
-        tail_x=tail_x,
-        tail_y=tail_y,
-        balance_residual_x=res_x,
-        balance_residual_y=res_y,
-        combined_residual=res_c,
-        tail_exponent_x=gx,
-        tail_exponent_y=gy,
-    )
-
-
-def _tail(exps: Exponents, side: str) -> tuple[int, float, bool]:
-    """Dimension d, decay (d - a) p' and integrability (d - a) p' > d of one block's tail."""
-    dim, decay = ((exps.m, exps.tail_exponent_x) if side == "x"
-                  else (exps.n, exps.tail_exponent_y))
-    return dim, decay, decay > dim
-
-
 def _require_admissible(exps: Exponents) -> None:
-    report = check_exponents(exps)
-    if not report.ok:
-        raise ExponentError(report.first_violation,
-                            f"exponents fail condition '{report.first_violation}'")
-
-
-def inner_ball_constant(dim: int, exponent: float) -> float:
-    """Integral of |u|^(exponent - dim) over the unit ball of R^dim."""
-    return profile_ball_integral(dim, exponent, 1.0)
+    if (violation := exps.violation) is not None:
+        raise ExponentError(violation, f"exponents fail condition '{violation}'")
 
 
 def tail_integral_constant(dim: int, decay: float) -> float:
@@ -161,8 +86,9 @@ def tail_integral_constant(dim: int, decay: float) -> float:
 
 def _tail_constant(exps: Exponents, side: str) -> float:
     """Tail integral of one block at its dual-power decay, if integrable."""
-    dim, decay, integrable = _tail(exps, side)
-    if not integrable:
+    dim, decay = ((exps.m, exps.tail_exponent_x) if side == "x"
+                  else (exps.n, exps.tail_exponent_y))
+    if not decay > dim:
         raise ExponentError(f"tail_{side}",
                             f"{side}-block tail (d - a) p' = {decay} must exceed d = {dim}")
     return tail_integral_constant(dim, decay)
@@ -186,8 +112,8 @@ def region_limits(m_value: float, n1: float, n2: float, f_norm: float,
     1/p' per the Hoelder step.  Requires both tail conditions.
     """
     check_positive(m_value=m_value, n1=n1, n2=n2, f_norm=f_norm, r1=r1, r2=r2)
-    ball_x = inner_ball_constant(exps.m, exps.alpha)
-    ball_y = inner_ball_constant(exps.n, exps.beta)
+    ball_x = profile_ball_integral(exps.m, exps.alpha, 1.0)
+    ball_y = profile_ball_integral(exps.n, exps.beta, 1.0)
     tail_x, tail_y = _tail_constant(exps, "x"), _tail_constant(exps, "y")
     inv_pc = 1.0 / exps.p_conjugate
     out_x, out_y = exps.alpha - exps.m / exps.p, exps.beta - exps.n / exps.p

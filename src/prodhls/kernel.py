@@ -64,10 +64,10 @@ class Exponents:
     """The exponent tuple (m, n, alpha, beta, p, q).
 
     Constraints enforced at construction: ``0 < alpha < m``,
-    ``0 < beta < n`` and ``1 < p < q < inf``.  :attr:`balanced` reports
-    whether ``1/p - 1/q = alpha/m = beta/n`` holds to ``BALANCE_TOL``;
-    the pointwise certification engine requires balance, while the
-    dilation experiments deliberately violate it.
+    ``0 < beta < n`` and ``1 < p < q < inf``.  :attr:`violation` names
+    the first admissibility condition the tuple fails; the pointwise
+    certification engine requires admissibility, while the dilation
+    experiments deliberately violate balance.
     """
 
     m: int
@@ -106,12 +106,6 @@ class Exponents:
         return cls(m=m, n=n, alpha=alpha, beta=beta, p=p, q=1.0 / inv_q)
 
     @property
-    def balanced(self) -> bool:
-        gap = 1.0 / self.p - 1.0 / self.q
-        return (abs(gap - self.alpha / self.m) <= BALANCE_TOL
-                and abs(gap - self.beta / self.n) <= BALANCE_TOL)
-
-    @property
     def p_conjugate(self) -> float:
         return self.p / (self.p - 1.0)
 
@@ -123,6 +117,31 @@ class Exponents:
     @property
     def tail_exponent_y(self) -> float:
         return (self.n - self.beta) * self.p_conjugate
+
+    @property
+    def violation(self) -> str | None:
+        """The first admissibility condition the tuple fails, or None.
+
+        In order: ``balance_alpha`` (1/p - 1/q = alpha/m),
+        ``balance_beta`` (1/p - 1/q = beta/n) and ``combined_identity``
+        (1/q = 1/p - (alpha + beta)/(m + n)), each to ``BALANCE_TOL``;
+        then ``tail_x`` ((m - alpha) p' > m) and ``tail_y``
+        ((n - beta) p' > n), the integrability of the kernel tails at the
+        dual power p'.  Balance with a finite q implies both tail
+        conditions, since alpha/m = 1/p - 1/q < 1/p is equivalent to
+        (m - alpha) p' > m; a tuple balanced only to the tolerance can
+        still fail one when 1/q <= ``BALANCE_TOL``.
+        """
+        gap = 1.0 / self.p - 1.0 / self.q
+        combined = 1.0 / self.q - (1.0 / self.p - (self.alpha + self.beta) / (self.m + self.n))
+        for name, holds in (("balance_alpha", abs(gap - self.alpha / self.m) <= BALANCE_TOL),
+                            ("balance_beta", abs(gap - self.beta / self.n) <= BALANCE_TOL),
+                            ("combined_identity", abs(combined) <= BALANCE_TOL),
+                            ("tail_x", self.tail_exponent_x > self.m),
+                            ("tail_y", self.tail_exponent_y > self.n)):
+            if not holds:
+                return name
+        return None
 
 
 def check_blocks(grid: ProductGrid, exps: Exponents) -> None:

@@ -127,8 +127,8 @@ def test_config_rejects_missing_q_when_unbalanced():
     (lambda raw: raw.update(families="gaussian"), "families must be a list of strings"),
     (lambda raw: raw.update(families=[["gaussian"]]), "families must be a list of strings"),
     (lambda raw: (raw.pop("families"), raw.update(family=["gaussian"])),
-     "family must be a string"),
-    (lambda raw: raw.update(family="spike"), "either family or families"),
+     r"unknown config key\(s\): family$"),
+    (lambda raw: raw.update(family="spike"), r"unknown config key\(s\): family$"),
 ], ids=["top-level", "grid", "exponents", "tolerance-key", "family-param-key",
         "family-params-family", "family-param-of-other-family", "family-params-list",
         "inf-tolerance", "nan-tolerance", "string-tolerance", "inf-family-param",
@@ -148,25 +148,15 @@ def test_config_rejects_malformed(edit, message):
 
 def test_config_accepts_every_documented_key():
     raw = small_config(
-        families=["gaussian", "box", "tensor-box", "spike", "random-seeded"],
+        families=["gaussian", "box", "tensor-box", "spike", "random"],
         family_params={"gaussian": {"sigma": 0.2}, "box": {"half_extent": 0.4},
                        "tensor-box": {"half_extent_x": 0.5, "half_extent_y": 0.2},
-                       "spike": {"half_extent": 0.1}, "random-seeded": {}},
+                       "spike": {"half_extent": 0.1}, "random": {}},
         tolerances={"stability_factor": 2, "suite_constant": 12.0,
                     "norm_constant": 8.0, "slope_tolerance": 0.05})
     raw["exponents"]["q"] = 4.0
     cfg = ExperimentConfig.from_dict(raw)
     assert cfg.stability_factor() == 2.0
-    del raw["families"]
-    assert ExperimentConfig.from_dict(dict(raw, family="box")).families == ("box",)
-
-
-def test_random_seeded_alias():
-    cfg = ExperimentConfig.from_dict(small_config(families=["random-seeded"]))
-    fam = make_family("random-seeded", cfg.grid, seed=3)
-    f1 = fam(1.0, 1.0)
-    fam_alias = make_family("random", cfg.grid, seed=3)
-    assert np.array_equal(f1.values, fam_alias(1.0, 1.0).values)
 
 
 # ---------------------------------------------------------------- families

@@ -15,12 +15,13 @@ from scipy.optimize import brentq
 from prodhls import hedberg
 from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunction,
                      HedbergCertificate, ProductGrid, balanced_radii,
-                     certify_point, check_exponents, convolve_direct,
-                     final_bound, inner_ball_constant, prepare_certification,
-                     region_limits, region_slack_factors, riesz_kernel,
-                     sample_function, tail_integral_constant)
+                     certify_point, convolve_direct, final_bound,
+                     prepare_certification, profile_ball_integral, region_limits,
+                     region_slack_factors, riesz_kernel, sample_function,
+                     tail_integral_constant)
 from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport,
                              make_family, write_certificates_json)
+from test_maximal import block_windows
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
 
@@ -34,37 +35,32 @@ def grid_1x1(N=16, L=1.0):
 # ---------------------------------------------------------------- admissibility
 
 def test_balanced_example_accepted():
-    rep = check_exponents(STD)
-    assert rep.ok
+    assert STD.violation is None
     assert STD.q == pytest.approx(4.0, rel=1e-12)
 
 
 def test_balanced_example_m2():
     e = Exponents.from_balance(2, 1, 1.0, 0.5, 1.5)
-    rep = check_exponents(e)
-    assert rep.ok
+    assert e.violation is None
     assert e.q == pytest.approx(6.0, rel=1e-12)
 
 
 def test_mismatched_balance_rejected():
     e = Exponents(m=1, n=1, alpha=0.5, beta=1 / 3, p=4 / 3, q=4.0)
-    rep = check_exponents(e)
-    assert not rep.ok
-    assert rep.first_violation == "balance_beta"
+    assert e.violation == "balance_beta"
 
 
 def test_tail_condition_flagged():
-    # alpha above m/p kills the x-tail even though the tuple is balanced
+    # alpha above m/p and beta above n/p kill both tails; the tuple is not
+    # balanced (1/p - 1/q = 1/2, not 0.9), so balance_alpha is named first
     e = Exponents(m=1, n=1, alpha=0.9, beta=0.9, p=4 / 3, q=4.0)
-    rep = check_exponents(e)
-    assert not rep.tail_x and not rep.tail_y
-    assert rep.first_violation == "balance_alpha"
+    assert not e.tail_exponent_x > e.m and not e.tail_exponent_y > e.n
+    assert e.violation == "balance_alpha"
 
 
 def test_tail_exponents_reported():
-    rep = check_exponents(STD)
-    assert rep.tail_exponent_x == pytest.approx(2.0, rel=1e-12)
-    assert rep.tail_exponent_y == pytest.approx(2.0, rel=1e-12)
+    assert STD.tail_exponent_x == pytest.approx(2.0, rel=1e-12)
+    assert STD.tail_exponent_y == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------- constants
@@ -77,13 +73,14 @@ def limit(region, value, r1, r2, exps):
     return region_limits(**values, r1=r1, r2=r2, exps=exps)[region]
 
 
-def test_inner_ball_constant_quad_oracle():
+def test_unit_ball_profile_integral_quad_oracle():
     # each 1-d factor with exponent 1/2: 2 * integral_0^1 r^(-1/2) dr = 4
     val, _ = quad(lambda r: 2.0 * r ** (-0.5), 0, 1)
-    assert inner_ball_constant(1, 0.5) == pytest.approx(val, rel=1e-10)
-    assert inner_ball_constant(1, 0.5) * inner_ball_constant(1, 0.5) == pytest.approx(16.0)
+    assert profile_ball_integral(1, 0.5, 1.0) == pytest.approx(val, rel=1e-10)
+    assert (profile_ball_integral(1, 0.5, 1.0) * profile_ball_integral(1, 0.5, 1.0)
+            == pytest.approx(16.0))
     val2, _ = quad(lambda r: 2 * math.pi * r * r ** (-1.0), 0, 1)
-    assert inner_ball_constant(2, 1.0) == pytest.approx(val2, rel=1e-10)
+    assert profile_ball_integral(2, 1.0, 1.0) == pytest.approx(val2, rel=1e-10)
 
 
 def test_tail_constant_quad_oracle():
@@ -298,7 +295,8 @@ def test_closed_forms_equal_the_per_case_formulas(e):
     # closed form of each step, bit for bit
     rng = np.random.default_rng(10 * e.m + e.n)
     inv_pc = 1.0 / e.p_conjugate
-    ball_x, ball_y = inner_ball_constant(e.m, e.alpha), inner_ball_constant(e.n, e.beta)
+    ball_x = profile_ball_integral(e.m, e.alpha, 1.0)
+    ball_y = profile_ball_integral(e.n, e.beta, 1.0)
     tail_x = tail_integral_constant(e.m, e.tail_exponent_x)
     tail_y = tail_integral_constant(e.n, e.tail_exponent_y)
     out_x, out_y = e.alpha - e.m / e.p, e.beta - e.n / e.p
@@ -496,6 +494,44 @@ def test_certificate_regions_and_radii_match_a_brute_force_split():
             assert inner_x * inner_y == pytest.approx(ratio, rel=1e-12, abs=0.0)
             assert inner_x / inner_y == pytest.approx(cert.n1 / cert.n2, rel=1e-12, abs=0.0)
     assert cases == {1, 2}
+
+
+def exhaustive_node_values(f, p):
+    """M f from every dyadic product window, and the L^p slice norms of the
+    M1 f and M2 f built from every dyadic block window, each indexed by the
+    flattened x- and y-cells."""
+    grid = f.grid
+    N = grid.points_per_axis
+    F = f.values.reshape(N ** grid.m, N ** grid.n)
+    radii = [2 ** k for k in range(math.ceil(math.log2(N)) + 1)]
+    x_windows = [block_windows(grid.m, N, rc) for rc in radii]
+    y_windows = [block_windows(grid.n, N, rc) for rc in radii]
+    mf = np.max([Wx @ F @ Wy.T / (cx * cy) for Wx, cx in x_windows for Wy, cy in y_windows],
+                axis=0)
+    m1 = np.max([Wx @ F / cx for Wx, cx in x_windows], axis=0)
+    m2 = np.max([F @ Wy.T / cy for Wy, cy in y_windows], axis=0)
+    n1 = (np.sum(m1 ** p, axis=1) * grid.spacing ** grid.n) ** (1.0 / p)
+    n2 = (np.sum(m2 ** p, axis=0) * grid.spacing ** grid.m) ** (1.0 / p)
+    return mf, n1, n2
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8)])
+@pytest.mark.parametrize("family", ["gaussian", "tensor-box", "random"])
+def test_certificate_node_values_match_exhaustive_windows(m, n, N, family):
+    # m_value, n1 and n2 of every node's certificate (so of each instance's
+    # worst node) against maximal fields enumerated window by window
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    f = make_family(family, grid, seed=5)(1.0, 1.0)
+    ctx = prepare_certification(f, e)
+    mf, n1, n2 = exhaustive_node_values(f, e.p)
+    for point in itertools.product(range(N), repeat=m + n):
+        cert = certify_point(ctx, point)
+        ix = np.ravel_multi_index(point[:m], (N,) * m)
+        iy = np.ravel_multi_index(point[m:], (N,) * n)
+        for name, want in (("m_value", mf[ix, iy]), ("n1", n1[ix]), ("n2", n2[iy])):
+            got = getattr(cert, name)
+            assert abs(got - want) <= 1e-12 * want, (point, name, got, want)
 
 
 def violation_setup(case_id):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from prodhls import (Exponents, ProductGrid, ball_volume, layer_cake,
@@ -15,18 +17,41 @@ from prodhls import (Exponents, ProductGrid, ball_volume, layer_cake,
 def test_balanced_constructor_derives_q():
     e = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
     assert e.q == pytest.approx(4.0, rel=1e-12)
-    assert e.balanced
+    assert e.violation is None
 
 
 def test_balanced_constructor_m2():
     e = Exponents.from_balance(2, 1, 1.0, 0.5, 1.5)
     assert e.q == pytest.approx(6.0, rel=1e-12)
-    assert e.balanced
+    assert e.violation is None
 
 
 def test_unbalanced_flag():
     e = Exponents(m=1, n=1, alpha=0.7, beta=0.5, p=4 / 3, q=4.0)
-    assert not e.balanced
+    assert e.violation == "balance_alpha"
+
+
+@pytest.mark.parametrize("e, condition", [
+    (Exponents(m=1, n=1, alpha=0.75 + 5e-13, beta=0.75, p=4 / 3, q=1e13), "tail_x"),
+    (Exponents(m=1, n=1, alpha=0.75 - 5e-13, beta=0.75 + 5e-13, p=4 / 3, q=1e13), "tail_y"),
+], ids=["tail_x", "tail_y"])
+def test_tolerance_balanced_tuple_can_fail_a_tail(e, condition):
+    # balanced to BALANCE_TOL with 1/q = 1e-13, yet alpha/m (or beta/n)
+    # sits above 1/p, so that block's kernel tail is not integrable
+    assert e.violation == condition
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(min_value=1.0 + 1e-6, max_value=1e3),
+       u=st.floats(min_value=1e-6, max_value=1.0))
+def test_balance_with_finite_q_is_admissible(m, n, p, u):
+    # alpha/m = 1/p - 1/q < 1/p is (m - alpha) p' > m, so a balanced tuple
+    # with a finite q meets both tail conditions
+    t = u * (1.0 / p - 1e-6)
+    e = Exponents.from_balance(m, n, m * t, n * t, p)
+    assume(e.q <= 1e6)
+    assert e.violation is None
 
 
 def test_mismatched_ratios_rejected():
