@@ -340,6 +340,11 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
     bound times the documented slack, and in case 1 the collapse of the
     mixed bound.  Raises :class:`CertificateViolation` at the first
     check that fails.
+
+    For a tensor product ``f(x, y) = a(x) b(y)`` (the gaussian, box,
+    tensor-box and spike families) ``G f = M f ||f||`` holds in exact
+    arithmetic, so at such nodes rounding decides ``case_id``; both
+    branches then give the same radii and final bound to rounding.
     """
     f, exps = ctx.f, ctx.exps
     grid = f.grid

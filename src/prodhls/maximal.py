@@ -8,6 +8,12 @@ under-estimate the average (which only weakens the domination
 inequalities verified elsewhere, never falsifies them).  The smallest
 dyadic window is the cell itself, hence every maximal output dominates
 the pointwise value.
+
+Window sums are read from one prefix sum per block pass: each window row
+is the difference of two slices of it, written into one reused buffer,
+with no gather and no padded copy.  In the product pass the block with
+more window rows (x when ``m > n``) is summed once and the other block's
+pass runs once per outer radius.
 """
 
 from __future__ import annotations
@@ -51,11 +57,19 @@ def _window_sums(vals: np.ndarray, axes: tuple[int, ...], radii: tuple[int, ...]
     """Yield ``(window sum, full cell count)`` over the block on ``axes``
     for each radius, zero-extended: one prefix sum along the block's last
     axis, each row added into place in ascending offset order.  Rows lying
-    wholly outside the box add nothing but still count."""
+    wholly outside the box add nothing but still count.
+
+    A row of half-width ``w`` at cell ``i`` is ``csum[min(i + w + 1, N)] -
+    csum[max(i - w, 0)]``, read as two slices of the prefix sum into one
+    reused buffer: ``csum[w + 1:]`` fills cells ``0 .. N - w - 1``, the
+    total ``csum[N]`` the last ``w`` cells, and ``csum[:N - w]`` is
+    subtracted from cells ``w ..``; cells below ``w`` would subtract
+    ``csum[0] = 0.0``, which leaves them unchanged, so they are skipped."""
     first, last = axes[0], axes[-1]
     N = vals.shape[last]
-    idx = np.arange(N)
     csum = np.cumsum(np.insert(vals, 0, 0.0, axis=last), axis=last)  # csum[k]: first k cells
+    buf = np.empty(vals.shape)
+    lead = (slice(None),) * last  # index prefix: the next slice is on the last axis
     for rc in radii:
         rows = _window_rows(len(axes), rc)
         total = np.zeros(vals.shape)
@@ -69,9 +83,11 @@ def _window_sums(vals: np.ndarray, axes: tuple[int, ...], radii: tuple[int, ...]
             if w == 0:  # single cell: keep exact, no cumsum rounding
                 row = vals[tuple(src)]
             else:
-                part = csum[tuple(src)]  # clipping the indices clips the row ends
-                row = (np.take(part, idx + w + 1, axis=last, mode="clip")
-                       - np.take(part, idx - w, axis=last, mode="clip"))
+                w = min(w, N)  # a row wider than the box spans all of it
+                row, part = buf[tuple(dst)], csum[tuple(src)]
+                row[(*lead, slice(None, N - w))] = part[(*lead, slice(w + 1, None))]
+                row[(*lead, slice(N - w, None))] = part[(*lead, slice(N, None))]
+                row[(*lead, slice(w, None))] -= part[(*lead, slice(None, N - w))]
             total[tuple(dst)] += row
         yield total, sum(2 * w + 1 for _, w in rows)
 
@@ -81,14 +97,22 @@ def maximal_fields(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFun
     and M2 f (y-block windows) of ``f``, from one pass over the product
     windows.  The smallest window on a block is the cell itself, so the
     windows with a one-cell y-factor give M1 f and those with a one-cell
-    x-factor give M2 f."""
+    x-factor give M2 f.
+
+    The block with more window rows (x when ``m > n``) is the outer pass
+    and is summed once; the other block's pass runs once per outer
+    radius.  M1 f and M2 f do not depend on this order, since a one-cell
+    factor copies its input exactly; M f moves only by rounding."""
     grid = f.grid
     radii = _dyadic_radii(grid)
     mf, m1, m2 = (np.zeros(grid.shape) for _ in range(3))
     x_axes, y_axes = tuple(range(grid.m)), tuple(range(grid.m, grid.rank))
-    for ky, (y_sum, count_y) in enumerate(_window_sums(f.values, y_axes, radii)):
-        for kx, (total, count_x) in enumerate(_window_sums(y_sum, x_axes, radii)):
-            total /= count_x * count_y
+    x_first = grid.m > grid.n
+    outer, inner = (x_axes, y_axes) if x_first else (y_axes, x_axes)
+    for ko, (outer_sum, count_o) in enumerate(_window_sums(f.values, outer, radii)):
+        for ki, (total, count_i) in enumerate(_window_sums(outer_sum, inner, radii)):
+            total /= count_i * count_o
+            kx, ky = (ko, ki) if x_first else (ki, ko)
             np.maximum(mf, total, out=mf)
             if ky == 0:
                 np.maximum(m1, total, out=m1)

@@ -534,6 +534,30 @@ def test_certificate_node_values_match_exhaustive_windows(m, n, N, family):
             assert abs(got - want) <= 1e-12 * want, (point, name, got, want)
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("family", ["gaussian", "tensor-box"])
+def test_tensor_inputs_tie_the_two_cases(m, n, family):
+    # for f(x, y) = a(x) b(y) every product window average factors, so
+    # G f = M f ||f|| exactly and rounding alone picks case_id; both
+    # branches then give the same radii and final bound
+    N = 16
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    ctx = prepare_certification(make_family(family, grid)(1.0, 1.0), e)
+    g_field = np.multiply.outer(ctx.n1, ctx.n2)
+    m_norm = ctx.mf.values * ctx.f_norm
+    assert np.all(np.abs(g_field - m_norm) <= 1e-14 * m_norm)
+    for point in itertools.product(range(N), repeat=m + n):
+        m_value = float(ctx.mf.values[point])
+        n1, n2 = float(ctx.n1[point[:m]]), float(ctx.n2[point[m:]])
+        case1 = (*balanced_radii(m_value / ctx.f_norm, n1, n2, e),
+                 final_bound(m_value, ctx.f_norm, 1, e))
+        case2 = (*balanced_radii(n1 * n2 / ctx.f_norm ** 2, n1, n2, e),
+                 final_bound(n1 * n2, ctx.f_norm, 2, e))
+        for a, b in zip(case1, case2, strict=True):
+            assert abs(a - b) <= 1e-14 * abs(a), (point, case1, case2)
+
+
 def violation_setup(case_id):
     """A context and the unpatched certificate at a node of the requested
     case whose four region sums are all positive."""

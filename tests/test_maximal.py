@@ -9,7 +9,7 @@ from prodhls import (Exponents, GridFunction, ProductGrid, composition_check,
                      g_function, g_norm_bound, lp_norm, maximal_fields,
                      partial_maximal_x, partial_maximal_y, sample_function,
                      slice_lp_norms_x, slice_lp_norms_y)
-from prodhls.maximal import _dyadic_radii, _window_sums
+from prodhls.maximal import _dyadic_radii, _window_rows, _window_sums
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
 
@@ -192,15 +192,17 @@ def test_disc_windows_match_brute_force(m, n):
         assert np.max(np.abs(got.values.reshape(F.shape) - brute) / brute) <= 1e-12
 
 
-def separate_strong_pass(f):
+def separate_strong_pass(f, x_first):
     """M f from a double loop of its own over the window sums, apart from
-    the partial maximals."""
+    the partial maximals, with the x-block pass outer when ``x_first``."""
     g = f.grid
     radii = _dyadic_radii(g)
+    x_axes, y_axes = tuple(range(g.m)), tuple(range(g.m, g.rank))
+    outer, inner = (x_axes, y_axes) if x_first else (y_axes, x_axes)
     best = np.zeros(g.shape)
-    for y_sum, count_y in _window_sums(f.values, tuple(range(g.m, g.rank)), radii):
-        for total, count_x in _window_sums(y_sum, tuple(range(g.m)), radii):
-            np.maximum(best, total / (count_x * count_y), out=best)
+    for outer_sum, count_o in _window_sums(f.values, outer, radii):
+        for total, count_i in _window_sums(outer_sum, inner, radii):
+            np.maximum(best, total / (count_i * count_o), out=best)
     return best
 
 
@@ -224,7 +226,10 @@ def test_maximal_fields_match_the_separate_passes(m, n, N, kind):
     mf, m1, m2 = maximal_fields(f)
     assert m1.values.tobytes() == partial_maximal_x(f).values.tobytes()
     assert m2.values.tobytes() == partial_maximal_y(f).values.tobytes()
-    assert mf.values.tobytes() == separate_strong_pass(f).tobytes()
+    # the block with more window rows is the outer pass: x first iff m > n
+    assert mf.values.tobytes() == separate_strong_pass(f, m > n).tobytes()
+    if (m, n) == (2, 1):  # the other order moves M f by rounding only
+        assert np.allclose(separate_strong_pass(f, False), mf.values, rtol=1e-14, atol=0.0)
     # and the strong pass against exhaustive product windows
     F = f.values.reshape(N ** m, N ** n)
     x_windows = [block_windows(m, N, rc) for rc in _dyadic_radii(g)]
@@ -232,6 +237,56 @@ def test_maximal_fields_match_the_separate_passes(m, n, N, kind):
     brute = np.max([Wx @ F @ Wy.T / (cx * cy)
                     for Wx, cx in x_windows for Wy, cy in y_windows], axis=0)
     assert np.allclose(mf.values.reshape(F.shape), brute, rtol=1e-12, atol=0.0)
+
+
+def gathered_window_sums(vals, axes, radii):
+    """Reference window sums: each row gathered from the prefix sum with
+    clipped indices, ``csum[min(i + w + 1, N)] - csum[max(i - w, 0)]``."""
+    first, last = axes[0], axes[-1]
+    N = vals.shape[last]
+    idx = np.arange(N)
+    csum = np.cumsum(np.insert(vals, 0, 0.0, axis=last), axis=last)
+    for rc in radii:
+        rows = _window_rows(len(axes), rc)
+        total = np.zeros(vals.shape)
+        for d, w in rows:
+            if abs(d) >= N:
+                continue
+            src, dst = [slice(None)] * vals.ndim, [slice(None)] * vals.ndim
+            if d:
+                src[first] = slice(max(-d, 0), N - max(d, 0))
+                dst[first] = slice(max(d, 0), N - max(-d, 0))
+            if w == 0:
+                row = vals[tuple(src)]
+            else:
+                part = csum[tuple(src)]
+                row = (np.take(part, idx + w + 1, axis=last, mode="clip")
+                       - np.take(part, idx - w, axis=last, mode="clip"))
+            total[tuple(dst)] += row
+        yield total, sum(2 * w + 1 for _, w in rows)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "sparse", "gaussian"])
+@pytest.mark.parametrize("N", [6, 8, 12, 16])
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_window_sums_match_the_gather(m, n, N, kind):
+    # the slice reads of the prefix sum against the clipped gather, byte
+    # for byte, on both blocks and on a block pass over the other's sums;
+    # N = 6 puts disc rows past the box (|d| >= N) and half-widths >= N
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    f = sampled_input(g, kind)
+    radii = _dyadic_radii(g)
+    x_axes, y_axes = tuple(range(m)), tuple(range(m, m + n))
+    for outer, inner in ((x_axes, y_axes), (y_axes, x_axes)):
+        got = list(_window_sums(f.values, outer, radii))
+        want = list(gathered_window_sums(f.values, outer, radii))
+        assert [c for _, c in got] == [c for _, c in want]
+        for (a, _), (b, _) in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+        inner_got = _window_sums(got[-2][0], inner, radii)
+        inner_want = gathered_window_sums(want[-2][0], inner, radii)
+        for (a, ca), (b, cb) in zip(inner_got, inner_want, strict=True):
+            assert ca == cb and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- partial maximal
