@@ -10,8 +10,9 @@ and provides:
   dyadic layer-cake envelopes (:mod:`prodhls.kernel`);
 * direct and FFT convolution plus the four-region split of the
   convolution sum at a point (:mod:`prodhls.convolution`);
-* strong and partial maximal operators over dyadic product windows and
-  the mixed-norm field built from them (:mod:`prodhls.maximal`);
+* one pass over dyadic product windows that gives the strong maximal
+  M f and the partial maximals M1 f, M2 f, which the composition check
+  and the mixed-norm field G read (:mod:`prodhls.maximal`);
 * the pointwise certification engine: explicit region constants,
   closed-form balancing radii, and per-point certificates
   (:mod:`prodhls.hedberg`);
@@ -27,7 +28,7 @@ from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
                      profile_ball_integral, riesz_kernel, sphere_surface)
 from .convolution import RegionBounds, convolve_direct, convolve_fast, region_split
 from .maximal import (CompositionReport, GNormReport, composition_check, g_function,
-                      g_norm_bound, maximal_fields, partial_maximal_x, partial_maximal_y)
+                      g_norm_bound, maximal_fields)
 from .hedberg import (CertificateViolation, ExponentError, HedbergCertificate,
                       HedbergContext, balanced_radii, certify_point, final_bound,
                       prepare_certification, region_limits, region_slack_factors,
@@ -44,8 +45,7 @@ __all__ = [
     "Exponents", "riesz_kernel", "LayerCake", "layer_cake",
     "sphere_surface", "ball_volume", "profile_ball_integral",
     "RegionBounds", "convolve_direct", "convolve_fast", "region_split",
-    "maximal_fields", "partial_maximal_x",
-    "partial_maximal_y", "composition_check", "CompositionReport",
+    "maximal_fields", "composition_check", "CompositionReport",
     "g_function", "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",
     "region_limits", "region_slack_factors", "balanced_radii", "final_bound",

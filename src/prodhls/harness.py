@@ -419,13 +419,20 @@ def _validate_ladder(values: list[float], label: str) -> None:
 def run_necessity_sweep(cfg: ExperimentConfig) -> SlopeReport:
     """Fit the norm-ratio scaling exponents under anisotropic dilation.
 
-    The configured dilation pairs must contain an (s, 1) ladder and a
-    (1, t) ladder, each with at least five points spanning a decade, and
-    no dilated instance may vanish on the grid; otherwise
-    :class:`ConfigError` is raised.
+    The config must name one family, and every dilation pair must lie on
+    the (s, 1) ladder or the (1, t) ladder, each with at least five points
+    spanning a decade; no dilated instance may vanish on the grid.
+    Otherwise :class:`ConfigError` is raised; every rule but the last is
+    checked before any convolution.
     """
     _check_keys(cfg.tolerances, _TOLERANCE_READERS["necessity"], "necessity tolerances")
-    family = cfg.families[0]
+    family, *extra = cfg.families
+    if extra:
+        raise ConfigError(f"necessity measures one family; {', '.join(extra)} would not run")
+    off_ladder = [(s, t) for s, t in cfg.dilations if s != 1.0 and t != 1.0]
+    if off_ladder:
+        raise ConfigError(f"dilation pair(s) {', '.join(map(str, off_ladder))} lie on "
+                          "neither the (s, 1) nor the (1, t) ladder and would not run")
     fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
     s_ladder = sorted({s for s, t in cfg.dilations if t == 1.0})
     t_ladder = sorted({t for s, t in cfg.dilations if s == 1.0})

@@ -9,6 +9,9 @@ inequalities verified elsewhere, never falsifies them).  The smallest
 dyadic window is the cell itself, hence every maximal output dominates
 the pointwise value.
 
+One pass over the product windows, :func:`maximal_fields`, gives the
+strong maximal M f and the partial maximals M1 f and M2 f; the
+composition check and the mixed-norm field G read theirs from it.
 Window sums are read from one prefix sum per block pass: each window row
 is the difference of two slices of it, written into one reused buffer,
 with no gather and no padded copy.  In the product pass the block with
@@ -28,8 +31,6 @@ from .kernel import Exponents
 
 __all__ = [
     "maximal_fields",
-    "partial_maximal_x",
-    "partial_maximal_y",
     "composition_check",
     "CompositionReport",
     "g_function",
@@ -121,24 +122,6 @@ def maximal_fields(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFun
     return GridFunction(grid, mf), GridFunction(grid, m1), GridFunction(grid, m2)
 
 
-def _partial_maximal(f: GridFunction, axes: tuple[int, ...]) -> GridFunction:
-    """Maximal averages over windows on the block spanned by ``axes``."""
-    best = np.zeros(f.grid.shape)
-    for total, count in _window_sums(f.values, axes, _dyadic_radii(f.grid)):
-        np.maximum(best, total / count, out=best)
-    return GridFunction(f.grid, best)
-
-
-def partial_maximal_x(f: GridFunction) -> GridFunction:
-    """Maximal averages over x-block windows with the y-variables frozen."""
-    return _partial_maximal(f, tuple(range(f.grid.m)))
-
-
-def partial_maximal_y(f: GridFunction) -> GridFunction:
-    """Maximal averages over y-block windows with the x-variables frozen."""
-    return _partial_maximal(f, tuple(range(f.grid.m, f.grid.rank)))
-
-
 @dataclass(frozen=True)
 class CompositionReport:
     """Outcome of the pointwise comparison of M f against M1(M2 f)."""
@@ -146,20 +129,17 @@ class CompositionReport:
     max_ratio: float
     worst_point: tuple[int, ...]
 
-    @property
-    def dominated(self) -> bool:
-        return self.max_ratio <= 1.0 + 1e-12
-
 
 def composition_check(f: GridFunction) -> CompositionReport:
     """Verify pointwise domination of the strong maximal by the composition.
 
     Because every product window is the product of its per-block
     windows, the domination constant here is exactly 1, which the
-    returned maximal ratio makes observable.
+    returned maximal ratio makes observable.  M1(M2 f) is the M1 field of
+    a second pass over M2 f.
     """
     mf, _, m2 = maximal_fields(f)
-    strong, composed = mf.values, partial_maximal_x(m2).values
+    strong, composed = mf.values, maximal_fields(m2)[1].values
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(composed > 0.0, strong / composed,
                          np.where(strong == 0.0, 1.0, np.inf))
@@ -174,7 +154,8 @@ def g_function(f: GridFunction, exps: Exponents) -> GridFunction:
     The output factors exactly as the outer product of an x-block grid
     and a y-block grid.
     """
-    return _g_field(partial_maximal_x(f), partial_maximal_y(f), exps.p)
+    _, m1, m2 = maximal_fields(f)
+    return _g_field(m1, m2, exps.p)
 
 
 def _g_field(m1: GridFunction, m2: GridFunction, p: float) -> GridFunction:
@@ -210,8 +191,7 @@ def g_norm_bound(f: GridFunction, exps: Exponents) -> GNormReport:
     and stays stable across dilation families.
     """
     p = exps.p
-    m1 = partial_maximal_x(f)
-    m2 = partial_maximal_y(f)
+    _, m1, m2 = maximal_fields(f)
     return GNormReport(
         g_norm=lp_norm(_g_field(m1, m2, p), p),
         f_norm=lp_norm(f, p),

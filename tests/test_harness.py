@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,13 @@ def ladder_config(**overrides):
     lad = [float(s) for s in np.logspace(-0.5, 0.5, 5)]
     return small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad],
                         families=["gaussian"], **overrides)
+
+
+NECESSITY_DROPS = {  # name: (config, what its error message names)
+    "two-families": ({**ladder_config(), "families": ["gaussian", "box"]}, "box"),
+    "off-ladder-pair": ({**ladder_config(), "dilations": ladder_config()["dilations"]
+                         + [[2.0, 2.0]]}, "(2.0, 2.0)"),
+}
 
 
 def vanishing_box_ladder(half_extent):
@@ -255,15 +263,24 @@ def test_pointwise_rejects_inadmissible_exponents():
         run_pointwise_campaign(ExperimentConfig.from_dict(raw))
 
 
-def test_necessity_ladder_validation():
-    raw = small_config(dilations=[[1.0, 1.0]])
-    with pytest.raises(ConfigError):
+def test_necessity_ladder_validation(monkeypatch):
+    def no_convolution(*args):
+        raise AssertionError("a convolution ran")
+
+    monkeypatch.setattr(prodhls.harness, "convolve_fast", no_convolution)
+    raw = small_config(dilations=[[1.0, 1.0]], families=["gaussian"])
+    with pytest.raises(ConfigError, match="s-ladder has 1 points"):
         run_necessity_sweep(ExperimentConfig.from_dict(raw))
     # five points but under a decade of span
     lad = [0.5, 0.7, 1.0, 1.4, 2.0]
-    raw = small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad])
-    with pytest.raises(ConfigError):
+    raw = small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad],
+                       families=["gaussian"])
+    with pytest.raises(ConfigError, match="needs at least a decade"):
         run_necessity_sweep(ExperimentConfig.from_dict(raw))
+    # a second family or a pair on neither ladder would be silently dropped
+    for raw, named in NECESSITY_DROPS.values():
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            run_necessity_sweep(ExperimentConfig.from_dict(raw))
 
 
 def test_necessity_small_grid_structure():
@@ -393,7 +410,9 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["normcheck", "--config", str(ok), "--out", str(tmp_path / "o"),
                      "--seed", "-5"]) == 2
     # ladder too short is also a config error
-    cfg_path = write_config(tmp_path, small_config(), "short.json")
+    cfg_path = write_config(tmp_path, small_config(families=["gaussian"],
+                                                   dilations=[[1.0, 1.0], [2.0, 1.0]]),
+                            "short.json")
     assert cli_main(["necessity", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     # a config that is not a JSON object is rejected with and without --seed
     listed = tmp_path / "list.json"
@@ -401,6 +420,16 @@ def test_cli_config_error_exit_code(tmp_path):
     for seed in ([], ["--seed", "3"]):
         assert cli_main(["normcheck", "--config", str(listed), "--out", str(tmp_path / "o"),
                          *seed]) == 2
+
+
+@pytest.mark.parametrize("case", sorted(NECESSITY_DROPS))
+def test_cli_necessity_rejects_what_it_would_not_run(tmp_path, capsys, case):
+    raw, named = NECESSITY_DROPS[case]
+    out = tmp_path / "out"
+    assert cli_main(["necessity", "--config", str(write_config(tmp_path, raw)),
+                     "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("half_extent", [0.01, 0.05])

@@ -7,8 +7,7 @@ import pytest
 
 from prodhls import (Exponents, GridFunction, ProductGrid, composition_check,
                      g_function, g_norm_bound, lp_norm, maximal_fields,
-                     partial_maximal_x, partial_maximal_y, sample_function,
-                     slice_lp_norms_x, slice_lp_norms_y)
+                     sample_function, slice_lp_norms_x, slice_lp_norms_y)
 from prodhls.maximal import _dyadic_radii, _window_rows, _window_sums
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
@@ -25,6 +24,12 @@ def random_function(grid, seed=0):
 
 def strong_field(f):
     return maximal_fields(f)[0].values
+
+
+def partial_fields(f):
+    """M1 f and M2 f, as read from the one product pass."""
+    _, m1, m2 = maximal_fields(f)
+    return m1.values, m2.values
 
 
 def brute_strong(f):
@@ -224,19 +229,21 @@ def test_maximal_fields_match_the_separate_passes(m, n, N, kind):
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = sampled_input(g, kind)
     mf, m1, m2 = maximal_fields(f)
-    assert m1.values.tobytes() == partial_maximal_x(f).values.tobytes()
-    assert m2.values.tobytes() == partial_maximal_y(f).values.tobytes()
     # the block with more window rows is the outer pass: x first iff m > n
     assert mf.values.tobytes() == separate_strong_pass(f, m > n).tobytes()
     if (m, n) == (2, 1):  # the other order moves M f by rounding only
         assert np.allclose(separate_strong_pass(f, False), mf.values, rtol=1e-14, atol=0.0)
-    # and the strong pass against exhaustive product windows
+    # all three fields against exhaustive block windows
     F = f.values.reshape(N ** m, N ** n)
     x_windows = [block_windows(m, N, rc) for rc in _dyadic_radii(g)]
     y_windows = [block_windows(n, N, rc) for rc in _dyadic_radii(g)]
     brute = np.max([Wx @ F @ Wy.T / (cx * cy)
                     for Wx, cx in x_windows for Wy, cy in y_windows], axis=0)
     assert np.allclose(mf.values.reshape(F.shape), brute, rtol=1e-12, atol=0.0)
+    brute_m1 = np.max([Wx @ F / cx for Wx, cx in x_windows], axis=0)
+    brute_m2 = np.max([F @ Wy.T / cy for Wy, cy in y_windows], axis=0)
+    assert np.allclose(m1.values.reshape(F.shape), brute_m1, rtol=1e-12, atol=0.0)
+    assert np.allclose(m2.values.reshape(F.shape), brute_m2, rtol=1e-12, atol=0.0)
 
 
 def gathered_window_sums(vals, axes, radii):
@@ -297,7 +304,7 @@ def test_partial_tensor_factorization():
     a = rng.uniform(0.1, 1.0, 16)
     b = rng.uniform(0.1, 1.0, 16)
     f = GridFunction(g, np.outer(a, b))
-    m1 = partial_maximal_x(f).values
+    m1, _ = partial_fields(f)
     # one-dimensional maximal of the x-profile, computed by enumeration
     m1a = np.zeros(16)
     for i in range(16):
@@ -312,19 +319,20 @@ def test_partial_tensor_factorization():
 def test_partial_constant_center():
     g = grid_1x1(N=32)
     f = GridFunction(g, np.ones(g.shape))
-    assert partial_maximal_x(f).values[16, 16] == pytest.approx(1.0, rel=1e-13)
-    assert partial_maximal_y(f).values[16, 16] == pytest.approx(1.0, rel=1e-13)
+    m1, m2 = partial_fields(f)
+    assert m1[16, 16] == pytest.approx(1.0, rel=1e-13)
+    assert m2[16, 16] == pytest.approx(1.0, rel=1e-13)
 
 
 def test_partial_matches_brute_force():
     g = grid_1x1(N=16)
     f = random_function(g, seed=7)
     brute = brute_partial_x(f)
-    assert np.max(np.abs(partial_maximal_x(f).values - brute) / brute) <= 1e-12
+    m1, m2 = partial_fields(f)
+    assert np.max(np.abs(m1 - brute) / brute) <= 1e-12
     # the y-direction mirrors the x-direction on the transpose
     ft = GridFunction(g, f.values.T.copy())
-    assert np.allclose(partial_maximal_y(f).values,
-                       partial_maximal_x(ft).values.T, rtol=1e-13)
+    assert np.allclose(m2, partial_fields(ft)[0].T, rtol=1e-13)
 
 
 # ---------------------------------------------------------------- composition
@@ -336,7 +344,7 @@ def test_composition_constant():
     assert rep.max_ratio <= 1 + 1e-12
     # both sides equal the constant at the box center
     strong = strong_field(f)[8, 8]
-    comp = partial_maximal_x(partial_maximal_y(f)).values[8, 8]
+    comp = partial_fields(maximal_fields(f)[2])[0][8, 8]
     assert strong == pytest.approx(comp, rel=1e-13)
 
 
@@ -354,7 +362,7 @@ def test_composition_brute_force_both_sides():
     g = grid_1x1(N=10)
     f = random_function(g, seed=10)
     strong = brute_strong(f)
-    m2 = partial_maximal_y(f)
+    m2 = maximal_fields(f)[2]
     comp = brute_partial_x(m2)
     assert np.all(strong <= comp * (1 + 1e-12))
 
@@ -376,8 +384,7 @@ def test_g_tensor_factorization():
     f = GridFunction(g, np.outer(a, b))
     G = g_function(f, STD).values
     p = STD.p
-    m1 = partial_maximal_x(f)
-    m2 = partial_maximal_y(f)
+    _, m1, m2 = maximal_fields(f)
     n1 = slice_lp_norms_x(m1, p)
     n2 = slice_lp_norms_y(m2, p)
     assert np.array_equal(G, np.outer(n1, n2))
@@ -424,21 +431,28 @@ def test_g_norm_bound_computes_each_partial_maximal_once(monkeypatch):
     import prodhls.maximal as maximal
     g = grid_1x1(N=16)
     f = random_function(g, seed=3)
-    calls = {"partial_maximal_x": 0, "partial_maximal_y": 0}
-    for name in calls:
-        def counted(*args, _inner=getattr(maximal, name), _name=name):
-            calls[_name] += 1
-            return _inner(*args)
-        monkeypatch.setattr(maximal, name, counted)
+    passes = []
+
+    def counted(h, _inner=maximal.maximal_fields):
+        passes.append(h)
+        return _inner(h)
+
+    monkeypatch.setattr(maximal, "maximal_fields", counted)
     rep = g_norm_bound(f, STD)
-    assert calls == {"partial_maximal_x": 1, "partial_maximal_y": 1}
+    assert len(passes) == 1 and passes[0] is f
+    g_function(f, STD)
+    assert len(passes) == 2 and passes[1] is f
+    composition_check(f)  # one pass on f, one on M2 f
+    assert len(passes) == 4 and passes[2] is f
     monkeypatch.undo()
+    _, m1, m2 = maximal_fields(f)
+    assert passes[3].values.tobytes() == m2.values.tobytes()
     # the same values as the field and the norms computed separately
     p = STD.p
     assert rep.g_norm == lp_norm(g_function(f, STD), p)
     assert rep.f_norm == lp_norm(f, p)
-    assert rep.m1_norm == lp_norm(partial_maximal_x(f), p)
-    assert rep.m2_norm == lp_norm(partial_maximal_y(f), p)
+    assert rep.m1_norm == lp_norm(m1, p)
+    assert rep.m2_norm == lp_norm(m2, p)
 
 
 def test_g_norm_factorization_identity():
