@@ -13,8 +13,9 @@ and provides:
 * one pass over dyadic product windows that gives the strong maximal
   M f and the partial maximals M1 f, M2 f, which the composition check
   and the mixed-norm field G read (:mod:`prodhls.maximal`);
-* the pointwise certification engine: explicit region constants,
-  closed-form balancing radii, and per-point certificates
+* the pointwise certification engine: lattice region bounds from
+  per-block tables, closed-form balancing radii, and per-point
+  certificates
   (:mod:`prodhls.hedberg`);
 * experiment campaigns and the CLI harness (:mod:`prodhls.harness`,
   :mod:`prodhls.cli`).
@@ -29,9 +30,9 @@ from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
 from .convolution import RegionBounds, convolve_direct, convolve_fast, region_split
 from .maximal import (CompositionReport, GNormReport, composition_check, g_function,
                       g_norm_bound, maximal_fields)
-from .hedberg import (CertificateViolation, ExponentError, HedbergCertificate,
+from .hedberg import (BlockTable, CertificateViolation, ExponentError, HedbergCertificate,
                       HedbergContext, balanced_radii, certify_point, final_bound,
-                      prepare_certification, region_limits, region_slack_factors,
+                      prepare_certification, region_limits, region_tables,
                       tail_integral_constant)
 from .harness import (ConfigError, ExperimentConfig, make_family,
                       run_necessity_sweep, run_norm_check,
@@ -48,7 +49,7 @@ __all__ = [
     "maximal_fields", "composition_check", "CompositionReport",
     "g_function", "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",
-    "region_limits", "region_slack_factors", "balanced_radii", "final_bound",
+    "BlockTable", "region_tables", "region_limits", "balanced_radii", "final_bound",
     "HedbergContext",
     "prepare_certification", "HedbergCertificate", "certify_point",
     "ConfigError", "ExperimentConfig", "make_family",

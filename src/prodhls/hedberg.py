@@ -1,27 +1,25 @@
 """Pointwise certification engine for the product fractional integral.
 
 Given balanced, tail-admissible exponents, the convolution value at a
-grid node is bounded by splitting the sum at radii (r1, r2) into four
-regions:
+grid node is split at radii (r1, r2) into four regions, each bounded
+with per-block lattice constants built once per function
+(:func:`region_tables`): an inner constant A, the Abel sum of the kernel
+over the offset shells against dyadic window counts, and a tail constant
+T, the Hoelder sum over the offsets outside the radius.  Both offsets
+inside: the strong maximal value times A_x A_y; both outside: the L^p
+norm times T_x T_y; mixed: the inner block's A against a partial maximal
+slice norm, times the outer block's T.
 
-* both offsets inside: controlled by the strong maximal value times
-  the kernel mass over the inner product ball;
-* both outside: Hoelder's inequality against the full L^p norm and the
-  closed-form kernel tail integrals;
-* mixed: the inner block contributes a ball constant against a partial
-  maximal function, the outer block a tail constant against a slice
-  norm.
-
-Choosing the radii so that the inner and outer bounds coincide (and the
-two mixed bounds coincide) collapses everything, via the balance
-relation ``alpha/m = beta/n = 1/p - 1/q``, into
+In the continuum A(r) scales as r^a and T(r) as r^(a - d/p).  Choosing
+the radii so that those inner and outer bounds coincide (and the two
+mixed bounds coincide) collapses everything, via the balance relation
+``alpha/m = beta/n = 1/p - 1/q``, into
 
     case 1 (G f <= M f * ||f||):   M f^(p/q) * ||f||^(1 - p/q)
     case 2 (G f >  M f * ||f||):   G f^(p/q) * ||f||^(1 - 2 p/q)
 
-Every inequality in the chain is checked numerically with explicit
-constants; a violation beyond the documented discretization slack is a
-hard failure, not a warning.
+The lattice bounds hold on the grid as it stands, so a region sum above
+its bound beyond floating-point headroom is a hard failure, not a warning.
 """
 
 from __future__ import annotations
@@ -31,17 +29,18 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .convolution import RegionBounds, region_split
-from .grid import (GridFunction, check_positive, lp_norm, normalize_point, slice_lp_norms_x,
-                   slice_lp_norms_y)
-from .kernel import Exponents, check_blocks, profile_ball_integral, sphere_surface
-from .maximal import maximal_fields
+from .grid import (GridFunction, ProductGrid, check_positive, lp_norm, normalize_point,
+                   slice_lp_norms_x, slice_lp_norms_y)
+from .kernel import Exponents, block_factors, check_blocks, sphere_surface
+from .maximal import _dyadic_radii, _window_rows, maximal_fields
 
 __all__ = [
     "ExponentError",
     "CertificateViolation",
     "tail_integral_constant",
+    "BlockTable",
+    "region_tables",
     "region_limits",
-    "region_slack_factors",
     "balanced_radii",
     "final_bound",
     "HedbergContext",
@@ -51,6 +50,8 @@ __all__ = [
 ]
 
 CERTIFICATE_SCHEMA_VERSION = 1
+
+REGION_NAMES = ("region11", "region12", "region21", "region22")
 
 # relative tolerance of the radius balancing identities in balanced_radii
 _IDENTITY_TOL = 1e-12
@@ -65,7 +66,7 @@ class ExponentError(ValueError):
 
 
 class CertificateViolation(RuntimeError):
-    """A region sum exceeded its analytic bound beyond the allowed slack."""
+    """A region sum or the mixed collapse exceeded its bound beyond rounding."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -84,98 +85,92 @@ def tail_integral_constant(dim: int, decay: float) -> float:
     return sphere_surface(dim) / (decay - dim)
 
 
-def _tail_constant(exps: Exponents, side: str) -> float:
-    """Tail integral of one block at its dual-power decay, if integrable."""
-    dim, decay = ((exps.m, exps.tail_exponent_x) if side == "x"
-                  else (exps.n, exps.tail_exponent_y))
+@dataclass(frozen=True)
+class BlockTable:
+    """One block's region-bound constants: ``shells`` holds the distinct
+    kernel-offset norms, ascending, and entry k of ``inner`` and ``tail``
+    the constants A and T at radii with k shells inside (``|x| <= r``, as
+    in :func:`~prodhls.convolution.region_split`)."""
+
+    shells: np.ndarray
+    inner: np.ndarray
+    tail: np.ndarray
+
+    def at(self, r: float) -> tuple[float, float]:
+        """A(r) and T(r)."""
+        k = int(np.searchsorted(self.shells, r, side="right"))
+        return float(self.inner[k]), float(self.tail[k])
+
+
+def _block_table(grid: ProductGrid, dim: int, norm: np.ndarray, factor: np.ndarray,
+                 decay: float, p_conjugate: float, side: str) -> BlockTable:
     if not decay > dim:
         raise ExponentError(f"tail_{side}",
                             f"{side}-block tail (d - a) p' = {decay} must exceed d = {dim}")
-    return tail_integral_constant(dim, decay)
+    N = grid.points_per_axis
+    # offset j sits N/2 - j cells from the node on each block axis; a window
+    # row is an offset d along the block's first axis (0 for a 1-d block)
+    # and a half-width w along its last
+    delta = N // 2 - np.indices((N,) * dim).reshape(dim, -1)
+    first, last = delta[0] * (dim == 2), np.abs(delta[-1])
+    count = np.empty(norm.size)  # cells of the smallest window holding the offset
+    for rc in reversed(_dyadic_radii(grid)):
+        d, w = np.array(_window_rows(dim, rc)).T
+        half = np.full(4 * N, -1)  # |d| < rc < 2N
+        half[d + 2 * N] = w
+        count[last <= half[first + 2 * N]] = np.sum(2 * w + 1)  # maximal_fields' divisor
+    shells, at_shell, shell_of = np.unique(norm, return_index=True, return_inverse=True)
+    size = np.zeros(shells.size)
+    np.maximum.at(size, shell_of, count)
+    size = np.maximum.accumulate(size)  # |W_k|: the window holds every shell up to k
+    cell = grid.spacing ** dim
+    # the Abel sum by parts: shell k adds K(s_k) (|W_k| - |W_{k-1}|)
+    inner = np.cumsum(factor[at_shell] * np.diff(size, prepend=0.0))
+    tail = np.cumsum(np.bincount(shell_of, weights=factor ** p_conjugate)[::-1])[::-1]
+    return BlockTable(shells=shells, inner=np.insert(cell * inner, 0, 0.0),
+                      tail=np.append((cell * tail) ** (1.0 / p_conjugate), 0.0))
 
 
-def region_limits(m_value: float, n1: float, n2: float, f_norm: float,
-                  r1: float, r2: float, exps: Exponents) -> dict[str, float]:
-    """The analytic bounds of the four region sums at radii (r1, r2).
+def region_tables(grid: ProductGrid, exps: Exponents) -> tuple[BlockTable, BlockTable]:
+    """The x-block and y-block :class:`BlockTable` of ``grid``.
 
-    Region ij is bounded by ``c * value * r1^ex * r2^ey`` with::
+    Over a block's offset shells ``s_1 < s_2 < ...``, with K the kernel
+    factor of :func:`~prodhls.kernel.block_factors`::
 
-        region    c                        value    ex             ey
-        region11  ball_x ball_y            M f      alpha          beta
-        region12  ball_x tail_y^(1/p')     n1       alpha          beta - n/p
-        region21  ball_y tail_x^(1/p')     n2       alpha - m/p    beta
-        region22  (tail_x tail_y)^(1/p')   ||f||    alpha - m/p    beta - n/p
+        A(r) = h^d sum_{s_k <= r} (K(s_k) - K(s_{k+1})) |W_k|
+        T(r) = (h^d sum_{|x_j| > r} |x_j|^((a - d) p'))^(1/p')
 
-    ``ball`` is the exact kernel mass over a block's unit ball, scaled to
-    the radius by power-law homogeneity, and ``tail`` the closed-form
-    integral of the block's kernel tail at its dual power p', raised to
-    1/p' per the Hoelder step.  Requires both tail conditions.
+    K is 0 past the last shell inside r, and ``|W_k|`` is the full cell
+    count of the smallest dyadic window of :mod:`prodhls.maximal` holding
+    every offset cell of norm at most ``s_k``: by Abel summation an inner
+    sum is a positive combination of window sums, each at most ``|W_k|``
+    times the maximal value at the node.  Raises ``ExponentError``
+    (``tail_x`` or ``tail_y``) for a block whose kernel tail at the dual
+    power p' is not integrable.
+    """
+    x_norm, y_norm, x_factor, y_factor = block_factors(grid, exps)
+    pc = exps.p_conjugate
+    return (_block_table(grid, exps.m, x_norm, x_factor, exps.tail_exponent_x, pc, "x"),
+            _block_table(grid, exps.n, y_norm, y_factor, exps.tail_exponent_y, pc, "y"))
+
+
+def region_limits(m_value: float, n1: float, n2: float, f_norm: float, r1: float, r2: float,
+                  tables: tuple[BlockTable, BlockTable]) -> dict[str, float]:
+    """The bounds of the four region sums at radii (r1, r2).
+
+    With A and T read from the x-block and y-block ``tables`` of
+    :func:`region_tables` at r1 and r2::
+
+        region11 <= A_x A_y M f     region12 <= A_x T_y n1
+        region21 <= A_y T_x n2      region22 <= T_x T_y ||f||
+
+    The mixed regions take the inner block's window bound slice by slice,
+    which M1 f or M2 f dominates, then Hoelder along the outer block.
     """
     check_positive(m_value=m_value, n1=n1, n2=n2, f_norm=f_norm, r1=r1, r2=r2)
-    ball_x = profile_ball_integral(exps.m, exps.alpha, 1.0)
-    ball_y = profile_ball_integral(exps.n, exps.beta, 1.0)
-    tail_x, tail_y = _tail_constant(exps, "x"), _tail_constant(exps, "y")
-    inv_pc = 1.0 / exps.p_conjugate
-    out_x, out_y = exps.alpha - exps.m / exps.p, exps.beta - exps.n / exps.p
-    rows = (("region11", ball_x * ball_y, m_value, exps.alpha, exps.beta),
-            ("region12", ball_x * tail_y ** inv_pc, n1, exps.alpha, out_y),
-            ("region21", ball_y * tail_x ** inv_pc, n2, out_x, exps.beta),
-            ("region22", (tail_x * tail_y) ** inv_pc, f_norm, out_x, out_y))
-    return {name: c * value * r1 ** ex * r2 ** ey for name, c, value, ex, ey in rows}
-
-
-def _window_cover_slack(dim: int) -> float:
-    # smallest strict dyadic cell-window covering a ball of arbitrary
-    # radius, including the half-cell offset of the convolution lattice
-    return 4.0 if dim == 1 else 26.0
-
-
-def _shell_sum_slack(dim: int, exponent: float) -> float:
-    # dyadic shells instead of the radial integral, one block
-    return (_window_cover_slack(dim) * 2.0 ** dim * exponent
-            / (dim * (2.0 ** exponent - 1.0)))
-
-
-def _tail_sum_slack(dim: int, decay: float) -> float:
-    # lattice tail sum of r^-decay against the tail integral
-    if dim == 1:
-        return 2.0 * decay - 1.0
-    return (decay - 1.0) * 4.0 ** decay
-
-
-def region_slack_factors(exps: Exponents) -> dict[str, float]:
-    """Discretization safety factors for the four region checks.
-
-    The analytic region bounds are continuum statements; on the lattice
-    three gaps open up, each with a worst-case factor:
-
-    * covering a ball of arbitrary radius by the smallest strictly
-      larger dyadic cell window, absorbing the half-cell offset between
-      the convolution lattice and the window centers (4 for a 1-d
-      block, 26 for a 2-d block);
-    * bounding the singular kernel factor over dyadic shells instead of
-      integrating it (``2^d g / (d (2^g - 1))`` per block with profile
-      exponent g);
-    * comparing the lattice tail sum of a decreasing power ``r^-g``
-      with the tail integral (``2g - 1`` for a 1-d block; a generous
-      ``(g - 1) 4^g`` margin for a 2-d block).
-
-    Inner blocks take the first two factors, tail blocks the third
-    raised to 1/p' (it enters through the Hoelder step).  The factors
-    are deliberately conservative: a region sum exceeding its analytic
-    bound times the slack indicates a bug, not discretization noise.
-    """
-    inv_pc = 1.0 / exps.p_conjugate
-    inner_x = _shell_sum_slack(exps.m, exps.alpha)
-    inner_y = _shell_sum_slack(exps.n, exps.beta)
-    tail_x = _tail_sum_slack(exps.m, exps.tail_exponent_x) ** inv_pc
-    tail_y = _tail_sum_slack(exps.n, exps.tail_exponent_y) ** inv_pc
-    return {
-        "region11": inner_x * inner_y,
-        "region12": inner_x * tail_y,
-        "region21": inner_y * tail_x,
-        "region22": tail_x * tail_y,
-    }
+    (a_x, t_x), (a_y, t_y) = tables[0].at(r1), tables[1].at(r2)
+    return {"region11": a_x * a_y * m_value, "region12": a_x * t_y * n1,
+            "region21": a_y * t_x * n2, "region22": t_x * t_y * f_norm}
 
 
 def balanced_radii(ratio: float, n1: float, n2: float, exps: Exponents) -> tuple[float, float]:
@@ -223,27 +218,21 @@ class HedbergContext:
     n1: np.ndarray
     n2: np.ndarray
     f_norm: float
-    slack_factors: dict
+    tables: tuple[BlockTable, BlockTable]
 
 
 def prepare_certification(f: GridFunction, exps: Exponents) -> HedbergContext:
-    """Precompute the maximal fields (one pass over the dyadic windows, the
-    family the slack factors reported by :func:`region_slack_factors` are
-    derived for) and the slice norms for a function.
+    """Precompute the maximal fields (one pass over the dyadic windows,
+    the windows the :func:`region_tables` are built from), the slice
+    norms and the region tables for a function.
     """
     _require_admissible(exps)
     check_blocks(f.grid, exps)
     mf, m1, m2 = maximal_fields(f)
     p = exps.p
-    return HedbergContext(
-        f=f,
-        exps=exps,
-        mf=mf,
-        n1=slice_lp_norms_x(m1, p),
-        n2=slice_lp_norms_y(m2, p),
-        f_norm=lp_norm(f, p),
-        slack_factors=region_slack_factors(exps),
-    )
+    return HedbergContext(f=f, exps=exps, mf=mf, n1=slice_lp_norms_x(m1, p),
+                          n2=slice_lp_norms_y(m2, p), f_norm=lp_norm(f, p),
+                          tables=region_tables(f.grid, exps))
 
 
 def _check_json_keys(d, expected, where: str) -> None:
@@ -254,15 +243,22 @@ def _check_json_keys(d, expected, where: str) -> None:
         raise ValueError(f"{where}: missing keys {missing}, unknown keys {unknown}")
 
 
-def _read_regions(d) -> RegionBounds:
-    _check_json_keys(d, [f.name for f in fields(RegionBounds)], "certificate regions")
-    return RegionBounds(**{k: float(v) for k, v in d.items()})
+def _read_numbers(d, keys, where: str) -> dict[str, float]:
+    _check_json_keys(d, keys, where)
+    for k, v in d.items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{where}: {k} must be a number, got {v!r}")
+    return {k: float(v) for k, v in d.items()}
 
 
-# JSON value -> field value, by the field's annotation
+# JSON value -> field value, by the field's annotation; a region map may be
+# empty only in the zero-function record, which from_json_dict checks
 _READERS = {"tuple[int, ...]": lambda v: tuple(map(int, v)),
-            "tuple[float, ...]": lambda v: tuple(map(float, v)),
-            "int": int, "float": float, "dict": dict, "RegionBounds": _read_regions}
+            "tuple[float, ...]": lambda v: tuple(map(float, v)), "int": int, "float": float,
+            "dict": lambda v: v if v == {} else _read_numbers(v, REGION_NAMES,
+                                                              "certificate region map"),
+            "RegionBounds": lambda v: RegionBounds(**_read_numbers(
+                v, [f.name for f in fields(RegionBounds)], "certificate regions"))}
 
 
 @dataclass(frozen=True)
@@ -273,10 +269,11 @@ class HedbergCertificate:
     final bound is ``m_value^(p/q) f_norm^(1-p/q)`` in case 1 and
     ``g_value^(p/q) f_norm^(1-2p/q)`` in case 2.  ``regions`` holds the
     four region sums at the radii ``(r1, r2)``; their total ``lhs`` is the
-    actual convolution value.  ``region_limits`` holds the analytic
-    per-region bound values and ``slack_factors`` the discretization
-    slacks they were checked with.  The JSON record (schema 1) holds every
-    field plus ``lhs``, ``ratio`` and ``schema_version``.
+    actual convolution value.  ``region_limits`` holds the lattice bounds
+    of :func:`region_limits` (empty only for the zero function), and
+    ``slack_factors`` is 1.0 for every region, kept so that schema 1
+    readers of ``limit * slack`` read the lattice bound.  The JSON record
+    holds every field plus ``lhs``, ``ratio`` and ``schema_version``.
     """
 
     point: tuple[int, ...]
@@ -313,13 +310,18 @@ class HedbergCertificate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HedbergCertificate":
-        """Parse a schema-1 record; missing or unknown keys, and an ``lhs`` or
-        ``ratio`` other than the one the fields give, raise ``ValueError``."""
+        """Parse a schema-1 record; missing or unknown keys, region maps that
+        are not the four names mapped to numbers (``region_limits`` may be
+        empty for the zero function), and an ``lhs`` or ``ratio`` other
+        than the one the fields give, raise ``ValueError``."""
         if d.get("schema_version") != CERTIFICATE_SCHEMA_VERSION:
             raise ValueError(f"unsupported certificate schema: {d.get('schema_version')}")
         _check_json_keys(d, ["schema_version", *(f.name for f in fields(cls)), "lhs", "ratio"],
                          "certificate")
         cert = cls(**{f.name: _READERS[f.type](d[f.name]) for f in fields(cls)})
+        if not cert.slack_factors or (not cert.region_limits and cert.f_norm != 0.0):
+            raise ValueError("certificate region_limits and slack_factors must name the four "
+                             "regions (region_limits is empty only when f_norm is 0)")
         for key in ("lhs", "ratio"):
             if d[key] != getattr(cert, key):
                 raise ValueError(f"certificate {key} {d[key]!r} differs from the "
@@ -336,10 +338,10 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
 
     Selects the case from the computed maximal and mixed-norm values,
     picks the balancing radii in closed form, splits the convolution at
-    those radii, and verifies every region sum against its analytic
-    bound times the documented slack, and in case 1 the collapse of the
-    mixed bound.  Raises :class:`CertificateViolation` at the first
-    check that fails.
+    those radii, and verifies every region sum against its lattice bound
+    from :func:`region_limits`, and in case 1 the collapse of the mixed
+    bound, each to a relative 1e-9 of floating-point headroom.  Raises
+    :class:`CertificateViolation` at the first check that fails.
 
     For a tensor product ``f(x, y) = a(x) b(y)`` (the gaussian, box,
     tensor-box and spike families) ``G f = M f ||f||`` holds in exact
@@ -350,7 +352,7 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
     grid = f.grid
     idx = normalize_point(point, grid.rank, grid.points_per_axis)
     coords = grid.point_coordinates(idx)
-    slacks = dict(ctx.slack_factors)
+    slacks = dict.fromkeys(REGION_NAMES, 1.0)
 
     if ctx.f_norm == 0.0:
         return HedbergCertificate(
@@ -371,22 +373,21 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
     final = final_bound(case_value, f_norm, case_id, exps)
 
     regions = region_split(f, exps, idx, r1, r2)
-    limits = region_limits(m_value, n1_val, n2_val, f_norm, r1, r2, exps)
-    checks = [(name, value, limits[name], slacks[name]) for name, value in
+    limits = region_limits(m_value, n1_val, n2_val, f_norm, r1, r2, ctx.tables)
+    checks = [(name, value, limits[name]) for name, value in
               zip(limits, (regions.t11, regions.t12, regions.t21, regions.t22))]
     if case_id == 1:
         # the mixed-bound common value must itself collapse under the
         # case hypothesis: n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q)
         checks.append(("mixed_collapse",
                        n1_val * r1 ** exps.alpha * r2 ** (exps.beta - exps.n / exps.p),
-                       final, 1.0))
-    for name, value, limit, slack in checks:
-        if value > slack * limit * (1.0 + _CHECK_REL):
+                       final))
+    for name, value, limit in checks:
+        if value > limit * (1.0 + _CHECK_REL):
             raise CertificateViolation(
-                f"{name} value {value} exceeds its bound {limit} times slack {slack} "
-                f"at point {idx}",
+                f"{name} value {value} exceeds its bound {limit} at point {idx}",
                 diagnostics={"point": list(idx), "region": name, "value": value,
-                             "limit": limit, "slack": slack,
+                             "limit": limit, "slack": 1.0,
                              "r1": r1, "r2": r2, "case_id": case_id})
 
     return HedbergCertificate(

@@ -122,9 +122,8 @@ class Exponents:
     def violation(self) -> str | None:
         """The first admissibility condition the tuple fails, or None.
 
-        In order: ``balance_alpha`` (1/p - 1/q = alpha/m),
-        ``balance_beta`` (1/p - 1/q = beta/n) and ``combined_identity``
-        (1/q = 1/p - (alpha + beta)/(m + n)), each to ``BALANCE_TOL``;
+        In order: ``balance_alpha`` (1/p - 1/q = alpha/m) and
+        ``balance_beta`` (1/p - 1/q = beta/n), each to ``BALANCE_TOL``;
         then ``tail_x`` ((m - alpha) p' > m) and ``tail_y``
         ((n - beta) p' > n), the integrability of the kernel tails at the
         dual power p'.  Balance with a finite q implies both tail
@@ -133,10 +132,8 @@ class Exponents:
         still fail one when 1/q <= ``BALANCE_TOL``.
         """
         gap = 1.0 / self.p - 1.0 / self.q
-        combined = 1.0 / self.q - (1.0 / self.p - (self.alpha + self.beta) / (self.m + self.n))
         for name, holds in (("balance_alpha", abs(gap - self.alpha / self.m) <= BALANCE_TOL),
                             ("balance_beta", abs(gap - self.beta / self.n) <= BALANCE_TOL),
-                            ("combined_identity", abs(combined) <= BALANCE_TOL),
                             ("tail_x", self.tail_exponent_x > self.m),
                             ("tail_y", self.tail_exponent_y > self.n)):
             if not holds:

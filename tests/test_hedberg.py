@@ -17,8 +17,7 @@ from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunctio
                      HedbergCertificate, ProductGrid, balanced_radii,
                      certify_point, convolve_direct, final_bound,
                      prepare_certification, profile_ball_integral, region_limits,
-                     region_slack_factors, riesz_kernel, sample_function,
-                     tail_integral_constant)
+                     region_tables, riesz_kernel, sample_function, tail_integral_constant)
 from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport,
                              make_family, write_certificates_json)
 from test_maximal import block_windows
@@ -65,12 +64,22 @@ def test_tail_exponents_reported():
 
 # ---------------------------------------------------------------- constants
 
-def limit(region, value, r1, r2, exps):
-    """One region's bound with ``value`` in its own row and 1.0 in the others."""
+def limit(region, value, r1, r2, exps, grid=None):
+    """One region's bound with ``value`` in its own row and 1.0 in the others,
+    from the tables of ``grid`` (by default the 16-cell grid of the blocks)."""
+    grid = grid or ProductGrid(m=exps.m, n=exps.n, half_width=1.0, points_per_axis=16)
     values = dict(m_value=1.0, n1=1.0, n2=1.0, f_norm=1.0)
     values[{"region11": "m_value", "region12": "n1", "region21": "n2",
             "region22": "f_norm"}[region]] = value
-    return region_limits(**values, r1=r1, r2=r2, exps=exps)[region]
+    return region_limits(**values, r1=r1, r2=r2, tables=region_tables(grid, exps))[region]
+
+
+# N = 2, h = 1: each block has the two offsets at |x| = 1/2, one shell;
+# K(1/2) = sqrt(2), the offsets sit 0 and 1 cells from the node, so the
+# smallest dyadic window holding both has radius 2 cells and 3 cells in all
+TWO_CELL = ProductGrid(m=1, n=1, half_width=1.0, points_per_axis=2)
+TWO_CELL_INNER = 3.0 * 2.0 ** 0.5                    # A = h K(1/2) |W|
+TWO_CELL_TAIL = (2.0 * 0.5 ** -2.0) ** 0.25           # T = (h 2 (1/2)^((a-d)p'))^(1/p')
 
 
 def test_unit_ball_profile_integral_quad_oracle():
@@ -90,60 +99,74 @@ def test_tail_constant_quad_oracle():
 
 
 def test_tail_constant_rejects_slow_decay_without_naming_a_block():
-    # the constant does not know which block it serves; the region bounds
-    # name the failing tail condition before they ask for it
+    # the constant does not know which block it serves; the region tables
+    # name the failing tail condition
     with pytest.raises(ValueError) as info:
         tail_integral_constant(2, 1.5)
     assert not isinstance(info.value, ExponentError)
 
 
 def test_region22_constant_value():
-    # c22 = (2 * 2)^(1/4) for the standard configuration
-    b = limit("region22", 1.0, 1.0, 1.0, STD)
-    assert b == pytest.approx(4.0 ** 0.25, rel=1e-12)
+    # below the one shell both blocks are all tail: T_x T_y ||f||
+    assert limit("region22", 1.0, 0.25, 0.25, STD, TWO_CELL) == pytest.approx(
+        TWO_CELL_TAIL ** 2, rel=1e-12)
+    assert limit("region22", 1.0, 0.5, 0.25, STD, TWO_CELL) == 0.0
 
 
 def test_region12_constant_value():
-    # c12 = 4 * 2^(1/4): inner x-ball constant times the y-tail constant
-    b = limit("region12", 1.0, 1.0, 1.0, STD)
-    assert b == pytest.approx(4.0 * 2.0 ** 0.25, rel=1e-12)
+    # inner x-block against the y-tail: A_x T_y n1
+    assert limit("region12", 1.0, 0.5, 0.25, STD, TWO_CELL) == pytest.approx(
+        TWO_CELL_INNER * TWO_CELL_TAIL, rel=1e-12)
+    assert limit("region12", 1.0, 0.25, 0.25, STD, TWO_CELL) == 0.0
 
 
 def test_region11_scaling_and_value():
-    base = limit("region11", 1.0, 1.0, 1.0, STD)
-    assert base == pytest.approx(16.0, rel=1e-12)
-    assert limit("region11", 1.0, 2.0, 1.0, STD) == pytest.approx(
-        2.0 ** STD.alpha * base, rel=1e-12)
-    assert limit("region22", 1.0, 2.0, 1.0, STD) == pytest.approx(
-        2.0 ** (STD.alpha - 1 / STD.p) * limit("region22", 1.0, 1.0, 1.0, STD), rel=1e-12)
+    # A_x A_y M f: linear in M f, constant between shells, 0 below the first
+    assert limit("region11", 1.0, 0.5, 0.5, STD, TWO_CELL) == pytest.approx(
+        TWO_CELL_INNER ** 2, rel=1e-12)
+    assert limit("region11", 2.5, 7.0, 0.5, STD, TWO_CELL) == 2.5 * limit(
+        "region11", 1.0, 0.5, 0.5, STD, TWO_CELL)
+    assert limit("region11", 1.0, 0.49, 0.5, STD, TWO_CELL) == 0.0
+    tables = region_tables(grid_1x1(N=32), STD)
+    for table in tables:
+        assert np.all(np.diff(table.shells) > 0.0)
+        assert np.all(np.diff(table.inner) >= 0.0) and np.all(np.diff(table.tail) <= 0.0)
+        assert table.inner[0] == 0.0 < table.inner[1] and table.tail[-2] > 0.0 == table.tail[-1]
 
 
 def test_region12_21_symmetry():
     # swapping (m, alpha, r1, n1) with (n, beta, r2, n2) exchanges the bounds
-    e = Exponents(m=1, n=1, alpha=0.4, beta=0.6, p=1.6, q=4.0)
-    swapped = Exponents(m=1, n=1, alpha=0.6, beta=0.4, p=1.6, q=4.0)
-    b12 = limit("region12", 1.3, 0.7, 2.1, e)
-    b21 = limit("region21", 1.3, 2.1, 0.7, swapped)
-    assert b12 == pytest.approx(b21, rel=1e-12)
+    for m, n in ((1, 1), (1, 2)):
+        e = Exponents(m=m, n=n, alpha=0.4 * m, beta=0.6 * n, p=1.6, q=4.0)
+        swapped = Exponents(m=n, n=m, alpha=0.6 * n, beta=0.4 * m, p=1.6, q=4.0)
+        grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=16)
+        grid_swapped = ProductGrid(m=n, n=m, half_width=1.0, points_per_axis=16)
+        bounds = [(limit("region12", 1.3, r1, r2, e, grid),
+                   limit("region21", 1.3, r2, r1, swapped, grid_swapped))
+                  for r1, r2 in ((0.7, 0.9), (0.1, 0.3), (0.3, 0.1), (0.3, 3.0))]
+        assert all(b12 == b21 for b12, b21 in bounds)
+        assert sum(b12 > 0.0 for b12, _ in bounds) == 3
 
 
 def test_mixed_regions_name_the_failing_tail():
+    grid = grid_1x1()
     y_fails = Exponents(m=1, n=1, alpha=0.5, beta=0.9, p=4 / 3, q=4.0)
     with pytest.raises(ExponentError) as info:
-        limit("region12", 1.0, 1.0, 1.0, y_fails)
+        region_tables(grid, y_fails)
     assert info.value.condition == "tail_y"
     x_fails = Exponents(m=1, n=1, alpha=0.9, beta=0.5, p=4 / 3, q=4.0)
     with pytest.raises(ExponentError) as info:
-        limit("region21", 1.0, 1.0, 1.0, x_fails)
+        region_tables(grid, x_fails)
     assert info.value.condition == "tail_x"
 
 
 def test_region22_rejects_failed_tail():
-    e = Exponents(m=1, n=1, alpha=0.9, beta=0.5, p=4 / 3, q=4.0)
-    with pytest.raises(ExponentError):
-        limit("region22", 1.0, 1.0, 1.0, e)
-    with pytest.raises(ExponentError):
-        limit("region21", 1.0, 1.0, 1.0, e)
+    # both tails fail: the x-block is named first, at any grid size
+    e = Exponents(m=1, n=1, alpha=0.9, beta=0.9, p=4 / 3, q=4.0)
+    for grid in (TWO_CELL, grid_1x1(N=32)):
+        with pytest.raises(ExponentError) as info:
+            limit("region22", 1.0, 1.0, 1.0, e, grid)
+        assert info.value.condition == "tail_x"
 
 
 def test_region11_constant_function_ratio_flat():
@@ -154,7 +177,7 @@ def test_region11_constant_function_ratio_flat():
     ratios = []
     for r in (0.25, 0.5, 1.0):
         rb = region_split(f, STD, (16, 16), r, r)
-        ratios.append(rb.t11 / limit("region11", 1.0, r, r, STD))
+        ratios.append(rb.t11 / limit("region11", 1.0, r, r, STD, g))
     assert max(ratios) / min(ratios) < 1.25
 
 
@@ -216,15 +239,16 @@ def test_radii_case2_unit():
     assert r2 == pytest.approx(1.0, rel=1e-12)
 
 
-def test_region12_bound_not_tight_under_support_exhaustion():
-    # radii past the box diameter empty the mixed region while the
-    # analytic bound stays positive (inequality direction only)
+def test_region12_bound_vanishes_under_support_exhaustion():
+    # a radius past the box diameter empties the mixed region, and the
+    # lattice tail constant, which sums the same offsets, vanishes with it
     from prodhls import region_split
     g = grid_1x1(N=16)
     f = gaussian(g)
     rb = region_split(f, STD, (8, 8), 0.5, 10.0)
     assert rb.t12 == 0.0
-    assert limit("region12", 1.0, 0.5, 10.0, STD) > 0.0
+    assert limit("region12", 1.0, 0.5, 10.0, STD, g) == 0.0
+    assert limit("region11", 1.0, 0.5, 10.0, STD, g) > 0.0
 
 
 def test_radii_case2_swap_symmetry():
@@ -292,14 +316,16 @@ BALANCED = [Exponents.from_balance(m, n, m / 2, n / 2, p)
 @pytest.mark.parametrize("e", BALANCED, ids=lambda e: f"m{e.m}-n{e.n}-p{e.p:.3f}")
 def test_closed_forms_equal_the_per_case_formulas(e):
     # the per-region and per-case formulas, written out, against the one
-    # closed form of each step, bit for bit
+    # closed form of each step, bit for bit; the region limits read each
+    # block's table at the number of shells inside its radius
     rng = np.random.default_rng(10 * e.m + e.n)
-    inv_pc = 1.0 / e.p_conjugate
-    ball_x = profile_ball_integral(e.m, e.alpha, 1.0)
-    ball_y = profile_ball_integral(e.n, e.beta, 1.0)
-    tail_x = tail_integral_constant(e.m, e.tail_exponent_x)
-    tail_y = tail_integral_constant(e.n, e.tail_exponent_y)
-    out_x, out_y = e.alpha - e.m / e.p, e.beta - e.n / e.p
+    grid = ProductGrid(m=e.m, n=e.n, half_width=1.0, points_per_axis=8)
+    tables = region_tables(grid, e)
+
+    def read(table, r):
+        k = int(np.sum(table.shells <= r))
+        return table.inner[k], table.tail[k]
+
     pq = e.p / e.q
     for _ in range(50):
         mf, gv, n1, n2, fn = 10.0 ** rng.uniform(-3, 3, 5)
@@ -311,11 +337,10 @@ def test_closed_forms_equal_the_per_case_formulas(e):
             r2 = (ratio / b) ** (-e.p / (2.0 * e.n))
             assert balanced_radii(value / fn ** case_id, n1, n2, e) == (r1, r2)
             assert final_bound(value, fn, case_id, e) == final
-            assert region_limits(mf, n1, n2, fn, r1, r2, e) == {
-                "region11": ball_x * ball_y * mf * r1 ** e.alpha * r2 ** e.beta,
-                "region12": ball_x * tail_y ** inv_pc * n1 * r1 ** e.alpha * r2 ** out_y,
-                "region21": ball_y * tail_x ** inv_pc * n2 * r1 ** out_x * r2 ** e.beta,
-                "region22": (tail_x * tail_y) ** inv_pc * fn * r1 ** out_x * r2 ** out_y}
+            (a_x, t_x), (a_y, t_y) = read(tables[0], r1), read(tables[1], r2)
+            assert region_limits(mf, n1, n2, fn, r1, r2, tables) == {
+                "region11": a_x * a_y * mf, "region12": a_x * t_y * n1,
+                "region21": a_y * t_x * n2, "region22": t_x * t_y * fn}
 
 
 def test_final_bound_rejects_unknown_case():
@@ -324,11 +349,12 @@ def test_final_bound_rejects_unknown_case():
 
 
 def test_region_limits_reject_degenerate_inputs():
+    tables = region_tables(grid_1x1(), STD)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            region_limits(1.0, 1.0, 1.0, 1.0, bad, 1.0, STD)
+            region_limits(1.0, 1.0, 1.0, 1.0, bad, 1.0, tables)
         with pytest.raises(ValueError):
-            region_limits(1.0, 1.0, 1.0, bad, 1.0, 1.0, STD)
+            region_limits(1.0, 1.0, 1.0, bad, 1.0, 1.0, tables)
 
 
 # ---------------------------------------------------------------- certificates
@@ -409,8 +435,7 @@ def test_certificate_spike_degenerates_gracefully():
     for pt in ((16, 16), (15, 16), (0, 31)):
         cert = certify_point(ctx, pt)
         assert math.isfinite(cert.final_bound) and cert.final_bound > 0
-        assert cert.lhs <= sum(cert.slack_factors[k] * cert.region_limits[k]
-                               for k in cert.region_limits)
+        assert cert.lhs <= sum(cert.region_limits.values())
 
 
 def test_certificate_homogeneity():
@@ -438,6 +463,9 @@ def test_certificate_zero_function_trivial():
     f = GridFunction(g, np.zeros(g.shape))
     cert = certify_point(prepare_certification(f, STD), (8, 8))
     assert cert.lhs == 0.0 and cert.final_bound == 0.0 and cert.ratio == 0.0
+    # the one record whose region_limits may be empty
+    assert cert.region_limits == {}
+    assert HedbergCertificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict()))) == cert
 
 
 def test_certificate_region_checks_recorded():
@@ -449,7 +477,7 @@ def test_certificate_region_checks_recorded():
     rb = cert.regions
     for name, value in (("region11", rb.t11), ("region12", rb.t12),
                         ("region21", rb.t21), ("region22", rb.t22)):
-        assert value <= cert.slack_factors[name] * cert.region_limits[name] * (1 + 1e-9)
+        assert value <= cert.region_limits[name] * (1 + 1e-9)
 
 
 def brute_force_regions(f, exps, point, r1, r2):
@@ -532,6 +560,105 @@ def test_certificate_node_values_match_exhaustive_windows(m, n, N, family):
         for name, want in (("m_value", mf[ix, iy]), ("n1", n1[ix]), ("n2", n2[iy])):
             got = getattr(cert, name)
             assert abs(got - want) <= 1e-12 * want, (point, name, got, want)
+
+
+class BruteBlock:
+    """A(r) and T(r) of one block by a loop over every kernel offset and
+    every dyadic window of ``block_windows``."""
+
+    def __init__(self, grid, dim, a, p):
+        N = grid.points_per_axis
+        self.dim, self.a, self.pc, self.cell = dim, a, p / (p - 1.0), grid.spacing ** dim
+        centers = (np.arange(N) + 0.5) * grid.spacing - grid.half_width
+        self.norms = {j: math.hypot(*centers[list(j)])
+                      for j in itertools.product(range(N), repeat=dim)}
+        self.shells = sorted(set(self.norms.values()))
+        # seen from the block node N/2 - 1 on each axis, offset j lies on the
+        # box cell N - 1 - j (N/2 - j cells away)
+        node = np.ravel_multi_index((N // 2 - 1,) * dim, (N,) * dim)
+        cell = {j: np.ravel_multi_index(tuple(N - 1 - i for i in j), (N,) * dim)
+                for j in self.norms}
+        windows = [block_windows(dim, N, 2 ** k) for k in range(math.ceil(math.log2(N)) + 1)]
+        self.count = {}
+        for s in self.shells:  # full count of the smallest window holding the ball
+            ball = [cell[j] for j, u in self.norms.items() if u <= s]
+            self.count[s] = next(full for W, full in windows if all(W[node, c] for c in ball))
+
+    def inner(self, r):
+        inside = [s for s in self.shells if s <= r]
+        kern = [s ** (self.a - self.dim) for s in inside] + [0.0]
+        return self.cell * sum((kern[k] - kern[k + 1]) * self.count[s]
+                               for k, s in enumerate(inside))
+
+    def tail(self, r):
+        mass = sum(u ** ((self.a - self.dim) * self.pc) for u in self.norms.values() if u > r)
+        return (self.cell * mass) ** (1.0 / self.pc)
+
+
+LATTICE_RANKS = [(1, 1, 16), (2, 1, 8), (1, 2, 8), (2, 2, 6)]
+
+
+# at N = 10 a later shell can need a smaller window than an earlier one,
+# so the covering window must hold every shell up to its own
+@pytest.mark.parametrize("m, n, N", LATTICE_RANKS + [(1, 1, 10), (2, 2, 10)])
+def test_region_tables_match_a_brute_force_lattice_sum(m, n, N):
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    for table, brute in zip(region_tables(grid, e), (BruteBlock(grid, m, e.alpha, e.p),
+                                                     BruteBlock(grid, n, e.beta, e.p))):
+        levels = sorted(set(np.round(brute.shells, 12)))
+        radii = [levels[0] / 2, *((a + b) / 2 for a, b in zip(levels, levels[1:])),
+                 2 * levels[-1]]
+        for r in radii:
+            a_r, t_r = table.at(r)
+            assert a_r == pytest.approx(brute.inner(r), rel=1e-12, abs=0.0), r
+            assert t_r == pytest.approx(brute.tail(r), rel=1e-12, abs=0.0), r
+        assert table.at(radii[0])[0] == 0.0 and table.at(radii[-1])[1] == 0.0
+
+
+@pytest.mark.parametrize("m, n, N", LATTICE_RANKS)
+@pytest.mark.parametrize("family", ["gaussian", "random"])
+def test_every_region_sum_within_its_brute_force_limit(m, n, N, family):
+    # at every node, the recorded limits against ones built from the
+    # brute-force A and T and the exhaustive-window node values, and every
+    # region sum within them
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    f = make_family(family, grid, seed=7)(1.0, 1.0)
+    ctx = prepare_certification(f, e)
+    mf, n1, n2 = exhaustive_node_values(f, e.p)
+    bx, by = BruteBlock(grid, m, e.alpha, e.p), BruteBlock(grid, n, e.beta, e.p)
+    utilization = dict.fromkeys(REGIONS, 0.0)
+    for point in itertools.product(range(N), repeat=m + n):
+        cert = certify_point(ctx, point)
+        ix = np.ravel_multi_index(point[:m], (N,) * m)
+        iy = np.ravel_multi_index(point[m:], (N,) * n)
+        a_x, t_x, a_y, t_y = (bx.inner(cert.r1), bx.tail(cert.r1),
+                              by.inner(cert.r2), by.tail(cert.r2))
+        limits = {"region11": a_x * a_y * mf[ix, iy], "region12": a_x * t_y * n1[ix],
+                  "region21": a_y * t_x * n2[iy], "region22": t_x * t_y * ctx.f_norm}
+        for name, want in limits.items():
+            assert cert.region_limits[name] == pytest.approx(want, rel=1e-11, abs=0.0)
+            value = getattr(cert.regions, "t" + name[-2:])
+            assert value <= want * (1.0 + 1e-9), (point, name, value, want)
+            if want > 0.0:
+                utilization[name] = max(utilization[name], value / want)
+    assert max(utilization.values()) > 0.05  # the limits are not vacuous
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (2, 2, 8)])
+def test_swapped_split_radii_are_caught(monkeypatch, m, n, N):
+    # the split run at (r2, r1) moves mass into regions whose limits do not
+    # admit it; some node of the gaussian at each rank must fail
+    real = hedberg.region_split
+    monkeypatch.setattr(hedberg, "region_split",
+                        lambda f, exps, point, r1, r2: real(f, exps, point, r2, r1))
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    ctx = prepare_certification(make_family("gaussian", grid)(1.0, 1.0), e)
+    with pytest.raises(CertificateViolation):
+        for point in itertools.product(range(N), repeat=m + n):
+            certify_point(ctx, point)
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1)])
@@ -678,6 +805,22 @@ def test_certificate_json_keys_are_schema_1():
                  id="edited-lhs"),
     pytest.param(lambda d: d.update(ratio=2.0 * d["ratio"]), "certificate ratio",
                  id="edited-ratio"),
+    pytest.param(lambda d: d["regions"].update(t11=str(d["regions"]["t11"])),
+                 "t11 must be a number", id="string-region"),
+    pytest.param(lambda d: d.update(region_limits={"bogus": "x"}),
+                 r"region map: missing keys \['region11', .*unknown keys \['bogus'\]",
+                 id="unknown-limit"),
+    pytest.param(lambda d: d.update(region_limits={"region11": "1e9"}),
+                 r"region map: missing keys \['region12', 'region21', 'region22'\]",
+                 id="partial-limits"),
+    pytest.param(lambda d: d["region_limits"].update(region11="1e9"),
+                 "region11 must be a number", id="string-limit"),
+    pytest.param(lambda d: d["slack_factors"].update(region22=True),
+                 "region22 must be a number", id="boolean-slack"),
+    pytest.param(lambda d: d.update(slack_factors={}), "must name the four regions",
+                 id="empty-slacks"),
+    pytest.param(lambda d: d.update(region_limits={}), "must name the four regions",
+                 id="empty-limits"),
 ])
 def test_certificate_json_rejects_malformed(edit, message):
     g = grid_1x1(N=32)
@@ -689,8 +832,10 @@ def test_certificate_json_rejects_malformed(edit, message):
 
 
 def test_slack_factors_positive_and_stable():
-    slacks = region_slack_factors(STD)
-    assert all(v >= 1.0 for v in slacks.values())
-    # the pinned values for the standard configuration
-    assert slacks["region22"] == pytest.approx(3.0 ** 0.5, rel=1e-12)
-    assert slacks["region11"] == pytest.approx((4 * 2 * 0.5 / (2 ** 0.5 - 1)) ** 2, rel=1e-12)
+    # the limits are lattice sums, so every schema-1 slack is 1.0, at every
+    # node and in the zero-function record
+    g = grid_1x1(N=16)
+    for f in (gaussian(g), GridFunction(g, np.zeros(g.shape))):
+        ctx = prepare_certification(f, STD)
+        for pt in itertools.product(range(0, 16, 5), repeat=2):
+            assert certify_point(ctx, pt).slack_factors == dict.fromkeys(REGIONS, 1.0)
