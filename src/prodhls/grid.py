@@ -80,9 +80,14 @@ class ProductGrid:
         return self.spacing ** self.rank
 
     def axis_centers(self) -> np.ndarray:
-        """Coordinates of the cell centers along one axis, ascending."""
+        """Coordinates of the cell centers along one axis, ascending.
+
+        Written as the half-integer cell offsets from the box center
+        times h, so ``c == -c[::-1]`` holds exactly: mirrored offsets
+        have equal norms and fall in one shell.
+        """
         N = self.points_per_axis
-        return (np.arange(N) + 0.5) * self.spacing - self.half_width
+        return (np.arange(N) - (N - 1) / 2) * self.spacing
 
     def x_norms(self) -> np.ndarray:
         """Euclidean norm |x| at the cell centers of the x-block, shape (N,)*m."""

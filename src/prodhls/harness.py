@@ -7,6 +7,7 @@ canonical configuration and the library version.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -363,7 +364,7 @@ def run_pointwise_campaign(cfg: ExperimentConfig) -> PointwiseReport:
                            suite_constant=suite_constant, passed=passed)
 
 
-@dataclass
+@dataclass(frozen=True)  # one (1, 1) row sits on both ladders
 class SweepRow:
     s: float
     t: float
@@ -442,6 +443,7 @@ def run_necessity_sweep(cfg: ExperimentConfig) -> SlopeReport:
     exps = cfg.exponents
     kernel = riesz_kernel(cfg.grid, exps)
 
+    @functools.cache  # (1, 1) sits on both ladders: convolve it once
     def measure(s: float, t: float) -> SweepRow:
         f = fam(s, t)
         row = SweepRow(s=s, t=t, norm_q=lp_norm(convolve_fast(f, kernel), exps.q),

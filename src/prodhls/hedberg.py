@@ -243,21 +243,39 @@ def _check_json_keys(d, expected, where: str) -> None:
         raise ValueError(f"{where}: missing keys {missing}, unknown keys {unknown}")
 
 
+def _read_int(v, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _read_float(v, what: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
+def _read_tuple(read):
+    def read_tuple(v, what: str) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ValueError(f"{what} must be a list, got {v!r}")
+        return tuple(read(x, what) for x in v)
+    return read_tuple
+
+
 def _read_numbers(d, keys, where: str) -> dict[str, float]:
     _check_json_keys(d, keys, where)
-    for k, v in d.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{where}: {k} must be a number, got {v!r}")
-    return {k: float(v) for k, v in d.items()}
+    return {k: _read_float(v, f"{where}: {k}") for k, v in d.items()}
 
 
 # JSON value -> field value, by the field's annotation; a region map may be
 # empty only in the zero-function record, which from_json_dict checks
-_READERS = {"tuple[int, ...]": lambda v: tuple(map(int, v)),
-            "tuple[float, ...]": lambda v: tuple(map(float, v)), "int": int, "float": float,
-            "dict": lambda v: v if v == {} else _read_numbers(v, REGION_NAMES,
-                                                              "certificate region map"),
-            "RegionBounds": lambda v: RegionBounds(**_read_numbers(
+_READERS = {"tuple[int, ...]": _read_tuple(_read_int),
+            "tuple[float, ...]": _read_tuple(_read_float), "int": _read_int,
+            "float": _read_float,
+            "dict": lambda v, what: v if v == {} else _read_numbers(v, REGION_NAMES,
+                                                                    "certificate region map"),
+            "RegionBounds": lambda v, what: RegionBounds(**_read_numbers(
                 v, [f.name for f in fields(RegionBounds)], "certificate regions"))}
 
 
@@ -312,13 +330,22 @@ class HedbergCertificate:
     def from_json_dict(cls, d: dict) -> "HedbergCertificate":
         """Parse a schema-1 record; missing or unknown keys, region maps that
         are not the four names mapped to numbers (``region_limits`` may be
-        empty for the zero function), and an ``lhs`` or ``ratio`` other
-        than the one the fields give, raise ``ValueError``."""
+        empty for the zero function), a ``point`` that is not a list of
+        integers as long as ``point_coordinates``, a ``case_id`` other than
+        the integer 1 or 2, a scalar given as a string or a boolean, and an
+        ``lhs`` or ``ratio`` other than the one the fields give, raise
+        ``ValueError``."""
         if d.get("schema_version") != CERTIFICATE_SCHEMA_VERSION:
             raise ValueError(f"unsupported certificate schema: {d.get('schema_version')}")
         _check_json_keys(d, ["schema_version", *(f.name for f in fields(cls)), "lhs", "ratio"],
                          "certificate")
-        cert = cls(**{f.name: _READERS[f.type](d[f.name]) for f in fields(cls)})
+        cert = cls(**{f.name: _READERS[f.type](d[f.name], f"certificate {f.name}")
+                      for f in fields(cls)})
+        if cert.case_id not in (1, 2):
+            raise ValueError(f"certificate case_id must be 1 or 2, got {cert.case_id!r}")
+        if len(cert.point) != len(cert.point_coordinates):
+            raise ValueError(f"certificate point {list(cert.point)} does not match its "
+                             f"{len(cert.point_coordinates)} point_coordinates")
         if not cert.slack_factors or (not cert.region_limits and cert.f_norm != 0.0):
             raise ValueError("certificate region_limits and slack_factors must name the four "
                              "regions (region_limits is empty only when f_norm is 0)")

@@ -2,6 +2,7 @@
 
 import gc
 import warnings
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -306,7 +307,9 @@ def test_region_split_rank3():
 
 
 def index_gather_split(f, exps, point, r1, r2):
-    """The split written with per-axis index arrays and validity masks."""
+    """The split's terms, gathered with per-axis index arrays and validity
+    masks: for each region the (sample, x-factor, y-factor, cell volume)
+    tuple of every offset in it, zero samples for offsets outside the box."""
     g = f.grid
     N = g.points_per_axis
     gather, valid = [], []
@@ -321,18 +324,44 @@ def index_gather_split(f, exps, point, r1, r2):
         window = window * mask.reshape(shape)
     x_norm = g.x_norms().reshape(-1)
     y_norm = g.y_norms().reshape(-1)
-    weights = (window.reshape(x_norm.size, y_norm.size)
-               * (x_norm ** (exps.alpha - exps.m))[:, None]
-               * (y_norm ** (exps.beta - exps.n))[None, :]
-               * g.cell_volume)
+    window = window.reshape(x_norm.size, y_norm.size)
+    x_factor = x_norm ** (exps.alpha - exps.m)
+    y_factor = y_norm ** (exps.beta - exps.n)
     in_x, in_y = x_norm <= r1, y_norm <= r2
-    return [float(weights[np.ix_(a, b)].sum())
-            for a, b in ((in_x, in_y), (in_x, ~in_y), (~in_x, in_y), (~in_x, ~in_y))]
+    return [[(window[a, b], x_factor[a], y_factor[b], g.cell_volume)
+             for a in np.flatnonzero(xs) for b in np.flatnonzero(ys)]
+            for xs, ys in ((in_x, in_y), (in_x, ~in_y), (~in_x, in_y), (~in_x, ~in_y))]
+
+
+def exact_sum_of_products(terms):
+    """The sum of the products of each tuple of floats, in exact rationals."""
+    parts = []
+    for factors in terms:
+        num, exp = 1, 0
+        for v in factors:
+            a, b = float(v).as_integer_ratio()  # b is a power of two
+            num *= a
+            exp -= b.bit_length() - 1
+        parts.append((num, exp))
+    low = min((exp for _, exp in parts), default=0)
+    return Fraction(sum(num << (exp - low) for num, exp in parts), 1 << -low)
+
+
+def shell_radii(g):
+    """Radii that sit exactly on an offset-norm shell of each block."""
+    x_shells, y_shells = np.unique(g.x_norms()), np.unique(g.y_norms())
+    return [(float(x_shells[1]), float(y_shells[2])), (float(x_shells[3]), float(y_shells[0]))]
 
 
 @pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (1, 2, 8), (2, 2, 6)])
 @pytest.mark.parametrize("family", ["random", "gaussian", "box", "zero"])
 def test_region_split_bytes_match_index_gather(m, n, N, family):
+    # each region sum is within gamma(K + 2) of the exact sum of its K
+    # index-gather terms: the contraction takes a term through one x-factor
+    # product, at most |in_x| - 1 row additions, one y-factor product, at
+    # most |in_y| - 1 additions and the cell-volume product, so through
+    # |in_x| + |in_y| + 1 <= K + 2 roundings of nonnegative values, in
+    # whatever order they are summed
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
     if family == "random":
@@ -349,9 +378,10 @@ def test_region_split_bytes_match_index_gather(m, n, N, family):
              (N // 2 - 1,) * rank, (N // 2,) * rank,        # interior
              tuple(range(1, rank + 1))]
     for point in nodes:
-        for r1, r2 in ((0.3, 0.5), (0.05, 2.0), (10.0, 10.0)):
+        for r1, r2 in [(0.3, 0.5), (0.05, 2.0), (10.0, 10.0), *shell_radii(g)]:
             rb = region_split(f, e, point, r1, r2)
-            got = np.array([rb.t11, rb.t12, rb.t21, rb.t22])
-            want = np.array(index_gather_split(f, e, point, r1, r2))
-            assert got.tobytes() == want.tobytes(), (point, r1, r2)
-
+            got = (rb.t11, rb.t12, rb.t21, rb.t22)
+            for value, terms in zip(got, index_gather_split(f, e, point, r1, r2)):
+                exact = exact_sum_of_products(terms)
+                gamma = Fraction(len(terms) + 2, 2 ** 53 - len(terms) - 2)
+                assert abs(Fraction(value) - exact) <= gamma * exact, (point, r1, r2)

@@ -34,6 +34,14 @@ def test_centers_avoid_origin():
         assert np.all(np.abs(g.axis_centers()) >= g.spacing / 2 - 1e-15)
 
 
+@pytest.mark.parametrize("L", [0.5, 1.0, 1.5, 3.7, 10.0])
+def test_centers_mirror_exactly(L):
+    # mirrored offsets must share one norm, so that each distance is one shell
+    for N in range(2, 129, 2):
+        c = grid_1x1(N=N, L=L).axis_centers()
+        assert np.array_equal(c, -c[::-1]), N
+
+
 def test_odd_point_count_rejected():
     with pytest.raises(ValueError):
         ProductGrid(m=1, n=1, half_width=1.0, points_per_axis=15)

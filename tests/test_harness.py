@@ -291,6 +291,23 @@ def test_necessity_small_grid_structure():
     assert rep.passed  # loose tolerance: structure only
 
 
+def test_necessity_convolves_the_shared_pair_once(monkeypatch):
+    # (1, 1) sits on both five-point ladders: nine convolutions, ten rows
+    calls = []
+    real = prodhls.harness.convolve_fast
+
+    def counted(f, k):
+        calls.append(f)
+        return real(f, k)
+
+    monkeypatch.setattr(prodhls.harness, "convolve_fast", counted)
+    rep = run_necessity_sweep(ExperimentConfig.from_dict(
+        ladder_config(tolerances={"slope_tolerance": 1.0})))
+    assert len(calls) == 9 and len(rep.rows) == 10
+    first, second = [r for r in rep.rows if r.s == r.t == 1.0]
+    assert first == second
+
+
 @pytest.mark.parametrize("half_extent", [0.01, 0.05])
 def test_necessity_rejects_vanishing_instance(half_extent):
     raw = vanishing_box_ladder(half_extent)

@@ -616,6 +616,14 @@ def test_region_tables_match_a_brute_force_lattice_sum(m, n, N):
         assert table.at(radii[0])[0] == 0.0 and table.at(radii[-1])[1] == 0.0
 
 
+def test_region_tables_hold_one_shell_per_distance():
+    # at N = 10 the five distances (k + 1/2) h of a 1-d block are five shells
+    grid = grid_1x1(N=10)
+    for table in region_tables(grid, STD):
+        assert table.shells.size == 5
+        assert table.shells == pytest.approx((np.arange(5) + 0.5) * grid.spacing, rel=1e-15)
+
+
 @pytest.mark.parametrize("m, n, N", LATTICE_RANKS)
 @pytest.mark.parametrize("family", ["gaussian", "random"])
 def test_every_region_sum_within_its_brute_force_limit(m, n, N, family):
@@ -821,6 +829,28 @@ def test_certificate_json_keys_are_schema_1():
                  id="empty-slacks"),
     pytest.param(lambda d: d.update(region_limits={}), "must name the four regions",
                  id="empty-limits"),
+    pytest.param(lambda d: d.update(point=["8", 8.9]), "point must be an integer",
+                 id="string-float-point"),
+    pytest.param(lambda d: d.update(point=[16, 16.0]), "point must be an integer",
+                 id="float-point"),
+    pytest.param(lambda d: d.update(point=[True, 16]), "point must be an integer",
+                 id="boolean-point"),
+    pytest.param(lambda d: d.update(point="88"), "point must be a list", id="string-point"),
+    pytest.param(lambda d: d.update(point=[16, 16, 16]),
+                 r"point \[16, 16, 16\] does not match its 2 point_coordinates",
+                 id="rank-3-point"),
+    pytest.param(lambda d: d.update(case_id="1"), "case_id must be an integer",
+                 id="string-case"),
+    pytest.param(lambda d: d.update(case_id=True), "case_id must be an integer",
+                 id="boolean-case"),
+    pytest.param(lambda d: d.update(case_id=1.0), "case_id must be an integer",
+                 id="float-case"),
+    pytest.param(lambda d: d.update(case_id=7), "case_id must be 1 or 2", id="case-7"),
+    pytest.param(lambda d: d.update(r1="0.5"), "r1 must be a number", id="string-radius"),
+    pytest.param(lambda d: d.update(f_norm=True), "f_norm must be a number",
+                 id="boolean-norm"),
+    pytest.param(lambda d: d.update(point_coordinates=["0.0", 0.0]),
+                 "point_coordinates must be a number", id="string-coordinate"),
 ])
 def test_certificate_json_rejects_malformed(edit, message):
     g = grid_1x1(N=32)
