@@ -91,7 +91,13 @@ class ExperimentConfig:
         for name, params in _check_keys(self.family_params, FAMILY_NAMES, "family_params").items():
             _family_params(name, params)
         for key, value in _check_keys(self.tolerances, _TOLERANCE_KEYS, "tolerances").items():
-            _number(value, f"tolerances {key}")
+            # a dilation spread is max/min >= 1, and the verdict needs spread < factor
+            floor = 1.0 if key == "stability_factor" else 0.0
+            if not _number(value, f"tolerances {key}") > floor:
+                raise ConfigError(f"tolerances {key} must be > {floor}, got {value!r}")
+        for what, items in (("family", self.families), ("dilation pair", self.dilations)):
+            if repeated := sorted({str(x) for x in items if items.count(x) > 1}):
+                raise ConfigError(f"repeated {what}: {', '.join(repeated)}")
         if not self.dilations:
             raise ConfigError("dilation ladder must be nonempty")
         for s, t in self.dilations:
@@ -260,8 +266,8 @@ def _sample_points(grid: ProductGrid, stride: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class InstanceResult:
-    """Certification outcome for one (family, s, t) instance; an all-zero
-    instance has no certificates."""
+    """Certification outcome for one (family, s, t) instance; an instance
+    whose L^p norm is 0 on the grid has no certificates."""
 
     family: str
     s: float
@@ -317,7 +323,7 @@ def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
                       points) -> InstanceResult:
     f = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)(s, t)
     certs = []
-    if np.any(f.values):
+    if lp_norm(f, cfg.exponents.p) > 0.0:
         ctx = prepare_certification(f, cfg.exponents)
         certs = [certify_point(ctx, pt) for pt in points]
     return InstanceResult(family=family, s=s, t=t, certificates=certs)
@@ -374,6 +380,14 @@ class SweepRow:
     @property
     def ratio(self) -> float:
         return self.norm_q / self.norm_p if self.norm_p > 0.0 else 0.0
+
+
+def _sweep_row(fam, kernel, exps: Exponents, s: float, t: float) -> SweepRow:
+    """||f||_p and ||f * kernel||_q of f = fam(s, t), unconvolved if ||f||_p is 0."""
+    f = fam(s, t)
+    norm_p = lp_norm(f, exps.p)
+    norm_q = lp_norm(convolve_fast(f, kernel), exps.q) if norm_p > 0.0 else 0.0
+    return SweepRow(s=s, t=t, norm_q=norm_q, norm_p=norm_p)
 
 
 @dataclass
@@ -445,9 +459,7 @@ def run_necessity_sweep(cfg: ExperimentConfig) -> SlopeReport:
 
     @functools.cache  # (1, 1) sits on both ladders: convolve it once
     def measure(s: float, t: float) -> SweepRow:
-        f = fam(s, t)
-        row = SweepRow(s=s, t=t, norm_q=lp_norm(convolve_fast(f, kernel), exps.q),
-                       norm_p=lp_norm(f, exps.p))
+        row = _sweep_row(fam, kernel, exps, s, t)
         if not row.ratio > 0.0:
             # log(0) would make both fitted slopes NaN
             raise ConfigError(f"{family} instance at (s, t) = ({s!r}, {t!r}) vanishes "
@@ -507,12 +519,8 @@ def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
     for family in cfg.families:
         fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
         for s, t in cfg.dilations:
-            f = fam(s, t)
-            norm_p = lp_norm(f, exps.p)
-            norm_q = lp_norm(convolve_fast(f, kernel), exps.q) if norm_p > 0.0 else 0.0
-            rows.append({"family": family, "s": s, "t": t, "norm_q": norm_q,
-                         "norm_p": norm_p,
-                         "ratio": norm_q / norm_p if norm_p > 0.0 else 0.0})
+            row = _sweep_row(fam, kernel, exps, s, t)
+            rows.append({"family": family, **vars(row), "ratio": row.ratio})
     pinned = cfg.tolerances.get("norm_constant")
     max_ratio, stability, factor, passed = _verdict(
         cfg, [(r["family"], r["ratio"]) for r in rows], pinned)

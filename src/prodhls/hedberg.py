@@ -24,7 +24,8 @@ its bound beyond floating-point headroom is a hard failure, not a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -224,14 +225,17 @@ class HedbergContext:
 def prepare_certification(f: GridFunction, exps: Exponents) -> HedbergContext:
     """Precompute the maximal fields (one pass over the dyadic windows,
     the windows the :func:`region_tables` are built from), the slice
-    norms and the region tables for a function.
+    norms and the region tables for a function; raise ``ValueError`` first
+    if ``||f||_p``, which every closed form divides by, is 0 on the grid.
     """
     _require_admissible(exps)
     check_blocks(f.grid, exps)
-    mf, m1, m2 = maximal_fields(f)
     p = exps.p
+    if not (f_norm := lp_norm(f, p)) > 0.0:
+        raise ValueError("the L^p norm of f is 0 on the grid: there is nothing to certify")
+    mf, m1, m2 = maximal_fields(f)
     return HedbergContext(f=f, exps=exps, mf=mf, n1=slice_lp_norms_x(m1, p),
-                          n2=slice_lp_norms_y(m2, p), f_norm=lp_norm(f, p),
+                          n2=slice_lp_norms_y(m2, p), f_norm=f_norm,
                           tables=region_tables(f.grid, exps))
 
 
@@ -252,6 +256,8 @@ def _read_int(v, what: str) -> int:
 def _read_float(v, what: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{what} must be a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ValueError(f"{what} must be finite, got {v!r}")
     return float(v)
 
 
@@ -264,34 +270,42 @@ def _read_tuple(read):
 
 
 def _read_numbers(d, keys, where: str) -> dict[str, float]:
+    """A map of ``keys`` to finite numbers >= 0: region sums, limits, slacks."""
     _check_json_keys(d, keys, where)
-    return {k: _read_float(v, f"{where}: {k}") for k, v in d.items()}
+    numbers = {k: _read_float(v, f"{where}: {k}") for k, v in d.items()}
+    for k, v in numbers.items():
+        if not v >= 0.0:
+            raise ValueError(f"{where}: {k} must be >= 0, got {v!r}")
+    return numbers
 
 
-# JSON value -> field value, by the field's annotation; a region map may be
-# empty only in the zero-function record, which from_json_dict checks
+# JSON value -> field value, by the field's annotation
 _READERS = {"tuple[int, ...]": _read_tuple(_read_int),
             "tuple[float, ...]": _read_tuple(_read_float), "int": _read_int,
             "float": _read_float,
-            "dict": lambda v, what: v if v == {} else _read_numbers(v, REGION_NAMES,
-                                                                    "certificate region map"),
+            "dict": lambda v, what: _read_numbers(v, REGION_NAMES, "certificate region map"),
             "RegionBounds": lambda v, what: RegionBounds(**_read_numbers(
                 v, [f.name for f in fields(RegionBounds)], "certificate regions"))}
+
+# the record's scalars that every certificate has positive and finite
+_POSITIVE = ("r1", "r2", "m_value", "n1", "n2", "f_norm", "final_bound")
+# schema 1 writes the derived values, and 1.0 as the slack of every region
+_DERIVED, _SCHEMA1_SLACKS = ("g_value", "lhs", "ratio"), dict.fromkeys(REGION_NAMES, 1.0)
 
 
 @dataclass(frozen=True)
 class HedbergCertificate:
-    """Machine-checkable record of the pointwise bound at one grid node.
+    """Machine-checkable record of the pointwise bound at one grid node,
+    storing each quantity once.
 
-    ``case_id`` is 1 exactly when ``g_value <= m_value * f_norm``.  The
-    final bound is ``m_value^(p/q) f_norm^(1-p/q)`` in case 1 and
-    ``g_value^(p/q) f_norm^(1-2p/q)`` in case 2.  ``regions`` holds the
-    four region sums at the radii ``(r1, r2)``; their total ``lhs`` is the
-    actual convolution value.  ``region_limits`` holds the lattice bounds
-    of :func:`region_limits` (empty only for the zero function), and
-    ``slack_factors`` is 1.0 for every region, kept so that schema 1
-    readers of ``limit * slack`` read the lattice bound.  The JSON record
-    holds every field plus ``lhs``, ``ratio`` and ``schema_version``.
+    ``case_id`` is 1 exactly when ``g_value = n1 * n2`` is at most
+    ``m_value * f_norm``.  The final bound is ``m_value^(p/q)
+    f_norm^(1-p/q)`` in case 1 and ``g_value^(p/q) f_norm^(1-2p/q)`` in
+    case 2.  ``regions`` holds the four region sums at the radii
+    ``(r1, r2)``, whose total ``lhs`` is the convolution value, and
+    ``region_limits`` their lattice bounds.  Schema-1 JSON adds the derived
+    ``g_value``, ``lhs`` and ``ratio``, ``schema_version``, and
+    ``slack_factors``, 1.0 for every region (readers of ``limit * slack``).
     """
 
     point: tuple[int, ...]
@@ -301,13 +315,16 @@ class HedbergCertificate:
     r2: float
     regions: RegionBounds
     m_value: float
-    g_value: float
     n1: float
     n2: float
     f_norm: float
     final_bound: float
-    region_limits: dict = field(default_factory=dict)
-    slack_factors: dict = field(default_factory=dict)
+    region_limits: dict
+
+    @property
+    def g_value(self) -> float:
+        """G f at the node: the product of the two slice norms."""
+        return self.n1 * self.n2
 
     @property
     def lhs(self) -> float:
@@ -316,29 +333,31 @@ class HedbergCertificate:
 
     @property
     def ratio(self) -> float:
-        """Observed lhs / final_bound (0 for the empty-function record)."""
-        return self.lhs / self.final_bound if self.final_bound > 0.0 else 0.0
+        """Observed lhs / final_bound."""
+        return self.lhs / self.final_bound
 
     def to_json_dict(self) -> dict:
         d = dict(vars(self), regions=vars(self.regions), schema_version=CERTIFICATE_SCHEMA_VERSION,
-                 lhs=self.lhs, ratio=self.ratio)
+                 slack_factors=_SCHEMA1_SLACKS, **{k: getattr(self, k) for k in _DERIVED})
         # tuples become lists; the region sums and the mappings become new dicts
         return {k: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
                 for k, v in d.items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HedbergCertificate":
-        """Parse a schema-1 record; missing or unknown keys, region maps that
-        are not the four names mapped to numbers (``region_limits`` may be
-        empty for the zero function), a ``point`` that is not a list of
-        integers as long as ``point_coordinates``, a ``case_id`` other than
-        the integer 1 or 2, a scalar given as a string or a boolean, and an
-        ``lhs`` or ``ratio`` other than the one the fields give, raise
-        ``ValueError``."""
+        """Parse a schema-1 record.  Raise ``ValueError`` on: missing or
+        unknown keys; region maps that are not the four names mapped to
+        finite numbers >= 0; a ``slack_factors`` other than 1.0 for every
+        region; a ``point`` that is not a list of integers as long as
+        ``point_coordinates``; a ``case_id`` other than the integer 1 or 2;
+        a scalar given as a string or a boolean, or not finite; an ``r1``,
+        ``r2``, ``m_value``, ``n1``, ``n2``, ``f_norm`` or ``final_bound``
+        that is not positive; and a ``g_value``, ``lhs`` or ``ratio`` other
+        than the one the fields give."""
         if d.get("schema_version") != CERTIFICATE_SCHEMA_VERSION:
             raise ValueError(f"unsupported certificate schema: {d.get('schema_version')}")
-        _check_json_keys(d, ["schema_version", *(f.name for f in fields(cls)), "lhs", "ratio"],
-                         "certificate")
+        _check_json_keys(d, ["schema_version", "slack_factors", *(f.name for f in fields(cls)),
+                             *_DERIVED], "certificate")
         cert = cls(**{f.name: _READERS[f.type](d[f.name], f"certificate {f.name}")
                       for f in fields(cls)})
         if cert.case_id not in (1, 2):
@@ -346,11 +365,12 @@ class HedbergCertificate:
         if len(cert.point) != len(cert.point_coordinates):
             raise ValueError(f"certificate point {list(cert.point)} does not match its "
                              f"{len(cert.point_coordinates)} point_coordinates")
-        if not cert.slack_factors or (not cert.region_limits and cert.f_norm != 0.0):
-            raise ValueError("certificate region_limits and slack_factors must name the four "
-                             "regions (region_limits is empty only when f_norm is 0)")
-        for key in ("lhs", "ratio"):
-            if d[key] != getattr(cert, key):
+        check_positive(**{k: getattr(cert, k) for k in _POSITIVE})
+        slacks = _read_numbers(d["slack_factors"], REGION_NAMES, "certificate slack_factors")
+        if slacks != _SCHEMA1_SLACKS:
+            raise ValueError(f"certificate slack_factors {slacks} must be 1.0 for every region")
+        for key in _DERIVED:
+            if _read_float(d[key], f"certificate {key}") != getattr(cert, key):
                 raise ValueError(f"certificate {key} {d[key]!r} differs from the "
                                  f"{getattr(cert, key)!r} its fields give")
         return cert
@@ -379,15 +399,6 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
     grid = f.grid
     idx = normalize_point(point, grid.rank, grid.points_per_axis)
     coords = grid.point_coordinates(idx)
-    slacks = dict.fromkeys(REGION_NAMES, 1.0)
-
-    if ctx.f_norm == 0.0:
-        return HedbergCertificate(
-            point=idx, point_coordinates=coords, case_id=1, r1=0.0, r2=0.0,
-            regions=RegionBounds(0.0, 0.0, 0.0, 0.0),
-            m_value=0.0, g_value=0.0, n1=0.0, n2=0.0, f_norm=0.0,
-            final_bound=0.0, region_limits={}, slack_factors=slacks)
-
     m_value = float(ctx.mf.values[idx])
     n1_val = float(ctx.n1[idx[:grid.m]])
     n2_val = float(ctx.n2[idx[grid.m:]])
@@ -419,6 +430,5 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
 
     return HedbergCertificate(
         point=idx, point_coordinates=coords, case_id=case_id,
-        r1=r1, r2=r2, regions=regions, m_value=m_value, g_value=g_value,
-        n1=n1_val, n2=n2_val, f_norm=f_norm, final_bound=final,
-        region_limits=limits, slack_factors=slacks)
+        r1=r1, r2=r2, regions=regions, m_value=m_value,
+        n1=n1_val, n2=n2_val, f_norm=f_norm, final_bound=final, region_limits=limits)

@@ -36,11 +36,15 @@ def small_config(**overrides):
     return raw
 
 
+def ladder_pairs(lad):
+    """The (s, 1) and (1, t) ladders over ``lad``, (1, 1) listed once."""
+    return [[s, 1.0] for s in lad] + [[1.0, t] for t in lad if t != 1.0]
+
+
 def ladder_config(**overrides):
     """An (s, 1) and a (1, t) ladder of five points over a decade."""
     lad = [float(s) for s in np.logspace(-0.5, 0.5, 5)]
-    return small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad],
-                        families=["gaussian"], **overrides)
+    return small_config(dilations=ladder_pairs(lad), families=["gaussian"], **overrides)
 
 
 NECESSITY_DROPS = {  # name: (config, what its error message names)
@@ -137,6 +141,22 @@ def test_config_rejects_missing_q_when_unbalanced():
     (lambda raw: (raw.pop("families"), raw.update(family=["gaussian"])),
      r"unknown config key\(s\): family$"),
     (lambda raw: raw.update(family="spike"), r"unknown config key\(s\): family$"),
+    (lambda raw: raw.update(families=["gaussian", "box", "gaussian"]),
+     "repeated family: gaussian$"),
+    (lambda raw: raw.update(dilations=[[1.0, 1.0], [2.0, 2.0], [1, 1.0]]),
+     r"repeated dilation pair: \(1.0, 1.0\)$"),
+    (lambda raw: raw.update(tolerances={"stability_factor": 1.0}),
+     "tolerances stability_factor must be > 1.0"),
+    (lambda raw: raw.update(tolerances={"stability_factor": 0.5}),
+     "tolerances stability_factor must be > 1.0"),
+    (lambda raw: raw.update(tolerances={"stability_factor": 0.0}),
+     "tolerances stability_factor must be > 1.0"),
+    (lambda raw: raw.update(tolerances={"suite_constant": 0.0}),
+     "tolerances suite_constant must be > 0.0"),
+    (lambda raw: raw.update(tolerances={"norm_constant": -1}),
+     "tolerances norm_constant must be > 0.0"),
+    (lambda raw: raw.update(tolerances={"slope_tolerance": -0.01}),
+     "tolerances slope_tolerance must be > 0.0"),
 ], ids=["top-level", "grid", "exponents", "tolerance-key", "family-param-key",
         "family-params-family", "family-param-of-other-family", "family-params-list",
         "inf-tolerance", "nan-tolerance", "string-tolerance", "inf-family-param",
@@ -145,7 +165,9 @@ def test_config_rejects_missing_q_when_unbalanced():
         "float-stride", "bool-stride", "empty-families", "bool-half-width",
         "string-half-width", "string-alpha", "string-p", "string-q", "bool-dilation",
         "string-dilation", "string-families", "nested-families", "list-family",
-        "family-and-families"])
+        "family-and-families", "repeated-family", "repeated-dilation",
+        "unit-stability-factor", "half-stability-factor", "zero-stability-factor",
+        "zero-suite-constant", "negative-norm-constant", "negative-slope-tolerance"])
 def test_config_rejects_malformed(edit, message):
     raw = small_config()
     edit(raw)
@@ -248,12 +270,21 @@ def test_instance_results_derive_from_certificates():
 
 
 def test_pointwise_campaign_zero_function_trivial_pass():
-    # a spike family dilated so hard no cell survives produces empty instances
+    # a spike family dilated so hard no cell survives produces empty
+    # instances, and so does a gaussian whose values survive but whose
+    # p-th powers underflow: its L^p norm is 0 on the grid
     raw = small_config(families=["spike"],
                        family_params={"spike": {"half_extent": 0.001}},
                        dilations=[[32.0, 32.0]])
     rep = run_pointwise_campaign(ExperimentConfig.from_dict(raw))
     assert rep.passed and rep.max_ratio == 0.0
+    raw = small_config(families=["gaussian"], family_params={"gaussian": {"sigma": 0.125}},
+                       dilations=[[1.0, 1.0], [400.0, 400.0]])
+    raw["grid"]["points_per_axis"] = 128
+    cfg = ExperimentConfig.from_dict(raw)
+    assert np.any(make_family("gaussian", cfg.grid, {"sigma": 0.125})(400.0, 400.0).values)
+    rep = run_pointwise_campaign(cfg)
+    assert rep.passed and [r.n_points for r in rep.instances] == [256, 0]
 
 
 def test_pointwise_rejects_inadmissible_exponents():
@@ -272,8 +303,7 @@ def test_necessity_ladder_validation(monkeypatch):
     with pytest.raises(ConfigError, match="s-ladder has 1 points"):
         run_necessity_sweep(ExperimentConfig.from_dict(raw))
     # five points but under a decade of span
-    lad = [0.5, 0.7, 1.0, 1.4, 2.0]
-    raw = small_config(dilations=[[s, 1.0] for s in lad] + [[1.0, t] for t in lad],
+    raw = small_config(dilations=ladder_pairs([0.5, 0.7, 1.0, 1.4, 2.0]),
                        families=["gaussian"])
     with pytest.raises(ConfigError, match="needs at least a decade"):
         run_necessity_sweep(ExperimentConfig.from_dict(raw))
@@ -437,6 +467,13 @@ def test_cli_config_error_exit_code(tmp_path):
     for seed in ([], ["--seed", "3"]):
         assert cli_main(["normcheck", "--config", str(listed), "--out", str(tmp_path / "o"),
                          *seed]) == 2
+    # a repeated family would run twice, and a factor below 1 could never pass
+    for name, raw in (("twice.json", small_config(families=["gaussian", "gaussian"])),
+                      ("never.json", small_config(tolerances={"stability_factor": 0.5}))):
+        cfg_path = write_config(tmp_path, raw, name)
+        assert cli_main(["normcheck", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("case", sorted(NECESSITY_DROPS))

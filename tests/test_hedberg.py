@@ -1,5 +1,6 @@
 """Certification engine: admissibility, constants, radii, certificates."""
 
+import dataclasses
 import inspect
 import itertools
 import json
@@ -15,7 +16,7 @@ from scipy.optimize import brentq
 from prodhls import hedberg
 from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunction,
                      HedbergCertificate, ProductGrid, balanced_radii,
-                     certify_point, convolve_direct, final_bound,
+                     certify_point, convolve_direct, final_bound, lp_norm,
                      prepare_certification, profile_ball_integral, region_limits,
                      region_tables, riesz_kernel, sample_function, tail_integral_constant)
 from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport,
@@ -458,14 +459,17 @@ def test_certificate_homogeneity():
         assert big.r2 == pytest.approx(base.r2, rel=1e-12)
 
 
-def test_certificate_zero_function_trivial():
-    g = grid_1x1(N=16)
-    f = GridFunction(g, np.zeros(g.shape))
-    cert = certify_point(prepare_certification(f, STD), (8, 8))
-    assert cert.lhs == 0.0 and cert.final_bound == 0.0 and cert.ratio == 0.0
-    # the one record whose region_limits may be empty
-    assert cert.region_limits == {}
-    assert HedbergCertificate.from_json_dict(json.loads(json.dumps(cert.to_json_dict()))) == cert
+def test_prepare_certification_rejects_zero_norm(monkeypatch):
+    # the zero function, and a gaussian dilated until its p-th powers
+    # underflow although its values do not: both have ||f||_p = 0 on the
+    # grid, and neither reaches the maximal pass
+    monkeypatch.setattr(hedberg, "maximal_fields", None)
+    g = grid_1x1(N=128)
+    narrow = make_family("gaussian", g, {"sigma": 0.125})(400.0, 400.0)
+    assert np.any(narrow.values)
+    for f in (GridFunction(g, np.zeros(g.shape)), narrow):
+        with pytest.raises(ValueError, match=r"L\^p norm of f is 0"):
+            prepare_certification(f, STD)
 
 
 def test_certificate_region_checks_recorded():
@@ -473,7 +477,6 @@ def test_certificate_region_checks_recorded():
     f = gaussian(g)
     cert = certify_point(prepare_certification(f, STD), (16, 16))
     assert set(cert.region_limits) == {"region11", "region12", "region21", "region22"}
-    assert set(cert.slack_factors) == {"region11", "region12", "region21", "region22"}
     rb = cert.regions
     for name, value in (("region11", rb.t11), ("region12", rb.t12),
                         ("region21", rb.t21), ("region22", rb.t22)):
@@ -654,19 +657,83 @@ def test_every_region_sum_within_its_brute_force_limit(m, n, N, family):
     assert max(utilization.values()) > 0.05  # the limits are not vacuous
 
 
+def kernel_exponent_scaled(factor):
+    """A ``region_split`` mutation: the kernel exponents a - d scaled by ``factor``."""
+    def mutate(real, f_norm):
+        def split(f, exps, point, r1, r2):
+            scaled = dataclasses.replace(exps, alpha=exps.m + factor * (exps.alpha - exps.m),
+                                         beta=exps.n + factor * (exps.beta - exps.n))
+            return real(f, scaled, point, r1, r2)
+        return split
+    return mutate
+
+
+def case2_ratio_over_f_norm(real, f_norm):
+    """A ``balanced_radii`` mutation: the case-2 ratio G f / ||f||^2 passed
+    as G f / ||f||.  A case-2 ratio is exactly n1 n2 / ||f||^2; the random
+    family has no case-1 node where the case-1 ratio takes that value."""
+    def radii(ratio, n1, n2, exps):
+        return real(ratio * f_norm if ratio == n1 * n2 / f_norm ** 2 else ratio, n1, n2, exps)
+    return radii
+
+
+# id: (family, patched hedberg binding, mutation of the real binding given
+# ||f||_p, the checks that fire).  A check is "violation:<region>" for a
+# CertificateViolation, "lhs" for the lhs-versus-convolve_direct oracle,
+# "node" for the node-value oracle, and "radii" for the balancing
+# identities of the recorded case, which only this test checks.
+MUTATIONS = {
+    "unmutated": ("gaussian", "region_split", lambda real, f_norm: real, set()),
+    "swapped-radii": ("gaussian", "region_split",
+                      lambda real, f_norm: lambda f, e, pt, r1, r2: real(f, e, pt, r2, r1),
+                      {"violation:region12", "violation:region21"}),
+    "kernel-exponent-x0.9": ("gaussian", "region_split", kernel_exponent_scaled(0.9), {"lhs"}),
+    "kernel-exponent-x1.1": ("gaussian", "region_split", kernel_exponent_scaled(1.1), {"lhs"}),
+    "t11-doubled": ("gaussian", "region_split", lambda real, f_norm: lambda *args: (
+        dataclasses.replace(real(*args), t11=2.0 * real(*args).t11)), {"lhs"}),
+    "t22-dropped": ("gaussian", "region_split", lambda real, f_norm: lambda *args: (
+        dataclasses.replace(real(*args), t22=0.0)), {"lhs"}),
+    "m-value-halved": ("gaussian", "maximal_fields", lambda real, f_norm: lambda f: (
+        lambda mf, m1, m2: (GridFunction(mf.grid, 0.5 * mf.values), m1, m2))(*real(f)),
+        {"node"}),
+    # no check of the certificate sees unbalanced radii: every region limit
+    # holds at any radii, and case 2 has no collapse check
+    "case2-ratio-over-f-norm": ("random", "balanced_radii", case2_ratio_over_f_norm, {"radii"}),
+}
+
+
 @pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (2, 2, 8)])
-def test_swapped_split_radii_are_caught(monkeypatch, m, n, N):
-    # the split run at (r2, r1) moves mass into regions whose limits do not
-    # admit it; some node of the gaussian at each rank must fail
-    real = hedberg.region_split
-    monkeypatch.setattr(hedberg, "region_split",
-                        lambda f, exps, point, r1, r2: real(f, exps, point, r2, r1))
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_mutation_is_caught(monkeypatch, mutation, m, n, N):
+    # every node of the family at each rank, certified under the mutation:
+    # the set of checks that fire is exactly the expected one
+    family, binding, mutate, expected = MUTATIONS[mutation]
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
-    ctx = prepare_certification(make_family("gaussian", grid)(1.0, 1.0), e)
-    with pytest.raises(CertificateViolation):
-        for point in itertools.product(range(N), repeat=m + n):
-            certify_point(ctx, point)
+    f = make_family(family, grid, seed=5)(1.0, 1.0)
+    conv = convolve_direct(f, riesz_kernel(grid, e)).values
+    mf, n1, n2 = exhaustive_node_values(f, e.p)
+    monkeypatch.setattr(hedberg, binding, mutate(getattr(hedberg, binding), lp_norm(f, e.p)))
+    ctx = prepare_certification(f, e)
+    fired = set()
+    for point in itertools.product(range(N), repeat=m + n):
+        try:
+            cert = certify_point(ctx, point)
+        except CertificateViolation as exc:
+            fired.add("violation:" + exc.diagnostics["region"])
+            continue
+        if abs(cert.lhs - conv[point]) > 1e-10 * conv[point]:
+            fired.add("lhs")
+        ix = np.ravel_multi_index(point[:m], (N,) * m)
+        iy = np.ravel_multi_index(point[m:], (N,) * n)
+        if any(abs(getattr(cert, name) - want) > 1e-12 * want
+               for name, want in (("m_value", mf[ix, iy]), ("n1", n1[ix]), ("n2", n2[iy]))):
+            fired.add("node")
+        ratio = (cert.m_value / cert.f_norm if cert.case_id == 1
+                 else cert.g_value / cert.f_norm ** 2)
+        if abs(cert.r1 ** (-e.m / e.p) * cert.r2 ** (-e.n / e.p) / ratio - 1.0) > 1e-12:
+            fired.add("radii")
+    assert fired == expected
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1)])
@@ -731,7 +798,7 @@ def test_region_violation_diagnostics(monkeypatch, case_id, name):
     value = getattr(cert.regions, "t" + name[-2:])
     assert info.value.diagnostics == {
         "point": list(cert.point), "region": name, "value": value, "limit": TINY_LIMIT,
-        "slack": cert.slack_factors[name], "r1": cert.r1, "r2": cert.r2,
+        "slack": 1.0, "r1": cert.r1, "r2": cert.r2,
         "case_id": case_id}
 
 
@@ -771,10 +838,7 @@ def test_certificate_json_round_trip(tmp_path):
     cert = certify_point(prepare_certification(f, STD), (16, 16))
     d = cert.to_json_dict()
     assert d["schema_version"] == 1
-    back = HedbergCertificate.from_json_dict(json.loads(json.dumps(d)))
-    assert back.point == cert.point
-    assert back.final_bound == cert.final_bound
-    assert back.slack_factors == cert.slack_factors
+    assert HedbergCertificate.from_json_dict(json.loads(json.dumps(d))) == cert
     instance = InstanceResult(family="gaussian", s=1.0, t=1.0, certificates=[cert])
     report = PointwiseReport(instances=[instance], max_ratio=cert.ratio,
                              family_stability={"gaussian": None},
@@ -825,10 +889,39 @@ def test_certificate_json_keys_are_schema_1():
                  "region11 must be a number", id="string-limit"),
     pytest.param(lambda d: d["slack_factors"].update(region22=True),
                  "region22 must be a number", id="boolean-slack"),
-    pytest.param(lambda d: d.update(slack_factors={}), "must name the four regions",
-                 id="empty-slacks"),
-    pytest.param(lambda d: d.update(region_limits={}), "must name the four regions",
-                 id="empty-limits"),
+    pytest.param(lambda d: d.update(slack_factors={}),
+                 r"slack_factors: missing keys \['region11', ", id="empty-slacks"),
+    pytest.param(lambda d: d.update(region_limits={}),
+                 r"region map: missing keys \['region11', ", id="empty-limits"),
+    pytest.param(lambda d: d["slack_factors"].update(region22=2.0),
+                 "slack_factors .* must be 1.0", id="inflated-slack"),
+    pytest.param(lambda d: d["slack_factors"].update(region22=0.5),
+                 "slack_factors .* must be 1.0", id="shrunk-slack"),
+    pytest.param(lambda d: d.update(g_value=2.0 * d["g_value"]), "certificate g_value",
+                 id="doubled-g"),
+    # with n1 = n2 = 1 the derived g_value is 1.0, which a JSON true equals
+    pytest.param(lambda d: d.update(n1=1.0, n2=1.0, g_value=True),
+                 "g_value must be a number", id="boolean-g"),
+    pytest.param(lambda d: d.update(r1=math.inf), "r1 must be finite", id="inf-radius"),
+    pytest.param(lambda d: d.update(r2=-0.5), "r2 must be positive", id="negative-radius"),
+    pytest.param(lambda d: d.update(m_value=math.nan), "m_value must be finite",
+                 id="nan-m-value"),
+    pytest.param(lambda d: d.update(n1=0.0), "n1 must be positive", id="zero-n1"),
+    pytest.param(lambda d: d.update(n2=-1.0), "n2 must be positive", id="negative-n2"),
+    pytest.param(lambda d: d.update(f_norm=-1.0), "f_norm must be positive",
+                 id="negative-norm"),
+    pytest.param(lambda d: d.update(final_bound=0.0), "final_bound must be positive",
+                 id="zero-final-bound"),
+    pytest.param(lambda d: d["regions"].update(t12=-1e-3), "t12 must be >= 0",
+                 id="negative-region"),
+    pytest.param(lambda d: d["regions"].update(t21=math.nan), "t21 must be finite",
+                 id="nan-region"),
+    pytest.param(lambda d: d["region_limits"].update(region12=-1.0), "region12 must be >= 0",
+                 id="negative-limit"),
+    pytest.param(lambda d: d["region_limits"].update(region21=math.inf),
+                 "region21 must be finite", id="inf-limit"),
+    pytest.param(lambda d: d.update(point_coordinates=[math.inf, 0.0]),
+                 "point_coordinates must be finite", id="inf-coordinate"),
     pytest.param(lambda d: d.update(point=["8", 8.9]), "point must be an integer",
                  id="string-float-point"),
     pytest.param(lambda d: d.update(point=[16, 16.0]), "point must be an integer",
@@ -862,10 +955,10 @@ def test_certificate_json_rejects_malformed(edit, message):
 
 
 def test_slack_factors_positive_and_stable():
-    # the limits are lattice sums, so every schema-1 slack is 1.0, at every
-    # node and in the zero-function record
+    # the limits are lattice sums, so the record keeps no slack and schema 1
+    # writes 1.0 for every region at every node
     g = grid_1x1(N=16)
-    for f in (gaussian(g), GridFunction(g, np.zeros(g.shape))):
-        ctx = prepare_certification(f, STD)
-        for pt in itertools.product(range(0, 16, 5), repeat=2):
-            assert certify_point(ctx, pt).slack_factors == dict.fromkeys(REGIONS, 1.0)
+    ctx = prepare_certification(gaussian(g), STD)
+    for pt in itertools.product(range(16), repeat=2):
+        d = certify_point(ctx, pt).to_json_dict()
+        assert d["slack_factors"] == dict.fromkeys(REGIONS, 1.0)
