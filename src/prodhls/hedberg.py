@@ -2,7 +2,7 @@
 
 Given balanced, tail-admissible exponents, the convolution value at a
 grid node is split at radii (r1, r2) into four regions, each bounded
-with per-block lattice constants built once per function
+with per-block lattice constants built once per grid and exponents
 (:func:`region_tables`): an inner constant A, the Abel sum of the kernel
 over the offset shells against dyadic window counts, and a tail constant
 T, the Hoelder sum over the offsets outside the radius.  Both offsets
@@ -24,6 +24,7 @@ its bound beyond floating-point headroom is a hard failure, not a warning.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -54,7 +55,8 @@ CERTIFICATE_SCHEMA_VERSION = 1
 
 REGION_NAMES = ("region11", "region12", "region21", "region22")
 
-# relative tolerance of the radius balancing identities in balanced_radii
+# relative tolerance of the radius balancing identities that certify_point
+# checks against the recorded case
 _IDENTITY_TOL = 1e-12
 
 
@@ -128,12 +130,17 @@ def _block_table(grid: ProductGrid, dim: int, norm: np.ndarray, factor: np.ndarr
     # the Abel sum by parts: shell k adds K(s_k) (|W_k| - |W_{k-1}|)
     inner = np.cumsum(factor[at_shell] * np.diff(size, prepend=0.0))
     tail = np.cumsum(np.bincount(shell_of, weights=factor ** p_conjugate)[::-1])[::-1]
-    return BlockTable(shells=shells, inner=np.insert(cell * inner, 0, 0.0),
-                      tail=np.append((cell * tail) ** (1.0 / p_conjugate), 0.0))
+    arrays = {"shells": shells, "inner": np.insert(cell * inner, 0, 0.0),
+              "tail": np.append((cell * tail) ** (1.0 / p_conjugate), 0.0)}
+    for a in arrays.values():
+        a.setflags(write=False)
+    return BlockTable(**arrays)
 
 
+@functools.lru_cache(maxsize=8)
 def region_tables(grid: ProductGrid, exps: Exponents) -> tuple[BlockTable, BlockTable]:
-    """The x-block and y-block :class:`BlockTable` of ``grid``.
+    """The x-block and y-block :class:`BlockTable` of ``grid``, built once
+    per (grid, exponents) pair (the last few pairs are kept), read-only.
 
     Over a block's offset shells ``s_1 < s_2 < ...``, with K the kernel
     factor of :func:`~prodhls.kernel.block_factors`::
@@ -184,19 +191,14 @@ def balanced_radii(ratio: float, n1: float, n2: float, exps: Exponents) -> tuple
         r1 = [ ratio (n1/n2) ]^(-p/2m)
         r2 = [ ratio (n2/n1) ]^(-p/2n)
 
-    Postconditions (verified): r1^(-m/p) r2^(-n/p) = ratio and
-    r1^(-m/p) / r2^(-n/p) = n1/n2, both to 1e-12 relative.
+    The radii satisfy r1^(-m/p) r2^(-n/p) = ratio and r1^(-m/p) /
+    r2^(-n/p) = n1/n2 up to rounding; :func:`certify_point` checks both
+    against the case it records.
     """
     check_positive(ratio=ratio, n1=n1, n2=n2)
     b = n1 / n2
     r1 = (ratio * b) ** (-exps.p / (2.0 * exps.m))
     r2 = (ratio / b) ** (-exps.p / (2.0 * exps.n))
-    # balancing identities the closed forms must reproduce
-    res1 = r1 ** (-exps.m / exps.p) * r2 ** (-exps.n / exps.p) / ratio - 1.0
-    res2 = (r1 ** (-exps.m / exps.p) / r2 ** (-exps.n / exps.p)) / b - 1.0
-    if abs(res1) > _IDENTITY_TOL or abs(res2) > _IDENTITY_TOL:
-        raise RuntimeError(
-            f"radius balancing identities violated: residuals {res1}, {res2}")
     return r1, r2
 
 
@@ -385,10 +387,12 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
 
     Selects the case from the computed maximal and mixed-norm values,
     picks the balancing radii in closed form, splits the convolution at
-    those radii, and verifies every region sum against its lattice bound
-    from :func:`region_limits`, and in case 1 the collapse of the mixed
-    bound, each to a relative 1e-9 of floating-point headroom.  Raises
-    :class:`CertificateViolation` at the first check that fails.
+    those radii, and verifies that the radii balance the recorded case
+    (both identities of :func:`balanced_radii`, to 1e-12 relative), every
+    region sum against its lattice bound from :func:`region_limits`, and
+    in case 1 the collapse of the mixed bound, each bound to a relative
+    1e-9 of floating-point headroom.  Raises :class:`CertificateViolation`
+    at the first check that fails.
 
     For a tensor product ``f(x, y) = a(x) b(y)`` (the gaussian, box,
     tensor-box and spike families) ``G f = M f ||f||`` holds in exact
@@ -407,13 +411,19 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
 
     case_id = 1 if g_value <= m_value * f_norm else 2
     case_value = m_value if case_id == 1 else g_value
-    r1, r2 = balanced_radii(case_value / f_norm ** case_id, n1_val, n2_val, exps)
+    ratio = case_value / f_norm ** case_id
+    r1, r2 = balanced_radii(ratio, n1_val, n2_val, exps)
     final = final_bound(case_value, f_norm, case_id, exps)
 
     regions = region_split(f, exps, idx, r1, r2)
     limits = region_limits(m_value, n1_val, n2_val, f_norm, r1, r2, ctx.tables)
-    checks = [(name, value, limits[name]) for name, value in
-              zip(limits, (regions.t11, regions.t12, regions.t21, regions.t22))]
+    # the radii balance the recorded case: the largest relative residual of
+    # r1^(-m/p) r2^(-n/p) = ratio and r1^(-m/p) / r2^(-n/p) = n1/n2
+    s1, s2 = r1 ** (-exps.m / exps.p), r2 ** (-exps.n / exps.p)
+    balance = max(abs(s1 * s2 / ratio - 1.0), abs(s1 / s2 / (n1_val / n2_val) - 1.0))
+    checks = [("radii_balance", balance, _IDENTITY_TOL)] + [
+        (name, value, limits[name]) for name, value in
+        zip(limits, (regions.t11, regions.t12, regions.t21, regions.t22))]
     if case_id == 1:
         # the mixed-bound common value must itself collapse under the
         # case hypothesis: n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q)

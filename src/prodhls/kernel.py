@@ -11,6 +11,7 @@ times the profile on the covered range of radii.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,16 +149,22 @@ def check_blocks(grid: ProductGrid, exps: Exponents) -> None:
             f"grid blocks ({grid.m}, {grid.n}) do not match exponents ({exps.m}, {exps.n})")
 
 
+@functools.lru_cache(maxsize=8)
 def block_factors(grid: ProductGrid, exps: Exponents) -> tuple[np.ndarray, ...]:
     """Flattened block norms |x|, |y| and kernel factors |x|^(alpha-m), |y|^(beta-n).
 
     The one place the kernel formula is evaluated; each array is
-    ordered as the block's cells in row-major order.
+    ordered as the block's cells in row-major order.  The arrays depend
+    only on the grid and the exponents, both frozen, so they are built
+    once per pair (the last few pairs are kept) and are read-only.
     """
     check_blocks(grid, exps)
     x_norm = grid.x_norms().reshape(-1)
     y_norm = grid.y_norms().reshape(-1)
-    return x_norm, y_norm, x_norm ** (exps.alpha - exps.m), y_norm ** (exps.beta - exps.n)
+    arrays = (x_norm, y_norm, x_norm ** (exps.alpha - exps.m), y_norm ** (exps.beta - exps.n))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def riesz_kernel(grid: ProductGrid, exps: Exponents) -> GridFunction:

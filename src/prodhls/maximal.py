@@ -13,14 +13,20 @@ One pass over the product windows, :func:`maximal_fields`, gives the
 strong maximal M f and the partial maximals M1 f and M2 f; the
 composition check and the mixed-norm field G read theirs from it.
 Window sums are read from one prefix sum per block pass: each window row
-is the difference of two slices of it, written into one reused buffer,
-with no gather and no padded copy.  In the product pass the block with
-more window rows (x when ``m > n``) is summed once and the other block's
-pass runs once per outer radius.
+is the difference of two slices of it, with no gather and no padded copy.
+A disc's consecutive rows of one half-width share that difference,
+shifted, so it is built once per run of them into one reused buffer.  In
+the product pass the block with more window rows (x when ``m > n``) is
+summed once and the other block's pass runs once per outer radius.  Each
+pass runs with its block's axes leading, so every slice it reads or adds
+is a run of whole contiguous sub-arrays rather than strided rows of N
+values.  Every sum is added in the same order as row by row into zeros,
+so the fields are the same bytes in any layout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,71 +60,112 @@ def _window_rows(dim: int, rc: int) -> list[tuple[int, int]]:
     return [(d, math.isqrt(rc * rc - d * d - 1)) for d in offsets]
 
 
-def _window_sums(vals: np.ndarray, axes: tuple[int, ...], radii: tuple[int, ...]):
-    """Yield ``(window sum, full cell count)`` over the block on ``axes``
-    for each radius, zero-extended: one prefix sum along the block's last
-    axis, each row added into place in ascending offset order.  Rows lying
-    wholly outside the box add nothing but still count.
+def _window_sums(vals: np.ndarray, dim: int, radii: tuple[int, ...]):
+    """Yield ``(window sum, full cell count)`` over the block on the leading
+    ``dim`` axes of ``vals`` for each radius, zero-extended: one prefix sum
+    along the block's last axis, each row added into place in ascending
+    offset order.  Rows lying wholly outside the box add nothing but still
+    count.
 
-    A row of half-width ``w`` at cell ``i`` is ``csum[min(i + w + 1, N)] -
-    csum[max(i - w, 0)]``, read as two slices of the prefix sum into one
-    reused buffer: ``csum[w + 1:]`` fills cells ``0 .. N - w - 1``, the
-    total ``csum[N]`` the last ``w`` cells, and ``csum[:N - w]`` is
-    subtracted from cells ``w ..``; cells below ``w`` would subtract
-    ``csum[0] = 0.0``, which leaves them unchanged, so they are skipped."""
-    first, last = axes[0], axes[-1]
-    N = vals.shape[last]
-    csum = np.cumsum(np.insert(vals, 0, 0.0, axis=last), axis=last)  # csum[k]: first k cells
-    buf = np.empty(vals.shape)
-    lead = (slice(None),) * last  # index prefix: the next slice is on the last axis
+    A row of half-width ``w`` at cell ``i`` is ``H_w[i] = csum[min(i + w +
+    1, N)] - csum[max(i - w, 0)]``, read as two slices of the prefix sum:
+    ``csum[w + 1:]`` fills cells ``0 .. N - w - 1``, the total ``csum[N]``
+    the last ``w`` cells, and ``csum[:N - w]`` is subtracted from cells
+    ``w ..``; cells below ``w`` would subtract ``csum[0] = 0.0``, which
+    leaves them unchanged, so they are skipped.  Consecutive offsets of a
+    disc that share a half-width read the same ``H_w`` shifted along the
+    block's first axis, so ``H_w`` is built once per run of them, into one
+    reused buffer over the rows the run reads.  A 1-d block's one row is
+    built straight into the yielded array.
+
+    Each sum is, bit for bit, the one the rows added one by one into zeros
+    give: the additions and their order are the same, ``csum`` starts from
+    ``0.0`` so it holds no ``-0.0`` (nor does a row, so ``0.0 + row`` is the
+    row), and the one-cell window is ``vals + 0.0``.  Only that window
+    reads ``vals``; the pass drops it after that, and keeps no yielded
+    sum alive."""
+    shape, N, last = vals.shape, vals.shape[0], dim - 1
+    lead = (slice(None),) * last  # index prefix: the next slice is on the block's last axis
+    csum = np.empty(shape[:last] + (N + 1,) + shape[dim:])
+    csum[(*lead, 0)] = 0.0
+    csum[(*lead, slice(1, None))] = vals
+    np.cumsum(csum, axis=last, out=csum)  # csum[k]: the first k cells
+    buf = np.empty(shape) if dim == 2 else None
+
+    def build(row, part, w):  # H_w from the prefix sums ``part`` into ``row``
+        w = min(w, N)  # a row wider than the box spans all of it
+        row[(*lead, slice(None, N - w))] = part[(*lead, slice(w + 1, None))]
+        row[(*lead, slice(N - w, None))] = part[(*lead, slice(N, None))]
+        row[(*lead, slice(w, None))] -= part[(*lead, slice(None, N - w))]
+
+    def window_sum(rows):
+        if dim == 1:
+            total = np.empty(shape)
+            build(total, csum, rows[0][1])
+            return total
+        total = np.zeros(shape)
+        inside = [(d, w) for d, w in rows if abs(d) < N]
+        for w, run in itertools.groupby(inside, key=lambda dw: dw[1]):
+            ds = [d for d, _ in run]
+            # the run reads source rows max(-d, 0) .. N - max(d, 0) - 1
+            union = slice(max(-ds[-1], 0), N - max(ds[0], 0))
+            build(buf[union], csum[union], w)
+            for d in ds:  # out[i] = H_w[i - d] along the first axis
+                total[max(d, 0):N - max(-d, 0)] += buf[max(-d, 0):N - max(d, 0)]
+        return total
+
     for rc in radii:
-        rows = _window_rows(len(axes), rc)
-        total = np.zeros(vals.shape)
-        for d, w in rows:
-            if abs(d) >= N:
-                continue
-            src, dst = [slice(None)] * vals.ndim, [slice(None)] * vals.ndim
-            if d:  # out[i] = row[i - d] along the first axis
-                src[first] = slice(max(-d, 0), N - max(d, 0))
-                dst[first] = slice(max(d, 0), N - max(-d, 0))
-            if w == 0:  # single cell: keep exact, no cumsum rounding
-                row = vals[tuple(src)]
-            else:
-                w = min(w, N)  # a row wider than the box spans all of it
-                row, part = buf[tuple(dst)], csum[tuple(src)]
-                row[(*lead, slice(None, N - w))] = part[(*lead, slice(w + 1, None))]
-                row[(*lead, slice(N - w, None))] = part[(*lead, slice(N, None))]
-                row[(*lead, slice(w, None))] -= part[(*lead, slice(None, N - w))]
-            total[tuple(dst)] += row
-        yield total, sum(2 * w + 1 for _, w in rows)
+        rows = _window_rows(dim, rc)
+        count = sum(2 * w + 1 for _, w in rows)
+        if rc == 1:  # the cell itself, added to 0.0 as into zeros: -0.0 becomes 0.0
+            yield vals + 0.0, count
+            vals = None  # the last read of the input
+        else:  # no local keeps the yielded sum: the caller owns it
+            yield window_sum(rows), count
+
+
+def _lead(vals: np.ndarray, k: int) -> np.ndarray:
+    """A contiguous copy of ``vals`` with its last ``k`` axes moved to the front."""
+    return np.ascontiguousarray(np.moveaxis(vals, range(vals.ndim - k, vals.ndim), range(k)))
 
 
 def maximal_fields(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:
     """Strong maximal M f and the partial maximals M1 f (x-block windows)
     and M2 f (y-block windows) of ``f``, from one pass over the product
-    windows.  The smallest window on a block is the cell itself, so the
-    windows with a one-cell y-factor give M1 f and those with a one-cell
-    x-factor give M2 f.
+    windows.  The smallest window on a block is the cell itself (the one
+    window of full cell count 1), so the windows with a one-cell y-factor
+    give M1 f and those with a one-cell x-factor give M2 f.
 
     The block with more window rows (x when ``m > n``) is the outer pass
     and is summed once; the other block's pass runs once per outer
     radius.  M1 f and M2 f do not depend on this order, since a one-cell
-    factor copies its input exactly; M f moves only by rounding."""
+    factor copies its input exactly; M f moves only by rounding.  Each
+    pass runs with its block's axes leading: f is transposed once when y
+    is the outer block, each outer sum once so that the inner block
+    leads, and the three fields, kept in that layout, are moved back to x
+    first at the end.  Transposing moves values, not sums, so the fields
+    are the same bytes in either layout."""
     grid = f.grid
     radii = _dyadic_radii(grid)
-    mf, m1, m2 = (np.zeros(grid.shape) for _ in range(3))
-    x_axes, y_axes = tuple(range(grid.m)), tuple(range(grid.m, grid.rank))
     x_first = grid.m > grid.n
-    outer, inner = (x_axes, y_axes) if x_first else (y_axes, x_axes)
-    for ko, (outer_sum, count_o) in enumerate(_window_sums(f.values, outer, radii)):
-        for ki, (total, count_i) in enumerate(_window_sums(outer_sum, inner, radii)):
+    outer, inner = (grid.m, grid.n) if x_first else (grid.n, grid.m)
+    mf, m1, m2 = (np.zeros(grid.shape) for _ in range(3))
+    for outer_sum, count_o in _window_sums(f.values if x_first else _lead(f.values, grid.n),
+                                           outer, radii):
+        inner_sums = _window_sums(_lead(outer_sum, inner), inner, radii)
+        del outer_sum  # only its transposed copy is read
+        for total, count_i in inner_sums:
             total /= count_i * count_o
-            kx, ky = (ko, ki) if x_first else (ki, ko)
+            count_x, count_y = (count_o, count_i) if x_first else (count_i, count_o)
             np.maximum(mf, total, out=mf)
-            if ky == 0:
+            if count_y == 1:
                 np.maximum(m1, total, out=m1)
-            if kx == 0:
+            if count_x == 1:
                 np.maximum(m2, total, out=m2)
+            del total  # freed before the next sum is built
+    if x_first:  # the fields hold y first: GridFunction's C-order copy moves x back
+        mf, m1, m2 = (np.moveaxis(v, range(grid.n), range(grid.m, grid.rank))
+                      for v in (mf, m1, m2))
     return GridFunction(grid, mf), GridFunction(grid, m1), GridFunction(grid, m2)
 
 

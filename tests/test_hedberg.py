@@ -681,7 +681,7 @@ def case2_ratio_over_f_norm(real, f_norm):
 # ||f||_p, the checks that fire).  A check is "violation:<region>" for a
 # CertificateViolation, "lhs" for the lhs-versus-convolve_direct oracle,
 # "node" for the node-value oracle, and "radii" for the balancing
-# identities of the recorded case, which only this test checks.
+# identities of the recorded case, which certify_point also checks.
 MUTATIONS = {
     "unmutated": ("gaussian", "region_split", lambda real, f_norm: real, set()),
     "swapped-radii": ("gaussian", "region_split",
@@ -696,9 +696,10 @@ MUTATIONS = {
     "m-value-halved": ("gaussian", "maximal_fields", lambda real, f_norm: lambda f: (
         lambda mf, m1, m2: (GridFunction(mf.grid, 0.5 * mf.values), m1, m2))(*real(f)),
         {"node"}),
-    # no check of the certificate sees unbalanced radii: every region limit
-    # holds at any radii, and case 2 has no collapse check
-    "case2-ratio-over-f-norm": ("random", "balanced_radii", case2_ratio_over_f_norm, {"radii"}),
+    # every region limit holds at any radii, and case 2 has no collapse
+    # check: only the radius balance of the recorded case sees them
+    "case2-ratio-over-f-norm": ("random", "balanced_radii", case2_ratio_over_f_norm,
+                                {"violation:radii_balance"}),
 }
 
 
@@ -822,6 +823,25 @@ def test_violation_checks_run_in_order(monkeypatch):
         with pytest.raises(CertificateViolation) as info:
             certify_point(ctx, cert.point)
         assert info.value.diagnostics["region"] == name
+
+
+@pytest.mark.parametrize("case_id", [1, 2])
+def test_unbalanced_radii_violation_diagnostics(monkeypatch, case_id):
+    # r1 off by 1e-9 relative no longer balances the recorded case; that
+    # check runs before the region checks, so a failing region11 is not seen
+    ctx, cert = violation_setup(case_id)
+    real = hedberg.balanced_radii
+    monkeypatch.setattr(hedberg, "balanced_radii", lambda *args: (
+        lambda r1, r2: (r1 * (1.0 + 1e-9), r2))(*real(*args)))
+    shrink_limit(monkeypatch, "region11")
+    with pytest.raises(CertificateViolation) as info:
+        certify_point(ctx, cert.point)
+    diagnostics = info.value.diagnostics
+    # both residuals are about (m/p) 1e-9, from r1^(-m/p)
+    assert diagnostics.pop("value") == pytest.approx(STD.m / STD.p * 1e-9, rel=1e-3)
+    assert diagnostics == {
+        "point": list(cert.point), "region": "radii_balance", "limit": 1e-12, "slack": 1.0,
+        "r1": cert.r1 * (1.0 + 1e-9), "r2": cert.r2, "case_id": case_id}
 
 
 def test_certificate_rejects_inadmissible_exponents():

@@ -1,6 +1,7 @@
 """Maximal operators against exhaustive window oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ def test_strong_field_2d_block_matches_brute_force():
     assert np.max(np.abs(strong_field(f) - out) / out) <= 1e-12
 
 
+def window_sums_on(vals, axes, radii):
+    """``_window_sums`` over the block on ``axes`` of ``vals``: the block is
+    moved to the front for the pass and each sum moved back, which moves
+    values only."""
+    front = tuple(range(len(axes)))
+    for total, count in _window_sums(np.moveaxis(vals, axes, front), len(axes), radii):
+        yield np.moveaxis(total, front, axes), count
+
+
 def block_windows(dim, N, rc):
     """Exhaustive block window of strict radius rc cells: W[i, j] = 1 when
     block cell j lies within rc of block cell i, and the full cell count
@@ -182,9 +192,9 @@ def test_disc_windows_match_brute_force(m, n):
     x_windows = [block_windows(m, N, rc) for rc in radii]
     y_windows = [block_windows(n, N, rc) for rc in radii]
     products = []
-    y_sums = _window_sums(f.values, tuple(range(m, m + n)), radii)
+    y_sums = window_sums_on(f.values, tuple(range(m, m + n)), radii)
     for (y_sum, count_y), (Wy, cy) in zip(y_sums, y_windows, strict=True):
-        x_sums = _window_sums(y_sum, tuple(range(m)), radii)
+        x_sums = window_sums_on(y_sum, tuple(range(m)), radii)
         for (total, count_x), (Wx, cx) in zip(x_sums, x_windows, strict=True):
             assert (count_x, count_y) == (cx, cy)
             products.append(Wx @ F @ Wy.T / (cx * cy))
@@ -205,8 +215,8 @@ def separate_strong_pass(f, x_first):
     x_axes, y_axes = tuple(range(g.m)), tuple(range(g.m, g.rank))
     outer, inner = (x_axes, y_axes) if x_first else (y_axes, x_axes)
     best = np.zeros(g.shape)
-    for outer_sum, count_o in _window_sums(f.values, outer, radii):
-        for total, count_i in _window_sums(outer_sum, inner, radii):
+    for outer_sum, count_o in window_sums_on(f.values, outer, radii):
+        for total, count_i in window_sums_on(outer_sum, inner, radii):
             np.maximum(best, total / (count_i * count_o), out=best)
     return best
 
@@ -217,11 +227,14 @@ def sampled_input(g, kind):
         return GridFunction(g, rng.uniform(0, 1, g.shape))
     if kind == "sparse":  # about 80% of the cells are zero
         return GridFunction(g, rng.uniform(0, 1, g.shape) * (rng.uniform(0, 1, g.shape) < 0.2))
+    if kind == "signed-zero":  # about 80% of the cells are -0.0, which sums make 0.0
+        return GridFunction(g, np.where(rng.uniform(0, 1, g.shape) < 0.2,
+                                        rng.uniform(0, 1, g.shape), -0.0))
     return sample_function(g, lambda *xs: np.exp(
         -sum((k + 1) * x ** 2 for k, x in enumerate(xs)) / (2 * 0.3 ** 2)))
 
 
-@pytest.mark.parametrize("kind", ["uniform", "sparse", "gaussian"])
+@pytest.mark.parametrize("kind", ["uniform", "sparse", "gaussian", "signed-zero"])
 @pytest.mark.parametrize("N", [6, 8, 12, 16])
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_maximal_fields_match_the_separate_passes(m, n, N, kind):
@@ -273,7 +286,7 @@ def gathered_window_sums(vals, axes, radii):
         yield total, sum(2 * w + 1 for _, w in rows)
 
 
-@pytest.mark.parametrize("kind", ["uniform", "sparse", "gaussian"])
+@pytest.mark.parametrize("kind", ["uniform", "sparse", "gaussian", "signed-zero"])
 @pytest.mark.parametrize("N", [6, 8, 12, 16])
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_window_sums_match_the_gather(m, n, N, kind):
@@ -285,15 +298,33 @@ def test_window_sums_match_the_gather(m, n, N, kind):
     radii = _dyadic_radii(g)
     x_axes, y_axes = tuple(range(m)), tuple(range(m, m + n))
     for outer, inner in ((x_axes, y_axes), (y_axes, x_axes)):
-        got = list(_window_sums(f.values, outer, radii))
+        got = list(window_sums_on(f.values, outer, radii))
         want = list(gathered_window_sums(f.values, outer, radii))
         assert [c for _, c in got] == [c for _, c in want]
         for (a, _), (b, _) in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
-        inner_got = _window_sums(got[-2][0], inner, radii)
+        inner_got = window_sums_on(got[-2][0], inner, radii)
         inner_want = gathered_window_sums(want[-2][0], inner, radii)
         for (a, ca), (b, cb) in zip(inner_got, inner_want, strict=True):
             assert ca == cb and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m, n, N", [(2, 2, 16), (2, 1, 32)])
+def test_maximal_fields_peak_memory(m, n, N):
+    # the traced peak of one pass, in field-sized arrays: the three fields,
+    # a prefix sum and a buffer per 2-d block pass, the transposed input of
+    # the inner pass and the sums in flight; the pointwise runs' peak RSS
+    # rises with it
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    f = sampled_input(g, "uniform")
+    maximal_fields(f)
+    tracemalloc.start()
+    try:
+        maximal_fields(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * f.values.nbytes
 
 
 # ---------------------------------------------------------------- partial maximal
