@@ -11,10 +11,14 @@ evaluated at its singularity; the price is that fixed half-cell offset
 between the discrete result and the continuum convolution, immaterial
 for norms and scaling fits.
 
-:func:`convolve_fast` transforms each kernel once: its zero-padded
-spectrum is cached on the kernel object, so a sweep convolving many
-dilates of f against one kernel pays for one kernel transform.  The
-inverse transform computes only the rows that land in the box.
+:func:`convolve_fast` zero-pads each axis to 3N/2, the least circular
+length that holds the box without wrap-around: the full linear
+convolution has 2N-1 entries per axis, of which the box keeps
+``[N/2, 3N/2)``, and its top N/2-1 entries wrap onto ``0 .. N/2-2``,
+below the box.  It transforms each kernel once: the padded spectrum is
+cached on the kernel object, so a sweep convolving many dilates of f
+against one kernel pays for one kernel transform.  The inverse
+transform computes only the rows that land in the box.
 
 :func:`region_split` reads the kernel as x-factor times y-factor, so the
 four region sums at a node come from one two-sided block contraction of
@@ -95,21 +99,27 @@ _KERNEL_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     """Same contract as :func:`convolve_direct` via zero-padded FFT.
 
-    Each axis is padded to 2N, which covers the 2N-1 full linear
-    convolution, so no periodic wrap-around contaminates the box.  The
-    kernel's spectrum is computed on the first call with that kernel and
-    reused for as long as the kernel object lives.  The spectrum of f is
-    multiplied and inverted in place, one axis at a time as ``irfftn``
-    does, keeping after each leading axis only the N rows of the box, so
-    the last-axis ``irfft`` runs on the box rows alone; every kept value
-    is computed exactly as by the full inverse.  Tiny negative rounding
-    residues are clipped to keep the result a valid sample field.
+    Each axis is padded to ``L = 3N/2``.  Of the 2N-1 entries of the full
+    linear convolution per axis the box keeps ``[N/2, 3N/2)``; the top
+    N/2-1 entries wrap onto ``0 .. N/2-2``, below the box, and any
+    wrapped term of a multi-axis grid is below the box on at least one
+    axis, so no periodic wrap-around reaches the box.  At any shorter L
+    the last box entry ``3N/2 - 1`` would share its residue mod L with
+    the entry ``3N/2 - 1 - L >= 0``.  The kernel's spectrum is computed
+    on the first call with that kernel and reused for as long as the
+    kernel object lives.  The spectrum of f is multiplied and inverted in
+    place, one axis at a time as ``irfftn`` does, keeping after each
+    leading axis only the N rows of the box, so the last-axis ``irfft``
+    runs on the box rows alone; every kept value is computed exactly as
+    by the full inverse.  Tiny negative rounding residues are clipped to
+    keep the result a valid sample field.
     """
     _require_same_grid(f, k)
     grid = f.grid
     N = grid.points_per_axis
     axes = tuple(range(grid.rank))
-    shape = (2 * N,) * grid.rank
+    L = 3 * N // 2
+    shape = (L,) * grid.rank
     kernel_spectrum = _KERNEL_SPECTRA.get(k)
     if kernel_spectrum is None:
         kernel_spectrum = _KERNEL_SPECTRA[k] = np.fft.rfftn(k.values, shape, axes=axes)
@@ -119,7 +129,7 @@ def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     for axis in axes[:-1]:
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
         spectrum = spectrum[(slice(None),) * axis + (box,)]
-    out = np.fft.irfft(spectrum, 2 * N, axis=-1)[..., box] * grid.cell_volume
+    out = np.fft.irfft(spectrum, L, axis=-1)[..., box] * grid.cell_volume
     return GridFunction(grid, np.maximum(out, 0.0, out=out))
 
 

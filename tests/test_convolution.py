@@ -114,8 +114,9 @@ def test_fast_zero_kernel():
 
 def test_fast_matches_direct_random():
     # the inverse slices each leading axis in turn, so every block layout
-    # of the axes is its own case
-    for m, n, N in [(1, 1, 32), (2, 1, 8), (1, 2, 8), (2, 2, 8)]:
+    # of the axes is its own case; at N = 6 the padded length 3N/2 is odd
+    for m, n, N in [(1, 1, 32), (2, 1, 8), (1, 2, 8), (2, 2, 8),
+                    (1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6)]:
         g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
         f = random_function(g, seed=8)
         k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
@@ -129,7 +130,7 @@ def three_transform_convolve(f, k):
     g = f.grid
     N = g.points_per_axis
     axes = tuple(range(g.rank))
-    shape = (2 * N,) * g.rank
+    shape = (3 * N // 2,) * g.rank
     spectrum = (np.fft.rfftn(f.values, shape, axes=axes)
                 * np.fft.rfftn(k.values, shape, axes=axes))
     full = np.fft.irfftn(spectrum, shape, axes=axes)
@@ -137,7 +138,8 @@ def three_transform_convolve(f, k):
     return np.maximum(out, 0.0)
 
 
-@pytest.mark.parametrize("m, n, N", [(1, 1, 32), (2, 1, 8), (1, 2, 8), (2, 2, 8)])
+@pytest.mark.parametrize("m, n, N", [(1, 1, 32), (2, 1, 8), (1, 2, 8), (2, 2, 8),
+                                     (1, 1, 2), (1, 1, 6)])
 def test_fast_bytes_match_three_transform_formula(m, n, N):
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
@@ -151,6 +153,38 @@ def test_fast_bytes_match_three_transform_formula(m, n, N):
     for name, f in inputs.items():
         out = convolve_fast(f, k).values
         assert out.tobytes() == three_transform_convolve(f, k).tobytes(), name
+
+
+@pytest.mark.parametrize("N", [2, 6, 8])
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_fast_matches_direct_where_the_padding_wraps(m, n, N):
+    # f lives on the corner cells and the kernel is heaviest there, so the
+    # top entries of the full linear convolution, which the circular
+    # length 3N/2 wraps onto indices 0 .. N/2-2, are far from zero
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    rng = np.random.default_rng(19)
+    corners = np.ix_(*[[0, N - 1]] * g.rank)
+    f_vals = np.zeros(g.shape)
+    f_vals[corners] = rng.uniform(1.0, 2.0, (2,) * g.rank)
+    k_vals = rng.uniform(0.5, 1.0, g.shape)
+    k_vals[corners] += rng.uniform(1.0, 2.0, (2,) * g.rank)
+    f, k = GridFunction(g, f_vals), GridFunction(g, k_vals)
+    d = convolve_direct(f, k).values
+    assert np.all(np.abs(convolve_fast(f, k).values - d) <= 1e-12 * d)
+
+    # the input really wraps: below the box the circular result differs
+    # from the linear one by the wrapped mass (at N = 2, 3N/2 = 2N-1 and
+    # nothing wraps)
+    if N > 2:
+        axes = tuple(range(g.rank))
+
+        def padded(length):
+            shape = (length,) * g.rank
+            return np.fft.irfftn(np.fft.rfftn(f_vals, shape, axes=axes)
+                                 * np.fft.rfftn(k_vals, shape, axes=axes), shape, axes=axes)
+
+        low = (slice(0, N // 2 - 1),) * g.rank
+        assert padded(3 * N // 2)[low].sum() - padded(2 * N)[low].sum() >= 1.0
 
 
 def test_kernel_spectrum_cache_lets_the_kernel_go():
@@ -176,14 +210,15 @@ def test_fast_emits_no_warning(m, n):
 
 
 def test_fast_spike_identity():
-    g = grid_1x1(N=16)
-    vals = np.zeros(g.shape)
-    vals[8, 8] = 1.0 / g.cell_volume
-    f = GridFunction(g, vals)
-    k = riesz_kernel(g, STD)
-    d = convolve_direct(f, k).values
-    fa = convolve_fast(f, k).values
-    assert np.max(np.abs(d - fa)) <= 1e-10 * np.max(np.abs(d))
+    for m, n, N in [(1, 1, 16), (1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6)]:
+        g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+        vals = np.zeros(g.shape)
+        vals[(N // 2,) * g.rank] = 1.0 / g.cell_volume
+        f = GridFunction(g, vals)
+        k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
+        d = convolve_direct(f, k).values
+        fa = convolve_fast(f, k).values
+        assert np.max(np.abs(d - fa)) <= 1e-10 * np.max(np.abs(d)), (m, n, N)
 
 
 def test_direct_rank3_small():
