@@ -9,13 +9,13 @@ and provides:
 * the exponent tuple with its admissibility rule, the kernel, and
   dyadic layer-cake envelopes (:mod:`prodhls.kernel`);
 * direct and FFT convolution plus the four-region split of the
-  convolution sum at a point (:mod:`prodhls.convolution`);
+  convolution sum at each of many nodes (:mod:`prodhls.convolution`);
 * one pass over dyadic product windows that gives the strong maximal
   M f and the partial maximals M1 f, M2 f, which the composition check
   and the mixed-norm field G read (:mod:`prodhls.maximal`);
 * the pointwise certification engine: lattice region bounds from
   per-block tables, closed-form balancing radii, and per-point
-  certificates
+  certificates from one array pass over an instance's nodes
   (:mod:`prodhls.hedberg`);
 * experiment campaigns and the CLI harness (:mod:`prodhls.harness`,
   :mod:`prodhls.cli`).
@@ -27,12 +27,13 @@ from .grid import (GridFunction, ProductGrid, dilate, lp_norm, sample_function,
                    slice_lp_norms_x, slice_lp_norms_y)
 from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
                      profile_ball_integral, riesz_kernel, sphere_surface)
-from .convolution import RegionBounds, convolve_direct, convolve_fast, region_split
+from .convolution import (RegionBounds, convolve_direct, convolve_fast, region_split,
+                          region_sums)
 from .maximal import (CompositionReport, GNormReport, composition_check, g_function,
                       g_norm_bound, maximal_fields)
 from .hedberg import (BlockTable, CertificateViolation, ExponentError, HedbergCertificate,
-                      HedbergContext, balanced_radii, certify_point, final_bound,
-                      prepare_certification, region_limits, region_tables,
+                      HedbergContext, balanced_radii, certify_point, certify_points,
+                      final_bound, prepare_certification, region_limits, region_tables,
                       tail_integral_constant)
 from .harness import (ConfigError, ExperimentConfig, make_family,
                       run_necessity_sweep, run_norm_check,
@@ -45,13 +46,13 @@ __all__ = [
     "sample_function",
     "Exponents", "riesz_kernel", "LayerCake", "layer_cake",
     "sphere_surface", "ball_volume", "profile_ball_integral",
-    "RegionBounds", "convolve_direct", "convolve_fast", "region_split",
+    "RegionBounds", "convolve_direct", "convolve_fast", "region_split", "region_sums",
     "maximal_fields", "composition_check", "CompositionReport",
     "g_function", "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",
     "BlockTable", "region_tables", "region_limits", "balanced_radii", "final_bound",
     "HedbergContext",
-    "prepare_certification", "HedbergCertificate", "certify_point",
+    "prepare_certification", "HedbergCertificate", "certify_points", "certify_point",
     "ConfigError", "ExperimentConfig", "make_family",
     "run_pointwise_campaign", "run_necessity_sweep", "run_norm_check",
 ]

@@ -20,9 +20,11 @@ cached on the kernel object, so a sweep convolving many dilates of f
 against one kernel pays for one kernel transform.  The inverse
 transform computes only the rows that land in the box.
 
-:func:`region_split` reads the kernel as x-factor times y-factor, so the
+:func:`region_sums` reads the kernel as x-factor times y-factor, so the
 four region sums at a node come from one two-sided block contraction of
-the node's window with the inner and outer rows of each factor.
+the node's window with the inner and outer rows of each factor; it
+builds those rows for all its nodes at once, and :func:`region_split` is
+its view of one node.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, check_positive, normalize_point
+from .grid import GridFunction, check_positive, normalize_points
 from .kernel import Exponents, block_factors
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "convolve_direct",
     "convolve_fast",
     "region_split",
+    "region_sums",
 ]
 
 
@@ -133,9 +136,10 @@ def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     return GridFunction(grid, np.maximum(out, 0.0, out=out))
 
 
-def region_split(f: GridFunction, exps: Exponents, point, r1: float,
-                 r2: float) -> RegionBounds:
-    """Split the convolution sum at ``point`` by the radii (r1, r2).
+def region_sums(f: GridFunction, exps: Exponents, points, r1, r2) -> np.ndarray:
+    """Split the convolution sum at each node of ``points`` (one
+    multi-index per row) by that node's radii ``r1[k]``, ``r2[k]``: an
+    array of shape (K, 4) whose columns are t11, t12, t21, t22.
 
     The kernel is the product of an x-factor and a y-factor (from
     :func:`~prodhls.kernel.block_factors`), so each region sum is a
@@ -148,34 +152,53 @@ def region_split(f: GridFunction, exps: Exponents, point, r1: float,
     whose rows of Kx (columns of Ky^T) are the factor on the inner
     offsets ``|x| <= r1`` (``|y| <= r2``) and on the outer ones, so
     ``t[0, 0], t[0, 1], t[1, 0], t[1, 1]`` are t11, t12, t21, t22.  The
-    window ``f[i - j + N/2]`` is read only over the run of offsets j
-    whose samples land in the box, so a radius beyond the box only puts
-    every offset in the inner region.  The two products are einsum
-    passes that call no BLAS routine, so the BLAS thread count cannot
-    change the sums.
+    inner and outer factor rows of every node are built at once; the
+    contraction runs node by node.  The window ``f[i - j + N/2]`` is read
+    only over the run of offsets j whose samples land in the box, so a
+    radius beyond the box only puts every offset in the inner region.
+    The two products are einsum passes that call no BLAS routine, so the
+    BLAS thread count cannot change the sums.
     """
-    check_positive(r1=r1, r2=r2)
     grid = f.grid
-    x_norm, y_norm, x_factor, y_factor = block_factors(grid, exps)
     N = grid.points_per_axis
-    idx = normalize_point(point, grid.rank, N)
+    idx = normalize_points(points, grid.rank, N)
+    r1, r2 = np.asarray(r1, dtype=np.float64), np.asarray(r2, dtype=np.float64)
+    if r1.shape != r2.shape or r1.shape != idx.shape[:1]:
+        raise ValueError(f"{len(idx)} points need as many radii, got shapes {r1.shape} "
+                         f"and {r2.shape}")
+    check_positive(r1=r1, r2=r2)
+    x_norm, y_norm, x_factor, y_factor = block_factors(grid, exps)
 
-    # per axis the offsets j and the sample indices i - j + N/2 that land
-    # in the box span the same run, traversed in opposite directions
-    run = tuple(slice(max(0, i - N // 2 + 1), min(N, i + N // 2 + 1)) for i in idx)
-    window = f.values[run][(slice(None, None, -1),) * grid.rank]
+    def factor_rows(norm, factor, r, dim):
+        # each node's factor on the inner offsets (row 0) and on the outer ones
+        rows = np.empty((len(r), 2, norm.size))
+        np.multiply(norm <= r[:, None], factor, out=rows[:, 0])
+        np.subtract(factor, rows[:, 0], out=rows[:, 1])
+        return rows.reshape((len(r), 2) + (N,) * dim)
 
-    def block_rows(norm, factor, block_run, r):
-        shape = (N,) * len(block_run)
-        on_run = factor.reshape(shape)[block_run].reshape(-1)
-        inner = norm.reshape(shape)[block_run].reshape(-1) <= r
-        return np.stack([np.where(inner, on_run, 0.0), np.where(inner, 0.0, on_run)])
+    x_rows = factor_rows(x_norm, x_factor, r1, grid.m)
+    y_rows = factor_rows(y_norm, y_factor, r2, grid.n)
+    reverse = (slice(None, None, -1),) * grid.rank
+    # per axis the offsets j and the sample indices i - j + N/2 that land in
+    # the box span the same run, traversed in opposite directions
+    starts = np.maximum(idx - N // 2 + 1, 0).tolist()
+    stops = np.minimum(idx + N // 2 + 1, N).tolist()
+    sums = []
+    for k, (start, stop) in enumerate(zip(starts, stops)):
+        run = tuple(map(slice, start, stop))
+        window = f.values[run][reverse]
+        kx = np.ascontiguousarray(x_rows[(k, slice(None)) + run[:grid.m]]).reshape(2, -1)
+        ky = np.ascontiguousarray(y_rows[(k, slice(None)) + run[grid.m:]]).reshape(2, -1)
+        # einsum, not matmul: the first BLAS call of a process maps about 0.4 MB
+        # of buffers, a measured rise in the pointwise runs' peak RSS
+        rows = np.einsum("ax,xy->ay", kx, window.reshape(kx.shape[1], ky.shape[1]))
+        sums.append(np.einsum("ay,by->ab", rows, ky))
+    return np.array(sums).reshape(len(idx), 4) * grid.cell_volume
 
-    kx = block_rows(x_norm, x_factor, run[:grid.m], r1)
-    ky = block_rows(y_norm, y_factor, run[grid.m:], r2)
-    # einsum, not matmul: the first BLAS call of a process maps about 0.4 MB
-    # of buffers, a measured rise in the pointwise runs' peak RSS
-    rows = np.einsum("ax,xy->ay", kx, window.reshape(kx.shape[1], ky.shape[1]))
-    t = np.einsum("ay,by->ab", rows, ky) * grid.cell_volume
-    return RegionBounds(t11=float(t[0, 0]), t12=float(t[0, 1]),
-                        t21=float(t[1, 0]), t22=float(t[1, 1]))
+
+def region_split(f: GridFunction, exps: Exponents, point, r1: float,
+                 r2: float) -> RegionBounds:
+    """Split the convolution sum at ``point`` by the radii (r1, r2): the
+    one-node view of :func:`region_sums`."""
+    t11, t12, t21, t22 = region_sums(f, exps, [point], [r1], [r2])[0].tolist()
+    return RegionBounds(t11=t11, t12=t12, t21=t21, t22=t22)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -97,12 +97,6 @@ class ProductGrid:
         """Euclidean norm |y| at the cell centers of the y-block, shape (N,)*n."""
         return _block_norms(self.axis_centers(), self.n)
 
-    def point_coordinates(self, point: Sequence[int]) -> tuple[float, ...]:
-        """Coordinates of a grid node given as a multi-index."""
-        idx = normalize_point(point, self.rank, self.points_per_axis)
-        centers = self.axis_centers()
-        return tuple(float(centers[i]) for i in idx)
-
 
 def _block_norms(centers: np.ndarray, dim: int) -> np.ndarray:
     if dim == 1:
@@ -111,23 +105,29 @@ def _block_norms(centers: np.ndarray, dim: int) -> np.ndarray:
 
 
 def check_positive(**named) -> None:
-    """Raise ``ValueError`` for the first named value that is not positive and finite."""
+    """Raise ``ValueError`` for the first named value that is not positive
+    and finite: a number, or an array checked entry by entry."""
     for name, value in named.items():
+        if isinstance(value, np.ndarray):
+            # the least entry decides, or the largest if the least is positive
+            least = value.min(initial=1.0)
+            value = least if not least > 0 else value.max(initial=1.0)
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def normalize_point(point, rank: int, points_per_axis: int) -> tuple[int, ...]:
-    """Validate a grid-node multi-index (an int is accepted for rank 1)."""
-    if isinstance(point, (int, np.integer)):
-        idx = (int(point),)
-    else:
-        idx = tuple(int(i) for i in point)
-    if len(idx) != rank:
-        raise ValueError(f"index {point!r} does not address a rank-{rank} grid node")
-    for i in idx:
-        if not 0 <= i < points_per_axis:
-            raise ValueError(f"index {point!r} lies outside the grid")
+def normalize_points(points, rank: int, points_per_axis: int) -> np.ndarray:
+    """Validate grid-node multi-indices given one per row: an integer
+    array of shape (K, rank), K >= 0."""
+    idx = np.asarray(points)
+    if idx.size == 0:
+        return np.empty((0, rank), dtype=np.intp)
+    if idx.ndim != 2 or idx.shape[1] != rank or idx.dtype.kind not in "iu":
+        raise ValueError(f"points of shape {idx.shape} and dtype {idx.dtype} do not "
+                         f"address rank-{rank} grid nodes one per row")
+    if not 0 <= idx.min() <= idx.max() < points_per_axis:
+        outside = np.any((idx < 0) | (idx >= points_per_axis), axis=1)
+        raise ValueError(f"index {tuple(idx[outside][0].tolist())!r} lies outside the grid")
     return idx
 
 

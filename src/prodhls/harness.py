@@ -21,7 +21,7 @@ from . import __version__
 from .convolution import convolve_fast
 from .grid import GridFunction, ProductGrid, dilate, lp_norm, sample_function
 from .hedberg import (CERTIFICATE_SCHEMA_VERSION, HedbergCertificate,
-                      certify_point, prepare_certification)
+                      certify_points, prepare_certification)
 from .kernel import Exponents, riesz_kernel
 
 __all__ = [
@@ -256,12 +256,12 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
     return fam
 
 
-def _sample_points(grid: ProductGrid, stride: int) -> list[tuple[int, ...]]:
-    axis = range(0, grid.points_per_axis, stride)
-    pts: list[tuple[int, ...]] = [()]
-    for _ in range(grid.rank):
-        pts = [p + (i,) for p in pts for i in axis]
-    return pts
+def _sample_points(grid: ProductGrid, stride: int) -> np.ndarray:
+    """The nodes whose every index is a multiple of ``stride``, one per
+    row in row-major order (the last index runs fastest)."""
+    axis = np.arange(0, grid.points_per_axis, stride)
+    mesh = np.meshgrid(*[axis] * grid.rank, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, grid.rank)
 
 
 @dataclass
@@ -323,9 +323,8 @@ def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
                       points) -> InstanceResult:
     f = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)(s, t)
     certs = []
-    if lp_norm(f, cfg.exponents.p) > 0.0:
-        ctx = prepare_certification(f, cfg.exponents)
-        certs = [certify_point(ctx, pt) for pt in points]
+    if (f_norm := lp_norm(f, cfg.exponents.p)) > 0.0:
+        certs = certify_points(prepare_certification(f, cfg.exponents, f_norm), points)
     return InstanceResult(family=family, s=s, t=t, certificates=certs)
 
 
@@ -529,25 +528,32 @@ def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
                            passed=passed)
 
 
-def write_summary_json(path, payload: dict, cfg: ExperimentConfig) -> Path:
-    """Write ``payload`` as sorted JSON with the config sha256 and the
-    library version embedded."""
+def _write_json(path, payload: dict, cfg: ExperimentConfig, **layout) -> Path:
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     payload = dict(payload, config_sha256=cfg.sha256(), library_version=__version__)
-    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    out.write_text(json.dumps(payload, sort_keys=True, **layout) + "\n")
     return out
+
+
+def write_summary_json(path, payload: dict, cfg: ExperimentConfig) -> Path:
+    """Write ``payload`` as sorted JSON, indented by 2, with the config
+    sha256 and the library version embedded."""
+    return _write_json(path, payload, cfg, indent=2)
 
 
 def write_certificates_json(path, report: PointwiseReport,
                             cfg: ExperimentConfig) -> Path:
-    return write_summary_json(path, {
+    """Write every certificate of ``report`` in schema 1, as sorted compact
+    JSON (no indentation, so the C encoder writes it) with the config
+    sha256 and the library version embedded."""
+    return _write_json(path, {
         "schema_version": CERTIFICATE_SCHEMA_VERSION,
         "instances": [{
             "family": r.family, "s": r.s, "t": r.t,
             "certificates": [c.to_json_dict() for c in r.certificates],
         } for r in report.instances],
-    }, cfg)
+    }, cfg, separators=(",", ":"))
 
 
 def write_slopes_csv(path, report: SlopeReport) -> Path:

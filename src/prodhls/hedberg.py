@@ -30,8 +30,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .convolution import RegionBounds, region_split
-from .grid import (GridFunction, ProductGrid, check_positive, lp_norm, normalize_point,
+from .convolution import RegionBounds, region_sums
+from .grid import (GridFunction, ProductGrid, check_positive, lp_norm, normalize_points,
                    slice_lp_norms_x, slice_lp_norms_y)
 from .kernel import Exponents, block_factors, check_blocks, sphere_surface
 from .maximal import _dyadic_radii, _window_rows, maximal_fields
@@ -48,6 +48,7 @@ __all__ = [
     "HedbergContext",
     "prepare_certification",
     "HedbergCertificate",
+    "certify_points",
     "certify_point",
 ]
 
@@ -55,7 +56,7 @@ CERTIFICATE_SCHEMA_VERSION = 1
 
 REGION_NAMES = ("region11", "region12", "region21", "region22")
 
-# relative tolerance of the radius balancing identities that certify_point
+# relative tolerance of the radius balancing identities that certify_points
 # checks against the recorded case
 _IDENTITY_TOL = 1e-12
 
@@ -93,16 +94,16 @@ class BlockTable:
     """One block's region-bound constants: ``shells`` holds the distinct
     kernel-offset norms, ascending, and entry k of ``inner`` and ``tail``
     the constants A and T at radii with k shells inside (``|x| <= r``, as
-    in :func:`~prodhls.convolution.region_split`)."""
+    in :func:`~prodhls.convolution.region_sums`)."""
 
     shells: np.ndarray
     inner: np.ndarray
     tail: np.ndarray
 
-    def at(self, r: float) -> tuple[float, float]:
-        """A(r) and T(r)."""
-        k = int(np.searchsorted(self.shells, r, side="right"))
-        return float(self.inner[k]), float(self.tail[k])
+    def at(self, r):
+        """A(r) and T(r), for a radius or an array of radii."""
+        k = np.searchsorted(self.shells, r, side="right")
+        return self.inner[k], self.tail[k]
 
 
 def _block_table(grid: ProductGrid, dim: int, norm: np.ndarray, factor: np.ndarray,
@@ -162,9 +163,10 @@ def region_tables(grid: ProductGrid, exps: Exponents) -> tuple[BlockTable, Block
             _block_table(grid, exps.n, y_norm, y_factor, exps.tail_exponent_y, pc, "y"))
 
 
-def region_limits(m_value: float, n1: float, n2: float, f_norm: float, r1: float, r2: float,
-                  tables: tuple[BlockTable, BlockTable]) -> dict[str, float]:
-    """The bounds of the four region sums at radii (r1, r2).
+def region_limits(m_value, n1, n2, f_norm, r1, r2,
+                  tables: tuple[BlockTable, BlockTable]) -> dict:
+    """The bounds of the four region sums at radii (r1, r2), for one node
+    or, given arrays, for each node.
 
     With A and T read from the x-block and y-block ``tables`` of
     :func:`region_tables` at r1 and r2::
@@ -192,7 +194,7 @@ def balanced_radii(ratio: float, n1: float, n2: float, exps: Exponents) -> tuple
         r2 = [ ratio (n2/n1) ]^(-p/2n)
 
     The radii satisfy r1^(-m/p) r2^(-n/p) = ratio and r1^(-m/p) /
-    r2^(-n/p) = n1/n2 up to rounding; :func:`certify_point` checks both
+    r2^(-n/p) = n1/n2 up to rounding; :func:`certify_points` checks both
     against the case it records.
     """
     check_positive(ratio=ratio, n1=n1, n2=n2)
@@ -224,16 +226,21 @@ class HedbergContext:
     tables: tuple[BlockTable, BlockTable]
 
 
-def prepare_certification(f: GridFunction, exps: Exponents) -> HedbergContext:
+def prepare_certification(f: GridFunction, exps: Exponents,
+                          f_norm: float | None = None) -> HedbergContext:
     """Precompute the maximal fields (one pass over the dyadic windows,
     the windows the :func:`region_tables` are built from), the slice
     norms and the region tables for a function; raise ``ValueError`` first
     if ``||f||_p``, which every closed form divides by, is 0 on the grid.
+    A caller that has already computed ``lp_norm(f, exps.p)`` passes it as
+    ``f_norm``, and it is not computed again.
     """
     _require_admissible(exps)
     check_blocks(f.grid, exps)
     p = exps.p
-    if not (f_norm := lp_norm(f, p)) > 0.0:
+    if f_norm is None:
+        f_norm = lp_norm(f, p)
+    if not f_norm > 0.0:
         raise ValueError("the L^p norm of f is 0 on the grid: there is nothing to certify")
     mf, m1, m2 = maximal_fields(f)
     return HedbergContext(f=f, exps=exps, mf=mf, n1=slice_lp_norms_x(m1, p),
@@ -382,17 +389,28 @@ class HedbergCertificate:
 _CHECK_REL = 1e-9
 
 
-def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
-    """Run the full pointwise bound chain at one grid node of ``ctx.f``.
+# the checks of every node, in the order they are reported
+_CHECKS = ("radii_balance", *REGION_NAMES, "mixed_collapse")
 
-    Selects the case from the computed maximal and mixed-norm values,
-    picks the balancing radii in closed form, splits the convolution at
-    those radii, and verifies that the radii balance the recorded case
-    (both identities of :func:`balanced_radii`, to 1e-12 relative), every
-    region sum against its lattice bound from :func:`region_limits`, and
-    in case 1 the collapse of the mixed bound, each bound to a relative
-    1e-9 of floating-point headroom.  Raises :class:`CertificateViolation`
-    at the first check that fails.
+
+def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
+    """Run the full pointwise bound chain at every node of ``points`` (one
+    multi-index per row) of ``ctx.f``, in one array pass.
+
+    Gathers M f, n1 and n2 at all nodes and selects each node's case from
+    them; picks the balancing radii in closed form; splits the convolution
+    at those radii (:func:`~prodhls.convolution.region_sums`); and checks
+    that the radii balance the recorded case (both identities of
+    :func:`balanced_radii`, to 1e-12 relative), every region sum against
+    its lattice bound from :func:`region_limits`, and in case 1 the
+    collapse of the mixed bound, each bound to a relative 1e-9 of
+    floating-point headroom.  The case rule, the table lookups, the limits
+    and the checks are array operations.  The closed forms of
+    :func:`balanced_radii` and :func:`final_bound` and the check values
+    built from the radii are evaluated on Python floats node by node:
+    numpy's SIMD ``pow`` can differ from ``**`` in the last bit.  Raises
+    :class:`CertificateViolation` for the first node, in input order, with
+    a failing check, naming its first failing check in the order above.
 
     For a tensor product ``f(x, y) = a(x) b(y)`` (the gaussian, box,
     tensor-box and spike families) ``G f = M f ||f||`` holds in exact
@@ -401,44 +419,67 @@ def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
     """
     f, exps = ctx.f, ctx.exps
     grid = f.grid
-    idx = normalize_point(point, grid.rank, grid.points_per_axis)
-    coords = grid.point_coordinates(idx)
-    m_value = float(ctx.mf.values[idx])
-    n1_val = float(ctx.n1[idx[:grid.m]])
-    n2_val = float(ctx.n2[idx[grid.m:]])
-    g_value = n1_val * n2_val
+    idx = normalize_points(points, grid.rank, grid.points_per_axis)
+    if not len(idx):
+        return []
+    m_value = ctx.mf.values[tuple(idx.T)]
+    n1 = ctx.n1[tuple(idx[:, :grid.m].T)]
+    n2 = ctx.n2[tuple(idx[:, grid.m:].T)]
     f_norm = ctx.f_norm
 
-    case_id = 1 if g_value <= m_value * f_norm else 2
-    case_value = m_value if case_id == 1 else g_value
-    ratio = case_value / f_norm ** case_id
-    r1, r2 = balanced_radii(ratio, n1_val, n2_val, exps)
-    final = final_bound(case_value, f_norm, case_id, exps)
+    g_value = n1 * n2
+    case_id = np.where(g_value <= m_value * f_norm, 1, 2)
+    case_value = np.where(case_id == 1, m_value, g_value)
+    ratio = case_value / np.where(case_id == 1, f_norm, f_norm ** 2)
+    per_node = []
+    for node_ratio, u, v, value, cid in zip(ratio.tolist(), n1.tolist(), n2.tolist(),
+                                            case_value.tolist(), case_id.tolist()):
+        r1, r2 = balanced_radii(node_ratio, u, v, exps)
+        # the radii balance the recorded case: the largest relative residual of
+        # r1^(-m/p) r2^(-n/p) = ratio and r1^(-m/p) / r2^(-n/p) = n1/n2
+        s1, s2 = r1 ** (-exps.m / exps.p), r2 ** (-exps.n / exps.p)
+        balance = max(abs(s1 * s2 / node_ratio - 1.0), abs(s1 / s2 / (u / v) - 1.0))
+        # the mixed-bound common value must itself collapse under the case-1
+        # hypothesis: n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q)
+        mixed = u * r1 ** exps.alpha * r2 ** (exps.beta - exps.n / exps.p) if cid == 1 else 0.0
+        per_node.append((r1, r2, final_bound(value, f_norm, cid, exps), balance, mixed))
+    r1, r2, final, balance, mixed = np.array(per_node).T
 
-    regions = region_split(f, exps, idx, r1, r2)
-    limits = region_limits(m_value, n1_val, n2_val, f_norm, r1, r2, ctx.tables)
-    # the radii balance the recorded case: the largest relative residual of
-    # r1^(-m/p) r2^(-n/p) = ratio and r1^(-m/p) / r2^(-n/p) = n1/n2
-    s1, s2 = r1 ** (-exps.m / exps.p), r2 ** (-exps.n / exps.p)
-    balance = max(abs(s1 * s2 / ratio - 1.0), abs(s1 / s2 / (n1_val / n2_val) - 1.0))
-    checks = [("radii_balance", balance, _IDENTITY_TOL)] + [
-        (name, value, limits[name]) for name, value in
-        zip(limits, (regions.t11, regions.t12, regions.t21, regions.t22))]
-    if case_id == 1:
-        # the mixed-bound common value must itself collapse under the
-        # case hypothesis: n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q)
-        checks.append(("mixed_collapse",
-                       n1_val * r1 ** exps.alpha * r2 ** (exps.beta - exps.n / exps.p),
-                       final))
-    for name, value, limit in checks:
-        if value > limit * (1.0 + _CHECK_REL):
-            raise CertificateViolation(
-                f"{name} value {value} exceeds its bound {limit} at point {idx}",
-                diagnostics={"point": list(idx), "region": name, "value": value,
-                             "limit": limit, "slack": 1.0,
-                             "r1": r1, "r2": r2, "case_id": case_id})
+    # one column per check, in the order of _CHECKS
+    values, bounds = np.empty((len(idx), len(_CHECKS))), np.empty((len(idx), len(_CHECKS)))
+    values[:, 0], bounds[:, 0] = balance, _IDENTITY_TOL
+    values[:, 1:-1] = region_sums(f, exps, idx, r1, r2)
+    limits = region_limits(m_value, n1, n2, f_norm, r1, r2, ctx.tables)
+    for column, name in enumerate(REGION_NAMES, start=1):
+        bounds[:, column] = limits[name]
+    values[:, -1], bounds[:, -1] = mixed, final
+    failed = values > bounds * (1.0 + _CHECK_REL)
+    failed[:, -1] &= case_id == 1  # case 2 has no mixed collapse
+    if failed.any():
+        k = int(np.argmax(failed.any(axis=1)))
+        check = int(np.argmax(failed[k]))
+        name, value, limit = _CHECKS[check], float(values[k, check]), float(bounds[k, check])
+        point = tuple(idx[k].tolist())
+        raise CertificateViolation(
+            f"{name} value {value} exceeds its bound {limit} at point {point}",
+            diagnostics={"point": list(point), "region": name, "value": value,
+                         "limit": limit, "slack": 1.0, "r1": float(r1[k]),
+                         "r2": float(r2[k]), "case_id": int(case_id[k])})
 
-    return HedbergCertificate(
-        point=idx, point_coordinates=coords, case_id=case_id,
-        r1=r1, r2=r2, regions=regions, m_value=m_value,
-        n1=n1_val, n2=n2_val, f_norm=f_norm, final_bound=final, region_limits=limits)
+    coords = grid.axis_centers()[idx]
+    return [HedbergCertificate(
+        point=tuple(point), point_coordinates=tuple(xy), case_id=cid, r1=a, r2=b,
+        regions=RegionBounds(*t), m_value=mv, n1=u, n2=v, f_norm=f_norm, final_bound=fb,
+        region_limits=dict(zip(REGION_NAMES, lim)))
+        for point, xy, cid, a, b, t, mv, u, v, fb, lim in zip(
+            idx.tolist(), coords.tolist(), case_id.tolist(), r1.tolist(), r2.tolist(),
+            values[:, 1:-1].tolist(), m_value.tolist(), n1.tolist(), n2.tolist(),
+            final.tolist(), bounds[:, 1:-1].tolist())]
+
+
+def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
+    """The bound chain at one grid node of ``ctx.f``: the one-node view of
+    :func:`certify_points`, with the same checks and the same
+    :class:`CertificateViolation`."""
+    [cert] = certify_points(ctx, [point])
+    return cert

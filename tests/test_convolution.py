@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodhls import (Exponents, GridFunction, ProductGrid, convolve_direct,
-                     convolve_fast, region_split, riesz_kernel, sample_function)
+                     convolve_fast, region_split, region_sums, riesz_kernel, sample_function)
 from prodhls import convolution
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
@@ -326,6 +326,38 @@ def test_region_split_rejects_bad_inputs():
         region_split(f, STD, (0, 0), 1.0, 0.0)
     with pytest.raises(ValueError):
         region_split(f, STD, (8, 0), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (1, 2, 8), (2, 2, 6)])
+def test_region_sums_match_the_one_node_views(m, n, N):
+    # many nodes at once, each with its own radii, in a shuffled order: each
+    # row is the one-node split of its node, bit for bit
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    f = random_function(g, seed=19)
+    rng = np.random.default_rng(20)
+    points = rng.permutation(np.array(list(np.ndindex(g.shape))))
+    r1, r2 = rng.uniform(0.01, 3.0, (2, len(points)))
+    sums = region_sums(f, e, points, r1, r2)
+    assert sums.shape == (len(points), 4)
+    for point, a, b, row in zip(points.tolist(), r1, r2, sums):
+        rb = region_split(f, e, point, a, b)
+        assert row.tolist() == [rb.t11, rb.t12, rb.t21, rb.t22]
+
+
+def test_region_sums_reject_bad_inputs():
+    g = grid_1x1(N=8)
+    f = random_function(g, seed=16)
+    points = [(0, 0), (3, 5)]
+    with pytest.raises(ValueError, match="2 points need as many radii"):
+        region_sums(f, STD, points, [1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="r2 must be positive and finite, got nan"):
+        region_sums(f, STD, points, [1.0, 1.0], [1.0, np.nan])
+    with pytest.raises(ValueError, match="r1 must be positive and finite, got inf"):
+        region_sums(f, STD, points, [1.0, np.inf], [1.0, 1.0])
+    with pytest.raises(ValueError, match="do not address rank-2 grid nodes"):
+        region_sums(f, STD, [(0, 0, 0), (1, 1, 1)], [1.0, 1.0], [1.0, 1.0])
+    assert region_sums(f, STD, [], [], []).shape == (0, 4)
 
 
 def test_region_split_rank3():

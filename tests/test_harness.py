@@ -17,7 +17,7 @@ import prodhls.harness
 from prodhls import ConfigError, ExperimentConfig, make_family
 from prodhls.cli import main as cli_main
 from prodhls.grid import ProductGrid
-from prodhls.harness import (run_necessity_sweep, run_norm_check,
+from prodhls.harness import (_sample_points, run_necessity_sweep, run_norm_check,
                              run_pointwise_campaign, write_slopes_csv,
                              write_summary_json)
 
@@ -411,6 +411,19 @@ def write_config(tmp_path, raw, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+@pytest.mark.parametrize("m, n, N, stride", [(1, 1, 32, 8), (2, 1, 16, 5), (2, 2, 8, 3),
+                                              (1, 2, 6, 1)])
+def test_sample_points_are_row_major(m, n, N, stride):
+    # the multiples of the stride on every axis, the last index running
+    # fastest: the order the certificates are written in
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    axis = range(0, N, stride)
+    expected = [()]
+    for _ in range(m + n):
+        expected = [p + (i,) for p in expected for i in axis]
+    assert [tuple(p) for p in _sample_points(grid, stride).tolist()] == expected
 
 
 def test_cli_pointwise_and_determinism(tmp_path):

@@ -16,11 +16,12 @@ from scipy.optimize import brentq
 from prodhls import hedberg
 from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunction,
                      HedbergCertificate, ProductGrid, balanced_radii,
-                     certify_point, convolve_direct, final_bound, lp_norm,
+                     certify_point, certify_points, convolve_direct, final_bound, lp_norm,
                      prepare_certification, profile_ball_integral, region_limits,
                      region_tables, riesz_kernel, sample_function, tail_integral_constant)
+from prodhls.cli import main as cli_main
 from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport,
-                             make_family, write_certificates_json)
+                             make_family, run_pointwise_campaign, write_certificates_json)
 from test_maximal import block_windows
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
@@ -402,6 +403,57 @@ def test_prepare_certification_makes_one_maximal_call_per_instance(monkeypatch):
     assert events == ["prepare", "maximal_fields"] * 4
 
 
+def test_campaign_computes_each_norm_once(monkeypatch):
+    # the harness's emptiness rule and prepare_certification share one
+    # ||f||_p per instance
+    import prodhls.harness as harness
+    calls = []
+    for module in (harness, hedberg):
+        monkeypatch.setattr(module, "lp_norm", lambda f, p, real=lp_norm: (
+            calls.append(f) or real(f, p)))
+    cfg = ExperimentConfig.from_dict({
+        "grid": {"m": 2, "n": 1, "half_width": 1.0, "points_per_axis": 8},
+        "exponents": {"alpha": 1.0, "beta": 0.5, "p": 4 / 3},
+        "families": ["gaussian", "box"], "dilations": [[1.0, 1.0], [2.0, 2.0]]})
+    harness.run_pointwise_campaign(cfg)
+    assert len(calls) == len({id(f) for f in calls}) == 4
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (1, 2, 8), (2, 2, 6)])
+@pytest.mark.parametrize("family", ["gaussian", "random"])
+def test_certify_points_match_the_one_node_views(m, n, N, family):
+    # the instance pass over every node, in a shuffled order, gives each
+    # node the certificate its one-node view gives, bit for bit, with the
+    # radii and final bound of the scalar closed forms on Python floats
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    ctx = prepare_certification(make_family(family, grid, seed=9)(1.0, 1.0), e)
+    points = np.array(list(itertools.product(range(N), repeat=m + n)))
+    points = points[np.random.default_rng(4).permutation(len(points))]
+    certs = certify_points(ctx, points)
+    assert [c.point for c in certs] == [tuple(p) for p in points.tolist()]
+    for cert in certs:
+        value = cert.m_value if cert.case_id == 1 else cert.g_value
+        assert (cert.r1, cert.r2) == balanced_radii(
+            value / cert.f_norm ** cert.case_id, cert.n1, cert.n2, e)
+        assert cert.final_bound == final_bound(value, cert.f_norm, cert.case_id, e)
+        alone = certify_point(ctx, cert.point)
+        # the JSON text also tells a -0.0 from a 0.0
+        assert cert == alone and json.dumps(cert.to_json_dict()) == json.dumps(
+            alone.to_json_dict())
+    assert certify_points(ctx, np.empty((0, m + n), dtype=int)) == []
+
+
+def test_certify_points_rejects_malformed_nodes():
+    ctx = prepare_certification(gaussian(grid_1x1(N=8)), STD)
+    for points, message in (([(1, 2, 3)], "do not address rank-2"),
+                            ([(1.0, 2.0)], "do not address rank-2"),
+                            ([(1, 2), (8, 0)], r"index \(8, 0\) lies outside"),
+                            ([(1, 2), (0, -1)], r"index \(0, -1\) lies outside")):
+        with pytest.raises(ValueError, match=message):
+            certify_points(ctx, points)
+
+
 def test_certificate_case_rule():
     g = grid_1x1(N=32)
     f = gaussian(g)
@@ -658,13 +710,24 @@ def test_every_region_sum_within_its_brute_force_limit(m, n, N, family):
 
 
 def kernel_exponent_scaled(factor):
-    """A ``region_split`` mutation: the kernel exponents a - d scaled by ``factor``."""
+    """A ``region_sums`` mutation: the kernel exponents a - d scaled by ``factor``."""
     def mutate(real, f_norm):
-        def split(f, exps, point, r1, r2):
+        def sums(f, exps, points, r1, r2):
             scaled = dataclasses.replace(exps, alpha=exps.m + factor * (exps.alpha - exps.m),
                                          beta=exps.n + factor * (exps.beta - exps.n))
-            return real(f, scaled, point, r1, r2)
-        return split
+            return real(f, scaled, points, r1, r2)
+        return sums
+    return mutate
+
+
+def region_column_scaled(column, factor):
+    """A ``region_sums`` mutation: one region's column of the sums scaled by ``factor``."""
+    def mutate(real, f_norm):
+        def sums(*args):
+            out = real(*args)
+            out[:, column] *= factor
+            return out
+        return sums
     return mutate
 
 
@@ -683,16 +746,14 @@ def case2_ratio_over_f_norm(real, f_norm):
 # "node" for the node-value oracle, and "radii" for the balancing
 # identities of the recorded case, which certify_point also checks.
 MUTATIONS = {
-    "unmutated": ("gaussian", "region_split", lambda real, f_norm: real, set()),
-    "swapped-radii": ("gaussian", "region_split",
-                      lambda real, f_norm: lambda f, e, pt, r1, r2: real(f, e, pt, r2, r1),
+    "unmutated": ("gaussian", "region_sums", lambda real, f_norm: real, set()),
+    "swapped-radii": ("gaussian", "region_sums",
+                      lambda real, f_norm: lambda f, e, pts, r1, r2: real(f, e, pts, r2, r1),
                       {"violation:region12", "violation:region21"}),
-    "kernel-exponent-x0.9": ("gaussian", "region_split", kernel_exponent_scaled(0.9), {"lhs"}),
-    "kernel-exponent-x1.1": ("gaussian", "region_split", kernel_exponent_scaled(1.1), {"lhs"}),
-    "t11-doubled": ("gaussian", "region_split", lambda real, f_norm: lambda *args: (
-        dataclasses.replace(real(*args), t11=2.0 * real(*args).t11)), {"lhs"}),
-    "t22-dropped": ("gaussian", "region_split", lambda real, f_norm: lambda *args: (
-        dataclasses.replace(real(*args), t22=0.0)), {"lhs"}),
+    "kernel-exponent-x0.9": ("gaussian", "region_sums", kernel_exponent_scaled(0.9), {"lhs"}),
+    "kernel-exponent-x1.1": ("gaussian", "region_sums", kernel_exponent_scaled(1.1), {"lhs"}),
+    "t11-doubled": ("gaussian", "region_sums", region_column_scaled(0, 2.0), {"lhs"}),
+    "t22-dropped": ("gaussian", "region_sums", region_column_scaled(3, 0.0), {"lhs"}),
     "m-value-halved": ("gaussian", "maximal_fields", lambda real, f_norm: lambda f: (
         lambda mf, m1, m2: (GridFunction(mf.grid, 0.5 * mf.values), m1, m2))(*real(f)),
         {"node"}),
@@ -701,6 +762,22 @@ MUTATIONS = {
     "case2-ratio-over-f-norm": ("random", "balanced_radii", case2_ratio_over_f_norm,
                                 {"violation:radii_balance"}),
 }
+
+
+def certify_each(ctx, points, chunk=64):
+    """Each node's certificate or the CertificateViolation it raises: the
+    instance pass over each chunk of nodes, and the one-node view at every
+    node of a chunk that the pass rejects."""
+    for start in range(0, len(points), chunk):
+        nodes = points[start:start + chunk]
+        try:
+            yield from certify_points(ctx, nodes)
+        except CertificateViolation:
+            for point in nodes:
+                try:
+                    yield certify_point(ctx, point)
+                except CertificateViolation as exc:
+                    yield exc
 
 
 @pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (2, 2, 8)])
@@ -717,11 +794,10 @@ def test_mutation_is_caught(monkeypatch, mutation, m, n, N):
     monkeypatch.setattr(hedberg, binding, mutate(getattr(hedberg, binding), lp_norm(f, e.p)))
     ctx = prepare_certification(f, e)
     fired = set()
-    for point in itertools.product(range(N), repeat=m + n):
-        try:
-            cert = certify_point(ctx, point)
-        except CertificateViolation as exc:
-            fired.add("violation:" + exc.diagnostics["region"])
+    points = list(itertools.product(range(N), repeat=m + n))
+    for point, cert in zip(points, certify_each(ctx, points), strict=True):
+        if isinstance(cert, CertificateViolation):
+            fired.add("violation:" + cert.diagnostics["region"])
             continue
         if abs(cert.lhs - conv[point]) > 1e-10 * conv[point]:
             fired.add("lhs")
@@ -825,6 +901,62 @@ def test_violation_checks_run_in_order(monkeypatch):
         assert info.value.diagnostics["region"] == name
 
 
+def force_limits(monkeypatch, forced):
+    """Make ``hedberg.region_limits`` return TINY_LIMIT at each (position,
+    region) of ``forced``: the position of a node in the pass's input."""
+    real = hedberg.region_limits
+
+    def limits(*args):
+        out = {name: np.array(v, dtype=float) for name, v in real(*args).items()}
+        for position, name in forced:
+            out[name][position] = TINY_LIMIT
+        return out
+    monkeypatch.setattr(hedberg, "region_limits", limits)
+
+
+def expected_violation(cert, name):
+    """The diagnostics of ``cert``'s node failing ``name`` against TINY_LIMIT."""
+    return {"point": list(cert.point), "region": name,
+            "value": getattr(cert.regions, "t" + name[-2:]), "limit": TINY_LIMIT,
+            "slack": 1.0, "r1": cert.r1, "r2": cert.r2, "case_id": cert.case_id}
+
+
+def test_violation_is_the_first_failing_node_in_input_order(monkeypatch):
+    # two nodes fail; the one given first fails although it sorts after the
+    # other, and it reports its first failing check in certify_point's order,
+    # although the other node fails an earlier check
+    g = grid_1x1(N=32)
+    f = GridFunction(g, np.random.default_rng(21).uniform(0.1, 1.0, g.shape) * gaussian(g).values)
+    ctx = prepare_certification(f, STD)
+    points = [(20, 4), (16, 16), (2, 6), (12, 12), (8, 0)]
+    certs = certify_points(ctx, points)
+    assert min(certs[1].regions.t12, certs[1].regions.t22, certs[3].regions.t11) > 0.0
+    force_limits(monkeypatch, [(3, "region11"), (1, "region22"), (1, "region12")])
+    with pytest.raises(CertificateViolation) as info:
+        certify_points(ctx, points)
+    assert info.value.diagnostics == expected_violation(certs[1], "region12")
+    assert str(info.value).endswith("at point (16, 16)")
+
+
+def test_cli_violation_json_is_the_first_failing_node(monkeypatch, tmp_path):
+    # the campaign certifies the stride-4 nodes in row-major order; the
+    # violation.json of a run failing at two of them names the earlier one,
+    # with the keys and values of its diagnostics
+    raw = {"grid": {"m": 1, "n": 1, "half_width": 1.0, "points_per_axis": 16},
+           "exponents": {"alpha": 0.5, "beta": 0.5, "p": 4 / 3}, "families": ["gaussian"],
+           "points_stride": 4}
+    certs = run_pointwise_campaign(ExperimentConfig.from_dict(raw)).instances[0].certificates
+    assert [certs[10].point, certs[13].point] == [(8, 8), (12, 4)]
+    assert min(certs[10].regions.t21, certs[10].regions.t22, certs[13].regions.t11) > 0.0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw))
+    force_limits(monkeypatch, [(13, "region11"), (10, "region22"), (10, "region21")])
+    assert cli_main(["pointwise", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["violation.json"]
+    written = json.loads((tmp_path / "out" / "violation.json").read_text())
+    assert written == expected_violation(certs[10], "region21")
+
+
 @pytest.mark.parametrize("case_id", [1, 2])
 def test_unbalanced_radii_violation_diagnostics(monkeypatch, case_id):
     # r1 off by 1e-9 relative no longer balances the recorded case; that
@@ -870,6 +1002,28 @@ def test_certificate_json_round_trip(tmp_path):
     assert payload["schema_version"] == 1
     [written] = payload["instances"][0]["certificates"]
     assert HedbergCertificate.from_json_dict(written).to_json_dict() == d
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2)])
+def test_certificates_json_holds_the_report_records(tmp_path, m, n):
+    # the compact file parses to exactly the records of the report: every
+    # float equal, and each record reads back as its certificate
+    cfg = ExperimentConfig.from_dict({
+        "grid": {"m": m, "n": n, "half_width": 1.0, "points_per_axis": 8},
+        "exponents": {"alpha": m / 2, "beta": n / 2, "p": 4 / 3},
+        "families": ["gaussian", "random"], "dilations": [[1.0, 1.0], [2.0, 0.5]],
+        "seed": 5, "points_stride": 2})
+    report = run_pointwise_campaign(cfg)
+    text = write_certificates_json(tmp_path / "certificates.json", report, cfg).read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    assert len(payload["instances"]) == len(report.instances) == 4
+    for entry, inst in zip(payload["instances"], report.instances):
+        assert (entry["family"], entry["s"], entry["t"]) == (inst.family, inst.s, inst.t)
+        assert len(entry["certificates"]) == inst.n_points == 4 ** (m + n)
+        for record, cert in zip(entry["certificates"], inst.certificates, strict=True):
+            assert record == cert.to_json_dict()
+            assert HedbergCertificate.from_json_dict(record) == cert
 
 
 def test_certificate_json_keys_are_schema_1():
