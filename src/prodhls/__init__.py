@@ -29,8 +29,8 @@ from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
                      profile_ball_integral, riesz_kernel, sphere_surface)
 from .convolution import (RegionBounds, convolve_direct, convolve_fast, region_split,
                           region_sums)
-from .maximal import (CompositionReport, GNormReport, composition_check, g_function,
-                      g_norm_bound, maximal_fields)
+from .maximal import (CompositionReport, GNormReport, SlabMaximal, composition_check,
+                      g_function, g_norm_bound, maximal_fields, slab_maximal_fields)
 from .hedberg import (BlockTable, CertificateViolation, ExponentError, HedbergCertificate,
                       HedbergContext, balanced_radii, certify_point, certify_points,
                       final_bound, prepare_certification, region_limits, region_tables,
@@ -47,7 +47,8 @@ __all__ = [
     "Exponents", "riesz_kernel", "LayerCake", "layer_cake",
     "sphere_surface", "ball_volume", "profile_ball_integral",
     "RegionBounds", "convolve_direct", "convolve_fast", "region_split", "region_sums",
-    "maximal_fields", "composition_check", "CompositionReport",
+    "SlabMaximal", "slab_maximal_fields", "maximal_fields", "composition_check",
+    "CompositionReport",
     "g_function", "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",
     "BlockTable", "region_tables", "region_limits", "balanced_radii", "final_bound",

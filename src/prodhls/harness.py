@@ -324,7 +324,8 @@ def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
     f = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)(s, t)
     certs = []
     if (f_norm := lp_norm(f, cfg.exponents.p)) > 0.0:
-        certs = certify_points(prepare_certification(f, cfg.exponents, f_norm), points)
+        certs = certify_points(prepare_certification(f, cfg.exponents, f_norm, points),
+                               points)
     return InstanceResult(family=family, s=s, t=t, certificates=certs)
 
 

@@ -34,7 +34,7 @@ from .convolution import RegionBounds, region_sums
 from .grid import (GridFunction, ProductGrid, check_positive, lp_norm, normalize_points,
                    slice_lp_norms_x, slice_lp_norms_y)
 from .kernel import Exponents, block_factors, check_blocks, sphere_surface
-from .maximal import _dyadic_radii, _window_rows, maximal_fields
+from .maximal import SlabMaximal, _dyadic_radii, _window_rows, slab_maximal_fields
 
 __all__ = [
     "ExponentError",
@@ -215,25 +215,35 @@ def final_bound(value: float, f_norm: float, case_id: int, exps: Exponents) -> f
 
 @dataclass
 class HedbergContext:
-    """Shared read-only precomputation for certifying many points of ``f``."""
+    """Shared read-only precomputation for certifying many points of ``f``:
+    M f on the slabs of the prepared nodes (:class:`~prodhls.maximal.SlabMaximal`),
+    the slice norms n1 and n2 on the whole grid, ``||f||_p`` and the
+    region tables."""
 
     f: GridFunction
     exps: Exponents
-    mf: GridFunction
+    mf: SlabMaximal
     n1: np.ndarray
     n2: np.ndarray
     f_norm: float
     tables: tuple[BlockTable, BlockTable]
 
 
-def prepare_certification(f: GridFunction, exps: Exponents,
-                          f_norm: float | None = None) -> HedbergContext:
-    """Precompute the maximal fields (one pass over the dyadic windows,
-    the windows the :func:`region_tables` are built from), the slice
-    norms and the region tables for a function; raise ``ValueError`` first
-    if ``||f||_p``, which every closed form divides by, is 0 on the grid.
-    A caller that has already computed ``lp_norm(f, exps.p)`` passes it as
-    ``f_norm``, and it is not computed again.
+def prepare_certification(f: GridFunction, exps: Exponents, f_norm: float | None = None,
+                          points=None) -> HedbergContext:
+    """Precompute, for the nodes ``points`` (one multi-index per row; every
+    node when None), the maximal fields (one pass over the dyadic windows,
+    the windows the :func:`region_tables` are built from), the slice norms
+    and the region tables for a function; raise ``ValueError`` first if
+    ``||f||_p``, which every closed form divides by, is 0 on the grid.
+
+    M f, which the bound chain reads at the nodes alone, is kept only on
+    the slabs of :func:`~prodhls.maximal.slab_maximal_fields` that hold a
+    node of ``points``; every node gives the full-grid M f.  M1 f and M2 f
+    are full fields, since n1 and n2 are norms over whole slices.  A
+    caller that has already computed
+    ``lp_norm(f, exps.p)`` passes it as ``f_norm``, and it is not computed
+    again.
     """
     _require_admissible(exps)
     check_blocks(f.grid, exps)
@@ -242,7 +252,7 @@ def prepare_certification(f: GridFunction, exps: Exponents,
         f_norm = lp_norm(f, p)
     if not f_norm > 0.0:
         raise ValueError("the L^p norm of f is 0 on the grid: there is nothing to certify")
-    mf, m1, m2 = maximal_fields(f)
+    mf, m1, m2 = slab_maximal_fields(f, points)
     return HedbergContext(f=f, exps=exps, mf=mf, n1=slice_lp_norms_x(m1, p),
                           n2=slice_lp_norms_y(m2, p), f_norm=f_norm,
                           tables=region_tables(f.grid, exps))
@@ -395,7 +405,9 @@ _CHECKS = ("radii_balance", *REGION_NAMES, "mixed_collapse")
 
 def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
     """Run the full pointwise bound chain at every node of ``points`` (one
-    multi-index per row) of ``ctx.f``, in one array pass.
+    multi-index per row) of ``ctx.f``, in one array pass.  Every node must
+    have been prepared (:func:`prepare_certification`): a node outside the
+    slabs M f was prepared on raises ``ValueError`` naming it.
 
     Gathers M f, n1 and n2 at all nodes and selects each node's case from
     them; picks the balancing radii in closed form; splits the convolution
@@ -422,7 +434,7 @@ def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
     idx = normalize_points(points, grid.rank, grid.points_per_axis)
     if not len(idx):
         return []
-    m_value = ctx.mf.values[tuple(idx.T)]
+    m_value = ctx.mf.at(idx)
     n1 = ctx.n1[tuple(idx[:, :grid.m].T)]
     n2 = ctx.n2[tuple(idx[:, grid.m:].T)]
     f_norm = ctx.f_norm
@@ -479,7 +491,8 @@ def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
 
 def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
     """The bound chain at one grid node of ``ctx.f``: the one-node view of
-    :func:`certify_points`, with the same checks and the same
-    :class:`CertificateViolation`."""
+    :func:`certify_points`, with the same checks, the same
+    :class:`CertificateViolation` and the same ``ValueError`` for a node
+    that was not prepared."""
     [cert] = certify_points(ctx, [point])
     return cert

@@ -9,19 +9,26 @@ inequalities verified elsewhere, never falsifies them).  The smallest
 dyadic window is the cell itself, hence every maximal output dominates
 the pointwise value.
 
-One pass over the product windows, :func:`maximal_fields`, gives the
-strong maximal M f and the partial maximals M1 f and M2 f; the
-composition check and the mixed-norm field G read theirs from it.
+One pass over the dyadic windows, :func:`slab_maximal_fields`, gives the
+partial maximals M1 f and M2 f on the whole grid and the strong maximal
+M f on the slabs that hold a given set of nodes, where a slab is the set
+of cells that share an outer-block index.  M1 f and M2 f come from two
+single-block passes, and M f is the largest of them and of the product
+windows, whose factors are both larger than one cell; those are summed
+on the nodes' slabs only.  :func:`maximal_fields` is the view with every
+node, which the composition check and the mixed-norm field G read.
 Window sums are read from one prefix sum per block pass: each window row
 is the difference of two slices of it, with no gather and no padded copy.
 A disc's consecutive rows of one half-width share that difference,
-shifted, so it is built once per run of them into one reused buffer.  In
-the product pass the block with more window rows (x when ``m > n``) is
-summed once and the other block's pass runs once per outer radius.  Each
-pass runs with its block's axes leading, so every slice it reads or adds
-is a run of whole contiguous sub-arrays rather than strided rows of N
-values.  Every sum is added in the same order as row by row into zeros,
-so the fields are the same bytes in any layout.
+shifted, so it is built once per run of them into one reused buffer.  The
+block with more window rows (x when ``m > n``) is the outer pass, summed
+once over the grid; the other block's pass runs over f and over the
+slabs of the outer sums.  Each pass runs with its block's axes leading,
+so every slice it reads or adds is a run of whole contiguous sub-arrays
+rather than strided rows of N values.  Every sum is added in the same
+order as row by row into zeros, and every operation is elementwise along
+the other block's axes, so the fields are the same bytes in any layout
+and on any set of slabs.
 """
 
 from __future__ import annotations
@@ -32,10 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, ProductGrid, lp_norm, slice_lp_norms_x, slice_lp_norms_y
+from .grid import (GridFunction, ProductGrid, lp_norm, normalize_points, slice_lp_norms_x,
+                   slice_lp_norms_y)
 from .kernel import Exponents
 
 __all__ = [
+    "SlabMaximal",
+    "slab_maximal_fields",
     "maximal_fields",
     "composition_check",
     "CompositionReport",
@@ -129,44 +139,152 @@ def _lead(vals: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(vals, range(vals.ndim - k, vals.ndim), range(k)))
 
 
+def _blocks(grid: ProductGrid) -> tuple[int, int]:
+    """The dimensions of the outer and the inner block: the block with more
+    window rows (x when ``m > n``) is the outer pass."""
+    return (grid.m, grid.n) if grid.m > grid.n else (grid.n, grid.m)
+
+
+def _slab_keys(grid: ProductGrid, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat outer-block index (the slab) of each node of ``idx`` and
+    its inner-block multi-indices."""
+    outer_idx, inner_idx = ((idx[:, :grid.m], idx[:, grid.m:]) if grid.m > grid.n
+                            else (idx[:, grid.m:], idx[:, :grid.m]))
+    key = np.ravel_multi_index(tuple(outer_idx.T), (grid.points_per_axis,) * _blocks(grid)[0])
+    return key, inner_idx
+
+
+def _grid_layout(grid: ProductGrid, vals: np.ndarray) -> GridFunction:
+    """A field kept with the inner block's axes leading, back on ``grid``:
+    at ``m > n`` the fields hold y first, and GridFunction's C-order copy
+    moves x back."""
+    if grid.m > grid.n:
+        vals = np.moveaxis(vals, range(grid.n), range(grid.m, grid.rank))
+    return GridFunction(grid, vals)
+
+
+@dataclass(frozen=True)
+class SlabMaximal:
+    """M f on the slabs that hold the prepared nodes.  A slab is the set of
+    cells that share an outer-block index (the outer block is x when
+    ``m > n``).  ``slabs`` holds their flat outer-block indices, ascending,
+    and ``values`` M f with the inner block's axes leading and one slab per
+    entry of the last axis."""
+
+    grid: ProductGrid
+    slabs: np.ndarray
+    values: np.ndarray
+
+    def at(self, idx: np.ndarray) -> np.ndarray:
+        """M f at the nodes ``idx``, one multi-index per row; raise
+        ``ValueError`` naming the first node outside the prepared slabs."""
+        key, inner_idx = _slab_keys(self.grid, idx)
+        missing = ~np.isin(key, self.slabs)
+        if missing.any():
+            node = tuple(idx[np.argmax(missing)].tolist())
+            raise ValueError(f"node {node} lies outside the slabs M f was prepared on")
+        return self.values[(*inner_idx.T, np.searchsorted(self.slabs, key))]
+
+    def field(self) -> GridFunction:
+        """M f on the whole grid; raise ``ValueError`` unless every slab is
+        prepared."""
+        grid, outer = self.grid, _blocks(self.grid)[0]
+        shape = (grid.points_per_axis,) * outer
+        if len(self.slabs) != math.prod(shape):
+            raise ValueError(f"M f was prepared on {len(self.slabs)} of {math.prod(shape)} "
+                             "slabs, not on the whole grid")
+        return _grid_layout(grid, self.values.reshape(self.values.shape[:-1] + shape))
+
+
+def _fold_products(mf: np.ndarray, gathered: np.ndarray, inner: int,
+                   radii: tuple[int, ...], counts_o: list[int]) -> None:
+    """Fold into ``mf`` the averages over the inner windows of ``radii`` of
+    the slab outer sums ``gathered``, whose second-last axis runs over the
+    outer radii of cell counts ``counts_o``: each part divided by its own
+    ``count_i * count_o``."""
+    for total, count_i in _window_sums(gathered, inner, radii):
+        for j, count_o in enumerate(counts_o):
+            part = total[..., j, :]
+            part /= count_i * count_o
+            np.maximum(mf, part, out=mf)
+        del total, part  # freed before the next sum is built
+
+
+def slab_maximal_fields(f: GridFunction, points=None
+                        ) -> tuple[SlabMaximal, GridFunction, GridFunction]:
+    """M f on the slabs that hold the nodes ``points`` (one multi-index per
+    row; every node when None), and the partial maximals M1 f (x-block
+    windows) and M2 f (y-block windows) on the whole grid.
+
+    The smallest window on a block is the cell itself (the one window of
+    full cell count 1).  So M1 f and M2 f come from two single-block
+    passes: the outer-block pass, whose sums are the windows with a
+    one-cell inner factor, and the inner-block pass over f, the one-cell
+    outer window.  The product windows, with both factors larger than one
+    cell, feed M f alone, the largest of M1 f, M2 f and their averages.
+    Their inner pass runs only on the slabs that hold a node: the slabs of
+    every outer radius are gathered into one array, at most a field's
+    cells at a time, with the inner block's axes leading.  Every operation
+    is elementwise along the slab axes, so M f on a slab is the same bytes
+    whichever slabs are prepared.
+
+    The outer block is summed once.  Each pass runs with its block's axes
+    leading: f is transposed once when y is the outer block, and each
+    outer sum once so that the inner block leads; the fields are kept in
+    that layout and moved back to x first at the end.  Transposing moves
+    values, not sums, so the fields are the same bytes in either layout.
+    """
+    grid = f.grid
+    N, radii = grid.points_per_axis, _dyadic_radii(grid)
+    outer, inner = _blocks(grid)
+    width, inner_shape = N ** outer, (N,) * inner
+    held = np.ones(width, dtype=bool)
+    if points is not None:
+        held[:] = False
+        held[_slab_keys(grid, normalize_points(points, grid.rank, N))[0]] = True
+    slabs = np.flatnonzero(held)  # ascending, each once
+    cols = slice(None) if len(slabs) == width else slabs  # every slab: no index gather
+    per_gather = width // max(len(slabs), 1)  # outer radii per gather: a field's cells
+    x_outer = grid.m > grid.n
+    # the inner-block pass over f: the windows with a one-cell outer factor
+    m_in = np.zeros(grid.shape)
+    for total, count_i in _window_sums(_lead(f.values, grid.n) if x_outer else f.values,
+                                       inner, radii):
+        total /= count_i
+        np.maximum(m_in, total, out=m_in)
+        del total  # freed before the next sum is built
+    # the outer-block pass: the windows with a one-cell inner factor, and the
+    # slabs of each outer sum for the product windows
+    m_out, mf = np.zeros(grid.shape), np.zeros(inner_shape + (len(slabs),))
+    gathered, counts_o, left = None, [], len(radii) - 1  # left: outer radii to gather
+    for outer_sum, count_o in _window_sums(f.values if x_outer else _lead(f.values, grid.n),
+                                           outer, radii):
+        lead = _lead(outer_sum, inner)
+        del outer_sum  # only its transposed copy is read
+        if count_o > 1:
+            if gathered is None:
+                gathered = np.empty(inner_shape + (min(per_gather, left), len(slabs)))
+            gathered[..., len(counts_o), :] = lead.reshape(inner_shape + (width,))[..., cols]
+            counts_o.append(count_o)
+            left -= 1
+        lead /= count_o
+        np.maximum(m_out, lead, out=m_out)
+        del lead
+        if gathered is not None and len(counts_o) == gathered.shape[-2]:
+            _fold_products(mf, gathered, inner, radii[1:], counts_o)
+            gathered, counts_o = None, []
+    for field in (m_out, m_in):
+        np.maximum(mf, field.reshape(inner_shape + (width,))[..., cols], out=mf)
+    m1, m2 = (m_out, m_in) if x_outer else (m_in, m_out)
+    return SlabMaximal(grid, slabs, mf), _grid_layout(grid, m1), _grid_layout(grid, m2)
+
+
 def maximal_fields(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:
     """Strong maximal M f and the partial maximals M1 f (x-block windows)
-    and M2 f (y-block windows) of ``f``, from one pass over the product
-    windows.  The smallest window on a block is the cell itself (the one
-    window of full cell count 1), so the windows with a one-cell y-factor
-    give M1 f and those with a one-cell x-factor give M2 f.
-
-    The block with more window rows (x when ``m > n``) is the outer pass
-    and is summed once; the other block's pass runs once per outer
-    radius.  M1 f and M2 f do not depend on this order, since a one-cell
-    factor copies its input exactly; M f moves only by rounding.  Each
-    pass runs with its block's axes leading: f is transposed once when y
-    is the outer block, each outer sum once so that the inner block
-    leads, and the three fields, kept in that layout, are moved back to x
-    first at the end.  Transposing moves values, not sums, so the fields
-    are the same bytes in either layout."""
-    grid = f.grid
-    radii = _dyadic_radii(grid)
-    x_first = grid.m > grid.n
-    outer, inner = (grid.m, grid.n) if x_first else (grid.n, grid.m)
-    mf, m1, m2 = (np.zeros(grid.shape) for _ in range(3))
-    for outer_sum, count_o in _window_sums(f.values if x_first else _lead(f.values, grid.n),
-                                           outer, radii):
-        inner_sums = _window_sums(_lead(outer_sum, inner), inner, radii)
-        del outer_sum  # only its transposed copy is read
-        for total, count_i in inner_sums:
-            total /= count_i * count_o
-            count_x, count_y = (count_o, count_i) if x_first else (count_i, count_o)
-            np.maximum(mf, total, out=mf)
-            if count_y == 1:
-                np.maximum(m1, total, out=m1)
-            if count_x == 1:
-                np.maximum(m2, total, out=m2)
-            del total  # freed before the next sum is built
-    if x_first:  # the fields hold y first: GridFunction's C-order copy moves x back
-        mf, m1, m2 = (np.moveaxis(v, range(grid.n), range(grid.m, grid.rank))
-                      for v in (mf, m1, m2))
-    return GridFunction(grid, mf), GridFunction(grid, m1), GridFunction(grid, m2)
+    and M2 f (y-block windows) of ``f`` on the whole grid: the view of
+    :func:`slab_maximal_fields` with every slab prepared."""
+    mf, m1, m2 = slab_maximal_fields(f)
+    return mf.field(), m1, m2
 
 
 @dataclass(frozen=True)

@@ -400,7 +400,42 @@ def test_prepare_certification_makes_one_maximal_call_per_instance(monkeypatch):
         "exponents": {"alpha": 1.0, "beta": 0.5, "p": 4 / 3},
         "families": ["gaussian", "box"], "dilations": [[1.0, 1.0], [2.0, 2.0]]})
     harness.run_pointwise_campaign(cfg)
-    assert events == ["prepare", "maximal_fields"] * 4
+    assert events == ["prepare", "slab_maximal_fields"] * 4
+
+
+def test_unprepared_nodes_raise():
+    # (2,1): x is the outer block, so a node is prepared when a node on its
+    # x-slab was; one that was not gets no certificate, only a ValueError
+    grid = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=8)
+    e = Exponents.from_balance(2, 1, 1.0, 0.5, 4 / 3)
+    ctx = prepare_certification(make_family("gaussian", grid)(1.0, 1.0), e,
+                                points=[(0, 0, 0), (4, 4, 4)])
+    assert [c.point for c in certify_points(ctx, [(4, 4, 0), (0, 0, 7)])] == [
+        (4, 4, 0), (0, 0, 7)]
+    with pytest.raises(ValueError, match=r"node \(4, 0, 4\) lies outside"):
+        certify_points(ctx, [(0, 0, 0), (4, 0, 4)])
+    with pytest.raises(ValueError, match=r"node \(1, 1, 1\) lies outside"):
+        certify_point(ctx, (1, 1, 1))
+
+
+@pytest.mark.parametrize("m, n, N, stride", [(2, 2, 8, 4), (2, 1, 16, 8)])
+def test_sampled_certificates_match_every_node(m, n, N, stride):
+    # a campaign on the stride sample prepares only the sample's slabs; its
+    # certificates are the every-node campaign's at the shared nodes
+    def campaign(points_stride):
+        cfg = ExperimentConfig.from_dict({
+            "grid": {"m": m, "n": n, "half_width": 1.0, "points_per_axis": N},
+            "exponents": {"alpha": m / 2, "beta": n / 2, "p": 4 / 3},
+            "families": ["gaussian", "random"], "dilations": [[1.0, 1.0]],
+            "points_stride": points_stride, "seed": 3})
+        return run_pointwise_campaign(cfg).instances
+
+    for every, sampled in zip(campaign(1), campaign(stride), strict=True):
+        by_point = {c.point: c.to_json_dict() for c in every.certificates}
+        assert len(by_point) == N ** (m + n)
+        assert len(sampled.certificates) == (N // stride) ** (m + n)
+        for cert in sampled.certificates:
+            assert cert.to_json_dict() == by_point[cert.point]
 
 
 def test_campaign_computes_each_norm_once(monkeypatch):
@@ -515,7 +550,7 @@ def test_prepare_certification_rejects_zero_norm(monkeypatch):
     # the zero function, and a gaussian dilated until its p-th powers
     # underflow although its values do not: both have ||f||_p = 0 on the
     # grid, and neither reaches the maximal pass
-    monkeypatch.setattr(hedberg, "maximal_fields", None)
+    monkeypatch.setattr(hedberg, "slab_maximal_fields", None)
     g = grid_1x1(N=128)
     narrow = make_family("gaussian", g, {"sigma": 0.125})(400.0, 400.0)
     assert np.any(narrow.values)
@@ -754,9 +789,9 @@ MUTATIONS = {
     "kernel-exponent-x1.1": ("gaussian", "region_sums", kernel_exponent_scaled(1.1), {"lhs"}),
     "t11-doubled": ("gaussian", "region_sums", region_column_scaled(0, 2.0), {"lhs"}),
     "t22-dropped": ("gaussian", "region_sums", region_column_scaled(3, 0.0), {"lhs"}),
-    "m-value-halved": ("gaussian", "maximal_fields", lambda real, f_norm: lambda f: (
-        lambda mf, m1, m2: (GridFunction(mf.grid, 0.5 * mf.values), m1, m2))(*real(f)),
-        {"node"}),
+    "m-value-halved": ("gaussian", "slab_maximal_fields", lambda real, f_norm: lambda f, points: (
+        lambda mf, m1, m2: (dataclasses.replace(mf, values=0.5 * mf.values), m1, m2))(
+            *real(f, points)), {"node"}),
     # every region limit holds at any radii, and case 2 has no collapse
     # check: only the radius balance of the recorded case sees them
     "case2-ratio-over-f-norm": ("random", "balanced_radii", case2_ratio_over_f_norm,
@@ -824,10 +859,11 @@ def test_tensor_inputs_tie_the_two_cases(m, n, family):
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
     ctx = prepare_certification(make_family(family, grid)(1.0, 1.0), e)
     g_field = np.multiply.outer(ctx.n1, ctx.n2)
-    m_norm = ctx.mf.values * ctx.f_norm
+    mf = ctx.mf.field().values
+    m_norm = mf * ctx.f_norm
     assert np.all(np.abs(g_field - m_norm) <= 1e-14 * m_norm)
     for point in itertools.product(range(N), repeat=m + n):
-        m_value = float(ctx.mf.values[point])
+        m_value = float(mf[point])
         n1, n2 = float(ctx.n1[point[:m]]), float(ctx.n2[point[m:]])
         case1 = (*balanced_radii(m_value / ctx.f_norm, n1, n2, e),
                  final_bound(m_value, ctx.f_norm, 1, e))

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import prodhls.maximal as maximal
 from prodhls import (Exponents, GridFunction, ProductGrid, composition_check,
                      g_function, g_norm_bound, lp_norm, maximal_fields,
-                     sample_function, slice_lp_norms_x, slice_lp_norms_y)
+                     sample_function, slab_maximal_fields, slice_lp_norms_x,
+                     slice_lp_norms_y)
 from prodhls.maximal import _dyadic_radii, _window_rows, _window_sums
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
@@ -309,22 +311,118 @@ def test_window_sums_match_the_gather(m, n, N, kind):
             assert ca == cb and a.tobytes() == b.tobytes()
 
 
+def stride_nodes(g, stride):
+    """The nodes whose every index is a multiple of ``stride``, one per row."""
+    axis = np.arange(0, g.points_per_axis, stride)
+    return np.stack(np.meshgrid(*[axis] * g.rank, indexing="ij"), axis=-1).reshape(-1, g.rank)
+
+
+def node_sets(g):
+    """The node sets the slab path is checked on, by name."""
+    rng = np.random.default_rng(g.rank * 1000 + g.points_per_axis)
+    sample = stride_nodes(g, 8)
+    shuffled = np.concatenate([sample, sample[:3], stride_nodes(g, 3)[::5]])
+    return {"stride-8": sample, "corner": np.full((1, g.rank), g.points_per_axis - 1),
+            "shuffled-with-duplicates": shuffled[rng.permutation(len(shuffled))],
+            "every-node": stride_nodes(g, 1)}
+
+
+def separate_partial_passes(f):
+    """M1 f and M2 f, each from one single-block pass of its own over f."""
+    g = f.grid
+    radii = _dyadic_radii(g)
+    fields = []
+    for axes in (tuple(range(g.m)), tuple(range(g.m, g.rank))):
+        best = np.zeros(g.shape)
+        for total, count in window_sums_on(f.values, axes, radii):
+            np.maximum(best, total / count, out=best)
+        fields.append(best)
+    return fields
+
+
+@pytest.mark.parametrize("kind", ["uniform", "sparse", "signed-zero"])
+@pytest.mark.parametrize("m, n, N", [(1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6), (1, 1, 128),
+                                     (2, 1, 32), (1, 2, 32), (2, 2, 16)])
+def test_slab_fields_match_the_full_pass(m, n, N, kind):
+    # M f at the prepared nodes is, byte for byte, the full double loop's,
+    # for every node set; M1 f and M2 f are the single-block passes' bytes
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    f = sampled_input(g, kind)
+    full = separate_strong_pass(f, m > n)
+    m1, m2 = separate_partial_passes(f)
+    for name, nodes in node_sets(g).items():
+        mf, got_m1, got_m2 = slab_maximal_fields(f, nodes)
+        want = full[tuple(nodes.T)]
+        assert mf.at(nodes).tobytes() == want.tobytes(), name
+        assert got_m1.values.tobytes() == m1.tobytes(), name
+        assert got_m2.values.tobytes() == m2.tobytes(), name
+    assert mf.field().values.tobytes() == full.tobytes()  # every node prepared
+
+
+def recorded_passes(monkeypatch):
+    """Record the array and the radii of every ``_window_sums`` call."""
+    calls = []
+
+    def record(vals, dim, radii, real=maximal._window_sums):
+        calls.append((vals.copy(), radii))
+        return real(vals, dim, radii)
+
+    monkeypatch.setattr(maximal, "_window_sums", record)
+    return calls
+
+
+@pytest.mark.parametrize("stride, slabs", [(8, 4), (1, 256)])
+def test_product_pass_sees_only_the_node_slabs(monkeypatch, stride, slabs):
+    # (2,2) N=16: y is the outer block, so a slab is a y-index; the stride-8
+    # nodes lie on 4 of the 256, and the product windows (both factors
+    # larger than one cell) are summed on those slabs of each outer sum only
+    g = ProductGrid(m=2, n=2, half_width=1.0, points_per_axis=16)
+    f = sampled_input(g, "uniform")
+    nodes = stride_nodes(g, stride)
+    calls = recorded_passes(monkeypatch)
+    slab_maximal_fields(f, nodes)
+    radii = _dyadic_radii(g)
+    products = [vals for vals, r in calls if r == radii[1:]]
+    assert products
+    gathered = np.concatenate(products, axis=-2)  # x leads, then outer radius, then slab
+    assert gathered.shape == (16, 16, len(radii) - 1, slabs)
+    # the slab columns are the y-block outer sums at the nodes' y-indices
+    y_slabs = np.unique(nodes[:, 2:], axis=0)
+    outer_sums = [total for total, _ in window_sums_on(f.values, (2, 3), radii)][1:]
+    want = np.stack([s[:, :, y_slabs[:, 0], y_slabs[:, 1]] for s in outer_sums], axis=-2)
+    assert gathered.tobytes() == want.tobytes()
+
+
+def test_nodes_outside_the_slabs_raise():
+    g = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=8)
+    mf, _, _ = slab_maximal_fields(sampled_input(g, "uniform"), [(0, 0, 5), (4, 4, 5)])
+    # x is the outer block: any y on a prepared x-slab is a node of it
+    assert mf.at(np.array([(0, 0, 1), (4, 4, 7)])).shape == (2,)
+    with pytest.raises(ValueError, match=r"node \(0, 1, 5\) lies outside"):
+        mf.at(np.array([(0, 0, 5), (0, 1, 5)]))
+    with pytest.raises(ValueError, match="prepared on 2 of 64 slabs"):
+        mf.field()
+
+
 @pytest.mark.parametrize("m, n, N", [(2, 2, 16), (2, 1, 32)])
 def test_maximal_fields_peak_memory(m, n, N):
     # the traced peak of one pass, in field-sized arrays: the three fields,
     # a prefix sum and a buffer per 2-d block pass, the transposed input of
     # the inner pass and the sums in flight; the pointwise runs' peak RSS
-    # rises with it
+    # rises with it.  The same bound holds on the node path at the stride-8
+    # nodes, where M f and the product pass's arrays are a few slabs
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = sampled_input(g, "uniform")
-    maximal_fields(f)
-    tracemalloc.start()
-    try:
-        maximal_fields(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 11 * f.values.nbytes
+    nodes = stride_nodes(g, 8)
+    for run in (lambda: maximal_fields(f), lambda: slab_maximal_fields(f, nodes)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * f.values.nbytes
 
 
 # ---------------------------------------------------------------- partial maximal
