@@ -29,7 +29,7 @@ from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
                      profile_ball_integral, riesz_kernel, sphere_surface)
 from .convolution import (RegionBounds, convolve_direct, convolve_fast, region_split,
                           region_sums)
-from .maximal import (CompositionReport, GNormReport, SlabMaximal, composition_check,
+from .maximal import (CompositionReport, GNormReport, SliceValues, composition_check,
                       g_function, g_norm_bound, maximal_fields, slab_maximal_fields)
 from .hedberg import (BlockTable, CertificateViolation, ExponentError, HedbergCertificate,
                       HedbergContext, balanced_radii, certify_point, certify_points,
@@ -47,7 +47,7 @@ __all__ = [
     "Exponents", "riesz_kernel", "LayerCake", "layer_cake",
     "sphere_surface", "ball_volume", "profile_ball_integral",
     "RegionBounds", "convolve_direct", "convolve_fast", "region_split", "region_sums",
-    "SlabMaximal", "slab_maximal_fields", "maximal_fields", "composition_check",
+    "SliceValues", "slab_maximal_fields", "maximal_fields", "composition_check",
     "CompositionReport",
     "g_function", "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",

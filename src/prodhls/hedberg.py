@@ -31,10 +31,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .convolution import RegionBounds, region_sums
-from .grid import (GridFunction, ProductGrid, check_positive, lp_norm, normalize_points,
-                   slice_lp_norms_x, slice_lp_norms_y)
+from .grid import GridFunction, ProductGrid, check_positive, lp_norm, normalize_points
 from .kernel import Exponents, block_factors, check_blocks, sphere_surface
-from .maximal import SlabMaximal, _dyadic_radii, _window_rows, slab_maximal_fields
+from .maximal import SliceValues, _dyadic_radii, _window_rows, slab_maximal_fields
 
 __all__ = [
     "ExponentError",
@@ -215,16 +214,16 @@ def final_bound(value: float, f_norm: float, case_id: int, exps: Exponents) -> f
 
 @dataclass
 class HedbergContext:
-    """Shared read-only precomputation for certifying many points of ``f``:
-    M f on the slabs of the prepared nodes (:class:`~prodhls.maximal.SlabMaximal`),
-    the slice norms n1 and n2 on the whole grid, ``||f||_p`` and the
-    region tables."""
+    """Shared read-only precomputation for certifying many points of ``f``,
+    each a :class:`~prodhls.maximal.SliceValues` on the slices of the
+    prepared nodes: M f on their slabs, n1 on their x-slices and n2 on
+    their y-slices; and ``||f||_p`` and the region tables."""
 
     f: GridFunction
     exps: Exponents
-    mf: SlabMaximal
-    n1: np.ndarray
-    n2: np.ndarray
+    mf: SliceValues
+    n1: SliceValues
+    n2: SliceValues
     f_norm: float
     tables: tuple[BlockTable, BlockTable]
 
@@ -237,13 +236,13 @@ def prepare_certification(f: GridFunction, exps: Exponents, f_norm: float | None
     and the region tables for a function; raise ``ValueError`` first if
     ``||f||_p``, which every closed form divides by, is 0 on the grid.
 
-    M f, which the bound chain reads at the nodes alone, is kept only on
-    the slabs of :func:`~prodhls.maximal.slab_maximal_fields` that hold a
-    node of ``points``; every node gives the full-grid M f.  M1 f and M2 f
-    are full fields, since n1 and n2 are norms over whole slices.  A
-    caller that has already computed
-    ``lp_norm(f, exps.p)`` passes it as ``f_norm``, and it is not computed
-    again.
+    The bound chain reads M f, n1 and n2 at the nodes alone, so each is
+    kept only on the slices of :func:`~prodhls.maximal.slab_maximal_fields`
+    that hold a node of ``points``: M f on the slabs, n1 = ``||M1 f(x,
+    .)||_p`` on the x-slices and n2 = ``||M2 f(., y)||_p`` on the
+    y-slices.  Every node gives them on the whole grid.  A caller that has
+    already computed ``lp_norm(f, exps.p)`` passes it as ``f_norm``, and it
+    is not computed again.
     """
     _require_admissible(exps)
     check_blocks(f.grid, exps)
@@ -253,9 +252,8 @@ def prepare_certification(f: GridFunction, exps: Exponents, f_norm: float | None
     if not f_norm > 0.0:
         raise ValueError("the L^p norm of f is 0 on the grid: there is nothing to certify")
     mf, m1, m2 = slab_maximal_fields(f, points)
-    return HedbergContext(f=f, exps=exps, mf=mf, n1=slice_lp_norms_x(m1, p),
-                          n2=slice_lp_norms_y(m2, p), f_norm=f_norm,
-                          tables=region_tables(f.grid, exps))
+    return HedbergContext(f=f, exps=exps, mf=mf, n1=m1.norms(p), n2=m2.norms(p),
+                          f_norm=f_norm, tables=region_tables(f.grid, exps))
 
 
 def _check_json_keys(d, expected, where: str) -> None:
@@ -407,7 +405,8 @@ def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
     """Run the full pointwise bound chain at every node of ``points`` (one
     multi-index per row) of ``ctx.f``, in one array pass.  Every node must
     have been prepared (:func:`prepare_certification`): a node outside the
-    slabs M f was prepared on raises ``ValueError`` naming it.
+    slabs M f or the slices n1 and n2 were prepared on raises
+    ``ValueError`` naming it.
 
     Gathers M f, n1 and n2 at all nodes and selects each node's case from
     them; picks the balancing radii in closed form; splits the convolution
@@ -434,9 +433,7 @@ def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
     idx = normalize_points(points, grid.rank, grid.points_per_axis)
     if not len(idx):
         return []
-    m_value = ctx.mf.at(idx)
-    n1 = ctx.n1[tuple(idx[:, :grid.m].T)]
-    n2 = ctx.n2[tuple(idx[:, grid.m:].T)]
+    m_value, n1, n2 = ctx.mf.at(idx), ctx.n1.at(idx), ctx.n2.at(idx)
     f_norm = ctx.f_norm
 
     g_value = n1 * n2

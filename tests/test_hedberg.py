@@ -404,18 +404,30 @@ def test_prepare_certification_makes_one_maximal_call_per_instance(monkeypatch):
 
 
 def test_unprepared_nodes_raise():
-    # (2,1): x is the outer block, so a node is prepared when a node on its
-    # x-slab was; one that was not gets no certificate, only a ValueError
+    # (2,1): x is the outer block.  A node is prepared when a prepared node
+    # shares its x-slab (M f and n1) and one shares its y-slice (n2); any
+    # other node gets no certificate and no placeholder value, only a
+    # ValueError naming it
     grid = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=8)
     e = Exponents.from_balance(2, 1, 1.0, 0.5, 4 / 3)
-    ctx = prepare_certification(make_family("gaussian", grid)(1.0, 1.0), e,
-                                points=[(0, 0, 0), (4, 4, 4)])
-    assert [c.point for c in certify_points(ctx, [(4, 4, 0), (0, 0, 7)])] == [
-        (4, 4, 0), (0, 0, 7)]
-    with pytest.raises(ValueError, match=r"node \(4, 0, 4\) lies outside"):
-        certify_points(ctx, [(0, 0, 0), (4, 0, 4)])
+    f = make_family("gaussian", grid)(1.0, 1.0)
+    ctx = prepare_certification(f, e, points=[(0, 0, 5), (4, 4, 5)])
+    assert [c.point for c in certify_points(ctx, [(4, 4, 5), (0, 0, 5)])] == [
+        (4, 4, 5), (0, 0, 5)]
+    # on a prepared slab, off the prepared y-slice: n2 is not known there
+    with pytest.raises(ValueError, match=r"node \(0, 0, 1\) lies outside the y-slices n2"):
+        certify_points(ctx, [(0, 0, 5), (0, 0, 1)])
+    with pytest.raises(ValueError, match=r"node \(4, 0, 5\) lies outside the slabs M f"):
+        certify_points(ctx, [(0, 0, 5), (4, 0, 5)])
     with pytest.raises(ValueError, match=r"node \(1, 1, 1\) lies outside"):
         certify_point(ctx, (1, 1, 1))
+    # one node's slab and another's y-slice make a prepared node, certified
+    # as with every node prepared
+    ctx = prepare_certification(f, e, points=[(0, 0, 0), (4, 4, 4)])
+    every = prepare_certification(f, e)
+    nodes = [(4, 4, 0), (0, 0, 4)]
+    assert ([c.to_json_dict() for c in certify_points(ctx, nodes)]
+            == [c.to_json_dict() for c in certify_points(every, nodes)])
 
 
 @pytest.mark.parametrize("m, n, N, stride", [(2, 2, 8, 4), (2, 1, 16, 8)])
@@ -858,13 +870,14 @@ def test_tensor_inputs_tie_the_two_cases(m, n, family):
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
     ctx = prepare_certification(make_family(family, grid)(1.0, 1.0), e)
-    g_field = np.multiply.outer(ctx.n1, ctx.n2)
-    mf = ctx.mf.field().values
+    n1_field, n2_field = ctx.n1.full(), ctx.n2.full()
+    g_field = np.multiply.outer(n1_field, n2_field)
+    mf = ctx.mf.full()
     m_norm = mf * ctx.f_norm
     assert np.all(np.abs(g_field - m_norm) <= 1e-14 * m_norm)
     for point in itertools.product(range(N), repeat=m + n):
         m_value = float(mf[point])
-        n1, n2 = float(ctx.n1[point[:m]]), float(ctx.n2[point[m:]])
+        n1, n2 = float(n1_field[point[:m]]), float(n2_field[point[m:]])
         case1 = (*balanced_radii(m_value / ctx.f_norm, n1, n2, e),
                  final_bound(m_value, ctx.f_norm, 1, e))
         case2 = (*balanced_radii(n1 * n2 / ctx.f_norm ** 2, n1, n2, e),

@@ -340,32 +340,55 @@ def separate_partial_passes(f):
     return fields
 
 
+def prepared_slices(g, nodes, block):
+    """The flat block indices of the nodes' x-slices or y-slices, ascending."""
+    own = nodes[:, :g.m] if block == "x" else nodes[:, g.m:]
+    return np.unique(np.ravel_multi_index(tuple(own.T), (g.points_per_axis,) * own.shape[1]))
+
+
 @pytest.mark.parametrize("kind", ["uniform", "sparse", "signed-zero"])
 @pytest.mark.parametrize("m, n, N", [(1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6), (1, 1, 128),
                                      (2, 1, 32), (1, 2, 32), (2, 2, 16)])
 def test_slab_fields_match_the_full_pass(m, n, N, kind):
     # M f at the prepared nodes is, byte for byte, the full double loop's,
-    # for every node set; M1 f and M2 f are the single-block passes' bytes
+    # for every node set; M1 f and M2 f on the nodes' x- and y-slices are
+    # the single-block passes' bytes there, and their slice norms those of
+    # slice_lp_norms_x and _y on the full fields.  The corner node and the
+    # stride-8 nodes at N = 6 prepare one slice of each block
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = sampled_input(g, kind)
     full = separate_strong_pass(f, m > n)
     m1, m2 = separate_partial_passes(f)
+    X, Y = N ** m, N ** n
+    norms = {p: (slice_lp_norms_x(GridFunction(g, m1), p).reshape(X),
+                 slice_lp_norms_y(GridFunction(g, m2), p).reshape(Y)) for p in (4 / 3, 3.0)}
     for name, nodes in node_sets(g).items():
         mf, got_m1, got_m2 = slab_maximal_fields(f, nodes)
-        want = full[tuple(nodes.T)]
-        assert mf.at(nodes).tobytes() == want.tobytes(), name
-        assert got_m1.values.tobytes() == m1.tobytes(), name
-        assert got_m2.values.tobytes() == m2.tobytes(), name
-    assert mf.field().values.tobytes() == full.tobytes()  # every node prepared
+        assert mf.at(nodes).tobytes() == full[tuple(nodes.T)].tobytes(), name
+        xs, ys = prepared_slices(g, nodes, "x"), prepared_slices(g, nodes, "y")
+        assert (got_m1.slices.tolist(), got_m2.slices.tolist()) == (xs.tolist(), ys.tolist())
+        assert got_m1.values.tobytes() == m1.reshape(X, Y)[xs].tobytes(), name
+        assert got_m2.values.tobytes() == m2.reshape(X, Y)[:, ys].tobytes(), name
+        assert got_m1.at(nodes).tobytes() == m1[tuple(nodes.T)].tobytes(), name
+        assert got_m2.at(nodes).tobytes() == m2[tuple(nodes.T)].tobytes(), name
+        for p, (n1, n2) in norms.items():
+            assert got_m1.norms(p).values.tobytes() == n1[xs].tobytes(), (name, p)
+            assert got_m2.norms(p).values.tobytes() == n2[ys].tobytes(), (name, p)
+    # every node prepared: the whole fields and norms
+    assert mf.full().tobytes() == full.tobytes()
+    assert (got_m1.full().tobytes(), got_m2.full().tobytes()) == (m1.tobytes(), m2.tobytes())
+    assert got_m1.norms(4 / 3).full().tobytes() == slice_lp_norms_x(GridFunction(g, m1),
+                                                                    4 / 3).tobytes()
 
 
 def recorded_passes(monkeypatch):
-    """Record the array and the radii of every ``_window_sums`` call."""
+    """Record the array, the radii and the positions of every
+    ``_window_sums`` call."""
     calls = []
 
-    def record(vals, dim, radii, real=maximal._window_sums):
-        calls.append((vals.copy(), radii))
-        return real(vals, dim, radii)
+    def record(vals, dim, radii, positions=slice(None), real=maximal._window_sums):
+        calls.append((vals.copy(), radii, positions))
+        return real(vals, dim, radii, positions)
 
     monkeypatch.setattr(maximal, "_window_sums", record)
     return calls
@@ -373,48 +396,76 @@ def recorded_passes(monkeypatch):
 
 @pytest.mark.parametrize("stride, slabs", [(8, 4), (1, 256)])
 def test_product_pass_sees_only_the_node_slabs(monkeypatch, stride, slabs):
-    # (2,2) N=16: y is the outer block, so a slab is a y-index; the stride-8
-    # nodes lie on 4 of the 256, and the product windows (both factors
-    # larger than one cell) are summed on those slabs of each outer sum only
+    # (2,2) N=16: y is the outer block, so a slab is a y-index.  Both block
+    # passes read their prefix sums only at the node columns (the nodes'
+    # x2 and y2), every column through slices at stride 1.  The product
+    # windows (inner factor larger than one cell) are summed on the node
+    # slabs of each outer sum only: 4 of 256 at stride 8, where the
+    # one-cell outer window is gathered too, since the inner pass then
+    # gives M1 f on the nodes' x-slices alone
     g = ProductGrid(m=2, n=2, half_width=1.0, points_per_axis=16)
     f = sampled_input(g, "uniform")
     nodes = stride_nodes(g, stride)
     calls = recorded_passes(monkeypatch)
     slab_maximal_fields(f, nodes)
     radii = _dyadic_radii(g)
-    products = [vals for vals, r in calls if r == radii[1:]]
-    assert products
-    gathered = np.concatenate(products, axis=-2)  # x leads, then outer radius, then slab
-    assert gathered.shape == (16, 16, len(radii) - 1, slabs)
+    (x_vals, x_radii, x_cols), (y_vals, y_radii, y_cols), *products = calls
+    assert x_vals.tobytes() == f.values.tobytes()
+    assert y_vals.tobytes() == np.moveaxis(f.values, (2, 3), (0, 1)).tobytes()
+    assert x_radii == y_radii == radii
+    for cols in (x_cols, y_cols):
+        if stride == 1:
+            assert cols == slice(None)
+        else:
+            assert cols.tolist() == [0, 8]
+    assert products and all(r == radii[1:] and p == slice(None) for _, r, p in products)
+    gathered = np.concatenate([vals for vals, _, _ in products], axis=-2)
+    outer = radii if stride == 8 else radii[1:]  # x leads, then outer radius, then slab
+    assert gathered.shape == (16, 16, len(outer), slabs)
     # the slab columns are the y-block outer sums at the nodes' y-indices
     y_slabs = np.unique(nodes[:, 2:], axis=0)
-    outer_sums = [total for total, _ in window_sums_on(f.values, (2, 3), radii)][1:]
-    want = np.stack([s[:, :, y_slabs[:, 0], y_slabs[:, 1]] for s in outer_sums], axis=-2)
+    outer_sums = [total for total, _ in window_sums_on(f.values, (2, 3), radii)]
+    want = np.stack([s[:, :, y_slabs[:, 0], y_slabs[:, 1]]
+                     for s in outer_sums[len(radii) - len(outer):]], axis=-2)
     assert gathered.tobytes() == want.tobytes()
 
 
 def test_nodes_outside_the_slabs_raise():
     g = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=8)
-    mf, _, _ = slab_maximal_fields(sampled_input(g, "uniform"), [(0, 0, 5), (4, 4, 5)])
-    # x is the outer block: any y on a prepared x-slab is a node of it
-    assert mf.at(np.array([(0, 0, 1), (4, 4, 7)])).shape == (2,)
-    with pytest.raises(ValueError, match=r"node \(0, 1, 5\) lies outside"):
+    mf, m1, m2 = slab_maximal_fields(sampled_input(g, "uniform"), [(0, 0, 5), (4, 4, 5)])
+    # x is the outer block: any y on a prepared x-slab is a node of it for
+    # M f and M1 f, while M2 f and n2 hold the prepared y-slice 5 alone
+    for field in (mf, m1, m1.norms(4 / 3)):
+        assert field.at(np.array([(0, 0, 1), (4, 4, 7)])).shape == (2,)
+    with pytest.raises(ValueError, match=r"node \(0, 1, 5\) lies outside the slabs M f"):
         mf.at(np.array([(0, 0, 5), (0, 1, 5)]))
+    with pytest.raises(ValueError, match=r"node \(0, 1, 5\) lies outside the slabs n1"):
+        m1.norms(4 / 3).at(np.array([(0, 0, 5), (0, 1, 5)]))
+    assert m2.at(np.array([(1, 2, 5)])).shape == (1,)
+    with pytest.raises(ValueError, match=r"node \(0, 0, 1\) lies outside the y-slices M2 f"):
+        m2.at(np.array([(4, 4, 5), (0, 0, 1)]))
+    with pytest.raises(ValueError, match=r"node \(0, 0, 1\) lies outside the y-slices n2"):
+        m2.norms(4 / 3).at(np.array([(0, 0, 1)]))
     with pytest.raises(ValueError, match="prepared on 2 of 64 slabs"):
-        mf.field()
+        mf.full()
+    with pytest.raises(ValueError, match="M2 f was prepared on 1 of 8 y-slices"):
+        m2.full()
 
 
 @pytest.mark.parametrize("m, n, N", [(2, 2, 16), (2, 1, 32)])
 def test_maximal_fields_peak_memory(m, n, N):
-    # the traced peak of one pass, in field-sized arrays: the three fields,
-    # a prefix sum and a buffer per 2-d block pass, the transposed input of
-    # the inner pass and the sums in flight; the pointwise runs' peak RSS
-    # rises with it.  The same bound holds on the node path at the stride-8
-    # nodes, where M f and the product pass's arrays are a few slabs
+    # the traced peak of one pass, in field-sized arrays.  The full pass
+    # holds the three fields, a prefix sum and a buffer per 2-d block pass,
+    # the transposed input of one pass and the sums in flight; the
+    # pointwise runs' peak RSS rises with it.  At the stride-8 nodes every
+    # pass runs on a few slices, and what is left is one block pass's prefix
+    # sum and transposed input (2.50 fields at (2,2) N=16, 2.31 at (2,1)
+    # N=32): a whole-grid block pass or field would pass 3
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = sampled_input(g, "uniform")
     nodes = stride_nodes(g, 8)
-    for run in (lambda: maximal_fields(f), lambda: slab_maximal_fields(f, nodes)):
+    for run, fields in ((lambda: maximal_fields(f), 11),
+                        (lambda: slab_maximal_fields(f, nodes), 3)):
         run()
         tracemalloc.start()
         try:
@@ -422,7 +473,7 @@ def test_maximal_fields_peak_memory(m, n, N):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * f.values.nbytes
+        assert peak <= fields * f.values.nbytes
 
 
 # ---------------------------------------------------------------- partial maximal
