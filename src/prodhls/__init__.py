@@ -15,8 +15,8 @@ and provides:
   and the mixed-norm field G read (:mod:`prodhls.maximal`);
 * the pointwise certification engine: lattice region bounds from
   per-block tables, closed-form balancing radii, and per-point
-  certificates from one array pass over an instance's nodes
-  (:mod:`prodhls.hedberg`);
+  certificates from one call per set of nodes, which computes what the
+  nodes read and runs one array pass over them (:mod:`prodhls.hedberg`);
 * experiment campaigns and the CLI harness (:mod:`prodhls.harness`,
   :mod:`prodhls.cli`).
 """
@@ -32,9 +32,8 @@ from .convolution import (RegionBounds, convolve_direct, convolve_fast, region_s
 from .maximal import (CompositionReport, GNormReport, SliceValues, composition_check,
                       g_function, g_norm_bound, maximal_fields, slab_maximal_fields)
 from .hedberg import (BlockTable, CertificateViolation, ExponentError, HedbergCertificate,
-                      HedbergContext, balanced_radii, certify_point, certify_points,
-                      final_bound, prepare_certification, region_limits, region_tables,
-                      tail_integral_constant)
+                      balanced_radii, certify_point, certify_points, final_bound,
+                      region_limits, region_tables, tail_integral_constant)
 from .harness import (ConfigError, ExperimentConfig, make_family,
                       run_necessity_sweep, run_norm_check,
                       run_pointwise_campaign)
@@ -52,8 +51,7 @@ __all__ = [
     "g_function", "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",
     "BlockTable", "region_tables", "region_limits", "balanced_radii", "final_bound",
-    "HedbergContext",
-    "prepare_certification", "HedbergCertificate", "certify_points", "certify_point",
+    "HedbergCertificate", "certify_points", "certify_point",
     "ConfigError", "ExperimentConfig", "make_family",
     "run_pointwise_campaign", "run_necessity_sweep", "run_norm_check",
 ]

@@ -20,8 +20,7 @@ import numpy as np
 from . import __version__
 from .convolution import convolve_fast
 from .grid import GridFunction, ProductGrid, dilate, lp_norm, sample_function
-from .hedberg import (CERTIFICATE_SCHEMA_VERSION, HedbergCertificate,
-                      certify_points, prepare_certification)
+from .hedberg import CERTIFICATE_SCHEMA_VERSION, HedbergCertificate, certify_points
 from .kernel import Exponents, riesz_kernel
 
 __all__ = [
@@ -322,11 +321,8 @@ class PointwiseReport:
 def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
                       points) -> InstanceResult:
     f = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)(s, t)
-    certs = []
-    if (f_norm := lp_norm(f, cfg.exponents.p)) > 0.0:
-        certs = certify_points(prepare_certification(f, cfg.exponents, f_norm, points),
-                               points)
-    return InstanceResult(family=family, s=s, t=t, certificates=certs)
+    return InstanceResult(family=family, s=s, t=t,
+                          certificates=certify_points(f, cfg.exponents, points))
 
 
 def _require_admissible(cfg: ExperimentConfig, experiment: str) -> None:

@@ -20,6 +20,10 @@ mixed bounds coincide) collapses everything, via the balance relation
 
 The lattice bounds hold on the grid as it stands, so a region sum above
 its bound beyond floating-point headroom is a hard failure, not a warning.
+
+One call, :func:`certify_points`, certifies a set of nodes of f: it takes
+``||f||_p``, the maximal values and slice norms on the nodes' slices and
+the tables, then runs the bound chain at every node in one array pass.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from .convolution import RegionBounds, region_sums
 from .grid import GridFunction, ProductGrid, check_positive, lp_norm, normalize_points
 from .kernel import Exponents, block_factors, check_blocks, sphere_surface
-from .maximal import SliceValues, _dyadic_radii, _window_rows, slab_maximal_fields
+from .maximal import _dyadic_radii, _window_rows, slab_maximal_fields
 
 __all__ = [
     "ExponentError",
@@ -44,8 +48,6 @@ __all__ = [
     "region_limits",
     "balanced_radii",
     "final_bound",
-    "HedbergContext",
-    "prepare_certification",
     "HedbergCertificate",
     "certify_points",
     "certify_point",
@@ -212,50 +214,6 @@ def final_bound(value: float, f_norm: float, case_id: int, exps: Exponents) -> f
     return value ** e * f_norm ** (1.0 - case_id * e)
 
 
-@dataclass
-class HedbergContext:
-    """Shared read-only precomputation for certifying many points of ``f``,
-    each a :class:`~prodhls.maximal.SliceValues` on the slices of the
-    prepared nodes: M f on their slabs, n1 on their x-slices and n2 on
-    their y-slices; and ``||f||_p`` and the region tables."""
-
-    f: GridFunction
-    exps: Exponents
-    mf: SliceValues
-    n1: SliceValues
-    n2: SliceValues
-    f_norm: float
-    tables: tuple[BlockTable, BlockTable]
-
-
-def prepare_certification(f: GridFunction, exps: Exponents, f_norm: float | None = None,
-                          points=None) -> HedbergContext:
-    """Precompute, for the nodes ``points`` (one multi-index per row; every
-    node when None), the maximal fields (one pass over the dyadic windows,
-    the windows the :func:`region_tables` are built from), the slice norms
-    and the region tables for a function; raise ``ValueError`` first if
-    ``||f||_p``, which every closed form divides by, is 0 on the grid.
-
-    The bound chain reads M f, n1 and n2 at the nodes alone, so each is
-    kept only on the slices of :func:`~prodhls.maximal.slab_maximal_fields`
-    that hold a node of ``points``: M f on the slabs, n1 = ``||M1 f(x,
-    .)||_p`` on the x-slices and n2 = ``||M2 f(., y)||_p`` on the
-    y-slices.  Every node gives them on the whole grid.  A caller that has
-    already computed ``lp_norm(f, exps.p)`` passes it as ``f_norm``, and it
-    is not computed again.
-    """
-    _require_admissible(exps)
-    check_blocks(f.grid, exps)
-    p = exps.p
-    if f_norm is None:
-        f_norm = lp_norm(f, p)
-    if not f_norm > 0.0:
-        raise ValueError("the L^p norm of f is 0 on the grid: there is nothing to certify")
-    mf, m1, m2 = slab_maximal_fields(f, points)
-    return HedbergContext(f=f, exps=exps, mf=mf, n1=m1.norms(p), n2=m2.norms(p),
-                          f_norm=f_norm, tables=region_tables(f.grid, exps))
-
-
 def _check_json_keys(d, expected, where: str) -> None:
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {d!r}")
@@ -401,12 +359,20 @@ _CHECK_REL = 1e-9
 _CHECKS = ("radii_balance", *REGION_NAMES, "mixed_collapse")
 
 
-def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
+def certify_points(f: GridFunction, exps: Exponents, points) -> list[HedbergCertificate]:
     """Run the full pointwise bound chain at every node of ``points`` (one
-    multi-index per row) of ``ctx.f``, in one array pass.  Every node must
-    have been prepared (:func:`prepare_certification`): a node outside the
-    slabs M f or the slices n1 and n2 were prepared on raises
-    ``ValueError`` naming it.
+    multi-index per row) of ``f``, in one array pass.  Checks the
+    exponents and the grid blocks, then the nodes; no nodes, or an ``f``
+    whose ``||f||_p``, which every closed form divides by, is 0 on the
+    grid, give no certificates.
+
+    The bound chain reads M f, n1 and n2 at the nodes alone, so each is
+    computed only on the slices of
+    :func:`~prodhls.maximal.slab_maximal_fields` that hold a node: M f on
+    the slabs, n1 = ``||M1 f(x, .)||_p`` on the x-slices and n2 = ``||M2
+    f(., y)||_p`` on the y-slices, in one pass over the dyadic windows the
+    :func:`region_tables` are built from.  A node's values are the same
+    bytes whichever other nodes are certified with it.
 
     Gathers M f, n1 and n2 at all nodes and selects each node's case from
     them; picks the balancing radii in closed form; splits the convolution
@@ -428,13 +394,17 @@ def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
     arithmetic, so at such nodes rounding decides ``case_id``; both
     branches then give the same radii and final bound to rounding.
     """
-    f, exps = ctx.f, ctx.exps
+    _require_admissible(exps)
     grid = f.grid
+    check_blocks(grid, exps)
     idx = normalize_points(points, grid.rank, grid.points_per_axis)
     if not len(idx):
         return []
-    m_value, n1, n2 = ctx.mf.at(idx), ctx.n1.at(idx), ctx.n2.at(idx)
-    f_norm = ctx.f_norm
+    if not (f_norm := lp_norm(f, exps.p)) > 0.0:
+        return []
+    mf, m1, m2 = slab_maximal_fields(f, idx)
+    tables = region_tables(grid, exps)
+    m_value, n1, n2 = mf.at(idx), m1.norms(exps.p).at(idx), m2.norms(exps.p).at(idx)
 
     g_value = n1 * n2
     case_id = np.where(g_value <= m_value * f_norm, 1, 2)
@@ -458,7 +428,7 @@ def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
     values, bounds = np.empty((len(idx), len(_CHECKS))), np.empty((len(idx), len(_CHECKS)))
     values[:, 0], bounds[:, 0] = balance, _IDENTITY_TOL
     values[:, 1:-1] = region_sums(f, exps, idx, r1, r2)
-    limits = region_limits(m_value, n1, n2, f_norm, r1, r2, ctx.tables)
+    limits = region_limits(m_value, n1, n2, f_norm, r1, r2, tables)
     for column, name in enumerate(REGION_NAMES, start=1):
         bounds[:, column] = limits[name]
     values[:, -1], bounds[:, -1] = mixed, final
@@ -486,10 +456,12 @@ def certify_points(ctx: HedbergContext, points) -> list[HedbergCertificate]:
             final.tolist(), bounds[:, 1:-1].tolist())]
 
 
-def certify_point(ctx: HedbergContext, point) -> HedbergCertificate:
-    """The bound chain at one grid node of ``ctx.f``: the one-node view of
-    :func:`certify_points`, with the same checks, the same
-    :class:`CertificateViolation` and the same ``ValueError`` for a node
-    that was not prepared."""
-    [cert] = certify_points(ctx, [point])
-    return cert
+def certify_point(f: GridFunction, exps: Exponents, point) -> HedbergCertificate:
+    """The bound chain at one grid node of ``f``: the one-node view of
+    :func:`certify_points`, with the same checks and the same
+    :class:`CertificateViolation`; raises ``ValueError`` if ``||f||_p`` is
+    0 on the grid."""
+    certs = certify_points(f, exps, [point])
+    if not certs:
+        raise ValueError("the L^p norm of f is 0 on the grid: there is nothing to certify")
+    return certs[0]

@@ -79,8 +79,9 @@ def _window_sums(vals: np.ndarray, dim: int, radii: tuple[int, ...],
     whose index on the block's last axis is in ``positions`` (ascending
     indices; every index by default): one prefix sum along that axis, each
     row added into place in ascending offset order.  The sums keep the
-    shape of ``vals`` with that axis cut to ``positions``.  Rows lying
-    wholly outside the box add nothing but still count.
+    shape of ``vals`` with that axis cut to ``positions``, in C order
+    whatever the layout of ``vals``, which may be a transposed view.  Rows
+    lying wholly outside the box add nothing but still count.
 
     A row of half-width ``w`` at cell ``i`` is ``H_w[i] = csum[min(i + w +
     1, N)] - csum[max(i - w, 0)]``.  At every position it is read as two
@@ -141,15 +142,10 @@ def _window_sums(vals: np.ndarray, dim: int, radii: tuple[int, ...],
         rows = _window_rows(dim, rc)
         count = sum(2 * w + 1 for _, w in rows)
         if rc == 1:  # the cell itself, added to 0.0 as into zeros: -0.0 becomes 0.0
-            yield vals[(*lead, positions)] + 0.0, count
+            yield np.add(vals[(*lead, positions)], 0.0, order="C"), count
             vals = None  # the last read of the input
         else:  # no local keeps the yielded sum: the caller owns it
             yield window_sum(rows), count
-
-
-def _lead(vals: np.ndarray, k: int) -> np.ndarray:
-    """A contiguous copy of ``vals`` with its last ``k`` axes moved to the front."""
-    return np.ascontiguousarray(np.moveaxis(vals, range(vals.ndim - k, vals.ndim), range(k)))
 
 
 def _block_keys(grid: ProductGrid, idx: np.ndarray, block: str) -> np.ndarray:
@@ -280,8 +276,10 @@ def slab_maximal_fields(f: GridFunction, points=None
     whichever slices are prepared.
 
     The outer block is summed once.  Each pass runs with its block's axes
-    leading: f is transposed once for the pass of the block that is not
-    x, and the slabs of each outer sum once so that the inner block leads.
+    leading: the pass of the block that is not x reads f through a
+    transposed view, which its prefix sum copies in the pass's order, and
+    the slabs of each outer sum are transposed once so that the inner
+    block leads.
     Each field is kept one slice per row, or one slab per column, and
     returned in the grid's order, a transposed view where that differs.
     Transposing moves values, not sums, so the fields are the same bytes in
@@ -294,6 +292,7 @@ def slab_maximal_fields(f: GridFunction, points=None
                                           else ((grid.n, "y"), (grid.m, "x")))
     width_o, width_i, inner_shape = N ** outer, N ** inner, (N,) * inner
     nodes = None if points is None else normalize_points(points, grid.rank, N)
+    y_leading = np.moveaxis(f.values, range(grid.m, grid.rank), range(grid.n))
 
     def prepared(block, width):  # the block's slices that hold a node, ascending
         held = np.ones(width, dtype=bool)
@@ -309,7 +308,7 @@ def slab_maximal_fields(f: GridFunction, points=None
     # each field starts as its first average, the one-cell window: the
     # maximum with zeros would be the same bytes, since no average is -0.0
     m_in = None
-    for total, count_i in _window_sums(_lead(f.values, grid.n) if x_outer else f.values,
+    for total, count_i in _window_sums(y_leading if x_outer else f.values,
                                        inner, radii, positions):
         part = total.reshape(-1, width_o)[rows]
         part /= count_i
@@ -324,7 +323,7 @@ def slab_maximal_fields(f: GridFunction, points=None
     per_gather = width_o // max(len(slabs), 1)  # outer radii per gather: a field's cells
     gathered, counts_o = None, []
     left = len(radii) - every_inner  # outer radii left to gather
-    for outer_sum, count_o in _window_sums(f.values if x_outer else _lead(f.values, grid.n),
+    for outer_sum, count_o in _window_sums(f.values if x_outer else y_leading,
                                            outer, radii, positions):
         slab = outer_sum.reshape(-1, width_i)[rows]
         del outer_sum  # read through ``slab`` only

@@ -17,8 +17,8 @@ from prodhls import hedberg
 from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunction,
                      HedbergCertificate, ProductGrid, balanced_radii,
                      certify_point, certify_points, convolve_direct, final_bound, lp_norm,
-                     prepare_certification, profile_ball_integral, region_limits,
-                     region_tables, riesz_kernel, sample_function, tail_integral_constant)
+                     profile_ball_integral, region_limits, region_tables, riesz_kernel,
+                     sample_function, slab_maximal_fields, tail_integral_constant)
 from prodhls.cli import main as cli_main
 from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport,
                              make_family, run_pointwise_campaign, write_certificates_json)
@@ -369,21 +369,29 @@ def gaussian(grid, sigma=0.2):
 def test_certificate_gaussian_origin_cell():
     g = grid_1x1(N=64)
     f = gaussian(g)
-    cert = certify_point(prepare_certification(f, STD), (32, 32))
+    cert = certify_point(f, STD, (32, 32))
     assert cert.case_id in (1, 2)
     assert math.isfinite(cert.ratio)
     assert 0 < cert.ratio < 16.0  # suite constant is O(10)
     assert cert.lhs <= 16.0 * cert.final_bound
 
 
-def test_prepare_certification_makes_one_maximal_call_per_instance(monkeypatch):
+def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
+    # each instance is one certify_points call; a nonzero one takes its
+    # maximal fields in one slab_maximal_fields call on exactly the
+    # campaign's sampled nodes, and no other maximal function runs.  The
+    # dilations (20, 20) have ||f||_p = 0 on the grid: the gaussian's p-th
+    # powers underflow although its values do not, and the box holds no
+    # cell center; neither reaches the maximal pass
     import prodhls.harness as harness
     import prodhls.maximal as maximal
-    events = []
+    events, received = [], []
 
     def counted(name, inner):
         def call(*args, **kwargs):
             events.append(name)
+            if name == "slab_maximal_fields":
+                received.append(np.array(args[1]))
             return inner(*args, **kwargs)
         return call
 
@@ -393,41 +401,32 @@ def test_prepare_certification_makes_one_maximal_call_per_instance(monkeypatch):
             for module in (maximal, hedberg):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counted(name, fn))
-    monkeypatch.setattr(harness, "prepare_certification",
-                        counted("prepare", harness.prepare_certification))
+    monkeypatch.setattr(harness, "certify_points",
+                        counted("certify", harness.certify_points))
     cfg = ExperimentConfig.from_dict({
         "grid": {"m": 2, "n": 1, "half_width": 1.0, "points_per_axis": 8},
         "exponents": {"alpha": 1.0, "beta": 0.5, "p": 4 / 3},
-        "families": ["gaussian", "box"], "dilations": [[1.0, 1.0], [2.0, 2.0]]})
-    harness.run_pointwise_campaign(cfg)
-    assert events == ["prepare", "slab_maximal_fields"] * 4
+        "families": ["gaussian", "box"],
+        "dilations": [[1.0, 1.0], [2.0, 2.0], [20.0, 20.0]], "points_stride": 4})
+    report = harness.run_pointwise_campaign(cfg)
+    assert [r.n_points for r in report.instances] == [8, 8, 0] * 2
+    assert events == (["certify", "slab_maximal_fields"] * 2 + ["certify"]) * 2
+    nodes = [list(node) for node in itertools.product((0, 4), repeat=3)]
+    assert [points.tolist() for points in received] == [nodes] * 4
 
 
-def test_unprepared_nodes_raise():
-    # (2,1): x is the outer block.  A node is prepared when a prepared node
-    # shares its x-slab (M f and n1) and one shares its y-slice (n2); any
-    # other node gets no certificate and no placeholder value, only a
-    # ValueError naming it
+def test_certificates_do_not_depend_on_the_other_nodes():
+    # (2,1): x is the outer block.  A call computes M f and n1 on its
+    # nodes' x-slabs and n2 on their y-slices alone; every node's
+    # certificate, in input order, is the one a call over every node gives
     grid = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=8)
     e = Exponents.from_balance(2, 1, 1.0, 0.5, 4 / 3)
     f = make_family("gaussian", grid)(1.0, 1.0)
-    ctx = prepare_certification(f, e, points=[(0, 0, 5), (4, 4, 5)])
-    assert [c.point for c in certify_points(ctx, [(4, 4, 5), (0, 0, 5)])] == [
-        (4, 4, 5), (0, 0, 5)]
-    # on a prepared slab, off the prepared y-slice: n2 is not known there
-    with pytest.raises(ValueError, match=r"node \(0, 0, 1\) lies outside the y-slices n2"):
-        certify_points(ctx, [(0, 0, 5), (0, 0, 1)])
-    with pytest.raises(ValueError, match=r"node \(4, 0, 5\) lies outside the slabs M f"):
-        certify_points(ctx, [(0, 0, 5), (4, 0, 5)])
-    with pytest.raises(ValueError, match=r"node \(1, 1, 1\) lies outside"):
-        certify_point(ctx, (1, 1, 1))
-    # one node's slab and another's y-slice make a prepared node, certified
-    # as with every node prepared
-    ctx = prepare_certification(f, e, points=[(0, 0, 0), (4, 4, 4)])
-    every = prepare_certification(f, e)
-    nodes = [(4, 4, 0), (0, 0, 4)]
-    assert ([c.to_json_dict() for c in certify_points(ctx, nodes)]
-            == [c.to_json_dict() for c in certify_points(every, nodes)])
+    every = {c.point: c.to_json_dict()
+             for c in certify_points(f, e, list(itertools.product(range(8), repeat=3)))}
+    for nodes in ([(4, 4, 5), (0, 0, 5)], [(4, 4, 0), (0, 0, 4)], [(1, 1, 1)]):
+        assert [c.to_json_dict() for c in certify_points(f, e, nodes)] == [
+            every[node] for node in nodes]
 
 
 @pytest.mark.parametrize("m, n, N, stride", [(2, 2, 8, 4), (2, 1, 16, 8)])
@@ -451,8 +450,8 @@ def test_sampled_certificates_match_every_node(m, n, N, stride):
 
 
 def test_campaign_computes_each_norm_once(monkeypatch):
-    # the harness's emptiness rule and prepare_certification share one
-    # ||f||_p per instance
+    # certify_points takes ||f||_p once per instance, and the harness takes
+    # none of its own
     import prodhls.harness as harness
     calls = []
     for module in (harness, hedberg):
@@ -474,39 +473,37 @@ def test_certify_points_match_the_one_node_views(m, n, N, family):
     # radii and final bound of the scalar closed forms on Python floats
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
-    ctx = prepare_certification(make_family(family, grid, seed=9)(1.0, 1.0), e)
+    f = make_family(family, grid, seed=9)(1.0, 1.0)
     points = np.array(list(itertools.product(range(N), repeat=m + n)))
     points = points[np.random.default_rng(4).permutation(len(points))]
-    certs = certify_points(ctx, points)
+    certs = certify_points(f, e, points)
     assert [c.point for c in certs] == [tuple(p) for p in points.tolist()]
     for cert in certs:
         value = cert.m_value if cert.case_id == 1 else cert.g_value
         assert (cert.r1, cert.r2) == balanced_radii(
             value / cert.f_norm ** cert.case_id, cert.n1, cert.n2, e)
         assert cert.final_bound == final_bound(value, cert.f_norm, cert.case_id, e)
-        alone = certify_point(ctx, cert.point)
+        alone = certify_point(f, e, cert.point)
         # the JSON text also tells a -0.0 from a 0.0
         assert cert == alone and json.dumps(cert.to_json_dict()) == json.dumps(
             alone.to_json_dict())
-    assert certify_points(ctx, np.empty((0, m + n), dtype=int)) == []
+    assert certify_points(f, e, np.empty((0, m + n), dtype=int)) == []
 
 
 def test_certify_points_rejects_malformed_nodes():
-    ctx = prepare_certification(gaussian(grid_1x1(N=8)), STD)
+    f = gaussian(grid_1x1(N=8))
     for points, message in (([(1, 2, 3)], "do not address rank-2"),
                             ([(1.0, 2.0)], "do not address rank-2"),
                             ([(1, 2), (8, 0)], r"index \(8, 0\) lies outside"),
                             ([(1, 2), (0, -1)], r"index \(0, -1\) lies outside")):
         with pytest.raises(ValueError, match=message):
-            certify_points(ctx, points)
+            certify_points(f, STD, points)
 
 
 def test_certificate_case_rule():
     g = grid_1x1(N=32)
     f = gaussian(g)
-    ctx = prepare_certification(f, STD)
-    for pt in ((16, 16), (0, 0), (5, 28)):
-        cert = certify_point(ctx, pt)
+    for cert in certify_points(f, STD, [(16, 16), (0, 0), (5, 28)]):
         case1 = cert.g_value <= cert.m_value * cert.f_norm
         assert cert.case_id == (1 if case1 else 2)
         if cert.case_id == 1:
@@ -520,10 +517,8 @@ def test_certificate_lhs_is_convolution_value():
     g = grid_1x1(N=32)
     f = gaussian(g)
     conv = convolve_direct(f, riesz_kernel(g, STD)).values
-    ctx = prepare_certification(f, STD)
-    for pt in ((16, 16), (3, 29), (10, 10)):
-        cert = certify_point(ctx, pt)
-        assert cert.lhs == pytest.approx(conv[pt], rel=1e-10)
+    for cert in certify_points(f, STD, [(16, 16), (3, 29), (10, 10)]):
+        assert cert.lhs == pytest.approx(conv[cert.point], rel=1e-10)
 
 
 def test_certificate_spike_degenerates_gracefully():
@@ -531,9 +526,7 @@ def test_certificate_spike_degenerates_gracefully():
     vals = np.zeros(g.shape)
     vals[16, 16] = 1.0 / g.cell_volume
     f = GridFunction(g, vals)
-    ctx = prepare_certification(f, STD)
-    for pt in ((16, 16), (15, 16), (0, 31)):
-        cert = certify_point(ctx, pt)
+    for cert in certify_points(f, STD, [(16, 16), (15, 16), (0, 31)]):
         assert math.isfinite(cert.final_bound) and cert.final_bound > 0
         assert cert.lhs <= sum(cert.region_limits.values())
 
@@ -543,9 +536,9 @@ def test_certificate_homogeneity():
     f = gaussian(g)
     c = 3.5
     scaled = GridFunction(g, c * f.values)
-    for pt in ((16, 16), (4, 20), (10, 24)):
-        base = certify_point(prepare_certification(f, STD), pt)
-        big = certify_point(prepare_certification(scaled, STD), pt)
+    points = [(16, 16), (4, 20), (10, 24)]
+    for base, big in zip(certify_points(f, STD, points), certify_points(scaled, STD, points),
+                         strict=True):
         # both sides of the case comparison scale as c^2; the label can
         # only flip when the comparison is an exact tie, where the two
         # cases produce the same radii and bound anyway
@@ -558,23 +551,25 @@ def test_certificate_homogeneity():
         assert big.r2 == pytest.approx(base.r2, rel=1e-12)
 
 
-def test_prepare_certification_rejects_zero_norm(monkeypatch):
+def test_zero_norm_has_no_certificates(monkeypatch):
     # the zero function, and a gaussian dilated until its p-th powers
     # underflow although its values do not: both have ||f||_p = 0 on the
-    # grid, and neither reaches the maximal pass
+    # grid, so no node gets a certificate, the one-node view raises, and
+    # neither reaches the maximal pass
     monkeypatch.setattr(hedberg, "slab_maximal_fields", None)
     g = grid_1x1(N=128)
     narrow = make_family("gaussian", g, {"sigma": 0.125})(400.0, 400.0)
     assert np.any(narrow.values)
     for f in (GridFunction(g, np.zeros(g.shape)), narrow):
+        assert certify_points(f, STD, [(64, 64), (0, 127)]) == []
         with pytest.raises(ValueError, match=r"L\^p norm of f is 0"):
-            prepare_certification(f, STD)
+            certify_point(f, STD, (64, 64))
 
 
 def test_certificate_region_checks_recorded():
     g = grid_1x1(N=32)
     f = gaussian(g)
-    cert = certify_point(prepare_certification(f, STD), (16, 16))
+    cert = certify_point(f, STD, (16, 16))
     assert set(cert.region_limits) == {"region11", "region12", "region21", "region22"}
     rb = cert.regions
     for name, value in (("region11", rb.t11), ("region12", rb.t12),
@@ -610,8 +605,7 @@ def test_certificate_regions_and_radii_match_a_brute_force_split():
         grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
         e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
         f = make_family("tensor-box", grid)(1.0, 1.0)
-        ctx = prepare_certification(f, e)
-        certs = [certify_point(ctx, pt) for pt in itertools.product(range(0, N, 2), repeat=m + n)]
+        certs = certify_points(f, e, list(itertools.product(range(0, N, 2), repeat=m + n)))
         certs = [c for c in certs if min(c.r1, c.r2) < grid.half_width]
         assert len(certs) >= 16
         for cert in certs:
@@ -653,10 +647,9 @@ def test_certificate_node_values_match_exhaustive_windows(m, n, N, family):
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
     f = make_family(family, grid, seed=5)(1.0, 1.0)
-    ctx = prepare_certification(f, e)
     mf, n1, n2 = exhaustive_node_values(f, e.p)
-    for point in itertools.product(range(N), repeat=m + n):
-        cert = certify_point(ctx, point)
+    for cert in certify_points(f, e, list(itertools.product(range(N), repeat=m + n))):
+        point = cert.point
         ix = np.ravel_multi_index(point[:m], (N,) * m)
         iy = np.ravel_multi_index(point[m:], (N,) * n)
         for name, want in (("m_value", mf[ix, iy]), ("n1", n1[ix]), ("n2", n2[iy])):
@@ -735,18 +728,17 @@ def test_every_region_sum_within_its_brute_force_limit(m, n, N, family):
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
     f = make_family(family, grid, seed=7)(1.0, 1.0)
-    ctx = prepare_certification(f, e)
     mf, n1, n2 = exhaustive_node_values(f, e.p)
     bx, by = BruteBlock(grid, m, e.alpha, e.p), BruteBlock(grid, n, e.beta, e.p)
     utilization = dict.fromkeys(REGIONS, 0.0)
-    for point in itertools.product(range(N), repeat=m + n):
-        cert = certify_point(ctx, point)
+    for cert in certify_points(f, e, list(itertools.product(range(N), repeat=m + n))):
+        point = cert.point
         ix = np.ravel_multi_index(point[:m], (N,) * m)
         iy = np.ravel_multi_index(point[m:], (N,) * n)
         a_x, t_x, a_y, t_y = (bx.inner(cert.r1), bx.tail(cert.r1),
                               by.inner(cert.r2), by.tail(cert.r2))
         limits = {"region11": a_x * a_y * mf[ix, iy], "region12": a_x * t_y * n1[ix],
-                  "region21": a_y * t_x * n2[iy], "region22": t_x * t_y * ctx.f_norm}
+                  "region21": a_y * t_x * n2[iy], "region22": t_x * t_y * cert.f_norm}
         for name, want in limits.items():
             assert cert.region_limits[name] == pytest.approx(want, rel=1e-11, abs=0.0)
             value = getattr(cert.regions, "t" + name[-2:])
@@ -811,18 +803,18 @@ MUTATIONS = {
 }
 
 
-def certify_each(ctx, points, chunk=64):
+def certify_each(f, exps, points, chunk=64):
     """Each node's certificate or the CertificateViolation it raises: the
     instance pass over each chunk of nodes, and the one-node view at every
     node of a chunk that the pass rejects."""
     for start in range(0, len(points), chunk):
         nodes = points[start:start + chunk]
         try:
-            yield from certify_points(ctx, nodes)
+            yield from certify_points(f, exps, nodes)
         except CertificateViolation:
             for point in nodes:
                 try:
-                    yield certify_point(ctx, point)
+                    yield certify_point(f, exps, point)
                 except CertificateViolation as exc:
                     yield exc
 
@@ -838,11 +830,14 @@ def test_mutation_is_caught(monkeypatch, mutation, m, n, N):
     f = make_family(family, grid, seed=5)(1.0, 1.0)
     conv = convolve_direct(f, riesz_kernel(grid, e)).values
     mf, n1, n2 = exhaustive_node_values(f, e.p)
+    # each call reads its nodes' values from one pass over every node,
+    # the bytes a pass over its own nodes gives
+    fields = slab_maximal_fields(f)
+    monkeypatch.setattr(hedberg, "slab_maximal_fields", lambda f, points: fields)
     monkeypatch.setattr(hedberg, binding, mutate(getattr(hedberg, binding), lp_norm(f, e.p)))
-    ctx = prepare_certification(f, e)
     fired = set()
     points = list(itertools.product(range(N), repeat=m + n))
-    for point, cert in zip(points, certify_each(ctx, points), strict=True):
+    for point, cert in zip(points, certify_each(f, e, points), strict=True):
         if isinstance(cert, CertificateViolation):
             fired.add("violation:" + cert.diagnostics["region"])
             continue
@@ -869,34 +864,34 @@ def test_tensor_inputs_tie_the_two_cases(m, n, family):
     N = 16
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
-    ctx = prepare_certification(make_family(family, grid)(1.0, 1.0), e)
-    n1_field, n2_field = ctx.n1.full(), ctx.n2.full()
+    f = make_family(family, grid)(1.0, 1.0)
+    mf, m1, m2 = slab_maximal_fields(f)
+    n1_field, n2_field = m1.norms(e.p).full(), m2.norms(e.p).full()
+    f_norm = lp_norm(f, e.p)
     g_field = np.multiply.outer(n1_field, n2_field)
-    mf = ctx.mf.full()
-    m_norm = mf * ctx.f_norm
+    mf = mf.full()
+    m_norm = mf * f_norm
     assert np.all(np.abs(g_field - m_norm) <= 1e-14 * m_norm)
     for point in itertools.product(range(N), repeat=m + n):
         m_value = float(mf[point])
         n1, n2 = float(n1_field[point[:m]]), float(n2_field[point[m:]])
-        case1 = (*balanced_radii(m_value / ctx.f_norm, n1, n2, e),
-                 final_bound(m_value, ctx.f_norm, 1, e))
-        case2 = (*balanced_radii(n1 * n2 / ctx.f_norm ** 2, n1, n2, e),
-                 final_bound(n1 * n2, ctx.f_norm, 2, e))
+        case1 = (*balanced_radii(m_value / f_norm, n1, n2, e),
+                 final_bound(m_value, f_norm, 1, e))
+        case2 = (*balanced_radii(n1 * n2 / f_norm ** 2, n1, n2, e),
+                 final_bound(n1 * n2, f_norm, 2, e))
         for a, b in zip(case1, case2, strict=True):
             assert abs(a - b) <= 1e-14 * abs(a), (point, case1, case2)
 
 
 def violation_setup(case_id):
-    """A context and the unpatched certificate at a node of the requested
+    """A function and its unpatched certificate at a node of the requested
     case whose four region sums are all positive."""
     g = grid_1x1(N=32)
     f = GridFunction(g, np.random.default_rng(21).uniform(0.1, 1.0, g.shape) * gaussian(g).values)
-    ctx = prepare_certification(f, STD)
-    for pt in ((12, 12), (12, 18), (15, 12), (15, 15)):
-        cert = certify_point(ctx, pt)
+    for cert in certify_points(f, STD, [(12, 12), (12, 18), (15, 12), (15, 15)]):
         rb = cert.regions
         if cert.case_id == case_id and min(rb.t11, rb.t12, rb.t21, rb.t22) > 0.0:
-            return ctx, cert
+            return f, cert
     raise AssertionError(f"no sampled node is in case {case_id} with four nonzero regions")
 
 
@@ -917,10 +912,10 @@ REGIONS = ("region11", "region12", "region21", "region22")
 # the ids keep the test names the suite has always reported
 @pytest.mark.parametrize("name", REGIONS, ids=[f"{r}-bound_{r}" for r in REGIONS])
 def test_region_violation_diagnostics(monkeypatch, case_id, name):
-    ctx, cert = violation_setup(case_id)
+    f, cert = violation_setup(case_id)
     shrink_limit(monkeypatch, name)
     with pytest.raises(CertificateViolation) as info:
-        certify_point(ctx, cert.point)
+        certify_point(f, STD, cert.point)
     value = getattr(cert.regions, "t" + name[-2:])
     assert info.value.diagnostics == {
         "point": list(cert.point), "region": name, "value": value, "limit": TINY_LIMIT,
@@ -929,10 +924,10 @@ def test_region_violation_diagnostics(monkeypatch, case_id, name):
 
 
 def test_mixed_collapse_violation_diagnostics(monkeypatch):
-    ctx, cert = violation_setup(1)
+    f, cert = violation_setup(1)
     monkeypatch.setattr(hedberg, "final_bound", lambda *args: TINY_LIMIT)
     with pytest.raises(CertificateViolation) as info:
-        certify_point(ctx, cert.point)
+        certify_point(f, STD, cert.point)
     mixed = cert.n1 * cert.r1 ** STD.alpha * cert.r2 ** (STD.beta - STD.n / STD.p)
     assert info.value.diagnostics == {
         "point": list(cert.point), "region": "mixed_collapse", "value": mixed,
@@ -941,12 +936,12 @@ def test_mixed_collapse_violation_diagnostics(monkeypatch):
 
 def test_violation_checks_run_in_order(monkeypatch):
     # the region checks run in the order 11, 12, 21, 22, then the mixed collapse
-    ctx, cert = violation_setup(1)
+    f, cert = violation_setup(1)
     monkeypatch.setattr(hedberg, "final_bound", lambda *args: TINY_LIMIT)
     for name in ("region22", "region21", "region12", "region11"):
         shrink_limit(monkeypatch, name)  # each patch wraps the previous one
         with pytest.raises(CertificateViolation) as info:
-            certify_point(ctx, cert.point)
+            certify_point(f, STD, cert.point)
         assert info.value.diagnostics["region"] == name
 
 
@@ -976,13 +971,12 @@ def test_violation_is_the_first_failing_node_in_input_order(monkeypatch):
     # although the other node fails an earlier check
     g = grid_1x1(N=32)
     f = GridFunction(g, np.random.default_rng(21).uniform(0.1, 1.0, g.shape) * gaussian(g).values)
-    ctx = prepare_certification(f, STD)
     points = [(20, 4), (16, 16), (2, 6), (12, 12), (8, 0)]
-    certs = certify_points(ctx, points)
+    certs = certify_points(f, STD, points)
     assert min(certs[1].regions.t12, certs[1].regions.t22, certs[3].regions.t11) > 0.0
     force_limits(monkeypatch, [(3, "region11"), (1, "region22"), (1, "region12")])
     with pytest.raises(CertificateViolation) as info:
-        certify_points(ctx, points)
+        certify_points(f, STD, points)
     assert info.value.diagnostics == expected_violation(certs[1], "region12")
     assert str(info.value).endswith("at point (16, 16)")
 
@@ -1010,13 +1004,13 @@ def test_cli_violation_json_is_the_first_failing_node(monkeypatch, tmp_path):
 def test_unbalanced_radii_violation_diagnostics(monkeypatch, case_id):
     # r1 off by 1e-9 relative no longer balances the recorded case; that
     # check runs before the region checks, so a failing region11 is not seen
-    ctx, cert = violation_setup(case_id)
+    f, cert = violation_setup(case_id)
     real = hedberg.balanced_radii
     monkeypatch.setattr(hedberg, "balanced_radii", lambda *args: (
         lambda r1, r2: (r1 * (1.0 + 1e-9), r2))(*real(*args)))
     shrink_limit(monkeypatch, "region11")
     with pytest.raises(CertificateViolation) as info:
-        certify_point(ctx, cert.point)
+        certify_point(f, STD, cert.point)
     diagnostics = info.value.diagnostics
     # both residuals are about (m/p) 1e-9, from r1^(-m/p)
     assert diagnostics.pop("value") == pytest.approx(STD.m / STD.p * 1e-9, rel=1e-3)
@@ -1030,13 +1024,13 @@ def test_certificate_rejects_inadmissible_exponents():
     f = gaussian(g)
     bad = Exponents(m=1, n=1, alpha=0.7, beta=0.5, p=4 / 3, q=4.0)
     with pytest.raises(ExponentError):
-        certify_point(prepare_certification(f, bad), (8, 8))
+        certify_point(f, bad, (8, 8))
 
 
 def test_certificate_json_round_trip(tmp_path):
     g = grid_1x1(N=32)
     f = gaussian(g)
-    cert = certify_point(prepare_certification(f, STD), (16, 16))
+    cert = certify_point(f, STD, (16, 16))
     d = cert.to_json_dict()
     assert d["schema_version"] == 1
     assert HedbergCertificate.from_json_dict(json.loads(json.dumps(d))) == cert
@@ -1077,7 +1071,7 @@ def test_certificates_json_holds_the_report_records(tmp_path, m, n):
 
 def test_certificate_json_keys_are_schema_1():
     g = grid_1x1(N=32)
-    cert = certify_point(prepare_certification(gaussian(g), STD), (16, 16))
+    cert = certify_point(gaussian(g), STD, (16, 16))
     d = cert.to_json_dict()
     assert set(d) == {"schema_version", "point", "point_coordinates", "case_id", "r1", "r2",
                       "regions", "m_value", "g_value", "n1", "n2", "f_norm", "final_bound",
@@ -1170,7 +1164,7 @@ def test_certificate_json_keys_are_schema_1():
 ])
 def test_certificate_json_rejects_malformed(edit, message):
     g = grid_1x1(N=32)
-    cert = certify_point(prepare_certification(gaussian(g), STD), (16, 16))
+    cert = certify_point(gaussian(g), STD, (16, 16))
     d = json.loads(json.dumps(cert.to_json_dict()))
     edit(d)
     with pytest.raises(ValueError, match=message):
@@ -1181,7 +1175,8 @@ def test_slack_factors_positive_and_stable():
     # the limits are lattice sums, so the record keeps no slack and schema 1
     # writes 1.0 for every region at every node
     g = grid_1x1(N=16)
-    ctx = prepare_certification(gaussian(g), STD)
-    for pt in itertools.product(range(16), repeat=2):
-        d = certify_point(ctx, pt).to_json_dict()
+    certs = certify_points(gaussian(g), STD, list(itertools.product(range(16), repeat=2)))
+    assert len(certs) == 256
+    for cert in certs:
+        d = cert.to_json_dict()
         assert d["slack_factors"] == dict.fromkeys(REGIONS, 1.0)
