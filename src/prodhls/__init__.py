@@ -11,8 +11,10 @@ and provides:
 * direct and FFT convolution plus the four-region split of the
   convolution sum at each of many nodes (:mod:`prodhls.convolution`);
 * one pass over dyadic product windows that gives the strong maximal
-  M f and the partial maximals M1 f, M2 f, which the composition check
-  and the mixed-norm field G read (:mod:`prodhls.maximal`);
+  M f and the slice norms n1, n2 of the partial maximals M1 f, M2 f at a
+  set of nodes, which the certificates read, or all three fields on the
+  whole grid, which the composition check and the mixed-norm field G
+  read (:mod:`prodhls.maximal`);
 * the pointwise certification engine: lattice region bounds from
   per-block tables, closed-form balancing radii, and per-point
   certificates from one call per set of nodes, which computes what the
@@ -29,8 +31,8 @@ from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
                      profile_ball_integral, riesz_kernel, sphere_surface)
 from .convolution import (RegionBounds, convolve_direct, convolve_fast, region_split,
                           region_sums)
-from .maximal import (CompositionReport, GNormReport, SliceValues, composition_check,
-                      g_function, g_norm_bound, maximal_fields, slab_maximal_fields)
+from .maximal import (CompositionReport, GNormReport, composition_check, g_function,
+                      g_norm_bound, maximal_fields, node_maximals)
 from .hedberg import (BlockTable, CertificateViolation, ExponentError, HedbergCertificate,
                       balanced_radii, certify_point, certify_points, final_bound,
                       region_limits, region_tables, tail_integral_constant)
@@ -46,7 +48,7 @@ __all__ = [
     "Exponents", "riesz_kernel", "LayerCake", "layer_cake",
     "sphere_surface", "ball_volume", "profile_ball_integral",
     "RegionBounds", "convolve_direct", "convolve_fast", "region_split", "region_sums",
-    "SliceValues", "slab_maximal_fields", "maximal_fields", "composition_check",
+    "node_maximals", "maximal_fields", "composition_check",
     "CompositionReport",
     "g_function", "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",

@@ -118,14 +118,14 @@ def check_positive(**named) -> None:
 
 def normalize_points(points, rank: int, points_per_axis: int) -> np.ndarray:
     """Validate grid-node multi-indices given one per row: an integer
-    array of shape (K, rank), K >= 0."""
+    array of shape (K, rank), K >= 0, or an empty sequence for no nodes."""
     idx = np.asarray(points)
-    if idx.size == 0:
-        return np.empty((0, rank), dtype=np.intp)
+    if idx.shape == (0,):
+        idx = np.empty((0, rank), dtype=np.intp)
     if idx.ndim != 2 or idx.shape[1] != rank or idx.dtype.kind not in "iu":
         raise ValueError(f"points of shape {idx.shape} and dtype {idx.dtype} do not "
                          f"address rank-{rank} grid nodes one per row")
-    if not 0 <= idx.min() <= idx.max() < points_per_axis:
+    if len(idx) and not 0 <= idx.min() <= idx.max() < points_per_axis:
         outside = np.any((idx < 0) | (idx >= points_per_axis), axis=1)
         raise ValueError(f"index {tuple(idx[outside][0].tolist())!r} lies outside the grid")
     return idx

@@ -86,7 +86,7 @@ class ExperimentConfig:
         if not self.families:
             raise ConfigError("families must be nonempty")
         for name in self.families:
-            _family_params(name, None)
+            _family_params(name, {})
         for name, params in _check_keys(self.family_params, FAMILY_NAMES, "family_params").items():
             _family_params(name, params)
         for key, value in _check_keys(self.tolerances, _TOLERANCE_KEYS, "tolerances").items():
@@ -193,11 +193,12 @@ def _number(value, where: str, integer: bool = False):
     return value
 
 
-def _family_params(name: str, params: dict | None) -> dict:
-    """The family's default parameters overridden by ``params``."""
+def _family_params(name: str, params: dict) -> dict:
+    """The family's default parameters overridden by ``params``, which
+    must be a JSON object."""
     if name not in _FAMILY_PARAMS:
         raise ConfigError(f"unknown function family {name!r}")
-    params = _check_keys(params or {}, _FAMILY_PARAMS[name], f"{name} parameter")
+    params = _check_keys(params, _FAMILY_PARAMS[name], f"{name} parameter")
     for key, value in params.items():  # every family parameter is a length
         if not _number(value, f"{name} parameter {key}") > 0:
             raise ConfigError(f"{name} parameter {key} must be positive, got {value!r}")
@@ -214,7 +215,7 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
     noise field through :func:`prodhls.grid.dilate`.  Unknown names or
     parameter keys and non-positive parameters raise :class:`ConfigError`.
     """
-    params = _family_params(name, params)
+    params = _family_params(name, {} if params is None else params)
     m = grid.m
 
     if name == "gaussian":

@@ -22,8 +22,9 @@ The lattice bounds hold on the grid as it stands, so a region sum above
 its bound beyond floating-point headroom is a hard failure, not a warning.
 
 One call, :func:`certify_points`, certifies a set of nodes of f: it takes
-``||f||_p``, the maximal values and slice norms on the nodes' slices and
-the tables, then runs the bound chain at every node in one array pass.
+``||f||_p``, M f, n1 and n2 at the nodes
+(:func:`~prodhls.maximal.node_maximals`) and the tables, then runs the
+bound chain at every node in one array pass.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .convolution import RegionBounds, region_sums
 from .grid import GridFunction, ProductGrid, check_positive, lp_norm, normalize_points
 from .kernel import Exponents, block_factors, check_blocks, sphere_surface
-from .maximal import _dyadic_radii, _window_rows, slab_maximal_fields
+from .maximal import _dyadic_radii, _window_rows, node_maximals
 
 __all__ = [
     "ExponentError",
@@ -366,13 +367,12 @@ def certify_points(f: GridFunction, exps: Exponents, points) -> list[HedbergCert
     whose ``||f||_p``, which every closed form divides by, is 0 on the
     grid, give no certificates.
 
-    The bound chain reads M f, n1 and n2 at the nodes alone, so each is
-    computed only on the slices of
-    :func:`~prodhls.maximal.slab_maximal_fields` that hold a node: M f on
-    the slabs, n1 = ``||M1 f(x, .)||_p`` on the x-slices and n2 = ``||M2
-    f(., y)||_p`` on the y-slices, in one pass over the dyadic windows the
-    :func:`region_tables` are built from.  A node's values are the same
-    bytes whichever other nodes are certified with it.
+    The bound chain reads three numbers at each node: M f, n1 = ``||M1
+    f(x, .)||_p`` and n2 = ``||M2 f(., y)||_p``.  One
+    :func:`~prodhls.maximal.node_maximals` call gives them at the nodes
+    alone, from one pass over the dyadic windows the :func:`region_tables`
+    are built from, on the nodes' slices only.  A node's values are the
+    same bytes whichever other nodes are certified with it.
 
     Gathers M f, n1 and n2 at all nodes and selects each node's case from
     them; picks the balancing radii in closed form; splits the convolution
@@ -402,9 +402,8 @@ def certify_points(f: GridFunction, exps: Exponents, points) -> list[HedbergCert
         return []
     if not (f_norm := lp_norm(f, exps.p)) > 0.0:
         return []
-    mf, m1, m2 = slab_maximal_fields(f, idx)
+    m_value, n1, n2 = node_maximals(f, exps.p, idx)
     tables = region_tables(grid, exps)
-    m_value, n1, n2 = mf.at(idx), m1.norms(exps.p).at(idx), m2.norms(exps.p).at(idx)
 
     g_value = n1 * n2
     case_id = np.where(g_value <= m_value * f_norm, 1, 2)

@@ -9,27 +9,30 @@ inequalities verified elsewhere, never falsifies them).  The smallest
 dyadic window is the cell itself, hence every maximal output dominates
 the pointwise value.
 
-One pass over the dyadic windows, :func:`slab_maximal_fields`, gives
-each maximal only where a set of nodes reads it: the strong maximal M f
-on the slabs that hold a node, where a slab is the set of cells that
-share an outer-block index, and the partial maximals M1 f and M2 f on the
-nodes' x-slices and y-slices, the slices whose L^p norms n1 and n2 the
-Hedberg bound reads (:class:`SliceValues`).  M1 f and M2 f come from two
-single-block passes, and M f is the largest of the outer pass's averages
-and of the product windows, summed on the nodes' slabs only.
-:func:`maximal_fields` is the view with every node, which the
-composition check and the mixed-norm field G read.  Window sums are read
-from one prefix sum per block pass: each window row is the difference of
-two slices of it, or of two gathers at the positions a set of slices
-takes on the block's last axis.  A disc's consecutive rows of one
-half-width share that difference, shifted, so it is built once per run
-of them into one reused buffer.  The block with more window rows (x when
-``m > n``) is the outer pass, summed once; the other block's pass runs
-over f and over the slabs of the outer sums.  Each pass runs with its
-block's axes leading, so every slice it reads or adds is a run of whole
-contiguous sub-arrays rather than strided rows of N values.  Every sum
-is added in the same order as row by row into zeros, and every operation
-is elementwise along the other block's axes, so the fields are the same
+One pass over the dyadic windows gives each maximal only where a set of
+nodes reads it.  :func:`node_maximals` returns the three numbers the
+Hedberg bound reads at each node: the strong maximal M f there, and the
+L^p norms n1 and n2 of the partial maximals M1 f and M2 f over the
+node's x-slice and y-slice (a slice is the set of cells that share an
+index of one block).  M1 f and M2 f come from two single-block passes on
+the nodes' slices, and M f at a node is the largest of the two partial
+maximals there and of the product windows larger than one cell on both
+blocks, summed at the nodes' positions only.  :func:`maximal_fields` is
+the same pass at every node, which the composition check and the
+mixed-norm field G read.
+
+Window sums are read from one prefix sum per block pass: each window row
+is the difference of two slices of it, or of two gathers at the
+positions a set of slices takes on the block's last axis.  A disc's
+consecutive rows of one half-width share that difference, shifted, so it
+is built once per run of them into one reused buffer.  The block with
+more window rows (x when ``m > n``) is the outer pass, summed once; its
+slices are the slabs, and the other block's pass runs over f and over
+the slabs of the outer sums.  Each pass runs with its block's axes
+leading, so every slice it reads or adds is a run of whole contiguous
+sub-arrays rather than strided rows of N values.  Every sum is added in
+the same order as row by row into zeros, and every operation is
+elementwise along the other block's axes, so the values are the same
 bytes in any layout and on any set of slices.
 """
 
@@ -41,13 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, ProductGrid, lp_norm, normalize_points, slice_lp_norms_x,
-                   slice_lp_norms_y)
+from .grid import (GridFunction, ProductGrid, _check_exponent, lp_norm, normalize_points,
+                   slice_lp_norms_x, slice_lp_norms_y)
 from .kernel import Exponents
 
 __all__ = [
-    "SliceValues",
-    "slab_maximal_fields",
+    "node_maximals",
     "maximal_fields",
     "composition_check",
     "CompositionReport",
@@ -154,215 +156,149 @@ def _block_keys(grid: ProductGrid, idx: np.ndarray, block: str) -> np.ndarray:
     return np.ravel_multi_index(tuple(own.T), (grid.points_per_axis,) * own.shape[1])
 
 
-def _block_reads(slices: np.ndarray, dim: int, N: int):
-    """The positions a block pass reads on the block's last axis for the
-    ``slices`` (flat block indices, ascending), and the row of each slice
-    in the pass's sums with the block's axes flattened: slices rather than
-    index arrays at every position and for every slice, so the full pass
-    gathers nothing."""
-    held = np.zeros(N, dtype=bool)
-    held[slices % N] = True
-    positions = np.flatnonzero(held)
-    rows = slices // N * len(positions) + np.searchsorted(positions, slices % N)
-    return (slice(None) if len(positions) == N else positions,
-            slice(None) if len(slices) == N ** dim else rows)
+def _rows(keys: np.ndarray, positions, N: int) -> np.ndarray:
+    """The row of each flat block index of ``keys`` in the sums of a block
+    pass at ``positions`` on the block's last axis, with the block's axes
+    flattened."""
+    if isinstance(positions, slice):
+        return keys
+    return keys // N * len(positions) + np.searchsorted(positions, keys % N)
 
 
-@dataclass(frozen=True)
-class SliceValues:
-    """A field, or one value per slice, on the prepared slices of one block
-    of ``grid``.  A slice is the set of cells that share an index of
-    ``block`` ("x" or "y"); the outer block's slices are the slabs (the
-    outer block is x when ``m > n``).  ``slices`` holds the prepared
-    slices' flat block indices, ascending.  ``values`` is indexed like the
-    grid with each block's axes flattened and ``block``'s cut to
-    ``slices``: ``values[k, y]`` on x-slice k or ``values[x, k]`` on
-    y-slice k for a field, and ``values[k]`` for one value per slice.
-    ``name`` names the values in errors."""
-
-    grid: ProductGrid
-    block: str
-    slices: np.ndarray
-    values: np.ndarray
-    name: str
-
-    def _noun(self) -> str:
-        outer = "x" if self.grid.m > self.grid.n else "y"
-        return "slabs" if self.block == outer else f"{self.block}-slices"
-
-    def at(self, idx: np.ndarray) -> np.ndarray:
-        """The values at the nodes ``idx``, one multi-index per row; raise
-        ``ValueError`` naming the first node outside the prepared slices."""
-        key = _block_keys(self.grid, idx, self.block)
-        missing = ~np.isin(key, self.slices)
-        if missing.any():
-            node = tuple(idx[np.argmax(missing)].tolist())
-            raise ValueError(f"node {node} lies outside the {self._noun()} {self.name} "
-                             "was prepared on")
-        at = np.searchsorted(self.slices, key)
-        if self.values.ndim == 1:
-            return self.values[at]
-        if self.block == "x":
-            return self.values[at, _block_keys(self.grid, idx, "y")]
-        return self.values[_block_keys(self.grid, idx, "x"), at]
-
-    def full(self) -> np.ndarray:
-        """The values on every slice, in the grid's shape (the block's, for
-        one value per slice); raise ``ValueError`` unless every slice is
-        prepared."""
-        N = self.grid.points_per_axis
-        block_shape = (N,) * (self.grid.m if self.block == "x" else self.grid.n)
-        if len(self.slices) != math.prod(block_shape):
-            raise ValueError(f"{self.name} was prepared on {len(self.slices)} of "
-                             f"{math.prod(block_shape)} {self._noun()}, not on the whole grid")
-        return self.values.reshape(self.grid.shape if self.values.ndim == 2 else block_shape)
-
-    def norms(self, p: float) -> "SliceValues":
-        """The L^p norms of the field over the other block, one per
-        prepared slice: n1 for M1 f on x-slices, n2 for M2 f on y-slices,
-        the bytes :func:`~prodhls.grid.slice_lp_norms_x` and ``_y`` give on
-        the full field."""
-        # numpy sums each contiguous row pairwise, as over the full field's
-        # trailing axes; it adds the rows of several columns one after
-        # another, as over the full field's leading axes, but sums a lone
-        # column pairwise, so that one is accumulated row after row
-        powered, grid = np.ascontiguousarray(self.values) ** p, self.grid
-        if self.block == "x":
-            total, dim = np.sum(powered, axis=1), grid.n
-        else:
-            total = (np.sum(powered, axis=0) if powered.shape[1] > 1
-                     else np.add.accumulate(powered)[-1])
-            dim = grid.m
-        return SliceValues(grid, self.block, self.slices,
-                           (total * grid.spacing ** dim) ** (1.0 / p),
-                           "n1" if self.block == "x" else "n2")
+def _block_reads(keys, dim: int, N: int):
+    """The slices of a block that hold a node, whose flat block indices
+    are ``keys`` (``slice(None)`` for every node), ascending; the
+    positions they take on the block's last axis, where the block pass
+    reads its prefix sum; and the row of each slice in the pass's sums:
+    slices rather than index arrays at every position and for every
+    slice, so the full pass gathers nothing."""
+    held, on_axis = np.zeros(N ** dim, dtype=bool), np.zeros(N, dtype=bool)
+    held[keys] = True
+    slices = np.flatnonzero(held)
+    on_axis[slices % N] = True
+    positions = slice(None) if on_axis.all() else np.flatnonzero(on_axis)
+    return slices, positions, (slice(None) if held.all() else _rows(slices, positions, N))
 
 
-def _fold_products(mf: np.ndarray, gathered: np.ndarray, inner: int,
-                   radii: tuple[int, ...], counts_o: list[int]) -> None:
-    """Fold into ``mf`` the averages over the inner windows of ``radii`` of
-    the slab outer sums ``gathered``, whose second-last axis runs over the
-    outer radii of cell counts ``counts_o``: each part divided by its own
-    ``count_i * count_o``."""
-    for total, count_i in _window_sums(gathered, inner, radii):
-        for j, count_o in enumerate(counts_o):
-            part = total[..., j, :]
-            part /= count_i * count_o
-            np.maximum(mf, part, out=mf)
-        del total, part  # freed before the next sum is built
-
-
-def slab_maximal_fields(f: GridFunction, points=None
-                        ) -> tuple[SliceValues, SliceValues, SliceValues]:
-    """M f on the slabs that hold the nodes ``points`` (one multi-index per
-    row; every node when None), M1 f (x-block windows) on the nodes'
-    x-slices and M2 f (y-block windows) on their y-slices.
+def _maximal_pass(f: GridFunction, x_keys, y_keys):
+    """M f at the nodes whose x-block and y-block flat indices are
+    ``x_keys`` and ``y_keys``, and each partial maximal on the slices that
+    hold a node: ``(x-slices, M1 f)`` and ``(y-slices, M2 f)``, the
+    slices' flat block indices ascending and the field one slice per row.
+    Given ``slice(None)`` for both, every node, M f is the whole field
+    with each block's axes flattened, read with no gather.
 
     The smallest window on a block is the cell itself (the one window of
     full cell count 1).  So M1 f and M2 f come from two single-block
-    passes: the outer-block pass, whose sums are the windows with a
-    one-cell inner factor, and the inner-block pass over f, the one-cell
-    outer window.  Each runs only where its field is read: at the
-    positions its block's slices take on the block's last axis, where the
-    prefix sum is read, kept on those slices alone.  The outer pass's
-    slabs also feed M f, the largest of the outer pass's averages there
-    and of the product windows.  Those are the inner windows larger than
-    one cell over the slabs of every outer sum, gathered into one array at
-    most a field's cells at a time, with the inner block's axes leading.
-    The one-cell outer window, f on the slabs, is gathered with them
-    unless the inner pass ran on every inner slice, whose M_inner then
-    gives it on the whole grid.  Every operation is elementwise along the
-    other block's axes, so the fields on a slice are the same bytes
-    whichever slices are prepared.
+    passes over f, and M f at a node is the largest of three values: the
+    outer block's maximal there, the inner block's there, and the product
+    windows whose two factors are both larger than one cell.  Each pass
+    reads its prefix sum only at the positions its block's slices take on
+    the block's last axis, and keeps its field on those slices.  The outer
+    pass's slabs of each outer sum larger than one cell are gathered into
+    one array, at most a field's cells at a time, with the inner block's
+    axes leading, and the inner windows larger than one cell are summed
+    over them at the inner pass's positions only.  Every operation is
+    elementwise along the other block's axes, so a node's values are the
+    same bytes whichever other nodes are read.
 
     The outer block is summed once.  Each pass runs with its block's axes
     leading: the pass of the block that is not x reads f through a
     transposed view, which its prefix sum copies in the pass's order, and
     the slabs of each outer sum are transposed once so that the inner
-    block leads.
-    Each field is kept one slice per row, or one slab per column, and
-    returned in the grid's order, a transposed view where that differs.
-    Transposing moves values, not sums, so the fields are the same bytes in
-    either layout.
+    block leads.  Transposing moves values, not sums.
     """
     grid = f.grid
     N, radii = grid.points_per_axis, _dyadic_radii(grid)
-    x_outer = grid.m > grid.n
-    (outer, o_block), (inner, i_block) = (((grid.m, "x"), (grid.n, "y")) if x_outer
-                                          else ((grid.n, "y"), (grid.m, "x")))
-    width_o, width_i, inner_shape = N ** outer, N ** inner, (N,) * inner
-    nodes = None if points is None else normalize_points(points, grid.rank, N)
     y_leading = np.moveaxis(f.values, range(grid.m, grid.rank), range(grid.n))
-
-    def prepared(block, width):  # the block's slices that hold a node, ascending
-        held = np.ones(width, dtype=bool)
-        if nodes is not None:
-            held[:] = False
-            held[_block_keys(grid, nodes, block)] = True
-        return np.flatnonzero(held)
-
-    slabs, inner_slices = prepared(o_block, width_o), prepared(i_block, width_i)
-    every_inner = len(inner_slices) == width_i
-    # the inner-block pass over f, on the inner slices
-    positions, rows = _block_reads(inner_slices, inner, N)
+    x_outer = grid.m > grid.n
+    (outer, o_keys, o_vals), (inner, i_keys, i_vals) = (
+        ((grid.m, x_keys, f.values), (grid.n, y_keys, y_leading)) if x_outer
+        else ((grid.n, y_keys, y_leading), (grid.m, x_keys, f.values)))
+    width_o, width_i = N ** outer, N ** inner
     # each field starts as its first average, the one-cell window: the
     # maximum with zeros would be the same bytes, since no average is -0.0
+    i_slices, i_positions, rows = _block_reads(i_keys, inner, N)
     m_in = None
-    for total, count_i in _window_sums(y_leading if x_outer else f.values,
-                                       inner, radii, positions):
+    for total, count_i in _window_sums(i_vals, inner, radii, i_positions):
         part = total.reshape(-1, width_o)[rows]
         part /= count_i
-        if m_in is None:
-            m_in = part
-        else:
-            np.maximum(m_in, part, out=m_in)
+        m_in = part if m_in is None else np.maximum(m_in, part, out=m_in)
         del total, part  # freed before the next sum is built
-    # the outer-block pass on the slabs, which it gathers for the product windows
-    positions, rows = _block_reads(slabs, outer, N)
-    m_out, mf = None, np.zeros((width_i, len(slabs)))
+    slabs, o_positions, rows = _block_reads(o_keys, outer, N)
+    # the product windows on the slabs, one row per inner cell at the inner positions
+    products = np.zeros((width_i // N * np.arange(N)[i_positions].size, len(slabs)))
     per_gather = width_o // max(len(slabs), 1)  # outer radii per gather: a field's cells
-    gathered, counts_o = None, []
-    left = len(radii) - every_inner  # outer radii left to gather
-    for outer_sum, count_o in _window_sums(f.values if x_outer else y_leading,
-                                           outer, radii, positions):
+    m_out, gathered, counts_o = None, None, []
+    left = len(radii) - 1  # outer radii larger than one cell left to gather
+    for outer_sum, count_o in _window_sums(o_vals, outer, radii, o_positions):
         slab = outer_sum.reshape(-1, width_i)[rows]
         del outer_sum  # read through ``slab`` only
-        if count_o > 1 or not every_inner:
+        if count_o > 1:
             if gathered is None:  # one buffer, reused by each gather
                 gathered = np.empty((width_i, min(per_gather, left), len(slabs)))
             gathered[:, len(counts_o)] = slab.T
             counts_o.append(count_o)
             left -= 1
         slab /= count_o
-        if m_out is None:
-            m_out = slab
-        else:
-            np.maximum(m_out, slab, out=m_out)
+        m_out = slab if m_out is None else np.maximum(m_out, slab, out=m_out)
         del slab
         if counts_o and (len(counts_o) == gathered.shape[1] or not left):
             batch = gathered[:, :len(counts_o)]
-            _fold_products(mf.reshape(inner_shape + (len(slabs),)),
-                           batch.reshape(inner_shape + batch.shape[1:]), inner, radii[1:],
-                           counts_o)
+            for total, count_i in _window_sums(batch.reshape((N,) * inner + batch.shape[1:]),
+                                               inner, radii[1:], i_positions):
+                total = total.reshape(len(products), len(counts_o), len(slabs))
+                for j, count_j in enumerate(counts_o):
+                    part = total[:, j]
+                    part /= count_i * count_j
+                    np.maximum(products, part, out=products)
+                del total, part  # freed before the next sum is built
             counts_o = []
-    np.maximum(mf, m_out.T, out=mf)
-    if every_inner:
-        np.maximum(mf, m_in[:, slice(None) if len(slabs) == width_o else slabs], out=mf)
+    if isinstance(o_keys, slice):  # every node: the fields are read whole
+        mf = np.maximum(products, m_out.T, out=products)
+        np.maximum(mf, m_in, out=mf)
+        mf = mf.T if x_outer else mf
+    else:
+        at_slab = np.searchsorted(slabs, o_keys)
+        mf = np.maximum(products[_rows(i_keys, i_positions, N), at_slab],
+                        m_out[at_slab, i_keys])
+        np.maximum(mf, m_in[np.searchsorted(i_slices, i_keys), o_keys], out=mf)
+    return (mf, (slabs, m_out), (i_slices, m_in)) if x_outer else (
+        mf, (i_slices, m_in), (slabs, m_out))
 
-    def values(block, slices, field, name):  # ``field`` holds one slice per row
-        return SliceValues(grid, block, slices, field.T if block == "y" else field, name)
 
-    m_outer = values(o_block, slabs, m_out, f"M{'1' if x_outer else '2'} f")
-    m_inner = values(i_block, inner_slices, m_in, f"M{'2' if x_outer else '1'} f")
-    mf = values(o_block, slabs, mf.T, "M f")
-    return (mf, m_outer, m_inner) if x_outer else (mf, m_inner, m_outer)
+def node_maximals(f: GridFunction, p: float, points
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M f, n1 = ``||M1 f(x, .)||_p`` and n2 = ``||M2 f(., y)||_p`` at the
+    nodes ``points`` (one multi-index per row): three float64 arrays of
+    shape (K,), in input order, the bytes :func:`maximal_fields` and
+    :func:`~prodhls.grid.slice_lp_norms_x` and ``_y`` give there.  M1 f
+    and M2 f are computed on the nodes' x-slices and y-slices alone, and
+    M f at the nodes alone."""
+    _check_exponent(p)
+    grid = f.grid
+    idx = normalize_points(points, grid.rank, grid.points_per_axis)
+    x_keys, y_keys = _block_keys(grid, idx, "x"), _block_keys(grid, idx, "y")
+    mf, (x_slices, m1), (y_slices, m2) = _maximal_pass(f, x_keys, y_keys)
+    # numpy sums each contiguous row pairwise, as over the full field's
+    # trailing axes; it adds the rows of several columns one after
+    # another, as over the full field's leading axes, but sums a lone
+    # column pairwise, so that one is accumulated row after row
+    n1 = np.sum(m1 ** p, axis=1)
+    powered = np.ascontiguousarray(m2.T) ** p
+    n2 = np.sum(powered, axis=0) if len(y_slices) > 1 else np.add.accumulate(powered)[-1]
+    n1, n2 = ((total * grid.spacing ** dim) ** (1.0 / p)
+              for total, dim in ((n1, grid.n), (n2, grid.m)))
+    return mf, n1[np.searchsorted(x_slices, x_keys)], n2[np.searchsorted(y_slices, y_keys)]
 
 
 def maximal_fields(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:
     """Strong maximal M f and the partial maximals M1 f (x-block windows)
-    and M2 f (y-block windows) of ``f`` on the whole grid: the view of
-    :func:`slab_maximal_fields` with every node prepared."""
-    return tuple(GridFunction(f.grid, field.full()) for field in slab_maximal_fields(f))
+    and M2 f (y-block windows) of ``f`` on the whole grid: the pass of
+    :func:`node_maximals` at every node, without the slice norms."""
+    grid = f.grid
+    mf, (_, m1), (_, m2) = _maximal_pass(f, slice(None), slice(None))
+    return tuple(GridFunction(grid, field.reshape(grid.shape)) for field in (mf, m1, m2.T))
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,9 @@ def test_region_sums_reject_bad_inputs():
         region_sums(f, STD, points, [1.0, np.inf], [1.0, 1.0])
     with pytest.raises(ValueError, match="do not address rank-2 grid nodes"):
         region_sums(f, STD, [(0, 0, 0), (1, 1, 1)], [1.0, 1.0], [1.0, 1.0])
+    # the one-node view of the empty multi-index is one malformed node, not no nodes
+    with pytest.raises(ValueError, match=r"points of shape \(1, 0\) .* do not address rank-2"):
+        region_split(f, STD, (), 1.0, 1.0)
     assert region_sums(f, STD, [], [], []).shape == (0, 4)
 
 

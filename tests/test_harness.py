@@ -107,6 +107,16 @@ def test_config_rejects_missing_q_when_unbalanced():
      "unknown tensor-box parameter key"),
     (lambda raw: raw.update(family_params={"gaussian": [0.5]}),
      "gaussian parameter must be a JSON object"),
+    (lambda raw: raw.update(family_params={"gaussian": None}),
+     "gaussian parameter must be a JSON object"),
+    (lambda raw: raw.update(family_params={"gaussian": False}),
+     "gaussian parameter must be a JSON object"),
+    (lambda raw: raw.update(family_params={"gaussian": 0}),
+     "gaussian parameter must be a JSON object"),
+    (lambda raw: raw.update(family_params={"gaussian": ""}),
+     "gaussian parameter must be a JSON object"),
+    (lambda raw: raw.update(family_params={"gaussian": []}),
+     "gaussian parameter must be a JSON object"),
     (lambda raw: raw.update(tolerances={"stability_factor": math.inf}),
      "tolerances stability_factor"),
     (lambda raw: raw.update(tolerances={"suite_constant": math.nan}), "tolerances suite_constant"),
@@ -159,6 +169,8 @@ def test_config_rejects_missing_q_when_unbalanced():
      "tolerances slope_tolerance must be > 0.0"),
 ], ids=["top-level", "grid", "exponents", "tolerance-key", "family-param-key",
         "family-params-family", "family-param-of-other-family", "family-params-list",
+        "family-params-null", "family-params-false", "family-params-zero",
+        "family-params-empty-string", "family-params-empty-list",
         "inf-tolerance", "nan-tolerance", "string-tolerance", "inf-family-param",
         "zero-sigma", "zero-spike", "negative-box",
         "inf-dilation", "float-points", "float-m", "float-seed", "inf-seed", "negative-seed",
@@ -605,6 +617,26 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_pointwise_leaves_numpy_ma_unloaded(tmp_path):
+    # plain np.unique imports numpy.ma, whose module state stays on the
+    # heap: about 0.5 MB live and 1.3 MB more peak RSS in the pointwise
+    # runs.  A 2-d pointwise run in a fresh interpreter must not load it
+    cfg_path = write_config(tmp_path, small_config(
+        grid={"m": 2, "n": 1, "half_width": 1.0, "points_per_axis": 8},
+        exponents={"alpha": 1.0, "beta": 0.5, "p": 4 / 3}, families=["gaussian", "random"],
+        points_stride=4))
+    src = str(Path(prodhls.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from prodhls.cli import main; "
+            f"code = main(['pointwise', '--config', {str(cfg_path)!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]); print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "certificates.json").exists()
 
 
 @pytest.mark.parametrize("argv", [["bench-maximal"],

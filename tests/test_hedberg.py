@@ -17,8 +17,9 @@ from prodhls import hedberg
 from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunction,
                      HedbergCertificate, ProductGrid, balanced_radii,
                      certify_point, certify_points, convolve_direct, final_bound, lp_norm,
-                     profile_ball_integral, region_limits, region_tables, riesz_kernel,
-                     sample_function, slab_maximal_fields, tail_integral_constant)
+                     maximal_fields, profile_ball_integral, region_limits, region_tables,
+                     riesz_kernel, sample_function, slice_lp_norms_x, slice_lp_norms_y,
+                     tail_integral_constant)
 from prodhls.cli import main as cli_main
 from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport,
                              make_family, run_pointwise_campaign, write_certificates_json)
@@ -378,8 +379,8 @@ def test_certificate_gaussian_origin_cell():
 
 def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
     # each instance is one certify_points call; a nonzero one takes its
-    # maximal fields in one slab_maximal_fields call on exactly the
-    # campaign's sampled nodes, and no other maximal function runs.  The
+    # maximal values in one node_maximals call on exactly the campaign's
+    # sampled nodes, and no other maximal function runs.  The
     # dilations (20, 20) have ||f||_p = 0 on the grid: the gaussian's p-th
     # powers underflow although its values do not, and the box holds no
     # cell center; neither reaches the maximal pass
@@ -390,8 +391,8 @@ def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
     def counted(name, inner):
         def call(*args, **kwargs):
             events.append(name)
-            if name == "slab_maximal_fields":
-                received.append(np.array(args[1]))
+            if name == "node_maximals":
+                received.append(np.array(args[2]))
             return inner(*args, **kwargs)
         return call
 
@@ -410,7 +411,7 @@ def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
         "dilations": [[1.0, 1.0], [2.0, 2.0], [20.0, 20.0]], "points_stride": 4})
     report = harness.run_pointwise_campaign(cfg)
     assert [r.n_points for r in report.instances] == [8, 8, 0] * 2
-    assert events == (["certify", "slab_maximal_fields"] * 2 + ["certify"]) * 2
+    assert events == (["certify", "node_maximals"] * 2 + ["certify"]) * 2
     nodes = [list(node) for node in itertools.product((0, 4), repeat=3)]
     assert [points.tolist() for points in received] == [nodes] * 4
 
@@ -491,13 +492,25 @@ def test_certify_points_match_the_one_node_views(m, n, N, family):
 
 
 def test_certify_points_rejects_malformed_nodes():
+    # no nodes is an empty sequence or a (0, 2) integer array; any other
+    # empty array addresses no rank-2 node, and neither does the one-node
+    # view of the empty multi-index
     f = gaussian(grid_1x1(N=8))
     for points, message in (([(1, 2, 3)], "do not address rank-2"),
                             ([(1.0, 2.0)], "do not address rank-2"),
+                            (np.zeros((3, 0), dtype=int), r"shape \(3, 0\) .* do not address"),
+                            ([[]], r"shape \(1, 0\) .* do not address"),
+                            (np.zeros((0, 5), dtype=int), r"shape \(0, 5\) .* do not address"),
+                            (np.zeros((2, 0, 3)), r"shape \(2, 0, 3\) .* do not address"),
+                            (np.zeros((0, 2)), "dtype float64 do not address rank-2"),
                             ([(1, 2), (8, 0)], r"index \(8, 0\) lies outside"),
                             ([(1, 2), (0, -1)], r"index \(0, -1\) lies outside")):
         with pytest.raises(ValueError, match=message):
             certify_points(f, STD, points)
+    with pytest.raises(ValueError, match=r"shape \(1, 0\) .* do not address rank-2"):
+        certify_point(f, STD, ())
+    for points in ([], (), np.zeros((0, 2), dtype=np.int32)):
+        assert certify_points(f, STD, points) == []
 
 
 def test_certificate_case_rule():
@@ -556,7 +569,7 @@ def test_zero_norm_has_no_certificates(monkeypatch):
     # underflow although its values do not: both have ||f||_p = 0 on the
     # grid, so no node gets a certificate, the one-node view raises, and
     # neither reaches the maximal pass
-    monkeypatch.setattr(hedberg, "slab_maximal_fields", None)
+    monkeypatch.setattr(hedberg, "node_maximals", None)
     g = grid_1x1(N=128)
     narrow = make_family("gaussian", g, {"sigma": 0.125})(400.0, 400.0)
     assert np.any(narrow.values)
@@ -793,9 +806,8 @@ MUTATIONS = {
     "kernel-exponent-x1.1": ("gaussian", "region_sums", kernel_exponent_scaled(1.1), {"lhs"}),
     "t11-doubled": ("gaussian", "region_sums", region_column_scaled(0, 2.0), {"lhs"}),
     "t22-dropped": ("gaussian", "region_sums", region_column_scaled(3, 0.0), {"lhs"}),
-    "m-value-halved": ("gaussian", "slab_maximal_fields", lambda real, f_norm: lambda f, points: (
-        lambda mf, m1, m2: (dataclasses.replace(mf, values=0.5 * mf.values), m1, m2))(
-            *real(f, points)), {"node"}),
+    "m-value-halved": ("gaussian", "node_maximals", lambda real, f_norm: lambda f, p, points: (
+        lambda mf, n1, n2: (0.5 * mf, n1, n2))(*real(f, p, points)), {"node"}),
     # every region limit holds at any radii, and case 2 has no collapse
     # check: only the radius balance of the recorded case sees them
     "case2-ratio-over-f-norm": ("random", "balanced_radii", case2_ratio_over_f_norm,
@@ -830,10 +842,13 @@ def test_mutation_is_caught(monkeypatch, mutation, m, n, N):
     f = make_family(family, grid, seed=5)(1.0, 1.0)
     conv = convolve_direct(f, riesz_kernel(grid, e)).values
     mf, n1, n2 = exhaustive_node_values(f, e.p)
-    # each call reads its nodes' values from one pass over every node,
-    # the bytes a pass over its own nodes gives
-    fields = slab_maximal_fields(f)
-    monkeypatch.setattr(hedberg, "slab_maximal_fields", lambda f, points: fields)
+    # each call reads its nodes' values from one pass over every node and
+    # its slice norms, the bytes a pass over its own nodes gives
+    full, m1, m2 = maximal_fields(f)
+    norms = slice_lp_norms_x(m1, e.p), slice_lp_norms_y(m2, e.p)
+    monkeypatch.setattr(hedberg, "node_maximals", lambda f, p, points: (
+        full.values[tuple(points.T)], norms[0][tuple(points[:, :m].T)],
+        norms[1][tuple(points[:, m:].T)]))
     monkeypatch.setattr(hedberg, binding, mutate(getattr(hedberg, binding), lp_norm(f, e.p)))
     fired = set()
     points = list(itertools.product(range(N), repeat=m + n))
@@ -865,11 +880,11 @@ def test_tensor_inputs_tie_the_two_cases(m, n, family):
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
     f = make_family(family, grid)(1.0, 1.0)
-    mf, m1, m2 = slab_maximal_fields(f)
-    n1_field, n2_field = m1.norms(e.p).full(), m2.norms(e.p).full()
+    mf, m1, m2 = maximal_fields(f)
+    n1_field, n2_field = slice_lp_norms_x(m1, e.p), slice_lp_norms_y(m2, e.p)
     f_norm = lp_norm(f, e.p)
     g_field = np.multiply.outer(n1_field, n2_field)
-    mf = mf.full()
+    mf = mf.values
     m_norm = mf * f_norm
     assert np.all(np.abs(g_field - m_norm) <= 1e-14 * m_norm)
     for point in itertools.product(range(N), repeat=m + n):

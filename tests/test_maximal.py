@@ -8,9 +8,8 @@ import pytest
 
 import prodhls.maximal as maximal
 from prodhls import (Exponents, GridFunction, ProductGrid, composition_check,
-                     g_function, g_norm_bound, lp_norm, maximal_fields,
-                     sample_function, slab_maximal_fields, slice_lp_norms_x,
-                     slice_lp_norms_y)
+                     g_function, g_norm_bound, lp_norm, maximal_fields, node_maximals,
+                     sample_function, slice_lp_norms_x, slice_lp_norms_y)
 from prodhls.maximal import _dyadic_radii, _window_rows, _window_sums
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
@@ -318,7 +317,7 @@ def stride_nodes(g, stride):
 
 
 def node_sets(g):
-    """The node sets the slab path is checked on, by name."""
+    """The node sets the node path is checked on, by name."""
     rng = np.random.default_rng(g.rank * 1000 + g.points_per_axis)
     sample = stride_nodes(g, 8)
     shuffled = np.concatenate([sample, sample[:3], stride_nodes(g, 3)[::5]])
@@ -340,45 +339,30 @@ def separate_partial_passes(f):
     return fields
 
 
-def prepared_slices(g, nodes, block):
-    """The flat block indices of the nodes' x-slices or y-slices, ascending."""
-    own = nodes[:, :g.m] if block == "x" else nodes[:, g.m:]
-    return np.unique(np.ravel_multi_index(tuple(own.T), (g.points_per_axis,) * own.shape[1]))
-
-
 @pytest.mark.parametrize("kind", ["uniform", "sparse", "signed-zero"])
 @pytest.mark.parametrize("m, n, N", [(1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6), (1, 1, 128),
                                      (2, 1, 32), (1, 2, 32), (2, 2, 16)])
 def test_slab_fields_match_the_full_pass(m, n, N, kind):
-    # M f at the prepared nodes is, byte for byte, the full double loop's,
-    # for every node set; M1 f and M2 f on the nodes' x- and y-slices are
-    # the single-block passes' bytes there, and their slice norms those of
-    # slice_lp_norms_x and _y on the full fields.  The corner node and the
-    # stride-8 nodes at N = 6 prepare one slice of each block
+    # node_maximals on every node set, in input order: M f is, byte for
+    # byte, the full double loop's at the nodes, and n1 and n2 are those of
+    # slice_lp_norms_x and _y on the single-block passes' full fields, at
+    # the nodes' x- and y-indices.  The corner node and the stride-8 nodes
+    # at N = 6 read one slice of each block
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = sampled_input(g, kind)
     full = separate_strong_pass(f, m > n)
     m1, m2 = separate_partial_passes(f)
-    X, Y = N ** m, N ** n
-    norms = {p: (slice_lp_norms_x(GridFunction(g, m1), p).reshape(X),
-                 slice_lp_norms_y(GridFunction(g, m2), p).reshape(Y)) for p in (4 / 3, 3.0)}
+    norms = {p: (slice_lp_norms_x(GridFunction(g, m1), p).reshape(N ** m),
+                 slice_lp_norms_y(GridFunction(g, m2), p).reshape(N ** n)) for p in (4 / 3, 3.0)}
     for name, nodes in node_sets(g).items():
-        mf, got_m1, got_m2 = slab_maximal_fields(f, nodes)
-        assert mf.at(nodes).tobytes() == full[tuple(nodes.T)].tobytes(), name
-        xs, ys = prepared_slices(g, nodes, "x"), prepared_slices(g, nodes, "y")
-        assert (got_m1.slices.tolist(), got_m2.slices.tolist()) == (xs.tolist(), ys.tolist())
-        assert got_m1.values.tobytes() == m1.reshape(X, Y)[xs].tobytes(), name
-        assert got_m2.values.tobytes() == m2.reshape(X, Y)[:, ys].tobytes(), name
-        assert got_m1.at(nodes).tobytes() == m1[tuple(nodes.T)].tobytes(), name
-        assert got_m2.at(nodes).tobytes() == m2[tuple(nodes.T)].tobytes(), name
+        xs = np.ravel_multi_index(tuple(nodes[:, :m].T), (N,) * m)
+        ys = np.ravel_multi_index(tuple(nodes[:, m:].T), (N,) * n)
         for p, (n1, n2) in norms.items():
-            assert got_m1.norms(p).values.tobytes() == n1[xs].tobytes(), (name, p)
-            assert got_m2.norms(p).values.tobytes() == n2[ys].tobytes(), (name, p)
-    # every node prepared: the whole fields and norms
-    assert mf.full().tobytes() == full.tobytes()
-    assert (got_m1.full().tobytes(), got_m2.full().tobytes()) == (m1.tobytes(), m2.tobytes())
-    assert got_m1.norms(4 / 3).full().tobytes() == slice_lp_norms_x(GridFunction(g, m1),
-                                                                    4 / 3).tobytes()
+            got = node_maximals(f, p, nodes)
+            assert [a.shape for a in got] == [(len(nodes),)] * 3, name
+            assert got[0].tobytes() == full[tuple(nodes.T)].tobytes(), (name, p)
+            assert got[1].tobytes() == n1[xs].tobytes(), (name, p)
+            assert got[2].tobytes() == n2[ys].tobytes(), (name, p)
 
 
 def recorded_passes(monkeypatch):
@@ -399,57 +383,34 @@ def test_product_pass_sees_only_the_node_slabs(monkeypatch, stride, slabs):
     # (2,2) N=16: y is the outer block, so a slab is a y-index.  Both block
     # passes read their prefix sums only at the node columns (the nodes'
     # x2 and y2), every column through slices at stride 1.  The product
-    # windows (inner factor larger than one cell) are summed on the node
-    # slabs of each outer sum only: 4 of 256 at stride 8, where the
-    # one-cell outer window is gathered too, since the inner pass then
-    # gives M1 f on the nodes' x-slices alone
+    # windows, both factors larger than one cell, are summed on the node
+    # slabs of each outer sum and read at the node columns only: 4 of 256
+    # slabs and the columns [0, 8] at stride 8.  The one-cell outer window
+    # is never gathered, at either stride: M1 f at the nodes holds it
     g = ProductGrid(m=2, n=2, half_width=1.0, points_per_axis=16)
     f = sampled_input(g, "uniform")
     nodes = stride_nodes(g, stride)
     calls = recorded_passes(monkeypatch)
-    slab_maximal_fields(f, nodes)
+    node_maximals(f, 4 / 3, nodes)
     radii = _dyadic_radii(g)
     (x_vals, x_radii, x_cols), (y_vals, y_radii, y_cols), *products = calls
     assert x_vals.tobytes() == f.values.tobytes()
     assert y_vals.tobytes() == np.moveaxis(f.values, (2, 3), (0, 1)).tobytes()
     assert x_radii == y_radii == radii
-    for cols in (x_cols, y_cols):
+    assert products and all(r == radii[1:] for _, r, _ in products)
+    for cols in (x_cols, y_cols, *(p for _, _, p in products)):
         if stride == 1:
             assert cols == slice(None)
         else:
             assert cols.tolist() == [0, 8]
-    assert products and all(r == radii[1:] and p == slice(None) for _, r, p in products)
     gathered = np.concatenate([vals for vals, _, _ in products], axis=-2)
-    outer = radii if stride == 8 else radii[1:]  # x leads, then outer radius, then slab
-    assert gathered.shape == (16, 16, len(outer), slabs)
+    # x leads, then the outer radius, then the slab
+    assert gathered.shape == (16, 16, len(radii) - 1, slabs)
     # the slab columns are the y-block outer sums at the nodes' y-indices
     y_slabs = np.unique(nodes[:, 2:], axis=0)
     outer_sums = [total for total, _ in window_sums_on(f.values, (2, 3), radii)]
-    want = np.stack([s[:, :, y_slabs[:, 0], y_slabs[:, 1]]
-                     for s in outer_sums[len(radii) - len(outer):]], axis=-2)
+    want = np.stack([s[:, :, y_slabs[:, 0], y_slabs[:, 1]] for s in outer_sums[1:]], axis=-2)
     assert gathered.tobytes() == want.tobytes()
-
-
-def test_nodes_outside_the_slabs_raise():
-    g = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=8)
-    mf, m1, m2 = slab_maximal_fields(sampled_input(g, "uniform"), [(0, 0, 5), (4, 4, 5)])
-    # x is the outer block: any y on a prepared x-slab is a node of it for
-    # M f and M1 f, while M2 f and n2 hold the prepared y-slice 5 alone
-    for field in (mf, m1, m1.norms(4 / 3)):
-        assert field.at(np.array([(0, 0, 1), (4, 4, 7)])).shape == (2,)
-    with pytest.raises(ValueError, match=r"node \(0, 1, 5\) lies outside the slabs M f"):
-        mf.at(np.array([(0, 0, 5), (0, 1, 5)]))
-    with pytest.raises(ValueError, match=r"node \(0, 1, 5\) lies outside the slabs n1"):
-        m1.norms(4 / 3).at(np.array([(0, 0, 5), (0, 1, 5)]))
-    assert m2.at(np.array([(1, 2, 5)])).shape == (1,)
-    with pytest.raises(ValueError, match=r"node \(0, 0, 1\) lies outside the y-slices M2 f"):
-        m2.at(np.array([(4, 4, 5), (0, 0, 1)]))
-    with pytest.raises(ValueError, match=r"node \(0, 0, 1\) lies outside the y-slices n2"):
-        m2.norms(4 / 3).at(np.array([(0, 0, 1)]))
-    with pytest.raises(ValueError, match="prepared on 2 of 64 slabs"):
-        mf.full()
-    with pytest.raises(ValueError, match="M2 f was prepared on 1 of 8 y-slices"):
-        m2.full()
 
 
 @pytest.mark.parametrize("m, n, N", [(2, 2, 16), (2, 1, 32)])
@@ -457,15 +418,15 @@ def test_maximal_fields_peak_memory(m, n, N):
     # the traced peak of one pass, in field-sized arrays.  The full pass
     # holds the three fields, a prefix sum and a buffer per 2-d block pass
     # and the sums in flight; the pointwise runs' peak RSS rises with it.
-    # At the stride-8 nodes every pass runs on a few slices, and what is
-    # left is one block pass's prefix sum, which reads a transposed input
-    # through a view (1.95 fields at (2,2) N=16, 2.06 at (2,1) N=32): a
-    # contiguous copy of the transposed input would pass 2.25
+    # At the stride-8 nodes (node_maximals) every pass runs on a few
+    # slices, and what is left is one block pass's prefix sum, which reads
+    # a transposed input through a view (1.92 fields at (2,2) N=16, 2.04 at
+    # (2,1) N=32): a contiguous copy of the transposed input would pass 2.25
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = sampled_input(g, "uniform")
     nodes = stride_nodes(g, 8)
     for run, fields in ((lambda: maximal_fields(f), 11),
-                        (lambda: slab_maximal_fields(f, nodes), 2.25)):
+                        (lambda: node_maximals(f, 4 / 3, nodes), 2.25)):
         run()
         tracemalloc.start()
         try:
