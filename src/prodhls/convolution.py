@@ -15,10 +15,16 @@ for norms and scaling fits.
 length that holds the box without wrap-around: the full linear
 convolution has 2N-1 entries per axis, of which the box keeps
 ``[N/2, 3N/2)``, and its top N/2-1 entries wrap onto ``0 .. N/2-2``,
-below the box.  It transforms each kernel once: the padded spectrum is
-cached on the kernel object, so a sweep convolving many dilates of f
-against one kernel pays for one kernel transform.  The inverse
-transform computes only the rows that land in the box.
+below the box.  Each convolution lives in one zero-padded spectrum: the
+last-axis transform of f is written straight into its first N rows, and
+the leading axes are transformed in place in ``rfftn``'s order, each over
+only the rows that are not all zero.  It transforms each kernel once, the
+same way: the padded spectrum is cached on the kernel object, so a sweep
+convolving many dilates of f against one kernel pays for one kernel
+transform.  The inverse computes only the rows that land in the box, and
+its last axis runs a block of rows at a time, straight into the result.
+The values are those of the full ``irfftn(rfftn(f) * rfftn(k))``
+formula, bit for bit.
 
 :func:`region_sums` reads the kernel as x-factor times y-factor, so the
 four region sums at a node come from one two-sided block contraction of
@@ -98,6 +104,10 @@ def convolve_direct(f: GridFunction, k: GridFunction) -> GridFunction:
 # go with its kernel.
 _KERNEL_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+# The last-axis inverse runs in this many blocks of leading rows, through
+# one line buffer of a block's size.
+_INVERSE_BLOCKS = 8
+
 
 def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     """Same contract as :func:`convolve_direct` via zero-padded FFT.
@@ -108,32 +118,71 @@ def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     wrapped term of a multi-axis grid is below the box on at least one
     axis, so no periodic wrap-around reaches the box.  At any shorter L
     the last box entry ``3N/2 - 1`` would share its residue mod L with
-    the entry ``3N/2 - 1 - L >= 0``.  The kernel's spectrum is computed
-    on the first call with that kernel and reused for as long as the
-    kernel object lives.  The spectrum of f is multiplied and inverted in
-    place, one axis at a time as ``irfftn`` does, keeping after each
-    leading axis only the N rows of the box, so the last-axis ``irfft``
-    runs on the box rows alone; every kept value is computed exactly as
-    by the full inverse.  Tiny negative rounding residues are clipped to
-    keep the result a valid sample field.
+    the entry ``3N/2 - 1 - L >= 0``.
+
+    The spectrum of f is built in one zero-padded array: the last-axis
+    ``rfft`` of f writes straight into its first N rows, and the leading
+    axes are transformed in place in ``rfftn``'s order, last to first,
+    each over only the rows that are not all zero.  The kernel's spectrum
+    is built the same way on the first call with that kernel and reused
+    for as long as the kernel object lives.  The product is inverted in
+    place one leading axis at a time as ``irfftn`` does, keeping after
+    each axis only the N rows of the box; the last-axis ``irfft`` then
+    runs on the box rows alone, a block of rows at a time through one
+    line buffer, and each block is scaled and clipped straight into the
+    result, which the returned field takes without a copy.  Every value
+    is the same 1-D transform of the same data as in
+    ``irfftn(rfftn(f) * rfftn(k))``, so the result matches that formula
+    bit for bit.  Tiny negative rounding residues are clipped to keep
+    the result a valid sample field.
     """
     _require_same_grid(f, k)
     grid = f.grid
     N = grid.points_per_axis
-    axes = tuple(range(grid.rank))
     L = 3 * N // 2
-    shape = (L,) * grid.rank
     kernel_spectrum = _KERNEL_SPECTRA.get(k)
     if kernel_spectrum is None:
-        kernel_spectrum = _KERNEL_SPECTRA[k] = np.fft.rfftn(k.values, shape, axes=axes)
-    spectrum = np.fft.rfftn(f.values, shape, axes=axes)
+        kernel_spectrum = _KERNEL_SPECTRA[k] = _padded_spectrum(k.values, L)
+    spectrum = _padded_spectrum(f.values, L)
     spectrum *= kernel_spectrum
+    return GridFunction._adopt(grid, _box_inverse(spectrum, N, grid.cell_volume))
+
+
+def _padded_spectrum(values: np.ndarray, L: int) -> np.ndarray:
+    """``np.fft.rfftn(values, (L,) * values.ndim)`` of an (N,)*rank
+    array, bit for bit, without numpy's padded copies.  Before the pass
+    over a leading axis only the first N rows of the axes ahead of it
+    hold data; the rows it skips are lines of zeros, whose transform is
+    zero up to the sign of zero, and no nonzero value depends on that
+    sign."""
+    N, rank = values.shape[0], values.ndim
+    spectrum = np.zeros((L,) * (rank - 1) + (L // 2 + 1,), dtype=np.complex128)
+    np.fft.rfft(values, L, axis=-1, out=spectrum[(slice(N),) * (rank - 1)])
+    for axis in reversed(range(rank - 1)):
+        lines = spectrum[(slice(N),) * axis]
+        np.fft.fft(lines, axis=axis, out=lines)
+    return spectrum
+
+
+def _box_inverse(spectrum: np.ndarray, N: int, scale: float) -> np.ndarray:
+    """The box ``[N/2, 3N/2)`` of ``irfftn(spectrum)`` per axis, times
+    ``scale`` and clipped at 0, as a fresh (N,)*rank array; the leading
+    axes are inverted in place in ``spectrum``."""
+    rank, L = spectrum.ndim, spectrum.shape[0]
     box = slice(N // 2, N // 2 + N)
-    for axis in axes[:-1]:
+    for axis in range(rank - 1):
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
         spectrum = spectrum[(slice(None),) * axis + (box,)]
-    out = np.fft.irfft(spectrum, L, axis=-1)[..., box] * grid.cell_volume
-    return GridFunction(grid, np.maximum(out, 0.0, out=out))
+    out = np.empty((N,) * rank)
+    rows = -(-N // _INVERSE_BLOCKS)
+    lines = np.empty((rows,) + (N,) * (rank - 2) + (L,))
+    for start in range(0, N, rows):
+        block = out[start:start + rows]
+        buffer = lines[:len(block)]
+        np.fft.irfft(spectrum[start:start + rows], L, axis=-1, out=buffer)
+        np.multiply(buffer[..., box], scale, out=block)
+        np.maximum(block, 0.0, out=block)
+    return out
 
 
 def region_sums(f: GridFunction, exps: Exponents, points, r1, r2) -> np.ndarray:

@@ -143,13 +143,27 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.float64, order="C")
+        self._freeze(np.array(self.values, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, grid: ProductGrid, vals: np.ndarray) -> GridFunction:
+        """Wrap a contiguous float64 array that the library has just built
+        and no caller holds, without the copy: validated and frozen as
+        ``GridFunction(grid, vals)`` would be."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "grid", grid)
+        self._freeze(vals)
+        return self
+
+    def _freeze(self, vals: np.ndarray) -> None:
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid shape {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values must all be finite")
-        if np.any(vals < 0.0):
+        # one min/max pair decides the common case (NaN fails both
+        # comparisons, -0.0 passes); the slower checks only word the error
+        if not (vals.min() >= 0.0 and vals.max() < math.inf):
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("values must all be finite")
             raise ValueError("values must be nonnegative")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -215,7 +229,7 @@ def dilate(f: GridFunction, s: float, t: float) -> GridFunction:
     scales = (s,) * grid.m + (t,) * grid.n
     for axis, scale in enumerate(scales):
         out = _resample_axis(out, axis, scale, grid)
-    return GridFunction(grid, out)
+    return GridFunction._adopt(grid, out)  # the last resample's fresh array
 
 
 def _resample_axis(vals: np.ndarray, axis: int, scale: float, grid: ProductGrid) -> np.ndarray:
@@ -223,7 +237,6 @@ def _resample_axis(vals: np.ndarray, axis: int, scale: float, grid: ProductGrid)
     target = scale * grid.axis_centers()
     idx = np.floor((target + grid.half_width) / grid.spacing).astype(np.int64)
     valid = (idx >= 0) & (idx < N)
-    taken = np.take(vals, np.clip(idx, 0, N - 1), axis=axis)
-    shape = [1] * vals.ndim
-    shape[axis] = N
-    return np.where(valid.reshape(shape), taken, 0.0)
+    out = np.take(vals, np.clip(idx, 0, N - 1), axis=axis)
+    out[(slice(None),) * axis + (~valid,)] = 0.0  # zero extension outside the box
+    return out

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from prodhls import (Exponents, GridFunction, ProductGrid, convolve_fast, dilate,
                      lp_norm, riesz_kernel, sample_function, slice_lp_norms_x,
                      slice_lp_norms_y)
+from prodhls import grid as grid_module
 
 
 def grid_1x1(N=16, L=1.0):
@@ -62,6 +63,33 @@ def test_gridfunction_rejects_bad_values():
         GridFunction(g, np.ones((4, 5)))
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "values must all be finite"),
+    (np.inf, "values must all be finite"),
+    (-np.inf, "values must all be finite"),
+    (-1e-300, "values must be nonnegative"),
+], ids=["nan", "+inf", "-inf", "negative"])
+def test_gridfunction_names_the_bad_value(bad, message):
+    # one bad cell among valid ones, then beside a negative cell: a
+    # non-finite value is named before a negative one
+    g = grid_1x1(N=4)
+    vals = np.ones(g.shape)
+    vals[1, 2] = bad
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridFunction(g, vals)
+    vals[3, 0] = -1.0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GridFunction(g, vals)
+
+
+def test_gridfunction_accepts_negative_zero():
+    g = grid_1x1(N=4)
+    vals = np.ones(g.shape)
+    vals[0, 0] = -0.0
+    assert np.signbit(GridFunction(g, vals).values[0, 0])
+    assert np.all(GridFunction(g, np.full(g.shape, -0.0)).values == 0.0)
+
+
 def test_gridfunction_values_immutable():
     f = random_function(grid_1x1())
     with pytest.raises(ValueError):
@@ -81,6 +109,35 @@ def test_gridfunction_owns_its_values():
     values *= 2.0
     assert k.values.tobytes() == before_values.tobytes()
     assert convolve_fast(f, k).values.tobytes() == before_conv.tobytes()
+
+
+def test_caller_arrays_are_copied():
+    # GridFunction and sample_function take arrays a caller may hold (fn may
+    # return its own), so they copy: the caller's array stays writable and
+    # is not the field's values
+    g = grid_1x1(N=8)
+    held = np.random.default_rng(4).uniform(0.0, 1.0, g.shape)
+    for field in (GridFunction(g, held), sample_function(g, lambda x, y: held)):
+        assert held.flags.writeable
+        assert field.values is not held
+        assert not np.shares_memory(field.values, held)
+        assert field.values.tobytes() == held.tobytes()
+
+
+def test_dilate_result_is_not_copied(monkeypatch):
+    # dilate returns the array its last axis resample built, not a copy of it
+    f = random_function(grid_1x1(N=8), seed=5)
+    built = []
+    resample_axis = grid_module._resample_axis
+
+    def record_resample_axis(*args):
+        built.append(resample_axis(*args))
+        return built[-1]
+
+    monkeypatch.setattr(grid_module, "_resample_axis", record_resample_axis)
+    out = dilate(f, 2.0, 0.5)
+    assert out.values is built[-1]
+    assert not out.values.flags.writeable
 
 
 # ---------------------------------------------------------------- lp_norm

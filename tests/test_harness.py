@@ -368,14 +368,14 @@ def test_sweep_transforms_its_kernel_once(monkeypatch, run, raw):
         kernels.append(prodhls.riesz_kernel(*args))
         return kernels[-1]
 
-    rfftn = np.fft.rfftn
+    padded_spectrum = prodhls.convolution._padded_spectrum
 
-    def record_rfftn(a, *args, **kwargs):
+    def record_padded_spectrum(a, *args):
         transformed.append(a)
-        return rfftn(a, *args, **kwargs)
+        return padded_spectrum(a, *args)
 
     monkeypatch.setattr(prodhls.harness, "riesz_kernel", record_kernel)
-    monkeypatch.setattr(prodhls.convolution.np.fft, "rfftn", record_rfftn)
+    monkeypatch.setattr(prodhls.convolution, "_padded_spectrum", record_padded_spectrum)
     run(ExperimentConfig.from_dict(raw))
     [kernel] = kernels
     assert sum(a is kernel.values for a in transformed) == 1
