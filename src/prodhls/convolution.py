@@ -26,6 +26,39 @@ its last axis runs a block of rows at a time, straight into the result.
 The values are those of the full ``irfftn(rfftn(f) * rfftn(k))``
 formula, bit for bit.
 
+Each of the four line passes (the forward last-axis ``rfft`` and
+leading-axis ``fft``, the inverse leading-axis ``ifft`` and row-block
+``irfft``) and the spectrum product run in one contiguous piece per CPU
+through :func:`prodhls.grid._split`, cut along the outermost axis that
+the pass does not transform: the leading rows, or the second axis for a
+pass over axis 0 (the last axis at rank 2).  A line or element is the
+same numpy call on the same data whichever piece holds it, so the bytes
+do not depend on the CPU count.  A spectrum of fewer than 2^17 elements
+runs in one piece in the calling thread.  The floor comes from this
+crossover: split over serial time of one call on a shared 2-vCPU host,
+the range of three runs, each the median of 20 or 40 pairs alternating
+in one process; ``lp_norm`` (p = 4/3, split the same way) on the same
+grid in the last two columns:
+
+    (m, n) N     spectrum  convolve_fast    cells   lp_norm
+    (1, 1) 128      18624  1.59 - 2.44      16384  1.34 - 1.94
+    (1, 1) 256      74112  0.85 - 1.20      65536  0.88 - 1.10
+    (1, 1) 384     166464  0.65 - 0.82     147456  0.75 - 0.90
+    (1, 1) 512     295680  0.59            262144  0.73 - 0.88
+    (1, 1) 1024   1181184  0.55 - 0.62    1048576  0.63 - 0.73
+    (2, 1) 32       57600  1.56 - 1.91      32768  1.14 - 1.41
+    (2, 1) 48      191808  0.76 - 0.95     110592  0.80 - 0.82
+    (2, 1) 64      451584  0.57 - 0.66     262144  0.66 - 0.77
+    (2, 2) 16      179712  0.73 - 0.92      65536  0.77 - 0.95
+    (2, 2) 24      886464  0.59 - 0.77     331776  0.70 - 0.84
+
+The floor counts spectrum elements for a convolution and cells for a
+norm.  It splits every entry from 147456 up, each faster split, and none
+at 74112 or below, where a split can be slower; the 110592-cell norm
+stays in one piece.  It keeps the N = 128 ``normcheck`` sweep and the
+pointwise campaigns' norms (32^3 and 16^4 cells) in one piece, so they
+start no thread.
+
 :func:`region_sums` reads the kernel as x-factor times y-factor, so the
 four region sums at a node come from one two-sided block contraction of
 the node's window with the inner and outer rows of each factor; it
@@ -40,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, check_positive, normalize_points
+from .grid import GridFunction, _split, check_positive, normalize_points
 from .kernel import Exponents, block_factors
 
 __all__ = [
@@ -105,7 +138,8 @@ def convolve_direct(f: GridFunction, k: GridFunction) -> GridFunction:
 _KERNEL_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # The last-axis inverse runs in this many blocks of leading rows, through
-# one line buffer of a block's size.
+# one line buffer of a block's size; split, each piece takes its share of
+# the buffer's rows and of the box rows, and runs in as many blocks.
 _INVERSE_BLOCKS = 8
 
 
@@ -135,6 +169,12 @@ def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     ``irfftn(rfftn(f) * rfftn(k))``, so the result matches that formula
     bit for bit.  Tiny negative rounding residues are clipped to keep
     the result a valid sample field.
+
+    From a spectrum of 2^17 elements up, each line pass and the product
+    run in one piece per CPU, cut along an axis the pass does not
+    transform; the pieces of the last-axis inverse share the one line
+    buffer.  Each line and element is computed as in one piece, so the
+    bytes are the same on any number of CPUs.
     """
     _require_same_grid(f, k)
     grid = f.grid
@@ -144,7 +184,9 @@ def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     if kernel_spectrum is None:
         kernel_spectrum = _KERNEL_SPECTRA[k] = _padded_spectrum(k.values, L)
     spectrum = _padded_spectrum(f.values, L)
-    spectrum *= kernel_spectrum
+    _split(lambda start, stop: np.multiply(spectrum[start:stop], kernel_spectrum[start:stop],
+                                           out=spectrum[start:stop]),
+           L, spectrum.size)
     return GridFunction._adopt(grid, _box_inverse(spectrum, N, grid.cell_volume))
 
 
@@ -157,11 +199,26 @@ def _padded_spectrum(values: np.ndarray, L: int) -> np.ndarray:
     sign."""
     N, rank = values.shape[0], values.ndim
     spectrum = np.zeros((L,) * (rank - 1) + (L // 2 + 1,), dtype=np.complex128)
-    np.fft.rfft(values, L, axis=-1, out=spectrum[(slice(N),) * (rank - 1)])
+    head = spectrum[(slice(N),) * (rank - 1)]
+    _split(lambda start, stop: np.fft.rfft(values[start:stop], L, axis=-1,
+                                           out=head[start:stop]),
+           N, spectrum.size)
     for axis in reversed(range(rank - 1)):
-        lines = spectrum[(slice(N),) * axis]
-        np.fft.fft(lines, axis=axis, out=lines)
+        _transform_lines(np.fft.fft, spectrum[(slice(N),) * axis], axis, spectrum.size)
     return spectrum
+
+
+def _transform_lines(transform, lines: np.ndarray, axis: int, size: int) -> None:
+    """``transform(lines, axis=axis, out=lines)``, split along the
+    outermost axis that it does not transform."""
+    outer = 1 if axis == 0 else 0
+    lead = (slice(None),) * outer
+
+    def piece(start, stop):
+        part = lines[lead + (slice(start, stop),)]
+        transform(part, axis=axis, out=part)
+
+    _split(piece, lines.shape[outer], size)
 
 
 def _box_inverse(spectrum: np.ndarray, N: int, scale: float) -> np.ndarray:
@@ -170,18 +227,26 @@ def _box_inverse(spectrum: np.ndarray, N: int, scale: float) -> np.ndarray:
     axes are inverted in place in ``spectrum``."""
     rank, L = spectrum.ndim, spectrum.shape[0]
     box = slice(N // 2, N // 2 + N)
+    size = spectrum.size
     for axis in range(rank - 1):
-        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+        _transform_lines(np.fft.ifft, spectrum, axis, size)
         spectrum = spectrum[(slice(None),) * axis + (box,)]
     out = np.empty((N,) * rank)
     rows = -(-N // _INVERSE_BLOCKS)
     lines = np.empty((rows,) + (N,) * (rank - 2) + (L,))
-    for start in range(0, N, rows):
-        block = out[start:start + rows]
-        buffer = lines[:len(block)]
-        np.fft.irfft(spectrum[start:start + rows], L, axis=-1, out=buffer)
-        np.multiply(buffer[..., box], scale, out=block)
-        np.maximum(block, 0.0, out=block)
+
+    def inverse_rows(start, stop):
+        # the buffer's rows [start, stop) carry the box rows [first, last),
+        # that many at a time
+        first, last = start * N // rows, stop * N // rows
+        for row in range(first, last, stop - start):
+            block = out[row:min(row + stop - start, last)]
+            buffer = lines[start:start + len(block)]
+            np.fft.irfft(spectrum[row:row + len(block)], L, axis=-1, out=buffer)
+            np.multiply(buffer[..., box], scale, out=block)
+            np.maximum(block, 0.0, out=block)
+
+    _split(inverse_rows, rows, size)
     return out
 
 

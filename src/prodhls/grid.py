@@ -10,6 +10,8 @@ whole-space integrals.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -181,6 +183,69 @@ def sample_function(grid: ProductGrid, fn: Callable[..., np.ndarray]) -> GridFun
     return GridFunction(grid, vals)
 
 
+# CPUs this process may run on: _split cuts its work into this many pieces
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+# Work on fewer array elements than this runs in one piece, in the calling
+# thread: the measured crossover table is in prodhls.convolution's docstring
+_SPLIT_FLOOR = 1 << 17
+
+# One pool for the process, started on the first split; its threads idle
+# between splits
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="prodhls")
+        return _POOL
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the pool's threads, and would wait forever
+    # on work queued for them: it starts its own pool on its first split
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(fn: Callable[[int, int], object], count: int, size: int) -> None:
+    """Run ``fn(start, stop)`` over ``range(count)`` in one contiguous
+    piece per CPU, the first in the calling thread and the others in a
+    thread pool started on the first split.  Work on fewer than
+    ``_SPLIT_FLOOR`` elements runs as ``fn(0, count)`` in the calling
+    thread, and so does all work on one CPU.
+
+    ``fn`` must compute each index of its range the same way whichever
+    piece holds it: numpy transforms and ufuncs writing with ``out=`` into
+    arrays the calling thread allocated, so no worker grows its own
+    malloc arena.  It must call no name in a prodhls ``__all__``:
+    perfbench's layer tracer keeps one span stack, not one per thread.
+    """
+    pieces = min(_WORKERS, count) if size >= _SPLIT_FLOOR else 1
+    if pieces <= 1:
+        fn(0, count)
+        return
+    bounds = [count * i // pieces for i in range(pieces + 1)]
+    pool = _pool()
+    futures = [pool.submit(fn, start, stop) for start, stop in zip(bounds[1:-1], bounds[2:])]
+    try:
+        fn(bounds[0], bounds[1])
+    finally:
+        for future in futures:
+            future.exception()  # wait for every piece, even if this one raised
+    for future in futures:
+        future.result()
+
+
 def _check_exponent(p: float) -> None:
     if not 1.0 <= p < math.inf:  # NaN fails too; p = inf would give x ** 0 = 1
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -190,9 +255,16 @@ def lp_norm(f: GridFunction, p: float) -> float:
     """Discrete L^p norm: (sum of f^p times the cell volume) ** (1/p).
 
     Exact for cell-constant functions; zero iff ``f`` vanishes identically.
+    The powers are written into one array, from 2^17 cells up in one piece
+    of leading rows per CPU, and summed by one ``np.sum``: the bytes of
+    ``np.sum(f.values ** p)`` on any number of CPUs.
     """
     _check_exponent(p)
-    total = float(np.sum(f.values ** p))
+    values = f.values
+    powers = np.empty_like(values)
+    _split(lambda start, stop: np.power(values[start:stop], p, out=powers[start:stop]),
+           len(values), values.size)
+    total = float(np.sum(powers))
     return (total * f.grid.cell_volume) ** (1.0 / p)
 
 

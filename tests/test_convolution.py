@@ -3,6 +3,7 @@
 import gc
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from functools import reduce
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from prodhls import (Exponents, GridFunction, ProductGrid, convolve_direct,
                      convolve_fast, region_split, region_sums, riesz_kernel, sample_function)
 from prodhls import convolution
+from prodhls import grid as grid_module
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
 
@@ -140,7 +142,7 @@ def three_transform_convolve(f, k):
 
 
 @pytest.mark.parametrize("m, n, N", [(1, 1, 32), (2, 1, 8), (1, 2, 8), (2, 2, 8),
-                                     (1, 1, 2), (1, 1, 6)])
+                                     (1, 1, 2), (1, 1, 6), (1, 1, 512)])
 def test_fast_bytes_match_three_transform_formula(m, n, N):
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
@@ -200,13 +202,16 @@ def test_kernel_spectrum_cache_lets_the_kernel_go():
     assert len(convolution._KERNEL_SPECTRA) == before == 0
 
 
-@pytest.mark.parametrize("m, n, N", [(1, 1, 128), (2, 1, 32), (1, 2, 32), (2, 2, 16)])
+@pytest.mark.parametrize("m, n, N", [(1, 1, 128), (2, 1, 32), (1, 2, 32), (2, 2, 16),
+                                     (1, 1, 512)])
 def test_fast_peak_memory(m, n, N):
     # with the kernel's spectrum cached, one call holds f's zero-padded
-    # spectrum, the result and a line buffer of an eighth of the box rows:
-    # traced peaks of 3.60, 4.84, 4.84 and 6.80 fields, against 2.27,
-    # 3.52, 3.52 and 5.48 for the spectrum.  One more full-size array, such
-    # as a copy of the result or full-width inverse lines, breaks the bound
+    # spectrum, the result and line buffers of an eighth of the box rows
+    # in all: traced peaks of 3.60, 4.84, 4.84, 6.80 and 3.48 fields,
+    # against 2.27, 3.52, 3.52, 5.48 and 2.26 for the spectrum.  One more
+    # full-size array, such as a copy of the result or full-width inverse
+    # lines, breaks the bound; at N = 512 the passes are split, and the
+    # pieces' line buffers share the eighth
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = random_function(g, seed=12)
     k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
@@ -220,6 +225,23 @@ def test_fast_peak_memory(m, n, N):
     finally:
         tracemalloc.stop()
     assert peak <= spectrum_bytes + 1.5 * f.values.nbytes
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 512), (2, 1, 48)])
+def test_fast_bytes_do_not_depend_on_the_worker_count(monkeypatch, m, n, N):
+    # both shapes are above the split floor: every line pass and the
+    # product run in one piece per worker, the kernel's spectrum too
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    f = random_function(g, seed=23)
+    k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
+    L = 3 * N // 2
+    assert L ** (g.rank - 1) * (L // 2 + 1) >= grid_module._SPLIT_FLOOR
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(grid_module, "_WORKERS", workers)
+        monkeypatch.setattr(convolution, "_KERNEL_SPECTRA", weakref.WeakKeyDictionary())
+        results.append(convolve_fast(f, k).values.tobytes())
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_fast_result_is_not_copied(monkeypatch):

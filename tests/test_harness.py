@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 import prodhls
 import prodhls.convolution
+import prodhls.grid
 import prodhls.harness
 from prodhls import ConfigError, ExperimentConfig, make_family
 from prodhls.cli import main as cli_main
@@ -608,35 +610,68 @@ def test_cli_violation_dump(tmp_path, monkeypatch):
     assert payload["region"] == "region11"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test-only dependency; the CLI must not pull it in
+def fresh_interpreter(code):
+    """The stdout lines of ``python -c code`` in a fresh interpreter that
+    imports this checkout's prodhls."""
     src = str(Path(prodhls.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, prodhls.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.splitlines()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; the CLI must not pull it in.  Nor
+    # concurrent.futures, which the first split of a large array imports
+    code = ("import sys, prodhls.cli; "
+            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
+    assert fresh_interpreter(code) == ["False False"]
+
+
+def cli_run_in_fresh_interpreter(argv):
+    """Run the CLI on ``argv`` in a fresh interpreter; its exit code, whether
+    numpy.ma was loaded and the count of live threads, as one line."""
+    return fresh_interpreter(
+        "import sys, threading; from prodhls.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, 'numpy.ma' in sys.modules, threading.active_count())")[-1]
 
 
 def test_cli_pointwise_leaves_numpy_ma_unloaded(tmp_path):
     # plain np.unique imports numpy.ma, whose module state stays on the
     # heap: about 0.5 MB live and 1.3 MB more peak RSS in the pointwise
-    # runs.  A 2-d pointwise run in a fresh interpreter must not load it
+    # runs.  A 2-d pointwise run in a fresh interpreter must not load it,
+    # and its arrays are all below the split floor, so it starts no thread
     cfg_path = write_config(tmp_path, small_config(
         grid={"m": 2, "n": 1, "half_width": 1.0, "points_per_axis": 8},
         exponents={"alpha": 1.0, "beta": 0.5, "p": 4 / 3}, families=["gaussian", "random"],
         points_stride=4))
-    src = str(Path(prodhls.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys; from prodhls.cli import main; "
-            f"code = main(['pointwise', '--config', {str(cfg_path)!r}, '--out', "
-            f"{str(tmp_path / 'out')!r}]); print(code, 'numpy.ma' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    argv = ["pointwise", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert cli_run_in_fresh_interpreter(argv) == "0 False 1"
     assert (tmp_path / "out" / "certificates.json").exists()
+
+
+def test_cli_normcheck_starts_no_thread(tmp_path):
+    # normcheck's N = 128 convolutions and norms are below the split floor
+    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "normcheck.json"
+    argv = ["normcheck", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    code, _, threads = cli_run_in_fresh_interpreter(argv).split()
+    assert (code, threads) == ("0", "1")
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_sweep_norms_do_not_depend_on_the_worker_count(monkeypatch):
+    # the N = 512 sweep splits its transforms, products and powers into one
+    # piece per worker; every norm keeps the bytes of the one-piece run
+    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "necessity_balanced.json"
+    cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(prodhls.grid, "_WORKERS", workers)
+        monkeypatch.setattr(prodhls.convolution, "_KERNEL_SPECTRA", weakref.WeakKeyDictionary())
+        results.append([(r.norm_q.hex(), r.norm_p.hex()) for r in run_necessity_sweep(cfg).rows])
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 @pytest.mark.parametrize("argv", [["bench-maximal"],
