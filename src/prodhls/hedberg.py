@@ -371,8 +371,11 @@ def certify_points(f: GridFunction, exps: Exponents, points) -> list[HedbergCert
     f(x, .)||_p`` and n2 = ``||M2 f(., y)||_p``.  One
     :func:`~prodhls.maximal.node_maximals` call gives them at the nodes
     alone, from one pass over the dyadic windows the :func:`region_tables`
-    are built from, on the nodes' slices only.  A node's values are the
-    same bytes whichever other nodes are certified with it.
+    are built from, on the nodes' slices only: each block's window sums
+    are gathered at the nodes' slice centres alone, in chunks of centres
+    that bound the memory the gathers take, and read densely only on a
+    block whose every slice holds a node.  A node's values are the same
+    bytes whichever other nodes are certified with it.
 
     Gathers M f, n1 and n2 at all nodes and selects each node's case from
     them; picks the balancing radii in closed form; splits the convolution

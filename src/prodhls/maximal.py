@@ -17,15 +17,20 @@ node's x-slice and y-slice (a slice is the set of cells that share an
 index of one block).  M1 f and M2 f come from two single-block passes on
 the nodes' slices, and M f at a node is the largest of the two partial
 maximals there and of the product windows larger than one cell on both
-blocks, summed at the nodes' positions only.  :func:`maximal_fields` is
-the same pass at every node, which the composition check and the
+blocks, summed at the nodes' slice centres only.  :func:`maximal_fields`
+is the same pass at every node, which the composition check and the
 mixed-norm field G read.
 
-Window sums are read from one prefix sum per block pass: each window row
-is the difference of two slices of it, or of two gathers at the
-positions a set of slices takes on the block's last axis.  A disc's
-consecutive rows of one half-width share that difference, shifted, so it
-is built once per run of them into one reused buffer.  The block with
+Window sums are read from one prefix sum per block pass.  A block pass
+reads them at its centres, the block cells of the slices that hold a
+node: per radius it gathers both prefix-sum ends of every disc row at
+every centre, subtracts them and adds the rows in one reduce, in chunks
+of centres whose two gathers hold at most half the cells of the pass's
+input.  When every slice of a block holds a node, and for
+:func:`maximal_fields`, the pass reads densely instead: each window row
+is the difference of two slices of the prefix sum, and a disc's
+consecutive rows of one half-width share that difference, shifted, so
+it is built once per run of them into one reused buffer.  The block with
 more window rows (x when ``m > n``) is the outer pass, summed once; its
 slices are the slabs, and the other block's pass runs over f and over
 the slabs of the outer sums.  Each pass runs with its block's axes
@@ -33,7 +38,7 @@ leading, so every slice it reads or adds is a run of whole contiguous
 sub-arrays rather than strided rows of N values.  Every sum is added in
 the same order as row by row into zeros, and every operation is
 elementwise along the other block's axes, so the values are the same
-bytes in any layout and on any set of slices.
+bytes in any layout, in either read and on any set of slices.
 """
 
 from __future__ import annotations
@@ -74,64 +79,95 @@ def _window_rows(dim: int, rc: int) -> list[tuple[int, int]]:
     return [(d, math.isqrt(rc * rc - d * d - 1)) for d in offsets]
 
 
-def _window_sums(vals: np.ndarray, dim: int, radii: tuple[int, ...],
-                 positions=slice(None)):
+def _window_sums(vals: np.ndarray, dim: int, radii: tuple[int, ...], centres=None):
     """Yield ``(window sum, full cell count)`` over the block on the leading
-    ``dim`` axes of ``vals`` for each radius, zero-extended, at the cells
-    whose index on the block's last axis is in ``positions`` (ascending
-    indices; every index by default): one prefix sum along that axis, each
-    row added into place in ascending offset order.  The sums keep the
-    shape of ``vals`` with that axis cut to ``positions``, in C order
+    ``dim`` axes of ``vals`` for each radius, zero-extended: at every cell
+    of the block by default (the dense read), in the shape of ``vals``, or
+    at the block cells ``centres`` alone (ascending flat block indices),
+    with the block's axes cut to one axis of them.  The sums are in C order
     whatever the layout of ``vals``, which may be a transposed view.  Rows
     lying wholly outside the box add nothing but still count.
 
+    Both reads start from one prefix sum along the block's last axis.  When
+    a prefix row holds at least ``N^2`` values (every pass over f but at
+    rank (1,1)) it is built row by row, each row the last plus a row of
+    ``vals``; else ``vals`` is copied in and summed by one ``np.cumsum``,
+    whose strided loop is the faster on short rows.  Both add in the same
+    order, from ``csum[0] = 0.0``.
+
     A row of half-width ``w`` at cell ``i`` is ``H_w[i] = csum[min(i + w +
-    1, N)] - csum[max(i - w, 0)]``.  At every position it is read as two
-    slices of the prefix sum: ``csum[w + 1:]`` fills cells ``0 .. N - w -
-    1``, the total ``csum[N]`` the last ``w`` cells, and ``csum[:N - w]`` is
+    1, N)] - csum[max(i - w, 0)]``.  The dense read takes it as two slices
+    of the prefix sum: ``csum[w + 1:]`` fills cells ``0 .. N - w - 1``, the
+    total ``csum[N]`` the last ``w`` cells, and ``csum[:N - w]`` is
     subtracted from cells ``w ..``; cells below ``w`` would subtract
-    ``csum[0] = 0.0``, which leaves them unchanged, so they are skipped.  At
-    a set of positions both reads are gathers at the clipped indices, and
-    the cells below ``w`` subtract that ``0.0``.  Consecutive offsets of a
-    disc that share a half-width read the same ``H_w`` shifted along the
-    block's first axis, so ``H_w`` is built once per run of them, into one
-    reused buffer over the rows the run reads.  A 1-d block's one row is
-    built straight into the yielded array.
+    ``csum[0] = 0.0``, which leaves them unchanged, so they are skipped.
+    Consecutive offsets of a disc that share a half-width read the same
+    ``H_w`` shifted along the block's first axis, so ``H_w`` is built once
+    per run of them, into one reused buffer, and added into place in
+    ascending offset order.  A 1-d block's one row is built straight into
+    the yielded array.
+
+    The centre read gathers both ends of every disc row at every centre,
+    two arrays of (rows, centres, rest), subtracts them and adds the rows
+    in ascending offset order with one ``np.add.reduce``; a 1-d block's one
+    row is the difference itself.  A row that misses the box at a centre
+    reads ``csum[0] - csum[0] = 0.0``.  The chunk rule: the centres go in
+    chunks of ``N^dim // (4 * rows)`` (one at the least), so that the two
+    gathers of a chunk hold at most half the cells of ``vals``.
 
     Each sum is, bit for bit, the one the rows added one by one into zeros
-    give, at any set of positions: the additions and their order are the
-    same, ``csum`` starts from ``0.0`` so it holds no ``-0.0`` (nor does a
-    row, so ``0.0 + row`` is the row), and the one-cell window is ``vals +
-    0.0``.  Only that window reads ``vals``; the pass drops it after that,
-    and keeps no yielded sum alive."""
+    give, in either read: the additions and their order are the same,
+    ``csum`` starts from ``0.0`` so it holds no ``-0.0`` (nor does a row or
+    a sum of rows, so a ``0.0`` row added to a sum, or a sum started from
+    the first row instead of ``0.0``, changes nothing), and the one-cell
+    window is ``vals + 0.0``.  A reduce over the leading axis adds one row
+    after another.  numpy would sum a lone column pairwise, but a chunk is
+    one only at N = 2 (one slab, one outer radius, one centre), where one
+    of a disc's three rows misses the box: two numbers and a ``0.0`` add
+    up to the same bytes in any order.  Only the one-cell window reads
+    ``vals``; the pass drops it after that, and keeps no yielded sum
+    alive."""
     shape, N, last = vals.shape, vals.shape[0], dim - 1
     lead = (slice(None),) * last  # index prefix: the next index is on the block's last axis
-    every = isinstance(positions, slice)
-    out_shape = shape if every else shape[:last] + (len(positions),) + shape[dim:]
     csum = np.empty(shape[:last] + (N + 1,) + shape[dim:])
-    csum[(*lead, 0)] = 0.0
-    csum[(*lead, slice(1, None))] = vals
-    np.cumsum(csum, axis=last, out=csum)  # csum[k]: the first k cells
-    buf = np.empty(out_shape) if dim == 2 else None
+    csum[(*lead, 0)] = 0.0  # csum[k]: the first k cells
+    if csum[(*lead, 0)].size >= N * N:  # long rows: csum[k + 1] = csum[k] + vals[k]
+        for k in range(N):
+            np.add(csum[(*lead, k)], vals[(*lead, k)], out=csum[(*lead, k + 1)])
+    else:
+        csum[(*lead, slice(1, None))] = vals
+        np.cumsum(csum, axis=last, out=csum)
+    discs = [_window_rows(dim, rc) for rc in radii]
+    inside = [[(d, w) for d, w in rows if abs(d) < N] for rows in discs]
+    if centres is None:
+        buf = np.empty(shape) if dim == 2 else None
+    else:  # both ends of every disc row inside the box at every centre, as rows of ``flat``
+        # (row r * (N + 1) + k is csum[r, k], r = 0 in 1-d), each radius's rows after the last's
+        width = math.prod(shape[dim:])
+        flat = csum.reshape(N ** last * (N + 1), width)
+        first, col = divmod(centres, N)
+        offset, half = (np.array(v)[:, None] for v in zip(*itertools.chain(*inside)))
+        hi, lo = np.minimum(col + half + 1, N), np.maximum(col - half, 0)
+        if dim == 2:  # as in the dense read, the row at offset d reads H_w[i - d]
+            r = first - offset
+            on = (r >= 0) & (r < N)  # off the box, both ends read csum[0] = 0.0
+            r *= N + 1
+            hi, lo = np.where(on, hi + r, 0), np.where(on, lo + r, 0)
+        spans = itertools.pairwise(itertools.accumulate(map(len, inside), initial=0))
 
     def build(row, part, w):  # H_w from the prefix sums ``part`` into ``row``
         w = min(w, N)  # a row wider than the box spans all of it
-        if not every:
-            np.subtract(part[(*lead, np.minimum(positions + w + 1, N))],
-                        part[(*lead, np.maximum(positions - w, 0))], out=row)
-            return
         row[(*lead, slice(None, N - w))] = part[(*lead, slice(w + 1, None))]
         row[(*lead, slice(N - w, None))] = part[(*lead, slice(N, None))]
         row[(*lead, slice(w, None))] -= part[(*lead, slice(None, N - w))]
 
     def window_sum(rows):
         if dim == 1:
-            total = np.empty(out_shape)
+            total = np.empty(shape)
             build(total, csum, rows[0][1])
             return total
-        total = np.zeros(out_shape)
-        inside = [(d, w) for d, w in rows if abs(d) < N]
-        for w, run in itertools.groupby(inside, key=lambda dw: dw[1]):
+        total = np.zeros(shape)
+        for w, run in itertools.groupby(rows, key=lambda dw: dw[1]):
             ds = [d for d, _ in run]
             # the run reads source rows max(-d, 0) .. N - max(d, 0) - 1
             union = slice(max(-ds[-1], 0), N - max(ds[0], 0))
@@ -140,14 +176,29 @@ def _window_sums(vals: np.ndarray, dim: int, radii: tuple[int, ...],
                 total[max(d, 0):N - max(-d, 0)] += buf[max(-d, 0):N - max(d, 0)]
         return total
 
-    for rc in radii:
-        rows = _window_rows(dim, rc)
+    def centre_sum(span):  # the rows of ``hi`` and ``lo`` in ``span``: one radius
+        his, los = hi[span], lo[span]
+        total = np.empty((len(centres), width))
+        step = max(N ** dim // (4 * len(his)), 1)  # centres per chunk
+        for part in (slice(k, k + step) for k in range(0, len(centres), step)):
+            if len(his) == 1:  # one row: its difference is the sum
+                np.subtract(flat[his[0, part]], flat[los[0, part]], out=total[part])
+                continue
+            rows = flat[his[:, part]]
+            rows -= flat[los[:, part]]
+            np.add.reduce(rows, axis=0, out=total[part])
+            del rows
+        return total.reshape((len(centres),) + shape[dim:])
+
+    for rc, rows, kept in zip(radii, discs, inside):
         count = sum(2 * w + 1 for _, w in rows)
+        span = None if centres is None else slice(*next(spans))
         if rc == 1:  # the cell itself, added to 0.0 as into zeros: -0.0 becomes 0.0
-            yield np.add(vals[(*lead, positions)], 0.0, order="C"), count
-            vals = None  # the last read of the input
+            cell = vals if centres is None else vals[np.unravel_index(centres, (N,) * dim)]
+            yield np.add(cell, 0.0, order="C"), count
+            vals = cell = None  # the last read of the input
         else:  # no local keeps the yielded sum: the caller owns it
-            yield window_sum(rows), count
+            yield (window_sum(kept) if centres is None else centre_sum(span)), count
 
 
 def _block_keys(grid: ProductGrid, idx: np.ndarray, block: str) -> np.ndarray:
@@ -156,28 +207,15 @@ def _block_keys(grid: ProductGrid, idx: np.ndarray, block: str) -> np.ndarray:
     return np.ravel_multi_index(tuple(own.T), (grid.points_per_axis,) * own.shape[1])
 
 
-def _rows(keys: np.ndarray, positions, N: int) -> np.ndarray:
-    """The row of each flat block index of ``keys`` in the sums of a block
-    pass at ``positions`` on the block's last axis, with the block's axes
-    flattened."""
-    if isinstance(positions, slice):
-        return keys
-    return keys // N * len(positions) + np.searchsorted(positions, keys % N)
-
-
 def _block_reads(keys, dim: int, N: int):
     """The slices of a block that hold a node, whose flat block indices
-    are ``keys`` (``slice(None)`` for every node), ascending; the
-    positions they take on the block's last axis, where the block pass
-    reads its prefix sum; and the row of each slice in the pass's sums:
-    slices rather than index arrays at every position and for every
-    slice, so the full pass gathers nothing."""
-    held, on_axis = np.zeros(N ** dim, dtype=bool), np.zeros(N, dtype=bool)
+    are ``keys`` (``slice(None)`` for every node), ascending, and the
+    centres the block's passes read their window sums at: those slices,
+    or ``None``, the dense read, when every slice holds a node."""
+    held = np.zeros(N ** dim, dtype=bool)
     held[keys] = True
     slices = np.flatnonzero(held)
-    on_axis[slices % N] = True
-    positions = slice(None) if on_axis.all() else np.flatnonzero(on_axis)
-    return slices, positions, (slice(None) if held.all() else _rows(slices, positions, N))
+    return slices, (None if held.all() else slices)
 
 
 def _maximal_pass(f: GridFunction, x_keys, y_keys):
@@ -193,20 +231,20 @@ def _maximal_pass(f: GridFunction, x_keys, y_keys):
     passes over f, and M f at a node is the largest of three values: the
     outer block's maximal there, the inner block's there, and the product
     windows whose two factors are both larger than one cell.  Each pass
-    reads its prefix sum only at the positions its block's slices take on
-    the block's last axis, and keeps its field on those slices.  The outer
-    pass's slabs of each outer sum larger than one cell are gathered into
-    one array, at most a field's cells at a time, with the inner block's
-    axes leading, and the inner windows larger than one cell are summed
-    over them at the inner pass's positions only.  Every operation is
-    elementwise along the other block's axes, so a node's values are the
-    same bytes whichever other nodes are read.
+    reads its window sums only at its block's slices, the centres (see
+    :func:`_window_sums`).  The outer sums larger than one cell at the
+    outer centres are gathered into one array, at most a field's cells at
+    a time, with the inner block's axes leading, and the inner windows
+    larger than one cell are summed over them at the inner centres only,
+    one row per inner slice.  Every operation is elementwise along the
+    other block's axes, so a node's values are the same bytes whichever
+    other nodes are read.
 
     The outer block is summed once.  Each pass runs with its block's axes
     leading: the pass of the block that is not x reads f through a
     transposed view, which its prefix sum copies in the pass's order, and
-    the slabs of each outer sum are transposed once so that the inner
-    block leads.  Transposing moves values, not sums.
+    the outer sums are transposed once so that the inner block leads.
+    Transposing moves values, not sums.
     """
     grid = f.grid
     N, radii = grid.points_per_axis, _dyadic_radii(grid)
@@ -218,21 +256,21 @@ def _maximal_pass(f: GridFunction, x_keys, y_keys):
     width_o, width_i = N ** outer, N ** inner
     # each field starts as its first average, the one-cell window: the
     # maximum with zeros would be the same bytes, since no average is -0.0
-    i_slices, i_positions, rows = _block_reads(i_keys, inner, N)
+    i_slices, i_centres = _block_reads(i_keys, inner, N)
     m_in = None
-    for total, count_i in _window_sums(i_vals, inner, radii, i_positions):
-        part = total.reshape(-1, width_o)[rows]
+    for total, count_i in _window_sums(i_vals, inner, radii, i_centres):
+        part = total.reshape(-1, width_o)
         part /= count_i
         m_in = part if m_in is None else np.maximum(m_in, part, out=m_in)
         del total, part  # freed before the next sum is built
-    slabs, o_positions, rows = _block_reads(o_keys, outer, N)
-    # the product windows on the slabs, one row per inner cell at the inner positions
-    products = np.zeros((width_i // N * np.arange(N)[i_positions].size, len(slabs)))
+    slabs, o_centres = _block_reads(o_keys, outer, N)
+    # the product windows, one row per inner slice and one column per slab
+    products = np.zeros((len(i_slices), len(slabs)))
     per_gather = width_o // max(len(slabs), 1)  # outer radii per gather: a field's cells
     m_out, gathered, counts_o = None, None, []
     left = len(radii) - 1  # outer radii larger than one cell left to gather
-    for outer_sum, count_o in _window_sums(o_vals, outer, radii, o_positions):
-        slab = outer_sum.reshape(-1, width_i)[rows]
+    for outer_sum, count_o in _window_sums(o_vals, outer, radii, o_centres):
+        slab = outer_sum.reshape(-1, width_i)
         del outer_sum  # read through ``slab`` only
         if count_o > 1:
             if gathered is None:  # one buffer, reused by each gather
@@ -246,7 +284,7 @@ def _maximal_pass(f: GridFunction, x_keys, y_keys):
         if counts_o and (len(counts_o) == gathered.shape[1] or not left):
             batch = gathered[:, :len(counts_o)]
             for total, count_i in _window_sums(batch.reshape((N,) * inner + batch.shape[1:]),
-                                               inner, radii[1:], i_positions):
+                                               inner, radii[1:], i_centres):
                 total = total.reshape(len(products), len(counts_o), len(slabs))
                 for j, count_j in enumerate(counts_o):
                     part = total[:, j]
@@ -259,10 +297,9 @@ def _maximal_pass(f: GridFunction, x_keys, y_keys):
         np.maximum(mf, m_in, out=mf)
         mf = mf.T if x_outer else mf
     else:
-        at_slab = np.searchsorted(slabs, o_keys)
-        mf = np.maximum(products[_rows(i_keys, i_positions, N), at_slab],
-                        m_out[at_slab, i_keys])
-        np.maximum(mf, m_in[np.searchsorted(i_slices, i_keys), o_keys], out=mf)
+        at_o, at_i = np.searchsorted(slabs, o_keys), np.searchsorted(i_slices, i_keys)
+        mf = np.maximum(products[at_i, at_o], m_out[at_o, i_keys])
+        np.maximum(mf, m_in[at_i, o_keys], out=mf)
     return (mf, (slabs, m_out), (i_slices, m_in)) if x_outer else (
         mf, (i_slices, m_in), (slabs, m_out))
 
@@ -274,7 +311,11 @@ def node_maximals(f: GridFunction, p: float, points
     shape (K,), in input order, the bytes :func:`maximal_fields` and
     :func:`~prodhls.grid.slice_lp_norms_x` and ``_y`` give there.  M1 f
     and M2 f are computed on the nodes' x-slices and y-slices alone, and
-    M f at the nodes alone."""
+    M f at the nodes alone: each block pass reads its window sums only at
+    the nodes' slice centres (one gather of every disc row's two prefix-sum
+    ends per radius, in chunks whose gathers hold at most half a pass
+    input's cells), and densely on a block whose every slice holds a
+    node.  No nodes give three empty arrays."""
     _check_exponent(p)
     grid = f.grid
     idx = normalize_points(points, grid.rank, grid.points_per_axis)

@@ -310,6 +310,29 @@ def test_window_sums_match_the_gather(m, n, N, kind):
             assert ca == cb and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["uniform", "signed-zero"])
+@pytest.mark.parametrize("N", [6, 16])
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_centre_reads_match_the_dense_read(m, n, N, kind):
+    # the sums read at a set of centres are, byte for byte, the dense
+    # sums at those block cells, one row per centre, on both blocks of a
+    # transposed view: the first cell, the last, every other cell, and
+    # every cell but one, which takes several chunks at each radius
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    f = sampled_input(g, kind)
+    radii = _dyadic_radii(g)
+    for axes in (tuple(range(m)), tuple(range(m, m + n))):
+        dim, cells = len(axes), N ** len(axes)
+        vals = np.moveaxis(f.values, axes, tuple(range(dim)))
+        dense = [total.reshape(cells, -1) for total, _ in _window_sums(vals, dim, radii)]
+        for centres in (np.array([0]), np.array([cells - 1]), np.arange(0, cells, 2),
+                        np.delete(np.arange(cells), cells // 2)):
+            got = _window_sums(vals, dim, radii, centres)
+            for (total, _), want in zip(got, dense, strict=True):
+                assert total.shape == (len(centres),) + vals.shape[dim:]
+                assert total.tobytes() == want[centres].tobytes()
+
+
 def stride_nodes(g, stride):
     """The nodes whose every index is a multiple of ``stride``, one per row."""
     axis = np.arange(0, g.points_per_axis, stride)
@@ -319,10 +342,22 @@ def stride_nodes(g, stride):
 def node_sets(g):
     """The node sets the node path is checked on, by name."""
     rng = np.random.default_rng(g.rank * 1000 + g.points_per_axis)
+    N = g.points_per_axis
     sample = stride_nodes(g, 8)
     shuffled = np.concatenate([sample, sample[:3], stride_nodes(g, 3)[::5]])
-    return {"stride-8": sample, "corner": np.full((1, g.rank), g.points_per_axis - 1),
+    # every slice of one block holds a node, each paired with one of the
+    # other block's stride-8 slices, which leave some of its slices empty:
+    # one call reads one block densely and the other at its centres
+    x_all, y_all = (np.array(list(np.ndindex(*(N,) * dim))) for dim in (g.m, g.n))
+    x_some, y_some = np.unique(sample[:, :g.m], axis=0), np.unique(sample[:, g.m:], axis=0)
+    every_x = np.hstack([x_all, y_some[np.arange(len(x_all)) % len(y_some)]])
+    every_y = np.hstack([x_some[np.arange(len(y_all)) % len(x_some)], y_all])
+    return {"stride-8": sample, "corner": np.full((1, g.rank), N - 1),
             "shuffled-with-duplicates": shuffled[rng.permutation(len(shuffled))],
+            "every-x-slice": every_x, "every-y-slice": every_y,
+            # (N/2)^dim slices per block, more centres than the N^dim // (4 *
+            # rows) of one chunk at every radius but the cell's, from N = 4
+            "stride-2": stride_nodes(g, 2),
             "every-node": stride_nodes(g, 1)}
 
 
@@ -341,13 +376,14 @@ def separate_partial_passes(f):
 
 @pytest.mark.parametrize("kind", ["uniform", "sparse", "signed-zero"])
 @pytest.mark.parametrize("m, n, N", [(1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6), (1, 1, 128),
-                                     (2, 1, 32), (1, 2, 32), (2, 2, 16)])
-def test_slab_fields_match_the_full_pass(m, n, N, kind):
+                                     (2, 1, 32), (1, 2, 32), (2, 2, 16), (2, 2, 2)])
+def test_node_maximals_match_the_full_pass(m, n, N, kind):
     # node_maximals on every node set, in input order: M f is, byte for
     # byte, the full double loop's at the nodes, and n1 and n2 are those of
     # slice_lp_norms_x and _y on the single-block passes' full fields, at
     # the nodes' x- and y-indices.  The corner node and the stride-8 nodes
-    # at N = 6 read one slice of each block
+    # at N = 6 read one slice of each block.  At N = 2 (radii 1 and 2) the
+    # corner node's product pass reads one column at one centre
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = sampled_input(g, kind)
     full = separate_strong_pass(f, m > n)
@@ -365,14 +401,28 @@ def test_slab_fields_match_the_full_pass(m, n, N, kind):
             assert got[2].tobytes() == n2[ys].tobytes(), (name, p)
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_node_maximals_of_no_nodes(m, n):
+    # no nodes, as an empty sequence or a (0, rank) array: three empty
+    # float64 arrays; the product pass then runs on no slabs at no centres
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=6)
+    f = sampled_input(g, "uniform")
+    for points in ([], np.empty((0, g.rank), dtype=np.intp)):
+        got = node_maximals(f, 4 / 3, points)
+        assert [(a.shape, a.dtype) for a in got] == [((0,), np.float64)] * 3
+
+
 def recorded_passes(monkeypatch):
-    """Record the array, the radii and the positions of every
-    ``_window_sums`` call."""
+    """Record the array, the radii and the centres of every
+    ``_window_sums`` call, and the shape of each sum it yields."""
     calls = []
 
-    def record(vals, dim, radii, positions=slice(None), real=maximal._window_sums):
-        calls.append((vals.copy(), radii, positions))
-        return real(vals, dim, radii, positions)
+    def record(vals, dim, radii, centres=None, real=maximal._window_sums):
+        shapes = []
+        calls.append((vals.copy(), radii, centres, shapes))
+        for total, count in real(vals, dim, radii, centres):
+            shapes.append(total.shape)
+            yield total, count
 
     monkeypatch.setattr(maximal, "_window_sums", record)
     return calls
@@ -380,12 +430,13 @@ def recorded_passes(monkeypatch):
 
 @pytest.mark.parametrize("stride, slabs", [(8, 4), (1, 256)])
 def test_product_pass_sees_only_the_node_slabs(monkeypatch, stride, slabs):
-    # (2,2) N=16: y is the outer block, so a slab is a y-index.  Both block
-    # passes read their prefix sums only at the node columns (the nodes'
-    # x2 and y2), every column through slices at stride 1.  The product
-    # windows, both factors larger than one cell, are summed on the node
-    # slabs of each outer sum and read at the node columns only: 4 of 256
-    # slabs and the columns [0, 8] at stride 8.  The one-cell outer window
+    # (2,2) N=16: y is the outer block, so a slab is a y-slice.  Every block
+    # pass reads its window sums only at the centres, the flat block indices
+    # of the slices that hold a node: 4 of 256 at stride 8, so each sum has
+    # one row per centre; at stride 1 every slice holds a node and the sums
+    # are read densely, one per block cell.  The product windows, both
+    # factors larger than one cell, are summed on the node slabs of each
+    # outer sum and read at the x centres only.  The one-cell outer window
     # is never gathered, at either stride: M1 f at the nodes holds it
     g = ProductGrid(m=2, n=2, half_width=1.0, points_per_axis=16)
     f = sampled_input(g, "uniform")
@@ -393,17 +444,24 @@ def test_product_pass_sees_only_the_node_slabs(monkeypatch, stride, slabs):
     calls = recorded_passes(monkeypatch)
     node_maximals(f, 4 / 3, nodes)
     radii = _dyadic_radii(g)
-    (x_vals, x_radii, x_cols), (y_vals, y_radii, y_cols), *products = calls
+    x_centres = np.unique(nodes[:, 0] * 16 + nodes[:, 1])
+    y_centres = np.unique(nodes[:, 2] * 16 + nodes[:, 3])
+    (x_vals, x_radii, x_at, x_shapes), (y_vals, y_radii, y_at, y_shapes), *products = calls
     assert x_vals.tobytes() == f.values.tobytes()
     assert y_vals.tobytes() == np.moveaxis(f.values, (2, 3), (0, 1)).tobytes()
     assert x_radii == y_radii == radii
-    assert products and all(r == radii[1:] for _, r, _ in products)
-    for cols in (x_cols, y_cols, *(p for _, _, p in products)):
+    assert products and all(r == radii[1:] for _, r, _, _ in products)
+    for at, centres in ((x_at, x_centres), (y_at, y_centres),
+                        *((p[2], x_centres) for p in products)):
         if stride == 1:
-            assert cols == slice(None)
+            assert at is None
         else:
-            assert cols.tolist() == [0, 8]
-    gathered = np.concatenate([vals for vals, _, _ in products], axis=-2)
+            assert at.tolist() == centres.tolist() == [0, 8, 128, 136]
+    lead = (16, 16) if stride == 1 else (4,)
+    assert set(x_shapes) == set(y_shapes) == {lead + (16, 16)}
+    for vals, _, _, shapes in products:
+        assert set(shapes) == {lead + vals.shape[2:]}
+    gathered = np.concatenate([vals for vals, _, _, _ in products], axis=-2)
     # x leads, then the outer radius, then the slab
     assert gathered.shape == (16, 16, len(radii) - 1, slabs)
     # the slab columns are the y-block outer sums at the nodes' y-indices
@@ -418,10 +476,13 @@ def test_maximal_fields_peak_memory(m, n, N):
     # the traced peak of one pass, in field-sized arrays.  The full pass
     # holds the three fields, a prefix sum and a buffer per 2-d block pass
     # and the sums in flight; the pointwise runs' peak RSS rises with it.
-    # At the stride-8 nodes (node_maximals) every pass runs on a few
-    # slices, and what is left is one block pass's prefix sum, which reads
-    # a transposed input through a view (1.92 fields at (2,2) N=16, 2.04 at
-    # (2,1) N=32): a contiguous copy of the transposed input would pass 2.25
+    # At the stride-8 nodes (node_maximals) every pass reads a few
+    # centres, and what is left is one block pass's prefix sum, which reads
+    # a transposed input through a view, and the two gathers of one chunk
+    # of centres, at most half a field (1.69 fields at (2,2) N=16, 2.01 at
+    # (2,1) N=32).  Chunks twice as large read 2.18 and 2.51, a single
+    # chunk 2.18 and 3.48, and a contiguous copy of the transposed input
+    # would pass 2.25 too
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = sampled_input(g, "uniform")
     nodes = stride_nodes(g, 8)
