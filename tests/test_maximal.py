@@ -377,7 +377,7 @@ def separate_partial_passes(f):
 @pytest.mark.parametrize("kind", ["uniform", "sparse", "signed-zero"])
 @pytest.mark.parametrize("m, n, N", [(1, 1, 6), (2, 1, 6), (1, 2, 6), (2, 2, 6), (1, 1, 128),
                                      (2, 1, 32), (1, 2, 32), (2, 2, 16), (2, 2, 2)])
-def test_node_maximals_match_the_full_pass(m, n, N, kind):
+def test_slab_fields_match_the_full_pass(m, n, N, kind):
     # node_maximals on every node set, in input order: M f is, byte for
     # byte, the full double loop's at the nodes, and n1 and n2 are those of
     # slice_lp_norms_x and _y on the single-block passes' full fields, at
