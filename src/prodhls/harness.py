@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,6 @@ _FAMILY_PARAMS = {
     "random": {},
 }
 FAMILY_NAMES = tuple(_FAMILY_PARAMS)
-_CONFIG_KEYS = ("grid", "exponents", "families", "family_params",
-                "dilations", "seed", "points_stride", "tolerances")
 # The tolerance keys each experiment reads; it rejects every other key.
 _TOLERANCE_READERS = {"pointwise": ("suite_constant", "stability_factor"),
                       "necessity": ("slope_tolerance",),
@@ -71,7 +69,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.  :meth:`from_dict` and
+    direct construction share one rule set, checked here once per field;
+    ``None`` (JSON ``null``) is a wrong value, never a default."""
 
     grid: ProductGrid
     exponents: Exponents
@@ -83,6 +83,10 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.families, (list, tuple))
+                and all(isinstance(f, str) for f in self.families)):
+            raise ConfigError(f"families must be a list of strings, got {self.families!r}")
+        self.families = tuple(self.families)
         if not self.families:
             raise ConfigError("families must be nonempty")
         for name in self.families:
@@ -94,6 +98,11 @@ class ExperimentConfig:
             floor = 1.0 if key == "stability_factor" else 0.0
             if not _number(value, f"tolerances {key}") > floor:
                 raise ConfigError(f"tolerances {key} must be > {floor}, got {value!r}")
+        if not (isinstance(self.dilations, (list, tuple)) and all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in self.dilations)):
+            raise ConfigError(f"dilations must be a list of [s, t] pairs, got {self.dilations!r}")
+        self.dilations = tuple((float(_number(s, "dilation s")), float(_number(t, "dilation t")))
+                               for s, t in self.dilations)
         for what, items in (("family", self.families), ("dilation pair", self.dilations)):
             if repeated := sorted({str(x) for x in items if items.count(x) > 1}):
                 raise ConfigError(f"repeated {what}: {', '.join(repeated)}")
@@ -102,9 +111,9 @@ class ExperimentConfig:
         for s, t in self.dilations:
             if not (0.0 < s < math.inf and 0.0 < t < math.inf):
                 raise ConfigError(f"dilations must be positive and finite, got ({s}, {t})")
-        if self.seed < 0:
+        if _number(self.seed, "seed", integer=True) < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.points_stride < 1:
+        if _number(self.points_stride, "points_stride", integer=True) < 1:
             raise ConfigError(f"points_stride must be >= 1, got {self.points_stride}")
         if max(self.grid.m, self.grid.n) == 2 and self.grid.points_per_axis > 48:
             raise ConfigError(
@@ -116,33 +125,17 @@ class ExperimentConfig:
         """Parse a JSON config; unknown keys, non-finite numbers and
         non-integer counts raise :class:`ConfigError`."""
         try:
-            _check_keys(raw, _CONFIG_KEYS, "config")
+            _check_keys(raw, {f.name for f in fields(cls)}, "config")
             g = _check_keys(raw["grid"], ("m", "n", "half_width", "points_per_axis"), "grid")
-            seed, stride = raw.get("seed", 0), raw.get("points_stride", 8)
-            for where, value in (("grid m", g["m"]), ("grid n", g["n"]),
-                                 ("grid points_per_axis", g["points_per_axis"]),
-                                 ("seed", seed), ("points_stride", stride)):
-                _number(value, where, integer=True)
+            for key in ("m", "n", "points_per_axis"):
+                _number(g[key], f"grid {key}", integer=True)
             grid = ProductGrid(m=g["m"], n=g["n"],
                                half_width=float(_number(g["half_width"], "grid half_width")),
                                points_per_axis=g["points_per_axis"])
             e = _check_keys(raw["exponents"], ("alpha", "beta", "p", "q"), "exponents")
-            e = {k: float(_number(v, f"exponents {k}")) for k, v in e.items() if v is not None}
-            if "q" in e:
-                exps = Exponents(m=grid.m, n=grid.n, **e)
-            else:
-                exps = Exponents.from_balance(m=grid.m, n=grid.n, **e)
-            families = raw.get("families")
-            if families is None:
-                families = ["gaussian"]
-            if not (isinstance(families, list) and all(isinstance(f, str) for f in families)):
-                raise ConfigError(f"families must be a list of strings, got {families!r}")
-            dil = tuple((float(_number(s, "dilation s")), float(_number(t, "dilation t")))
-                        for s, t in raw.get("dilations", [(1.0, 1.0)]))
-            return cls(grid=grid, exponents=exps, families=tuple(families),
-                       family_params=dict(raw.get("family_params", {})),
-                       dilations=dil, seed=seed, points_stride=stride,
-                       tolerances=dict(raw.get("tolerances", {})))
+            e = {k: float(_number(v, f"exponents {k}")) for k, v in e.items()}
+            exps = (Exponents if "q" in e else Exponents.from_balance)(m=grid.m, n=grid.n, **e)
+            return cls(**dict(raw, grid=grid, exponents=exps))
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -38,7 +38,7 @@ import numpy as np
 from .convolution import RegionBounds, region_sums
 from .grid import GridFunction, ProductGrid, check_positive, lp_norm, normalize_points
 from .kernel import Exponents, block_factors, check_blocks, sphere_surface
-from .maximal import _dyadic_radii, _window_rows, node_maximals
+from .maximal import _dyadic_radii, _window_cells, node_maximals
 
 __all__ = [
     "ExponentError",
@@ -114,17 +114,13 @@ def _block_table(grid: ProductGrid, dim: int, norm: np.ndarray, factor: np.ndarr
         raise ExponentError(f"tail_{side}",
                             f"{side}-block tail (d - a) p' = {decay} must exceed d = {dim}")
     N = grid.points_per_axis
-    # offset j sits N/2 - j cells from the node on each block axis; a window
-    # row is an offset d along the block's first axis (0 for a 1-d block)
-    # and a half-width w along its last
+    # offset j sits N/2 - j cells from the node on each block axis; count is
+    # the divisor of the smallest dyadic window holding it, the first of
+    # radius rc with |N/2 - j|^2 < rc^2 (the rule of maximal._window_rows)
     delta = N // 2 - np.indices((N,) * dim).reshape(dim, -1)
-    first, last = delta[0] * (dim == 2), np.abs(delta[-1])
-    count = np.empty(norm.size)  # cells of the smallest window holding the offset
-    for rc in reversed(_dyadic_radii(grid)):
-        d, w = np.array(_window_rows(dim, rc)).T
-        half = np.full(4 * N, -1)  # |d| < rc < 2N
-        half[d + 2 * N] = w
-        count[last <= half[first + 2 * N]] = np.sum(2 * w + 1)  # maximal_fields' divisor
+    radii = _dyadic_radii(grid)
+    cells = np.array([_window_cells(dim, rc) for rc in radii], dtype=np.float64)
+    count = cells[np.searchsorted(np.square(radii), np.sum(delta ** 2, axis=0), side="right")]
     shells, at_shell, shell_of = np.unique(norm, return_index=True, return_inverse=True)
     size = np.zeros(shells.size)
     np.maximum.at(size, shell_of, count)

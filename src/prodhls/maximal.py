@@ -72,11 +72,19 @@ def _dyadic_radii(grid: ProductGrid) -> tuple[int, ...]:
 
 
 def _window_rows(dim: int, rc: int) -> list[tuple[int, int]]:
-    """Rows of the block window of strict radius ``rc`` cells: each row is
-    an offset along the block's first axis and a half-width along its
-    last axis.  A 1-d block is the one row ``(0, rc - 1)``."""
+    """Rows of the block window of strict radius ``rc`` cells, which holds
+    exactly the cell offsets ``(d, e)`` with ``d^2 + e^2 < rc^2``: each row
+    is an offset d along the block's first axis and the half-width
+    ``isqrt(rc^2 - d^2 - 1)`` of its offsets e along the last axis.  A 1-d
+    block is the one row ``(0, rc - 1)``."""
     offsets = range(1 - rc, rc) if dim == 2 else (0,)
     return [(d, math.isqrt(rc * rc - d * d - 1)) for d in offsets]
+
+
+def _window_cells(dim: int, rc: int) -> int:
+    """Full cell count of the block window of strict radius ``rc``, the
+    divisor of its average."""
+    return sum(2 * w + 1 for _, w in _window_rows(dim, rc))
 
 
 def _window_sums(vals: np.ndarray, dim: int, radii: tuple[int, ...], centres=None):
@@ -137,8 +145,7 @@ def _window_sums(vals: np.ndarray, dim: int, radii: tuple[int, ...], centres=Non
     else:
         csum[(*lead, slice(1, None))] = vals
         np.cumsum(csum, axis=last, out=csum)
-    discs = [_window_rows(dim, rc) for rc in radii]
-    inside = [[(d, w) for d, w in rows if abs(d) < N] for rows in discs]
+    inside = [[(d, w) for d, w in _window_rows(dim, rc) if abs(d) < N] for rc in radii]
     if centres is None:
         buf = np.empty(shape) if dim == 2 else None
     else:  # both ends of every disc row inside the box at every centre, as rows of ``flat``
@@ -190,8 +197,8 @@ def _window_sums(vals: np.ndarray, dim: int, radii: tuple[int, ...], centres=Non
             del rows
         return total.reshape((len(centres),) + shape[dim:])
 
-    for rc, rows, kept in zip(radii, discs, inside):
-        count = sum(2 * w + 1 for _, w in rows)
+    for rc, kept in zip(radii, inside):
+        count = _window_cells(dim, rc)
         span = None if centres is None else slice(*next(spans))
         if rc == 1:  # the cell itself, added to 0.0 as into zeros: -0.0 becomes 0.0
             cell = vals if centres is None else vals[np.unravel_index(centres, (N,) * dim)]
@@ -267,6 +274,18 @@ def _maximal_pass(f: GridFunction, x_keys, y_keys):
     # the product windows, one row per inner slice and one column per slab
     products = np.zeros((len(i_slices), len(slabs)))
     per_gather = width_o // max(len(slabs), 1)  # outer radii per gather: a field's cells
+
+    def product_batch(counts):  # the inner windows over the gathered outer sums
+        batch = gathered[:, :len(counts)]
+        for total, count_i in _window_sums(batch.reshape((N,) * inner + batch.shape[1:]),
+                                           inner, radii[1:], i_centres):
+            total = total.reshape(len(products), len(counts), len(slabs))
+            for j, count_j in enumerate(counts):
+                part = total[:, j]
+                part /= count_i * count_j
+                np.maximum(products, part, out=products)
+            del total, part  # freed before the next sum is built
+
     m_out, gathered, counts_o = None, None, []
     left = len(radii) - 1  # outer radii larger than one cell left to gather
     for outer_sum, count_o in _window_sums(o_vals, outer, radii, o_centres):
@@ -281,17 +300,12 @@ def _maximal_pass(f: GridFunction, x_keys, y_keys):
         slab /= count_o
         m_out = slab if m_out is None else np.maximum(m_out, slab, out=m_out)
         del slab
-        if counts_o and (len(counts_o) == gathered.shape[1] or not left):
-            batch = gathered[:, :len(counts_o)]
-            for total, count_i in _window_sums(batch.reshape((N,) * inner + batch.shape[1:]),
-                                               inner, radii[1:], i_centres):
-                total = total.reshape(len(products), len(counts_o), len(slabs))
-                for j, count_j in enumerate(counts_o):
-                    part = total[:, j]
-                    part /= count_i * count_j
-                    np.maximum(products, part, out=products)
-                del total, part  # freed before the next sum is built
+        if counts_o and left and len(counts_o) == gathered.shape[1]:
+            product_batch(counts_o)
             counts_o = []
+    # the last batch runs once the outer pass has ended and freed its prefix sum
+    if counts_o:
+        product_batch(counts_o)
     if isinstance(o_keys, slice):  # every node: the fields are read whole
         mf = np.maximum(products, m_out.T, out=products)
         np.maximum(mf, m_in, out=mf)

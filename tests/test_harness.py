@@ -169,6 +169,13 @@ def test_config_rejects_missing_q_when_unbalanced():
      "tolerances norm_constant must be > 0.0"),
     (lambda raw: raw.update(tolerances={"slope_tolerance": -0.01}),
      "tolerances slope_tolerance must be > 0.0"),
+    # null is a wrong value, not an omitted key: no default stands in for it
+    (lambda raw: raw.update(families=None), "families must be a list of strings, got None"),
+    (lambda raw: raw["exponents"].update(q=None), "exponents q must be a finite number"),
+    (lambda raw: raw.update(tolerances=[["slope_tolerance", 0.05]]),
+     "tolerances must be a JSON object"),
+    (lambda raw: raw.update(family_params=[["gaussian", {"sigma": 0.2}]]),
+     "family_params must be a JSON object"),
 ], ids=["top-level", "grid", "exponents", "tolerance-key", "family-param-key",
         "family-params-family", "family-param-of-other-family", "family-params-list",
         "family-params-null", "family-params-false", "family-params-zero",
@@ -181,13 +188,26 @@ def test_config_rejects_missing_q_when_unbalanced():
         "string-dilation", "string-families", "nested-families", "list-family",
         "family-and-families", "repeated-family", "repeated-dilation",
         "unit-stability-factor", "half-stability-factor", "zero-stability-factor",
-        "zero-suite-constant", "negative-norm-constant", "negative-slope-tolerance"])
+        "zero-suite-constant", "negative-norm-constant", "negative-slope-tolerance",
+        "null-families", "null-q", "tolerance-pairs", "family-params-pairs"])
 def test_config_rejects_malformed(edit, message):
     raw = small_config()
     edit(raw)
     # the message names the offending key
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", True, "seed must be an integer"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("points_stride", 2.5, "points_stride must be an integer"),
+    ("dilations", (("2.0", 1.0),), "dilation s must be a finite number"),
+], ids=["bool-seed", "float-seed", "float-stride", "string-dilation"])
+def test_config_built_in_python_obeys_the_json_rules(field, value, message):
+    cfg = ExperimentConfig.from_dict(small_config())
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(grid=cfg.grid, exponents=cfg.exponents, **{field: value})
 
 
 def test_config_accepts_every_documented_key():
@@ -494,9 +514,14 @@ def test_cli_config_error_exit_code(tmp_path):
     for seed in ([], ["--seed", "3"]):
         assert cli_main(["normcheck", "--config", str(listed), "--out", str(tmp_path / "o"),
                          *seed]) == 2
-    # a repeated family would run twice, and a factor below 1 could never pass
+    # a repeated family would run twice, and a factor below 1 could never pass;
+    # null families or a null q are errors, not the gaussian or the balanced q
+    null_q = small_config()
+    null_q["exponents"]["q"] = None
     for name, raw in (("twice.json", small_config(families=["gaussian", "gaussian"])),
-                      ("never.json", small_config(tolerances={"stability_factor": 0.5}))):
+                      ("never.json", small_config(tolerances={"stability_factor": 0.5})),
+                      ("no-families.json", small_config(families=None)),
+                      ("no-q.json", null_q)):
         cfg_path = write_config(tmp_path, raw, name)
         assert cli_main(["normcheck", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2

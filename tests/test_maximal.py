@@ -471,7 +471,7 @@ def test_product_pass_sees_only_the_node_slabs(monkeypatch, stride, slabs):
     assert gathered.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("m, n, N", [(2, 2, 16), (2, 1, 32)])
+@pytest.mark.parametrize("m, n, N", [(2, 2, 16), (2, 1, 32), (1, 1, 128)])
 def test_maximal_fields_peak_memory(m, n, N):
     # the traced peak of one pass, in field-sized arrays.  The full pass
     # holds the three fields, a prefix sum and a buffer per 2-d block pass
@@ -479,15 +479,17 @@ def test_maximal_fields_peak_memory(m, n, N):
     # At the stride-8 nodes (node_maximals) every pass reads a few
     # centres, and what is left is one block pass's prefix sum, which reads
     # a transposed input through a view, and the two gathers of one chunk
-    # of centres, at most half a field (1.69 fields at (2,2) N=16, 2.01 at
+    # of centres, at most half a field (1.69 fields at (2,2) N=16, 2.02 at
     # (2,1) N=32).  Chunks twice as large read 2.18 and 2.51, a single
     # chunk 2.18 and 3.48, and a contiguous copy of the transposed input
-    # would pass 2.25 too
+    # would pass 2.25 too.  At (1,1) N=128 the product pass gathers up to
+    # a field of outer sums and sums it (2.66 fields); run while the outer
+    # pass still held its prefix sum, its last batch read 3.54
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = sampled_input(g, "uniform")
     nodes = stride_nodes(g, 8)
     for run, fields in ((lambda: maximal_fields(f), 11),
-                        (lambda: node_maximals(f, 4 / 3, nodes), 2.25)):
+                        (lambda: node_maximals(f, 4 / 3, nodes), 3.0 if m + n == 2 else 2.25)):
         run()
         tracemalloc.start()
         try:
