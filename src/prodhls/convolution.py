@@ -57,7 +57,12 @@ norm.  It splits every entry from 147456 up, each faster split, and none
 at 74112 or below, where a split can be slower; the 110592-cell norm
 stays in one piece.  It keeps the N = 128 ``normcheck`` sweep and the
 pointwise campaigns' norms (32^3 and 16^4 cells) in one piece, so they
-start no thread.
+start no thread.  The sweeps measure a tensor-product family block by
+block, convolving each block factor with the kernel's through
+:func:`_convolve_block` (the same passes on one (N,) or (N, N) block),
+so of the sweeps only the random family's rows still reach the split:
+at (1, 1) N = 512 its convolutions and norms do.  No reference config
+and no benchmark workload runs such a row.
 
 :func:`region_sums` reads the kernel as x-factor times y-factor, so the
 four region sums at a node come from one two-sided block contraction of
@@ -183,11 +188,34 @@ def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     kernel_spectrum = _KERNEL_SPECTRA.get(k)
     if kernel_spectrum is None:
         kernel_spectrum = _KERNEL_SPECTRA[k] = _padded_spectrum(k.values, L)
-    spectrum = _padded_spectrum(f.values, L)
+    return GridFunction._adopt(grid, _convolved(f.values, kernel_spectrum, grid.cell_volume))
+
+
+def _convolve_block(values: np.ndarray, kernel: np.ndarray, scale: float) -> np.ndarray:
+    """Convolve two (N,)*dim arrays as :func:`convolve_fast` convolves a
+    field with its kernel, the result scaled by ``scale`` (h^dim for a
+    block of dimension dim); the sweeps convolve each block factor of a
+    tensor-product function with the kernel's this way, at dim 1 or 2."""
+    return _convolved(values, _padded_spectrum(kernel, 3 * len(values) // 2), scale)
+
+
+def _convolved(values: np.ndarray, kernel_spectrum: np.ndarray, scale: float) -> np.ndarray:
+    """The box of the padded convolution of ``values`` with the kernel
+    whose padded spectrum is given, times ``scale`` and clipped at 0, as
+    a fresh array; the product is formed in place in the spectrum of
+    ``values``."""
+    N = len(values)
+    spectrum = _padded_spectrum(values, 3 * N // 2)
     _split(lambda start, stop: np.multiply(spectrum[start:stop], kernel_spectrum[start:stop],
                                            out=spectrum[start:stop]),
-           L, spectrum.size)
-    return GridFunction._adopt(grid, _box_inverse(spectrum, N, grid.cell_volume))
+           len(spectrum), spectrum.size)
+    return _box_inverse(spectrum, N, scale)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as rows along its first axis for a line pass over its last
+    axis: a 1-d array is one row of its own."""
+    return a if a.ndim > 1 else a[None]
 
 
 def _padded_spectrum(values: np.ndarray, L: int) -> np.ndarray:
@@ -199,10 +227,10 @@ def _padded_spectrum(values: np.ndarray, L: int) -> np.ndarray:
     sign."""
     N, rank = values.shape[0], values.ndim
     spectrum = np.zeros((L,) * (rank - 1) + (L // 2 + 1,), dtype=np.complex128)
-    head = spectrum[(slice(N),) * (rank - 1)]
-    _split(lambda start, stop: np.fft.rfft(values[start:stop], L, axis=-1,
+    rows, head = _rows(values), _rows(spectrum[(slice(N),) * (rank - 1)])
+    _split(lambda start, stop: np.fft.rfft(rows[start:stop], L, axis=-1,
                                            out=head[start:stop]),
-           N, spectrum.size)
+           len(rows), spectrum.size)
     for axis in reversed(range(rank - 1)):
         _transform_lines(np.fft.fft, spectrum[(slice(N),) * axis], axis, spectrum.size)
     return spectrum
@@ -225,22 +253,24 @@ def _box_inverse(spectrum: np.ndarray, N: int, scale: float) -> np.ndarray:
     """The box ``[N/2, 3N/2)`` of ``irfftn(spectrum)`` per axis, times
     ``scale`` and clipped at 0, as a fresh (N,)*rank array; the leading
     axes are inverted in place in ``spectrum``."""
-    rank, L = spectrum.ndim, spectrum.shape[0]
+    rank, L = spectrum.ndim, 3 * N // 2
     box = slice(N // 2, N // 2 + N)
     size = spectrum.size
     for axis in range(rank - 1):
         _transform_lines(np.fft.ifft, spectrum, axis, size)
         spectrum = spectrum[(slice(None),) * axis + (box,)]
     out = np.empty((N,) * rank)
-    rows = -(-N // _INVERSE_BLOCKS)
-    lines = np.empty((rows,) + (N,) * (rank - 2) + (L,))
+    box_rows, spectrum = _rows(out), _rows(spectrum)
+    count = len(box_rows)
+    rows = -(-count // _INVERSE_BLOCKS)
+    lines = np.empty((rows,) + box_rows.shape[1:-1] + (L,))
 
     def inverse_rows(start, stop):
         # the buffer's rows [start, stop) carry the box rows [first, last),
         # that many at a time
-        first, last = start * N // rows, stop * N // rows
+        first, last = start * count // rows, stop * count // rows
         for row in range(first, last, stop - start):
-            block = out[row:min(row + stop - start, last)]
+            block = box_rows[row:min(row + stop - start, last)]
             buffer = lines[start:start + len(block)]
             np.fft.irfft(spectrum[row:row + len(block)], L, axis=-1, out=buffer)
             np.multiply(buffer[..., box], scale, out=block)

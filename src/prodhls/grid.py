@@ -259,13 +259,19 @@ def lp_norm(f: GridFunction, p: float) -> float:
     of leading rows per CPU, and summed by one ``np.sum``: the bytes of
     ``np.sum(f.values ** p)`` on any number of CPUs.
     """
+    return _lp_norm(f.values, p, f.grid.cell_volume)
+
+
+def _lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
+    """The body of :func:`lp_norm` on an array of any rank with cells of
+    ``cell_volume``; the sweeps also take the norm of each block factor
+    of a tensor-product function with it."""
     _check_exponent(p)
-    values = f.values
     powers = np.empty_like(values)
     _split(lambda start, stop: np.power(values[start:stop], p, out=powers[start:stop]),
            len(values), values.size)
     total = float(np.sum(powers))
-    return (total * f.grid.cell_volume) ** (1.0 / p)
+    return (total * cell_volume) ** (1.0 / p)
 
 
 def slice_lp_norms_x(g: GridFunction, p: float) -> np.ndarray:

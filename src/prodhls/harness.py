@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convolution import convolve_fast
-from .grid import GridFunction, ProductGrid, dilate, lp_norm, sample_function
+from .convolution import _convolve_block, convolve_fast
+from .grid import GridFunction, ProductGrid, _lp_norm, dilate, lp_norm
 from .hedberg import CERTIFICATE_SCHEMA_VERSION, HedbergCertificate, certify_points
-from .kernel import Exponents, riesz_kernel
+from .kernel import Exponents, block_factors, riesz_kernel
 
 __all__ = [
     "ConfigError",
@@ -202,50 +202,63 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
                 seed: int = 0):
     """Build a dilation family: a callable (s, t) -> GridFunction.
 
-    The analytic families (gaussian, box, tensor-box, spike) are
+    The analytic families (gaussian, box, tensor-box, spike) are outer
+    products of block factors: ``fam.factors(s, t)`` returns the x-block
+    array, shape (N,)*m, and the y-block array, shape (N,)*n, each
     evaluated directly at the scaled coordinates, which is the exact
-    dilation f(s x, t y); the seeded random family resamples a fixed
-    noise field through :func:`prodhls.grid.dilate`.  Unknown names or
-    parameter keys and non-positive parameters raise :class:`ConfigError`.
+    dilation f(s x, t y); the spike's amplitude is on the x factor.
+    ``fam(s, t)`` is their outer product, so the field a pointwise run
+    certifies is the one a sweep measures block by block.  The seeded
+    random family resamples a fixed noise field through
+    :func:`prodhls.grid.dilate`, and its ``fam.factors`` is None.
+    Unknown names or parameter keys and non-positive parameters raise
+    :class:`ConfigError`.
     """
     params = _family_params(name, {} if params is None else params)
-    m = grid.m
-
-    if name == "gaussian":
-        sigma = float(params["sigma"])
-
-        def fam(s, t):
-            def values(*cs):
-                # one expression: numpy reuses the unnamed temporaries in place
-                return np.exp(-(sum((s * c) ** 2 for c in cs[:m])
-                                + sum((t * c) ** 2 for c in cs[m:])) / (2.0 * sigma ** 2))
-            return sample_function(grid, values)
-        return fam
     if name == "random":
         rng = np.random.default_rng(seed)
         base = GridFunction(grid, rng.uniform(0.0, 1.0, size=grid.shape))
-        return lambda s, t: dilate(base, s, t)
 
-    # box, tensor-box and spike: amp times the indicator of the box
-    # |s x_i| <= wx (x-block axes), |t y_j| <= wy (y-block axes)
-    if name == "tensor-box":
-        wx, wy, amp = float(params["half_extent_x"]), float(params["half_extent_y"]), 1.0
+        def fam(s, t):
+            return dilate(base, s, t)
+        fam.factors = None
+        return fam
+
+    centers = grid.axis_centers()
+    x_axes, y_axes = (np.meshgrid(*[centers] * dim, indexing="ij", sparse=True)
+                      for dim in (grid.m, grid.n))
+    if name == "gaussian":
+        sigma = float(params["sigma"])
+
+        def block(scale, axes):
+            return np.exp(-sum((scale * c) ** 2 for c in axes) / (2.0 * sigma ** 2))
+
+        def factors(s, t):
+            return block(s, x_axes), block(t, y_axes)
     else:
-        # the spike is a near-delta: a unit-mass box a few cells wide at
-        # unit dilation, wide enough that a 4x shrink still covers cells
-        w = params["half_extent"]
-        w = float(8.0 * grid.spacing if w is None else w)
-        wx, wy, amp = w, w, ((2.0 * w) ** (-grid.rank) if name == "spike" else 1.0)
+        # box, tensor-box and spike: amp times the indicator of the box
+        # |s x_i| <= wx (x-block axes), |t y_j| <= wy (y-block axes)
+        if name == "tensor-box":
+            wx, wy, amp = float(params["half_extent_x"]), float(params["half_extent_y"]), 1.0
+        else:
+            # the spike is a near-delta: a unit-mass box a few cells wide at
+            # unit dilation, wide enough that a 4x shrink still covers cells
+            w = params["half_extent"]
+            w = float(8.0 * grid.spacing if w is None else w)
+            wx, wy, amp = w, w, ((2.0 * w) ** (-grid.rank) if name == "spike" else 1.0)
+
+        def block(scale, half, axes):
+            inside = 1.0
+            for c in axes:
+                inside = inside * (np.abs(scale * c) <= half)
+            return inside  # float64: the first factor is 1.0 * bool
+
+        def factors(s, t):
+            return amp * block(s, wx, x_axes), block(t, wy, y_axes)
 
     def fam(s, t):
-        def values(*cs):
-            inside = 1.0
-            for i, c in enumerate(cs):
-                scale, half = (s, wx) if i < m else (t, wy)
-                inside = inside * (np.abs(scale * c) <= half)
-            return amp * inside  # float64: the first factor is 1.0 * bool
-        return sample_function(grid, values)
-
+        return GridFunction._adopt(grid, np.multiply.outer(*factors(s, t)))
+    fam.factors = factors
     return fam
 
 
@@ -372,11 +385,26 @@ class SweepRow:
         return self.norm_q / self.norm_p if self.norm_p > 0.0 else 0.0
 
 
-def _sweep_row(fam, kernel, exps: Exponents, s: float, t: float) -> SweepRow:
-    """||f||_p and ||f * kernel||_q of f = fam(s, t), unconvolved if ||f||_p is 0."""
-    f = fam(s, t)
-    norm_p = lp_norm(f, exps.p)
-    norm_q = lp_norm(convolve_fast(f, kernel), exps.q) if norm_p > 0.0 else 0.0
+def _sweep_row(fam, grid: ProductGrid, exps: Exponents, kernel, s: float,
+               t: float) -> SweepRow:
+    """||f||_p and ||f * K||_q of f = fam(s, t), unconvolved if ||f||_p is 0.
+
+    A family with block factors, f = f_x (x) f_y, is measured block by
+    block: the kernel is the product k_x (x) k_y of its block factors,
+    so ||f||_p = ||f_x||_p ||f_y||_p and ||f * K||_q = ||f_x * k_x||_q
+    ||f_y * k_y||_q, and no N^rank array is built.  A family without
+    factors is sampled and convolved with ``kernel()``, the N^rank kernel.
+    """
+    if fam.factors is None:
+        f = fam(s, t)
+        norm_p = lp_norm(f, exps.p)
+        norm_q = lp_norm(convolve_fast(f, kernel()), exps.q) if norm_p > 0.0 else 0.0
+        return SweepRow(s=s, t=t, norm_q=norm_q, norm_p=norm_p)
+    blocks = [(f, k.reshape(f.shape), grid.spacing ** f.ndim)
+              for f, k in zip(fam.factors(s, t), block_factors(grid, exps)[2:])]
+    norm_p = math.prod(_lp_norm(f, exps.p, volume) for f, _, volume in blocks)
+    norm_q = math.prod(_lp_norm(_convolve_block(f, k, volume), exps.q, volume)
+                       for f, k, volume in blocks) if norm_p > 0.0 else 0.0
     return SweepRow(s=s, t=t, norm_q=norm_q, norm_p=norm_p)
 
 
@@ -445,11 +473,12 @@ def run_necessity_sweep(cfg: ExperimentConfig) -> SlopeReport:
     _validate_ladder(t_ladder, "t")
 
     exps = cfg.exponents
-    kernel = riesz_kernel(cfg.grid, exps)
+    # the N^rank kernel, built on the first row without block factors
+    kernel = functools.cache(lambda: riesz_kernel(cfg.grid, exps))
 
     @functools.cache  # (1, 1) sits on both ladders: convolve it once
     def measure(s: float, t: float) -> SweepRow:
-        row = _sweep_row(fam, kernel, exps, s, t)
+        row = _sweep_row(fam, cfg.grid, exps, kernel, s, t)
         if not row.ratio > 0.0:
             # log(0) would make both fitted slopes NaN
             raise ConfigError(f"{family} instance at (s, t) = ({s!r}, {t!r}) vanishes "
@@ -504,12 +533,13 @@ def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
     _check_keys(cfg.tolerances, _TOLERANCE_READERS["normcheck"], "normcheck tolerances")
     _require_admissible(cfg, "norm check")
     exps = cfg.exponents
-    kernel = riesz_kernel(cfg.grid, exps)
+    # the N^rank kernel, built on the first row without block factors
+    kernel = functools.cache(lambda: riesz_kernel(cfg.grid, exps))
     rows = []
     for family in cfg.families:
         fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
         for s, t in cfg.dilations:
-            row = _sweep_row(fam, kernel, exps, s, t)
+            row = _sweep_row(fam, cfg.grid, exps, kernel, s, t)
             rows.append({"family": family, **vars(row), "ratio": row.ratio})
     pinned = cfg.tolerances.get("norm_constant")
     max_ratio, stability, factor, passed = _verdict(

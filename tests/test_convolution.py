@@ -158,6 +158,26 @@ def test_fast_bytes_match_three_transform_formula(m, n, N):
         assert out.tobytes() == three_transform_convolve(f, k).tobytes(), name
 
 
+@pytest.mark.parametrize("N", [2, 6, 8, 32, 512])
+def test_block_bytes_match_the_one_axis_formula(N):
+    # the rank-1 case: a 1-d block factor runs the passes of convolve_fast,
+    # the inverse's row blocks cut across lines, not along the one axis
+    rng = np.random.default_rng(31)
+    f, k = rng.uniform(0.0, 1.0, N), rng.uniform(0.0, 1.0, N)
+    L, h = 3 * N // 2, 2.0 / N
+    formula = np.fft.irfft(np.fft.rfft(f, L) * np.fft.rfft(k, L), L)[N // 2:N // 2 + N] * h
+    assert convolution._convolve_block(f, k, h).tobytes() == np.maximum(formula, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("N", [2, 8, 32])
+def test_block_bytes_match_convolve_fast_at_dim_2(N):
+    # a 2-d block factor is convolved as convolve_fast convolves a (1, 1) field
+    g = grid_1x1(N=N)
+    f, k = random_function(g, seed=32), random_function(g, seed=33)
+    block = convolution._convolve_block(f.values, k.values, g.cell_volume)
+    assert block.tobytes() == convolve_fast(f, k).values.tobytes()
+
+
 @pytest.mark.parametrize("N", [2, 6, 8])
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_fast_matches_direct_where_the_padding_wraps(m, n, N):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -16,10 +17,11 @@ import prodhls
 import prodhls.convolution
 import prodhls.grid
 import prodhls.harness
-from prodhls import ConfigError, ExperimentConfig, make_family
+from prodhls import (ConfigError, Exponents, ExperimentConfig, convolve_fast, lp_norm,
+                     make_family, riesz_kernel)
 from prodhls.cli import main as cli_main
 from prodhls.grid import ProductGrid
-from prodhls.harness import (_sample_points, run_necessity_sweep, run_norm_check,
+from prodhls.harness import (_sample_points, _sweep_row, run_necessity_sweep, run_norm_check,
                              run_pointwise_campaign, write_slopes_csv,
                              write_summary_json)
 
@@ -263,6 +265,53 @@ def test_indicator_families_support_on_2d_x_block(s, t):
     assert set(np.unique(box.values)) | set(np.unique(tensor.values)) == {0.0, 1.0}
 
 
+ANALYTIC_FAMILIES = ["gaussian", "box", "tensor-box", "spike"]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2)])
+@pytest.mark.parametrize("family", ANALYTIC_FAMILIES)
+def test_analytic_family_is_the_outer_product_of_its_factors(family, m, n):
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=8)
+    fam = make_family(family, grid)
+    for s, t in [(1.0, 1.0), (0.5, 2.0)]:
+        fx, fy = fam.factors(s, t)
+        assert fx.shape == (8,) * m and fy.shape == (8,) * n
+        assert fam(s, t).values.tobytes() == np.multiply.outer(fx, fy).tobytes()
+
+
+# at (64, 1) the indicator families vanish on each grid below, and so does
+# the gaussian at N = 8: zero rows on both paths
+AGREEMENT_DILATIONS = [(1.0, 1.0), (0.5, 2.0), (3.0, 0.75), (1.0, 0.3), (64.0, 1.0)]
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 64), (2, 1, 16), (1, 2, 16), (2, 2, 8)])
+@pytest.mark.parametrize("family", ANALYTIC_FAMILIES)
+def test_tensor_rows_match_the_full_path(family, m, n, N):
+    # the block-by-block norms against lp_norm and convolve_fast of the
+    # whole field and kernel
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    exps = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    fam = make_family(family, grid)
+    kernel = riesz_kernel(grid, exps)
+
+    def no_kernel():
+        raise AssertionError("a tensor row asked for the N^rank kernel")
+
+    zero_rows = 0
+    for s, t in AGREEMENT_DILATIONS:
+        f = fam(s, t)
+        norm_p = lp_norm(f, exps.p)
+        norm_q = lp_norm(convolve_fast(f, kernel), exps.q)
+        row = _sweep_row(fam, grid, exps, no_kernel, s, t)
+        if norm_p == 0.0:
+            zero_rows += 1
+            assert (row.norm_p, row.norm_q, norm_q) == (0.0, 0.0, 0.0)
+        else:
+            assert row.norm_p == pytest.approx(norm_p, rel=1e-12, abs=0.0)
+            assert row.norm_q == pytest.approx(norm_q, rel=1e-12, abs=0.0)
+    assert zero_rows or family == "gaussian"
+
+
 def test_tensor_box_asymmetric():
     grid = ProductGrid(m=1, n=1, half_width=1.0, points_per_axis=64)
     fam = make_family("tensor-box", grid)
@@ -356,7 +405,8 @@ def test_necessity_small_grid_structure():
 
 
 def test_necessity_convolves_the_shared_pair_once(monkeypatch):
-    # (1, 1) sits on both five-point ladders: nine convolutions, ten rows
+    # (1, 1) sits on both five-point ladders: nine convolutions, ten rows.
+    # The random family has no block factors: each row takes the full path
     calls = []
     real = prodhls.harness.convolve_fast
 
@@ -365,11 +415,51 @@ def test_necessity_convolves_the_shared_pair_once(monkeypatch):
         return real(f, k)
 
     monkeypatch.setattr(prodhls.harness, "convolve_fast", counted)
-    rep = run_necessity_sweep(ExperimentConfig.from_dict(
-        ladder_config(tolerances={"slope_tolerance": 1.0})))
+    cfg = ExperimentConfig.from_dict(
+        {**ladder_config(tolerances={"slope_tolerance": 1.0}), "families": ["random"]})
+    assert make_family("random", cfg.grid, seed=cfg.seed).factors is None
+    rep = run_necessity_sweep(cfg)
     assert len(calls) == 9 and len(rep.rows) == 10
     first, second = [r for r in rep.rows if r.s == r.t == 1.0]
     assert first == second
+
+
+def test_tensor_necessity_measures_block_by_block(monkeypatch):
+    # a gaussian sweep builds no N^rank kernel and convolves no N^rank
+    # field; it convolves the two block factors of each of its nine pairs,
+    # (1, 1) once
+    def refused(*args):
+        raise AssertionError("a tensor row took the full path")
+
+    blocks = []
+    real = prodhls.harness._convolve_block
+
+    def counted(values, kernel, scale):
+        blocks.append(values.shape)
+        return real(values, kernel, scale)
+
+    monkeypatch.setattr(prodhls.harness, "convolve_fast", refused)
+    monkeypatch.setattr(prodhls.harness, "riesz_kernel", refused)
+    monkeypatch.setattr(prodhls.harness, "_convolve_block", counted)
+    rep = run_necessity_sweep(ExperimentConfig.from_dict(
+        ladder_config(tolerances={"slope_tolerance": 1.0})))
+    assert blocks == [(32,)] * 18 and len(rep.rows) == 10
+    first, second = [r for r in rep.rows if r.s == r.t == 1.0]
+    assert first is second
+
+
+def test_tensor_necessity_peak_memory():
+    # the balanced reference sweep, a gaussian on a 512^2 grid, measures
+    # its rows block by block: no 512^2 array is alive at any time
+    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "necessity_balanced.json"
+    cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
+    tracemalloc.start()
+    try:
+        run_necessity_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 ** 2 * np.dtype(np.float64).itemsize
 
 
 @pytest.mark.parametrize("half_extent", [0.01, 0.05])
@@ -380,10 +470,12 @@ def test_necessity_rejects_vanishing_instance(half_extent):
 
 
 @pytest.mark.parametrize("run, raw", [
-    (run_necessity_sweep, ladder_config(tolerances={"slope_tolerance": 1.0})),
-    (run_norm_check, small_config()),
+    (run_necessity_sweep, {**ladder_config(tolerances={"slope_tolerance": 1.0}),
+                           "families": ["random"]}),
+    (run_norm_check, small_config(families=["random"])),
 ], ids=["necessity", "normcheck"])
 def test_sweep_transforms_its_kernel_once(monkeypatch, run, raw):
+    # on the random family, which goes through convolve_fast
     kernels, transformed = [], []
 
     def record_kernel(*args):
@@ -687,16 +779,28 @@ def test_cli_normcheck_starts_no_thread(tmp_path):
 
 
 def test_sweep_norms_do_not_depend_on_the_worker_count(monkeypatch):
-    # the N = 512 sweep splits its transforms, products and powers into one
-    # piece per worker; every norm keeps the bytes of the one-piece run
+    # an N = 512 sweep of the random family splits its transforms, products
+    # and powers into one piece per worker; every norm keeps the bytes of
+    # the one-piece run
     cfg_path = Path(__file__).resolve().parents[1] / "configs" / "necessity_balanced.json"
-    cfg = ExperimentConfig.from_dict(json.loads(cfg_path.read_text()))
+    raw = json.loads(cfg_path.read_text())
+    cfg = ExperimentConfig.from_dict({**raw, "families": ["random"], "family_params": {}})
+    sizes = []
+    split = prodhls.grid._split
+
+    def spied(fn, count, size):
+        sizes.append(size)
+        split(fn, count, size)
+
+    monkeypatch.setattr(prodhls.grid, "_split", spied)
+    monkeypatch.setattr(prodhls.convolution, "_split", spied)
     results = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(prodhls.grid, "_WORKERS", workers)
         monkeypatch.setattr(prodhls.convolution, "_KERNEL_SPECTRA", weakref.WeakKeyDictionary())
         results.append([(r.norm_q.hex(), r.norm_p.hex()) for r in run_necessity_sweep(cfg).rows])
     assert results[1] == results[0] and results[2] == results[0]
+    assert max(sizes) >= prodhls.grid._SPLIT_FLOOR  # the sweep did split
 
 
 @pytest.mark.parametrize("argv", [["bench-maximal"],
