@@ -68,17 +68,21 @@ and no benchmark workload runs such a row.
 four region sums at a node come from one two-sided block contraction of
 the node's window with the inner and outer rows of each factor; it
 builds those rows for all its nodes at once, and :func:`region_split` is
-its view of one node.
+its view of one node.  For a tensor product ``a(x) b(y)`` the
+contraction factors into an x-block sum and a y-block sum, and
+:func:`block_region_sums` reads each from the block factor alone.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, _split, check_positive, normalize_points
+from .grid import (GridFunction, ProductGrid, TensorProduct, _split, check_positive,
+                   normalize_points)
 from .kernel import Exponents, block_factors
 
 __all__ = [
@@ -87,6 +91,7 @@ __all__ = [
     "convolve_fast",
     "region_split",
     "region_sums",
+    "block_region_sums",
 ]
 
 
@@ -305,12 +310,7 @@ def region_sums(f: GridFunction, exps: Exponents, points, r1, r2) -> np.ndarray:
     """
     grid = f.grid
     N = grid.points_per_axis
-    idx = normalize_points(points, grid.rank, N)
-    r1, r2 = np.asarray(r1, dtype=np.float64), np.asarray(r2, dtype=np.float64)
-    if r1.shape != r2.shape or r1.shape != idx.shape[:1]:
-        raise ValueError(f"{len(idx)} points need as many radii, got shapes {r1.shape} "
-                         f"and {r2.shape}")
-    check_positive(r1=r1, r2=r2)
+    idx, r1, r2 = _nodes_and_radii(grid, points, r1, r2)
     x_norm, y_norm, x_factor, y_factor = block_factors(grid, exps)
 
     def factor_rows(norm, factor, r, dim):
@@ -342,6 +342,101 @@ def region_sums(f: GridFunction, exps: Exponents, points, r1, r2) -> np.ndarray:
         rows = np.einsum("ax,xy->ay", kx, window.reshape(kx.shape[1], ky.shape[1]))
         sums.append(np.einsum("ay,by->ab", rows, ky))
     return np.array(sums).reshape(len(idx), 4) * grid.cell_volume
+
+
+def _nodes_and_radii(grid, points, r1, r2):
+    """The validated nodes and their radii as float64 arrays, one per node."""
+    idx = normalize_points(points, grid.rank, grid.points_per_axis)
+    r1, r2 = np.asarray(r1, dtype=np.float64), np.asarray(r2, dtype=np.float64)
+    if r1.shape != r2.shape or r1.shape != idx.shape[:1]:
+        raise ValueError(f"{len(idx)} points need as many radii, got shapes {r1.shape} "
+                         f"and {r2.shape}")
+    check_positive(r1=r1, r2=r2)
+    return idx, r1, r2
+
+
+@functools.lru_cache(maxsize=8)
+def _shell_order(grid: ProductGrid, exps: Exponents) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per block (x, then y): the kernel-offset norms in ascending order,
+    the kernel factor in that order, and for each offset j in that order
+    the flat index of ``N - j`` in an array of shape (2N,)*dim; built once
+    per (grid, exponents) pair, read-only."""
+    N = grid.points_per_axis
+    x_norm, y_norm, x_factor, y_factor = block_factors(grid, exps)
+    blocks = []
+    for dim, norm, factor in ((grid.m, x_norm, x_factor), (grid.n, y_norm, y_factor)):
+        order = np.argsort(norm, kind="stable")
+        offsets = np.ravel_multi_index(tuple(N - np.indices((N,) * dim).reshape(dim, -1)),
+                                       (2 * N,) * dim)[order]
+        arrays = (norm[order], factor[order], offsets)
+        for a in arrays:
+            a.setflags(write=False)
+        blocks.append(arrays)
+    return tuple(blocks)
+
+
+# window cells per chunk of a block's cells in block_region_sums
+_BLOCK_CHUNK = 1 << 16
+
+
+def block_region_sums(f: TensorProduct, exps: Exponents, points, r1, r2) -> np.ndarray:
+    """:func:`region_sums` of the tensor product ``f(x, y) = a(x) b(y)``,
+    read from its two block arrays: shape (K, 4), columns t11, t12, t21,
+    t22.
+
+    The kernel is the product ``k_x (x) k_y`` of its block factors, and a
+    node's window of f is the product of its windows of a and of b, so
+    the two-sided contraction of :func:`region_sums` factors::
+
+        t = (Kx @ a-window) (Ky @ b-window)^T * h^rank        (2 x 2)
+
+    with the same inner and outer factor rows ``Kx`` and ``Ky``.  A block
+    sum depends on the node only through its block cell and its radius,
+    so each block is contracted once per block cell that holds a node:
+    the window times the kernel factor, with the offsets in ascending
+    norm, is summed from each end by one ``np.cumsum``, and a node reads
+    its inner sum (offsets of norm at most its radius) from the first and
+    its outer sum from the second.  Both are sums of nonnegative terms,
+    with no cancellation.  The cells go in chunks whose windows hold at
+    most 2^16 values; no N^rank array is built.
+    """
+    grid = f.grid
+    idx, r1, r2 = _nodes_and_radii(grid, points, r1, r2)
+    x_layout, y_layout = _shell_order(grid, exps)
+    u = _block_sums(f.x, x_layout, idx[:, :grid.m], r1)
+    v = _block_sums(f.y, y_layout, idx[:, grid.m:], r2)
+    return (u[:, :, None] * v[:, None, :]).reshape(len(idx), 4) * grid.cell_volume
+
+
+def _block_sums(values: np.ndarray, layout, nodes: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Each node's block sums of the kernel factor against its window
+    ``values[i - j + N/2]`` (zero outside the box) over the offsets j of
+    norm at most ``r[k]`` (column 0) and over the others (column 1)."""
+    norm, factor, offsets = layout
+    N, dim, size = len(values), values.ndim, values.size
+    # padded by N/2 cells per side, values[i - j + N/2] is padded[i + N - j]
+    padded = np.pad(values, N // 2).reshape(-1)
+    keys = np.ravel_multi_index(tuple(nodes.T), values.shape)
+    held = np.zeros(size, dtype=bool)
+    held[keys] = True
+    cells = np.flatnonzero(held)
+    at, inner = np.searchsorted(cells, keys), np.searchsorted(norm, r, side="right")
+    starts = np.ravel_multi_index(np.unravel_index(cells, values.shape), (2 * N,) * dim)
+    sums = np.empty((len(nodes), 2))
+    step = max(_BLOCK_CHUNK // size, 1)
+    # the partial sums of each cell's terms from the first offset (row 0)
+    # and from the last (row 1), each after a 0.0
+    ends = np.zeros((2, min(step, len(cells)), size + 1))
+    for start in range(0, len(cells), step):
+        terms = padded[starts[start:start + step, None] + offsets]
+        terms *= factor
+        count = len(terms)
+        np.cumsum(terms, axis=1, out=ends[0, :count, 1:])
+        np.cumsum(terms[:, ::-1], axis=1, out=ends[1, :count, 1:])
+        mine = (at >= start) & (at < start + count)
+        row, k = at[mine] - start, inner[mine]
+        sums[mine, 0], sums[mine, 1] = ends[0, row, k], ends[1, row, size - k]
+    return sums
 
 
 def region_split(f: GridFunction, exps: Exponents, point, r1: float,

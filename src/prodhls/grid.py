@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "ProductGrid",
     "GridFunction",
+    "TensorProduct",
     "lp_norm",
     "slice_lp_norms_x",
     "slice_lp_norms_y",
@@ -169,6 +170,37 @@ class GridFunction:
             raise ValueError("values must be nonnegative")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+
+@dataclass(frozen=True, eq=False)
+class TensorProduct:
+    """The tensor product ``f(x, y) = x(x) y(y)`` on a :class:`ProductGrid`,
+    held as its two block factors alone: ``x`` of shape (N,)*m and ``y``
+    of shape (N,)*n, whose outer product is the N^rank field, which is
+    never built.  Each factor is copied to contiguous float64 storage,
+    checked like the values of a :class:`GridFunction` and frozen."""
+
+    grid: ProductGrid
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self) -> None:
+        N = self.grid.points_per_axis
+        for name, dim in (("x", self.grid.m), ("y", self.grid.n)):
+            vals = np.array(getattr(self, name), dtype=np.float64, order="C")
+            if vals.shape != (N,) * dim:
+                raise ValueError(f"{name} factor shape {vals.shape} does not match the "
+                                 f"{name}-block shape {(N,) * dim}")
+            if not (vals.min() >= 0.0 and vals.max() < math.inf):
+                raise ValueError(f"{name} factor values must be finite and nonnegative")
+            vals.setflags(write=False)
+            object.__setattr__(self, name, vals)
+
+    def block_norms(self, p: float) -> tuple[float, float]:
+        """``||x||_p`` over the x-block and ``||y||_p`` over the y-block, with
+        cells of volume h^m and h^n: ``||f||_p`` is their product."""
+        h = self.grid.spacing
+        return _lp_norm(self.x, p, h ** self.grid.m), _lp_norm(self.y, p, h ** self.grid.n)
 
 
 def sample_function(grid: ProductGrid, fn: Callable[..., np.ndarray]) -> GridFunction:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .convolution import _convolve_block, convolve_fast
-from .grid import GridFunction, ProductGrid, _lp_norm, dilate, lp_norm
+from .grid import GridFunction, ProductGrid, TensorProduct, _lp_norm, dilate, lp_norm
 from .hedberg import CERTIFICATE_SCHEMA_VERSION, HedbergCertificate, certify_points
 from .kernel import Exponents, block_factors, riesz_kernel
 
@@ -327,7 +327,13 @@ class PointwiseReport:
 
 def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
                       points) -> InstanceResult:
-    f = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)(s, t)
+    """Certify one instance at ``points``.  A family with block factors (the
+    rule :func:`_sweep_row` follows) is certified from its two block
+    arrays, as a :class:`~prodhls.grid.TensorProduct`: ``certify_points``
+    then reads ||f||_p, M f, n1, n2 and the region sums from the blocks
+    and builds no N^rank array.  The random family is sampled whole."""
+    fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
+    f = fam(s, t) if fam.factors is None else TensorProduct(cfg.grid, *fam.factors(s, t))
     return InstanceResult(family=family, s=s, t=t,
                           certificates=certify_points(f, cfg.exponents, points))
 

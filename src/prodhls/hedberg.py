@@ -24,7 +24,9 @@ its bound beyond floating-point headroom is a hard failure, not a warning.
 One call, :func:`certify_points`, certifies a set of nodes of f: it takes
 ``||f||_p``, M f, n1 and n2 at the nodes
 (:func:`~prodhls.maximal.node_maximals`) and the tables, then runs the
-bound chain at every node in one array pass.
+bound chain at every node in one array pass.  A tensor product held as
+its two block factors (:class:`~prodhls.grid.TensorProduct`) gives the
+same inputs from its blocks, with no N^rank array, to one bound chain.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .convolution import RegionBounds, region_sums
-from .grid import GridFunction, ProductGrid, check_positive, lp_norm, normalize_points
+from .convolution import RegionBounds, block_region_sums, region_sums
+from .grid import (GridFunction, ProductGrid, TensorProduct, check_positive, lp_norm,
+                   normalize_points)
 from .kernel import Exponents, block_factors, check_blocks, sphere_surface
-from .maximal import _dyadic_radii, _window_cells, node_maximals
+from .maximal import _dyadic_radii, _window_cells, block_maximals, node_maximals
 
 __all__ = [
     "ExponentError",
@@ -356,42 +359,82 @@ _CHECK_REL = 1e-9
 _CHECKS = ("radii_balance", *REGION_NAMES, "mixed_collapse")
 
 
-def certify_points(f: GridFunction, exps: Exponents, points) -> list[HedbergCertificate]:
-    """Run the full pointwise bound chain at every node of ``points`` (one
-    multi-index per row) of ``f``, in one array pass.  Checks the
-    exponents and the grid blocks, then the nodes; no nodes, or an ``f``
-    whose ``||f||_p``, which every closed form divides by, is 0 on the
-    grid, give no certificates.
+def _node_inputs(f, exps: Exponents, idx: np.ndarray):
+    """What the bound chain reads at the nodes ``idx``: ``||f||_p``, M f,
+    n1 and n2, and the region sums as a function of the radii; ``None``
+    when f is empty on the grid (see :func:`certify_points`)."""
+    p = exps.p
+    if isinstance(f, GridFunction):
+        if not (f_norm := lp_norm(f, p)) > 0.0:
+            return None
+        return (f_norm, *node_maximals(f, p, idx),
+                functools.partial(region_sums, f, exps, idx))
+    norm_x, norm_y = f.block_norms(p)
+    # the largest cell of the field a(x) b(y) is max a times max b
+    largest = float(f.x.max()) * float(f.y.max())
+    if not (norm_x * norm_y > 0.0 and largest ** p * f.grid.cell_volume > 0.0):
+        return None
+    m_x, m_y = block_maximals(f, idx)
+    return (norm_x * norm_y, m_x * m_y, m_x * norm_y, norm_x * m_y,
+            functools.partial(block_region_sums, f, exps, idx))
 
-    The bound chain reads three numbers at each node: M f, n1 = ``||M1
-    f(x, .)||_p`` and n2 = ``||M2 f(., y)||_p``.  One
-    :func:`~prodhls.maximal.node_maximals` call gives them at the nodes
-    alone, from one pass over the dyadic windows the :func:`region_tables`
-    are built from, on the nodes' slices only: each block's window sums
-    are gathered at the nodes' slice centres alone, in chunks of centres
-    that bound the memory the gathers take, and read densely only on a
-    block whose every slice holds a node.  A node's values are the same
-    bytes whichever other nodes are certified with it.
+
+def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
+                   points) -> list[HedbergCertificate]:
+    """Run the full pointwise bound chain at every node of ``points`` (one
+    multi-index per row) of ``f``, in one array pass: ``f`` is a sampled
+    field, or a tensor product ``a(x) b(y)`` held as its two block factors.
+    Checks the exponents and the grid blocks, then the nodes; no nodes, or
+    an ``f`` that is empty on the grid (below), give no certificates.
+
+    The bound chain reads five inputs: ``||f||_p``, which every closed form
+    divides by, and at each node M f, n1 = ``||M1 f(x, .)||_p``, n2 =
+    ``||M2 f(., y)||_p`` and the four region sums at the node's radii.
+
+    * A :class:`~prodhls.grid.GridFunction` takes ``||f||_p`` from
+      :func:`~prodhls.grid.lp_norm`, and is empty when that is 0.  One
+      :func:`~prodhls.maximal.node_maximals` call gives M f, n1 and n2 at
+      the nodes alone, from one pass over the dyadic windows the
+      :func:`region_tables` are built from, on the nodes' slices only
+      (each block's window sums gathered at the nodes' slice centres, and
+      read densely only on a block whose every slice holds a node), and
+      :func:`~prodhls.convolution.region_sums` splits the convolution.  A
+      node's values are the same bytes whichever other nodes are
+      certified with it.
+    * A :class:`~prodhls.grid.TensorProduct` (the gaussian, box,
+      tensor-box and spike families of a campaign) is read from its
+      blocks, and no N^rank array is built: ``||f||_p = ||a||_p ||b||_p``,
+      and :func:`~prodhls.maximal.block_maximals` gives M a and M b at
+      the nodes, so M f = M a M b, n1 = M a ``||b||_p`` and n2 =
+      ``||a||_p`` M b; :func:`~prodhls.convolution.block_region_sums`
+      splits the convolution block by block.  It is empty when its largest
+      cell's share of ``||f||_p^p``, ``(max a max b)^p h^rank``, is 0.0,
+      or ``||a||_p ||b||_p`` is.  The sampled field ``a (x) b`` is empty
+      exactly then, except where every cell's share is below the least
+      normal float64 (2.2e-308) and the sampled field sums subnormal
+      shares.  On the four families in the pointwise reference configs,
+      no float of a certificate deviates from the sampled field's by more
+      than 1.0e-14 relative, and a region sum is 0.0 on both or on
+      neither.
 
     Gathers M f, n1 and n2 at all nodes and selects each node's case from
     them; picks the balancing radii in closed form; splits the convolution
-    at those radii (:func:`~prodhls.convolution.region_sums`); and checks
-    that the radii balance the recorded case (both identities of
-    :func:`balanced_radii`, to 1e-12 relative), every region sum against
-    its lattice bound from :func:`region_limits`, and in case 1 the
-    collapse of the mixed bound, each bound to a relative 1e-9 of
-    floating-point headroom.  The case rule, the table lookups, the limits
-    and the checks are array operations.  The closed forms of
+    at those radii; and checks that the radii balance the recorded case
+    (both identities of :func:`balanced_radii`, to 1e-12 relative), every
+    region sum against its lattice bound from :func:`region_limits`, and in
+    case 1 the collapse of the mixed bound, each bound to a relative 1e-9
+    of floating-point headroom.  The case rule, the table lookups, the
+    limits and the checks are array operations.  The closed forms of
     :func:`balanced_radii` and :func:`final_bound` and the check values
     built from the radii are evaluated on Python floats node by node:
     numpy's SIMD ``pow`` can differ from ``**`` in the last bit.  Raises
     :class:`CertificateViolation` for the first node, in input order, with
     a failing check, naming its first failing check in the order above.
 
-    For a tensor product ``f(x, y) = a(x) b(y)`` (the gaussian, box,
-    tensor-box and spike families) ``G f = M f ||f||`` holds in exact
-    arithmetic, so at such nodes rounding decides ``case_id``; both
-    branches then give the same radii and final bound to rounding.
+    For a tensor product, sampled or held as blocks, ``G f = M f ||f||``
+    holds in exact arithmetic, so at its nodes rounding decides
+    ``case_id``; both branches then give the same radii and final bound to
+    rounding.
     """
     _require_admissible(exps)
     grid = f.grid
@@ -399,9 +442,9 @@ def certify_points(f: GridFunction, exps: Exponents, points) -> list[HedbergCert
     idx = normalize_points(points, grid.rank, grid.points_per_axis)
     if not len(idx):
         return []
-    if not (f_norm := lp_norm(f, exps.p)) > 0.0:
+    if (inputs := _node_inputs(f, exps, idx)) is None:
         return []
-    m_value, n1, n2 = node_maximals(f, exps.p, idx)
+    f_norm, m_value, n1, n2, split = inputs
     tables = region_tables(grid, exps)
 
     g_value = n1 * n2
@@ -425,7 +468,7 @@ def certify_points(f: GridFunction, exps: Exponents, points) -> list[HedbergCert
     # one column per check, in the order of _CHECKS
     values, bounds = np.empty((len(idx), len(_CHECKS))), np.empty((len(idx), len(_CHECKS)))
     values[:, 0], bounds[:, 0] = balance, _IDENTITY_TOL
-    values[:, 1:-1] = region_sums(f, exps, idx, r1, r2)
+    values[:, 1:-1] = split(r1, r2)
     limits = region_limits(m_value, n1, n2, f_norm, r1, r2, tables)
     for column, name in enumerate(REGION_NAMES, start=1):
         bounds[:, column] = limits[name]
@@ -454,11 +497,12 @@ def certify_points(f: GridFunction, exps: Exponents, points) -> list[HedbergCert
             final.tolist(), bounds[:, 1:-1].tolist())]
 
 
-def certify_point(f: GridFunction, exps: Exponents, point) -> HedbergCertificate:
+def certify_point(f: GridFunction | TensorProduct, exps: Exponents,
+                  point) -> HedbergCertificate:
     """The bound chain at one grid node of ``f``: the one-node view of
     :func:`certify_points`, with the same checks and the same
-    :class:`CertificateViolation`; raises ``ValueError`` if ``||f||_p`` is
-    0 on the grid."""
+    :class:`CertificateViolation`; raises ``ValueError`` if f is empty on
+    the grid."""
     certs = certify_points(f, exps, [point])
     if not certs:
         raise ValueError("the L^p norm of f is 0 on the grid: there is nothing to certify")

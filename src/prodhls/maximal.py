@@ -19,7 +19,10 @@ the nodes' slices, and M f at a node is the largest of the two partial
 maximals there and of the product windows larger than one cell on both
 blocks, summed at the nodes' slice centres only.  :func:`maximal_fields`
 is the same pass at every node, which the composition check and the
-mixed-norm field G read.
+mixed-norm field G read.  For a tensor product ``a(x) b(y)`` every
+product window average factors, and :func:`block_maximals` gives M a and
+M b at the nodes from one single-block pass over each factor, from
+which M f, n1 and n2 follow with no N^rank array.
 
 Window sums are read from one prefix sum per block pass.  A block pass
 reads them at its centres, the block cells of the slices that hold a
@@ -43,18 +46,20 @@ bytes in any layout, in either read and on any set of slices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, ProductGrid, _check_exponent, lp_norm, normalize_points,
-                   slice_lp_norms_x, slice_lp_norms_y)
+from .grid import (GridFunction, ProductGrid, TensorProduct, _check_exponent, lp_norm,
+                   normalize_points, slice_lp_norms_x, slice_lp_norms_y)
 from .kernel import Exponents
 
 __all__ = [
     "node_maximals",
+    "block_maximals",
     "maximal_fields",
     "composition_check",
     "CompositionReport",
@@ -71,16 +76,18 @@ def _dyadic_radii(grid: ProductGrid) -> tuple[int, ...]:
     return tuple(2 ** k for k in range(math.ceil(math.log2(grid.points_per_axis)) + 1))
 
 
-def _window_rows(dim: int, rc: int) -> list[tuple[int, int]]:
+@functools.cache
+def _window_rows(dim: int, rc: int) -> tuple[tuple[int, int], ...]:
     """Rows of the block window of strict radius ``rc`` cells, which holds
     exactly the cell offsets ``(d, e)`` with ``d^2 + e^2 < rc^2``: each row
     is an offset d along the block's first axis and the half-width
     ``isqrt(rc^2 - d^2 - 1)`` of its offsets e along the last axis.  A 1-d
-    block is the one row ``(0, rc - 1)``."""
+    block is the one row ``(0, rc - 1)``.  Built once per (dim, rc)."""
     offsets = range(1 - rc, rc) if dim == 2 else (0,)
-    return [(d, math.isqrt(rc * rc - d * d - 1)) for d in offsets]
+    return tuple((d, math.isqrt(rc * rc - d * d - 1)) for d in offsets)
 
 
+@functools.cache
 def _window_cells(dim: int, rc: int) -> int:
     """Full cell count of the block window of strict radius ``rc``, the
     divisor of its average."""
@@ -345,6 +352,38 @@ def node_maximals(f: GridFunction, p: float, points
     n1, n2 = ((total * grid.spacing ** dim) ** (1.0 / p)
               for total, dim in ((n1, grid.n), (n2, grid.m)))
     return mf, n1[np.searchsorted(x_slices, x_keys)], n2[np.searchsorted(y_slices, y_keys)]
+
+
+def block_maximals(f: TensorProduct, points) -> tuple[np.ndarray, np.ndarray]:
+    """M a at each node's x-block cell and M b at its y-block cell, for the
+    tensor product ``f(x, y) = a(x) b(y)`` and the nodes ``points`` (one
+    multi-index per row): two float64 arrays of shape (K,), in input order.
+
+    Every product window average of f is the product of its two block
+    averages, and the one-cell window is among each block's windows, so
+    M f = M a M b, M1 f = M a b and M2 f = a M b cell by cell, and the
+    slice norms are n1 = M a ``||b||_p`` and n2 = ``||a||_p`` M b.  Each
+    factor takes one single-block pass of :func:`_window_sums` over the
+    dyadic windows of :func:`node_maximals`, read at the block cells that
+    hold a node (densely when every one does); no N^rank array is built.
+    """
+    grid = f.grid
+    idx = normalize_points(points, grid.rank, grid.points_per_axis)
+    radii = _dyadic_radii(grid)
+    return tuple(_block_maximal(values, _block_keys(grid, idx, block), radii)
+                 for values, block in ((f.x, "x"), (f.y, "y")))
+
+
+def _block_maximal(values: np.ndarray, keys: np.ndarray, radii) -> np.ndarray:
+    """The largest window average of the block array ``values`` at the
+    block cells whose flat indices are ``keys``."""
+    cells, centres = _block_reads(keys, values.ndim, len(values))
+    best = None
+    for total, count in _window_sums(values, values.ndim, radii, centres):
+        average = total.reshape(-1)
+        average /= count
+        best = average if best is None else np.maximum(best, average, out=best)
+    return best[np.searchsorted(cells, keys)]
 
 
 def maximal_fields(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodhls import (Exponents, GridFunction, ProductGrid, convolve_direct,
+from prodhls import (Exponents, GridFunction, ProductGrid, TensorProduct, block_region_sums,
+                     convolve_direct,
                      convolve_fast, region_split, region_sums, riesz_kernel, sample_function)
 from prodhls import convolution
 from prodhls import grid as grid_module
@@ -444,6 +445,47 @@ def test_region_sums_reject_bad_inputs():
     with pytest.raises(ValueError, match=r"points of shape \(1, 0\) .* do not address rank-2"):
         region_split(f, STD, (), 1.0, 1.0)
     assert region_sums(f, STD, [], [], []).shape == (0, 4)
+
+
+def random_tensor(g, seed):
+    """A TensorProduct of two random block factors, some cells zero."""
+    rng = np.random.default_rng(seed)
+    x, y = (rng.uniform(0.0, 1.0, (g.points_per_axis,) * dim) for dim in (g.m, g.n))
+    x[x < 0.2] = 0.0
+    return TensorProduct(g, x, y)
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1])
+@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (1, 2, 8), (2, 2, 6)])
+def test_block_region_sums_match_the_sampled_split(monkeypatch, m, n, N, chunk):
+    # each node's four block-by-block sums against region_sums of the outer
+    # product, at radii from inside the first shell to past the box, in one
+    # chunk of block cells and in chunks of one cell
+    monkeypatch.setattr(convolution, "_BLOCK_CHUNK", chunk)
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    tensor = random_tensor(g, seed=23)
+    f = GridFunction(g, np.multiply.outer(tensor.x, tensor.y))
+    rng = np.random.default_rng(24)
+    points = rng.permutation(np.array(list(np.ndindex(g.shape))))
+    r1, r2 = rng.uniform(0.01, 3.0, (2, len(points)))
+    got, want = block_region_sums(tensor, e, points, r1, r2), region_sums(f, e, points, r1, r2)
+    assert got.shape == want.shape == (len(points), 4)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    assert np.array_equal(got == 0.0, want == 0.0) and np.any(want == 0.0)
+
+
+def test_block_region_sums_reject_bad_inputs():
+    g = grid_1x1(N=8)
+    tensor = random_tensor(g, seed=25)
+    points = [(0, 0), (3, 5)]
+    with pytest.raises(ValueError, match="2 points need as many radii"):
+        block_region_sums(tensor, STD, points, [1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="r2 must be positive and finite, got nan"):
+        block_region_sums(tensor, STD, points, [1.0, 1.0], [1.0, np.nan])
+    with pytest.raises(ValueError, match="do not address rank-2 grid nodes"):
+        block_region_sums(tensor, STD, [(0, 0, 0)], [1.0], [1.0])
+    assert block_region_sums(tensor, STD, [], [], []).shape == (0, 4)
 
 
 def test_region_split_rank3():

@@ -21,9 +21,9 @@ from prodhls import (ConfigError, Exponents, ExperimentConfig, convolve_fast, lp
                      make_family, riesz_kernel)
 from prodhls.cli import main as cli_main
 from prodhls.grid import ProductGrid
-from prodhls.harness import (_sample_points, _sweep_row, run_necessity_sweep, run_norm_check,
-                             run_pointwise_campaign, write_slopes_csv,
-                             write_summary_json)
+from prodhls.harness import (_certify_instance, _sample_points, _sweep_row,
+                             run_necessity_sweep, run_norm_check, run_pointwise_campaign,
+                             write_slopes_csv, write_summary_json)
 
 
 def small_config(**overrides):
@@ -460,6 +460,23 @@ def test_tensor_necessity_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 512 ** 2 * np.dtype(np.float64).itemsize
+
+
+def test_tensor_instance_peak_memory():
+    # a gaussian instance at (2, 2), N = 16, certified at the stride-8 nodes
+    # from its block factors: no 16^4 array is alive at any time
+    cfg = ExperimentConfig.from_dict(small_config(
+        grid={"m": 2, "n": 2, "half_width": 1.0, "points_per_axis": 16},
+        exponents={"alpha": 1.0, "beta": 1.0, "p": 4 / 3}, families=["gaussian"]))
+    points = _sample_points(cfg.grid, 8)
+    tracemalloc.start()
+    try:
+        result = _certify_instance(cfg, "gaussian", 1.0, 1.0, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_points == 16
+    assert peak < 16 ** 4 * np.dtype(np.float64).itemsize
 
 
 @pytest.mark.parametrize("half_extent", [0.01, 0.05])

@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from prodhls import hedberg
+from prodhls import convolution, hedberg
 from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunction,
-                     HedbergCertificate, ProductGrid, balanced_radii,
+                     HedbergCertificate, ProductGrid, TensorProduct, balanced_radii,
                      certify_point, certify_points, convolve_direct, final_bound, lp_norm,
                      maximal_fields, profile_ball_integral, region_limits, region_tables,
                      riesz_kernel, sample_function, slice_lp_norms_x, slice_lp_norms_y,
                      tail_integral_constant)
 from prodhls.cli import main as cli_main
-from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport,
+from prodhls.harness import (ExperimentConfig, InstanceResult, PointwiseReport, _sample_points,
                              make_family, run_pointwise_campaign, write_certificates_json)
 from test_maximal import block_windows
 
@@ -378,12 +378,15 @@ def test_certificate_gaussian_origin_cell():
 
 
 def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
-    # each instance is one certify_points call; a nonzero one takes its
-    # maximal values in one node_maximals call on exactly the campaign's
-    # sampled nodes, and no other maximal function runs.  The
-    # dilations (20, 20) have ||f||_p = 0 on the grid: the gaussian's p-th
-    # powers underflow although its values do not, and the box holds no
-    # cell center; neither reaches the maximal pass
+    # each instance is one certify_points call.  A nonzero random instance
+    # takes its maximal values in one node_maximals call on exactly the
+    # campaign's sampled nodes and splits the whole field (region_sums); a
+    # nonzero gaussian or box instance has block factors and takes one
+    # block_maximals call and one block_region_sums call instead, on the
+    # same nodes.  No other maximal function runs.  The dilations (20, 20)
+    # have ||f||_p = 0 on the grid: the gaussian's p-th powers underflow
+    # although its values do not, and the box and the random field hold no
+    # cell center; none reaches a maximal pass
     import prodhls.harness as harness
     import prodhls.maximal as maximal
     events, received = [], []
@@ -391,13 +394,13 @@ def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
     def counted(name, inner):
         def call(*args, **kwargs):
             events.append(name)
-            if name == "node_maximals":
-                received.append(np.array(args[2]))
+            if name in ("node_maximals", "block_maximals"):
+                received.append(np.array(args[-1]))
             return inner(*args, **kwargs)
         return call
 
-    for name in maximal.__all__:
-        fn = getattr(maximal, name)
+    for name in [*maximal.__all__, "region_sums", "block_region_sums"]:
+        fn = getattr(maximal, name, None) or getattr(hedberg, name)
         if inspect.isfunction(fn):  # every binding of it, inside maximal too
             for module in (maximal, hedberg):
                 if getattr(module, name, None) is fn:
@@ -407,13 +410,15 @@ def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
     cfg = ExperimentConfig.from_dict({
         "grid": {"m": 2, "n": 1, "half_width": 1.0, "points_per_axis": 8},
         "exponents": {"alpha": 1.0, "beta": 0.5, "p": 4 / 3},
-        "families": ["gaussian", "box"],
+        "families": ["gaussian", "box", "random"],
         "dilations": [[1.0, 1.0], [2.0, 2.0], [20.0, 20.0]], "points_stride": 4})
     report = harness.run_pointwise_campaign(cfg)
-    assert [r.n_points for r in report.instances] == [8, 8, 0] * 2
-    assert events == (["certify", "node_maximals"] * 2 + ["certify"]) * 2
+    assert [r.n_points for r in report.instances] == [8, 8, 0] * 3
+    tensor = ["certify", "block_maximals", "block_region_sums"] * 2 + ["certify"]
+    sampled = ["certify", "node_maximals", "region_sums"] * 2 + ["certify"]
+    assert events == tensor * 2 + sampled
     nodes = [list(node) for node in itertools.product((0, 4), repeat=3)]
-    assert [points.tolist() for points in received] == [nodes] * 4
+    assert [points.tolist() for points in received] == [nodes] * 6
 
 
 def test_certificates_do_not_depend_on_the_other_nodes():
@@ -452,18 +457,25 @@ def test_sampled_certificates_match_every_node(m, n, N, stride):
 
 def test_campaign_computes_each_norm_once(monkeypatch):
     # certify_points takes ||f||_p once per instance, and the harness takes
-    # none of its own
+    # none of its own: lp_norm of the sampled field for a random instance,
+    # the two block norms for a gaussian or box instance, which takes no
+    # lp_norm
     import prodhls.harness as harness
-    calls = []
+    calls, block_calls = [], []
     for module in (harness, hedberg):
         monkeypatch.setattr(module, "lp_norm", lambda f, p, real=lp_norm: (
             calls.append(f) or real(f, p)))
+    real_block_norms = TensorProduct.block_norms
+    monkeypatch.setattr(TensorProduct, "block_norms", lambda f, p: (
+        block_calls.append(f) or real_block_norms(f, p)))
     cfg = ExperimentConfig.from_dict({
         "grid": {"m": 2, "n": 1, "half_width": 1.0, "points_per_axis": 8},
         "exponents": {"alpha": 1.0, "beta": 0.5, "p": 4 / 3},
-        "families": ["gaussian", "box"], "dilations": [[1.0, 1.0], [2.0, 2.0]]})
+        "families": ["gaussian", "box", "random"], "dilations": [[1.0, 1.0], [2.0, 2.0]]})
     harness.run_pointwise_campaign(cfg)
-    assert len(calls) == len({id(f) for f in calls}) == 4
+    assert len(calls) == len({id(f) for f in calls}) == 2
+    assert all(isinstance(f, GridFunction) for f in calls)
+    assert len(block_calls) == len({id(f) for f in block_calls}) == 4
 
 
 @pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (1, 2, 8), (2, 2, 6)])
@@ -577,6 +589,46 @@ def test_zero_norm_has_no_certificates(monkeypatch):
         assert certify_points(f, STD, [(64, 64), (0, 127)]) == []
         with pytest.raises(ValueError, match=r"L\^p norm of f is 0"):
             certify_point(f, STD, (64, 64))
+
+
+def test_tensor_emptiness_rule_at_the_underflow_edge(monkeypatch):
+    # a tensor product a(x) b(y) is empty when its largest cell's share of
+    # ||f||_p^p, (max a max b)^p h^rank, is 0.0.  The 400-fold gaussian is,
+    # although its block norms multiply to 2.0e-274: no certificates, the
+    # one-node view raises, and no block maximal runs
+    g = grid_1x1(N=128)
+    fam = make_family("gaussian", g, {"sigma": 0.125})
+    narrow = TensorProduct(g, *fam.factors(400.0, 400.0))
+    assert math.prod(narrow.block_norms(STD.p)) == pytest.approx(2.0e-274, rel=0.01)
+    with monkeypatch.context() as patched:
+        patched.setattr(hedberg, "block_maximals", None)
+        assert certify_points(narrow, STD, [(64, 64), (0, 127)]) == []
+        with pytest.raises(ValueError, match=r"L\^p norm of f is 0"):
+            certify_point(narrow, STD, (64, 64))
+    # over the edge the rule and the sampled field's ||f||_p = 0 agree,
+    # except where every cell's share of ||f||_p^p is subnormal, so that
+    # the sampled field sums subnormal shares
+    empty = []
+    for s in np.arange(360.0, 400.0, 0.25):
+        f = fam(s, s)
+        tensor_empty = not certify_points(TensorProduct(g, *fam.factors(s, s)), STD, [(64, 64)])
+        shares = f.values ** STD.p * g.cell_volume
+        assert tensor_empty == (lp_norm(f, STD.p) == 0.0) or shares.max() < np.finfo(float).tiny
+        empty.append(tensor_empty)
+    assert empty[0] is False and empty[-1] is True
+
+
+def test_tensor_product_rejects_malformed_factors():
+    g = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=4)
+    ones = np.ones((4, 4)), np.ones(4)
+    tensor = TensorProduct(g, *ones)
+    assert not tensor.x.flags.writeable and tensor.y.dtype == np.float64
+    for x, y, message in ((np.ones(4), np.ones(4), r"x factor shape \(4,\)"),
+                          (ones[0], np.ones((4, 4)), r"y factor shape \(4, 4\)"),
+                          (-ones[0], ones[1], "x factor values must be finite and nonnegative"),
+                          (ones[0], np.full(4, np.nan), "y factor values must be finite")):
+        with pytest.raises(ValueError, match=message):
+            TensorProduct(g, x, y)
 
 
 def test_certificate_region_checks_recorded():
@@ -831,28 +883,16 @@ def certify_each(f, exps, points, chunk=64):
                     yield exc
 
 
-@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (2, 2, 8)])
-@pytest.mark.parametrize("mutation", list(MUTATIONS))
-def test_mutation_is_caught(monkeypatch, mutation, m, n, N):
-    # every node of the family at each rank, certified under the mutation:
-    # the set of checks that fire is exactly the expected one
-    family, binding, mutate, expected = MUTATIONS[mutation]
-    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
-    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
-    f = make_family(family, grid, seed=5)(1.0, 1.0)
+def checks_fired(f, certified, e):
+    """The checks that fire when every node of the sampled field ``f`` is
+    certified through ``certified``: f itself, or its block factors."""
+    grid = f.grid
+    m, n, N = grid.m, grid.n, grid.points_per_axis
     conv = convolve_direct(f, riesz_kernel(grid, e)).values
     mf, n1, n2 = exhaustive_node_values(f, e.p)
-    # each call reads its nodes' values from one pass over every node and
-    # its slice norms, the bytes a pass over its own nodes gives
-    full, m1, m2 = maximal_fields(f)
-    norms = slice_lp_norms_x(m1, e.p), slice_lp_norms_y(m2, e.p)
-    monkeypatch.setattr(hedberg, "node_maximals", lambda f, p, points: (
-        full.values[tuple(points.T)], norms[0][tuple(points[:, :m].T)],
-        norms[1][tuple(points[:, m:].T)]))
-    monkeypatch.setattr(hedberg, binding, mutate(getattr(hedberg, binding), lp_norm(f, e.p)))
     fired = set()
     points = list(itertools.product(range(N), repeat=m + n))
-    for point, cert in zip(points, certify_each(f, e, points), strict=True):
+    for point, cert in zip(points, certify_each(certified, e, points), strict=True):
         if isinstance(cert, CertificateViolation):
             fired.add("violation:" + cert.diagnostics["region"])
             continue
@@ -867,7 +907,106 @@ def test_mutation_is_caught(monkeypatch, mutation, m, n, N):
                  else cert.g_value / cert.f_norm ** 2)
         if abs(cert.r1 ** (-e.m / e.p) * cert.r2 ** (-e.n / e.p) / ratio - 1.0) > 1e-12:
             fired.add("radii")
-    assert fired == expected
+    return fired
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (2, 2, 8)])
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_mutation_is_caught(monkeypatch, mutation, m, n, N):
+    # every node of the family at each rank, certified under the mutation:
+    # the set of checks that fire is exactly the expected one
+    family, binding, mutate, expected = MUTATIONS[mutation]
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    f = make_family(family, grid, seed=5)(1.0, 1.0)
+    # each call reads its nodes' values from one pass over every node and
+    # its slice norms, the bytes a pass over its own nodes gives
+    full, m1, m2 = maximal_fields(f)
+    norms = slice_lp_norms_x(m1, e.p), slice_lp_norms_y(m2, e.p)
+    monkeypatch.setattr(hedberg, "node_maximals", lambda f, p, points: (
+        full.values[tuple(points.T)], norms[0][tuple(points[:, :m].T)],
+        norms[1][tuple(points[:, m:].T)]))
+    monkeypatch.setattr(hedberg, binding, mutate(getattr(hedberg, binding), lp_norm(f, e.p)))
+    assert checks_fired(f, f, e) == expected
+
+
+def x_outer_column_dropped(real, tensor):
+    """A ``convolution._block_sums`` mutation: the x-block's sums over its
+    outer offsets read 0.0, so t21 and t22 do."""
+    def sums(values, layout, nodes, r):
+        out = real(values, layout, nodes, r)
+        if values is tensor.x:
+            out[:, 1] = 0.0
+        return out
+    return sums
+
+
+# id: (module, patched binding, mutation of the real binding given the
+# certified TensorProduct, the checks that fire), as in MUTATIONS, on the
+# gaussian certified from its block factors
+BLOCK_MUTATIONS = {
+    "unmutated": (hedberg, "block_region_sums", lambda real, tensor: real, set()),
+    "block-maximal-halved": (hedberg, "block_maximals", lambda real, tensor: (
+        lambda f, points: (lambda m_x, m_y: (0.5 * m_x, m_y))(*real(f, points))), {"node"}),
+    "block-radii-swapped": (hedberg, "block_region_sums", lambda real, tensor: (
+        lambda f, e, pts, r1, r2: real(f, e, pts, r2, r1)),
+        {"violation:region12", "violation:region21"}),
+    "block-column-dropped": (convolution, "_block_sums", x_outer_column_dropped, {"lhs"}),
+}
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (2, 2, 8)])
+@pytest.mark.parametrize("mutation", list(BLOCK_MUTATIONS))
+def test_block_mutation_is_caught(monkeypatch, mutation, m, n, N):
+    # every node of the gaussian, certified from its block factors under the
+    # mutation, against the oracles of the sampled field
+    module, binding, mutate, expected = BLOCK_MUTATIONS[mutation]
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    fam = make_family("gaussian", grid)
+    tensor = TensorProduct(grid, *fam.factors(1.0, 1.0))
+    monkeypatch.setattr(module, binding, mutate(getattr(module, binding), tensor))
+    assert checks_fired(fam(1.0, 1.0), tensor, e) == expected
+
+
+def float_fields(certs):
+    """Every float field of each certificate, one row per certificate: the
+    coordinates, radii, node values, norm, final bound, region sums and
+    region limits."""
+    return np.array([[*c.point_coordinates, c.r1, c.r2, c.m_value, c.n1, c.n2, c.f_norm,
+                      c.final_bound, *vars(c.regions).values(), *c.region_limits.values()]
+                     for c in certs])
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("m, n, N", [(1, 1, 32), (2, 1, 16), (1, 2, 16), (2, 2, 8)])
+def test_tensor_certificates_match_the_sampled_field(m, n, N, stride):
+    # the campaign certifies each analytic family from its block factors;
+    # at every node each float of the record is within 1e-12 of the record
+    # certify_points gives for the sampled field f = fam(s, t), a region
+    # sum is 0.0 on one path exactly when it is on the other, and case_id
+    # differs only at a tie G f = M f ||f|| (see
+    # test_tensor_inputs_tie_the_two_cases)
+    cfg = ExperimentConfig.from_dict({
+        "grid": {"m": m, "n": n, "half_width": 1.0, "points_per_axis": N},
+        "exponents": {"alpha": m / 2, "beta": n / 2, "p": 4 / 3},
+        "families": ["gaussian", "box", "tensor-box", "spike"],
+        "dilations": [[0.5, 0.5], [1.0, 1.0], [2.0, 2.0]], "points_stride": stride})
+    points = _sample_points(cfg.grid, stride)
+    instances = run_pointwise_campaign(cfg).instances
+    assert len(instances) == 12 and all(r.certificates for r in instances)
+    for inst in instances:
+        f = make_family(inst.family, cfg.grid)(inst.s, inst.t)
+        sampled = certify_points(f, cfg.exponents, points)
+        assert [c.point for c in inst.certificates] == [c.point for c in sampled]
+        got, want = float_fields(inst.certificates), float_fields(sampled)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert np.array_equal(got == 0.0, want == 0.0)
+        ties = np.array([abs(c.g_value - c.m_value * c.f_norm) <= 1e-14 * c.m_value * c.f_norm
+                         for c in sampled])
+        flipped = np.array([a.case_id != b.case_id
+                            for a, b in zip(inst.certificates, sampled)])
+        assert not np.any(flipped & ~ties)
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 1)])

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import prodhls.maximal as maximal
-from prodhls import (Exponents, GridFunction, ProductGrid, composition_check,
-                     g_function, g_norm_bound, lp_norm, maximal_fields, node_maximals,
+from prodhls import (Exponents, GridFunction, ProductGrid, TensorProduct, block_maximals,
+                     composition_check, g_function, g_norm_bound, lp_norm, maximal_fields,
+                     node_maximals,
                      sample_function, slice_lp_norms_x, slice_lp_norms_y)
 from prodhls.maximal import _dyadic_radii, _window_rows, _window_sums
 
@@ -410,6 +411,28 @@ def test_node_maximals_of_no_nodes(m, n):
     for points in ([], np.empty((0, g.rank), dtype=np.intp)):
         got = node_maximals(f, 4 / 3, points)
         assert [(a.shape, a.dtype) for a in got] == [((0,), np.float64)] * 3
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (1, 2, 8), (2, 2, 6)])
+def test_block_maximals_give_the_node_values(m, n, N):
+    # M a M b, M a ||b||_p and ||a||_p M b against node_maximals of the
+    # outer product, at every node, at a stride-4 sample and at no nodes
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    rng = np.random.default_rng(26)
+    x, y = (rng.uniform(0.0, 1.0, (N,) * dim) for dim in (m, n))
+    x[x < 0.3] = 0.0
+    tensor = TensorProduct(g, x, y)
+    f = GridFunction(g, np.multiply.outer(x, y))
+    norm_x, norm_y = tensor.block_norms(4 / 3)
+    every = np.array(list(np.ndindex(g.shape)))
+    for points in (every, every[np.all(every % 4 == 0, axis=1)]):
+        m_x, m_y = block_maximals(tensor, points)
+        got = np.array([m_x * m_y, m_x * norm_y, norm_x * m_y])
+        want = np.array(node_maximals(f, 4 / 3, points))
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert np.array_equal(got == 0.0, want == 0.0)
+    got = block_maximals(tensor, np.empty((0, g.rank), dtype=np.intp))
+    assert [(a.shape, a.dtype) for a in got] == [((0,), np.float64)] * 2
 
 
 def recorded_passes(monkeypatch):
