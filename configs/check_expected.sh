@@ -21,6 +21,27 @@ for name in pointwise necessity_balanced necessity_unbalanced normcheck; do
   cmp "$out/$name.txt" "configs/expected/$name.txt"
 done
 
+# each certificates.json is strict JSON (a NaN or an Infinity is an error),
+# and every record reads back as a certificate
+python - "$out"/*/certificates.json <<'PY'
+import json
+import sys
+
+from prodhls import HedbergCertificate
+
+
+def reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+for path in sys.argv[1:]:
+    with open(path) as fh:
+        document = json.load(fh, parse_constant=reject)
+    for instance in document["instances"]:
+        for record in instance["certificates"]:
+            HedbergCertificate.from_json_dict(record)
+PY
+
 # demos/expected/<name>.txt is the stdout of demos/<name>.py
 for demo in demos/*.py; do
   python "$demo" | cmp - "demos/expected/$(basename "$demo" .py).txt"

@@ -21,7 +21,8 @@ and provides:
 * the pointwise certification engine: lattice region bounds from
   per-block tables, closed-form balancing radii, and per-point
   certificates from one call per set of nodes, which computes what the
-  nodes read and runs one array pass over them (:mod:`prodhls.hedberg`);
+  nodes read, runs one array pass over them and returns one table of
+  columns (:mod:`prodhls.hedberg`);
 * experiment campaigns and the CLI harness (:mod:`prodhls.harness`,
   :mod:`prodhls.cli`).
 """
@@ -36,9 +37,9 @@ from .convolution import (RegionBounds, block_region_sums, convolve_direct, conv
                           region_split, region_sums)
 from .maximal import (CompositionReport, GNormReport, block_maximals, composition_check,
                       g_function, g_norm_bound, maximal_fields, node_maximals)
-from .hedberg import (BlockTable, CertificateViolation, ExponentError, HedbergCertificate,
-                      balanced_radii, certify_point, certify_points, final_bound,
-                      region_limits, region_tables, tail_integral_constant)
+from .hedberg import (BlockTable, CertificateTable, CertificateViolation, ExponentError,
+                      HedbergCertificate, balanced_radii, certify_point, certify_points,
+                      final_bound, region_limits, region_tables, tail_integral_constant)
 from .harness import (ConfigError, ExperimentConfig, make_family,
                       run_necessity_sweep, run_norm_check,
                       run_pointwise_campaign)
@@ -56,7 +57,7 @@ __all__ = [
     "g_function", "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",
     "BlockTable", "region_tables", "region_limits", "balanced_radii", "final_bound",
-    "HedbergCertificate", "certify_points", "certify_point",
+    "HedbergCertificate", "CertificateTable", "certify_points", "certify_point",
     "ConfigError", "ExperimentConfig", "make_family",
     "run_pointwise_campaign", "run_necessity_sweep", "run_norm_check",
 ]

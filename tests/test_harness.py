@@ -1,5 +1,6 @@
 """Experiment configs, campaign reports, CLI wiring, determinism."""
 
+import gc
 import json
 import math
 import os
@@ -471,7 +472,8 @@ def test_tensor_instance_peak_memory():
     points = _sample_points(cfg.grid, 8)
     tracemalloc.start()
     try:
-        result = _certify_instance(cfg, "gaussian", 1.0, 1.0, points)
+        result = _certify_instance(cfg, make_family("gaussian", cfg.grid), "gaussian", 1.0, 1.0,
+                                   points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -700,6 +702,34 @@ def test_cli_rejects_tolerance_the_command_does_not_read(tmp_path, capsys, comma
     assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 2
     assert foreign in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_repeated_cli_calls_leave_no_cyclic_garbage(tmp_path):
+    # the CLI builds its argument parser once per process.  A parser built
+    # per call left about 150 objects in reference cycles, which only the
+    # cyclic collector frees, so in-process runs grew between collections
+    missing = ["pointwise", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
+    run = ["normcheck", "--config", str(write_config(tmp_path, small_config())),
+           "--out", str(tmp_path / "o")]
+    for argv in (missing, run):
+        cli_main(argv)  # warm-up
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert cli_main(missing) == 2
+        assert gc.collect() == 0
+        # a run writes summary.json through json's indenting encoder, whose
+        # closures are a cycle of their own; none of its garbage is argparse's
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for _ in range(3):
+            assert cli_main(run) == 0
+        gc.collect()
+        assert not [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 def test_cli_assertion_failure_exit_code(tmp_path):

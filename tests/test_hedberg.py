@@ -1,10 +1,13 @@
 """Certification engine: admissibility, constants, radii, certificates."""
 
 import dataclasses
+import gc
 import inspect
 import itertools
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +16,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import prodhls
 from prodhls import convolution, hedberg
-from prodhls import (CertificateViolation, Exponents, ExponentError, GridFunction,
+from prodhls import (CertificateTable, CertificateViolation, Exponents, ExponentError, GridFunction,
                      HedbergCertificate, ProductGrid, TensorProduct, balanced_radii,
                      certify_point, certify_points, convolve_direct, final_bound, lp_norm,
                      maximal_fields, profile_ball_integral, region_limits, region_tables,
@@ -835,6 +839,16 @@ def region_column_scaled(column, factor):
     return mutate
 
 
+def t11_nan(real, _):
+    """A ``region_sums`` or ``block_region_sums`` mutation: every t11 reads
+    NaN, which no comparison with its bound lets through."""
+    def sums(*args):
+        out = real(*args)
+        out[:, 0] = math.nan
+        return out
+    return sums
+
+
 def case2_ratio_over_f_norm(real, f_norm):
     """A ``balanced_radii`` mutation: the case-2 ratio G f / ||f||^2 passed
     as G f / ||f||.  A case-2 ratio is exactly n1 n2 / ||f||^2; the random
@@ -858,6 +872,7 @@ MUTATIONS = {
     "kernel-exponent-x1.1": ("gaussian", "region_sums", kernel_exponent_scaled(1.1), {"lhs"}),
     "t11-doubled": ("gaussian", "region_sums", region_column_scaled(0, 2.0), {"lhs"}),
     "t22-dropped": ("gaussian", "region_sums", region_column_scaled(3, 0.0), {"lhs"}),
+    "t11-nan": ("gaussian", "region_sums", t11_nan, {"violation:region11"}),
     "m-value-halved": ("gaussian", "node_maximals", lambda real, f_norm: lambda f, p, points: (
         lambda mf, n1, n2: (0.5 * mf, n1, n2))(*real(f, p, points)), {"node"}),
     # every region limit holds at any radii, and case 2 has no collapse
@@ -952,6 +967,7 @@ BLOCK_MUTATIONS = {
         lambda f, e, pts, r1, r2: real(f, e, pts, r2, r1)),
         {"violation:region12", "violation:region21"}),
     "block-column-dropped": (convolution, "_block_sums", x_outer_column_dropped, {"lhs"}),
+    "block-t11-nan": (hedberg, "block_region_sums", t11_nan, {"violation:region11"}),
 }
 
 
@@ -1184,11 +1200,12 @@ def test_certificate_rejects_inadmissible_exponents():
 def test_certificate_json_round_trip(tmp_path):
     g = grid_1x1(N=32)
     f = gaussian(g)
-    cert = certify_point(f, STD, (16, 16))
+    table = certify_points(f, STD, [(16, 16)])
+    [cert] = table
     d = cert.to_json_dict()
     assert d["schema_version"] == 1
     assert HedbergCertificate.from_json_dict(json.loads(json.dumps(d))) == cert
-    instance = InstanceResult(family="gaussian", s=1.0, t=1.0, certificates=[cert])
+    instance = InstanceResult(family="gaussian", s=1.0, t=1.0, certificates=table)
     report = PointwiseReport(instances=[instance], max_ratio=cert.ratio,
                              family_stability={"gaussian": None},
                              stability_factor=2.0, suite_constant=None,
@@ -1221,6 +1238,122 @@ def test_certificates_json_holds_the_report_records(tmp_path, m, n):
         for record, cert in zip(entry["certificates"], inst.certificates, strict=True):
             assert record == cert.to_json_dict()
             assert HedbergCertificate.from_json_dict(record) == cert
+
+
+REFERENCE_POINTWISE = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "pointwise.json").read_text())
+
+
+def pointwise_2d_config(m, n, N):
+    """A pointwise config with a 2-d block, as the benchmark builds it: the
+    reference families and family parameters, alpha = m/2, beta = n/2."""
+    return dict(REFERENCE_POINTWISE, grid={"m": m, "n": n, "half_width": 1.0,
+                                           "points_per_axis": N},
+                exponents={"alpha": m / 2, "beta": n / 2, "p": 4 / 3},
+                dilations=[[0.5, 0.5], [1.0, 1.0], [2.0, 2.0]])
+
+
+def assert_written_as_json_dumps(path, report, cfg):
+    """certificates.json holds the bytes json.dumps writes for the row
+    views' records, and every view reads back from its record."""
+    text = write_certificates_json(path, report, cfg).read_text()
+    assert text == json.dumps({
+        "config_sha256": cfg.sha256(), "library_version": prodhls.__version__,
+        "schema_version": 1, "instances": [{
+            "family": r.family, "s": r.s, "t": r.t,
+            "certificates": [view.to_json_dict() for view in r.certificates],
+        } for r in report.instances]}, sort_keys=True, separators=(",", ":")) + "\n"
+    for r in report.instances:
+        for view in r.certificates:
+            assert HedbergCertificate.from_json_dict(view.to_json_dict()) == view
+
+
+@pytest.mark.parametrize("raw, empty", [
+    pytest.param(REFERENCE_POINTWISE, 0, id="reference"),
+    pytest.param(pointwise_2d_config(2, 1, 32), 0, id="pointwise-21"),
+    pytest.param(pointwise_2d_config(2, 2, 16), 0, id="pointwise-22"),
+    # the gaussian dilated 400-fold has no certificates at N=128
+    pytest.param(dict(REFERENCE_POINTWISE, families=["gaussian"],
+                      dilations=[[400.0, 400.0], [1.0, 1.0]]), 1, id="empty-instance"),
+])
+def test_certificates_json_is_json_dumps_of_the_row_views(tmp_path, raw, empty):
+    cfg = ExperimentConfig.from_dict(raw)
+    report = run_pointwise_campaign(cfg)
+    assert sum(r.n_points == 0 for r in report.instances) == empty
+    assert_written_as_json_dumps(tmp_path / "certificates.json", report, cfg)
+
+
+def test_certificates_json_writes_each_float_as_json_does(tmp_path):
+    # a hand-built table: signed zeros, the least subnormal, the floats where
+    # repr switches to exponent notation, and a float repr writes in 17 digits
+    values = np.array([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e22, 0.1 + 0.2])
+    positive = values[2:]
+
+    def cycle(column, shift):
+        return np.resize(np.roll(column, -shift), len(values))
+
+    table = CertificateTable(
+        point=np.arange(2 * len(values)).reshape(-1, 2),
+        point_coordinates=np.column_stack([values, cycle(values, 3)]),
+        case_id=cycle([1, 2], 0), r1=cycle(positive, 0), r2=cycle(positive, 1),
+        regions=np.column_stack([cycle(values, j) for j in range(4)]),
+        m_value=cycle(positive, 2), n1=cycle(positive, 3), n2=cycle(positive, 4),
+        final_bound=cycle(positive[1:], 0),
+        region_limits=np.column_stack([cycle(values, j) for j in range(4, 8)]),
+        f_norm=0.1 + 0.2)
+    views = list(table)
+    for column in ("g_value", "lhs", "ratio"):
+        assert getattr(table, column).tolist() == [getattr(v, column) for v in views]
+    assert table == views and table[-1] == views[-1] and table != views[:-1]
+    cfg = ExperimentConfig(grid=grid_1x1(N=16), exponents=STD)
+    report = PointwiseReport(instances=[InstanceResult("gaussian", 1.0, -0.0, table)] * 2,
+                             max_ratio=0.0, family_stability={}, stability_factor=2.0,
+                             suite_constant=None, passed=True)
+    assert_written_as_json_dumps(tmp_path / "certificates.json", report, cfg)
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 64), (2, 2, 8)])
+def test_certificate_table_holds_at_most_200_bytes_a_node(m, n, N):
+    # every node of a 4096-node grid: the table is its columns and no more
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    fam = make_family("gaussian", grid)
+    f = TensorProduct(grid, *fam.factors(1.0, 1.0))
+    points = list(itertools.product(range(N), repeat=m + n))
+    certify_points(f, e, points[:1])  # the tables and kernel factors are built once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = certify_points(f, e, points)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 4096 and held <= 200 * len(table)
+
+
+def test_certify_and_write_peak_memory(tmp_path):
+    # certifying and writing every node of a (1,1) N=64 gaussian from its
+    # blocks peaked at 6.96 MB traced (15.1 MB with one record object per
+    # node); 8 MiB allows for other Python and numpy releases
+    grid = grid_1x1(N=64)
+    fam = make_family("gaussian", grid)
+    f = TensorProduct(grid, *fam.factors(1.0, 1.0))
+    points = list(itertools.product(range(64), repeat=2))
+    cfg = ExperimentConfig(grid=grid, exponents=STD)
+    certify_points(f, STD, points[:1])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = PointwiseReport(instances=[InstanceResult(
+            "gaussian", 1.0, 1.0, certify_points(f, STD, points))], max_ratio=0.0,
+            family_stability={}, stability_factor=2.0, suite_constant=None, passed=True)
+        write_certificates_json(tmp_path / "certificates.json", report, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.instances[0].n_points == 4096 and peak < 8 * 2 ** 20
 
 
 def test_certificate_json_keys_are_schema_1():
