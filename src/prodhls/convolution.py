@@ -26,49 +26,15 @@ its last axis runs a block of rows at a time, straight into the result.
 The values are those of the full ``irfftn(rfftn(f) * rfftn(k))``
 formula, bit for bit.
 
-Each of the four line passes (the forward last-axis ``rfft`` and
-leading-axis ``fft``, the inverse leading-axis ``ifft`` and row-block
-``irfft``) and the spectrum product run in one contiguous piece per CPU
-through :func:`prodhls.grid._split`, cut along the outermost axis that
-the pass does not transform: the leading rows, or the second axis for a
-pass over axis 0 (the last axis at rank 2).  A line or element is the
-same numpy call on the same data whichever piece holds it, so the bytes
-do not depend on the CPU count.  A spectrum of fewer than 2^17 elements
-runs in one piece in the calling thread.  The floor comes from this
-crossover: split over serial time of one call on a shared 2-vCPU host,
-the range of three runs, each the median of 20 or 40 pairs alternating
-in one process; ``lp_norm`` (p = 4/3, split the same way) on the same
-grid in the last two columns:
-
-    (m, n) N     spectrum  convolve_fast    cells   lp_norm
-    (1, 1) 128      18624  1.59 - 2.44      16384  1.34 - 1.94
-    (1, 1) 256      74112  0.85 - 1.20      65536  0.88 - 1.10
-    (1, 1) 384     166464  0.65 - 0.82     147456  0.75 - 0.90
-    (1, 1) 512     295680  0.59            262144  0.73 - 0.88
-    (1, 1) 1024   1181184  0.55 - 0.62    1048576  0.63 - 0.73
-    (2, 1) 32       57600  1.56 - 1.91      32768  1.14 - 1.41
-    (2, 1) 48      191808  0.76 - 0.95     110592  0.80 - 0.82
-    (2, 1) 64      451584  0.57 - 0.66     262144  0.66 - 0.77
-    (2, 2) 16      179712  0.73 - 0.92      65536  0.77 - 0.95
-    (2, 2) 24      886464  0.59 - 0.77     331776  0.70 - 0.84
-
-The floor counts spectrum elements for a convolution and cells for a
-norm.  It splits every entry from 147456 up, each faster split, and none
-at 74112 or below, where a split can be slower; the 110592-cell norm
-stays in one piece.  It keeps the N = 128 ``normcheck`` sweep and the
-pointwise campaigns' norms (32^3 and 16^4 cells) in one piece, so they
-start no thread.  The sweeps measure a tensor-product family block by
-block, convolving each block factor with the kernel's through
-:func:`_convolve_block` (the same passes on one (N,) or (N, N) block),
-so of the sweeps only the random family's rows still reach the split:
-at (1, 1) N = 512 its convolutions and norms do.  No reference config
-and no benchmark workload runs such a row.
+The sweeps measure a tensor-product family block by block, convolving
+each block factor with the kernel's through :func:`_convolve_block`
+(the same passes on one (N,) or (N, N) block).
 
 :func:`region_sums` reads the kernel as x-factor times y-factor, so the
 four region sums at a node come from one two-sided block contraction of
 the node's window with the inner and outer rows of each factor; it
-builds those rows for all its nodes at once, and :func:`region_split` is
-its view of one node.  For a tensor product ``a(x) b(y)`` the
+builds those rows for a chunk of nodes at a time, and
+:func:`region_split` is its view of one node.  For a tensor product ``a(x) b(y)`` the
 contraction factors into an x-block sum and a y-block sum, and
 :func:`block_region_sums` reads each from the block factor alone.
 """
@@ -81,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, ProductGrid, TensorProduct, _split, check_positive,
-                   normalize_points)
+from .grid import GridFunction, ProductGrid, TensorProduct, check_positive, normalize_points
 from .kernel import Exponents, block_factors
 
 __all__ = [
@@ -148,8 +113,7 @@ def convolve_direct(f: GridFunction, k: GridFunction) -> GridFunction:
 _KERNEL_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # The last-axis inverse runs in this many blocks of leading rows, through
-# one line buffer of a block's size; split, each piece takes its share of
-# the buffer's rows and of the box rows, and runs in as many blocks.
+# one line buffer of a block's size.
 _INVERSE_BLOCKS = 8
 
 
@@ -179,12 +143,6 @@ def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     ``irfftn(rfftn(f) * rfftn(k))``, so the result matches that formula
     bit for bit.  Tiny negative rounding residues are clipped to keep
     the result a valid sample field.
-
-    From a spectrum of 2^17 elements up, each line pass and the product
-    run in one piece per CPU, cut along an axis the pass does not
-    transform; the pieces of the last-axis inverse share the one line
-    buffer.  Each line and element is computed as in one piece, so the
-    bytes are the same on any number of CPUs.
     """
     _require_same_grid(f, k)
     grid = f.grid
@@ -211,9 +169,7 @@ def _convolved(values: np.ndarray, kernel_spectrum: np.ndarray, scale: float) ->
     ``values``."""
     N = len(values)
     spectrum = _padded_spectrum(values, 3 * N // 2)
-    _split(lambda start, stop: np.multiply(spectrum[start:stop], kernel_spectrum[start:stop],
-                                           out=spectrum[start:stop]),
-           len(spectrum), spectrum.size)
+    spectrum *= kernel_spectrum
     return _box_inverse(spectrum, N, scale)
 
 
@@ -232,26 +188,11 @@ def _padded_spectrum(values: np.ndarray, L: int) -> np.ndarray:
     sign."""
     N, rank = values.shape[0], values.ndim
     spectrum = np.zeros((L,) * (rank - 1) + (L // 2 + 1,), dtype=np.complex128)
-    rows, head = _rows(values), _rows(spectrum[(slice(N),) * (rank - 1)])
-    _split(lambda start, stop: np.fft.rfft(rows[start:stop], L, axis=-1,
-                                           out=head[start:stop]),
-           len(rows), spectrum.size)
+    np.fft.rfft(values, L, axis=-1, out=spectrum[(slice(N),) * (rank - 1)])
     for axis in reversed(range(rank - 1)):
-        _transform_lines(np.fft.fft, spectrum[(slice(N),) * axis], axis, spectrum.size)
+        lines = spectrum[(slice(N),) * axis]
+        np.fft.fft(lines, axis=axis, out=lines)
     return spectrum
-
-
-def _transform_lines(transform, lines: np.ndarray, axis: int, size: int) -> None:
-    """``transform(lines, axis=axis, out=lines)``, split along the
-    outermost axis that it does not transform."""
-    outer = 1 if axis == 0 else 0
-    lead = (slice(None),) * outer
-
-    def piece(start, stop):
-        part = lines[lead + (slice(start, stop),)]
-        transform(part, axis=axis, out=part)
-
-    _split(piece, lines.shape[outer], size)
 
 
 def _box_inverse(spectrum: np.ndarray, N: int, scale: float) -> np.ndarray:
@@ -260,29 +201,25 @@ def _box_inverse(spectrum: np.ndarray, N: int, scale: float) -> np.ndarray:
     axes are inverted in place in ``spectrum``."""
     rank, L = spectrum.ndim, 3 * N // 2
     box = slice(N // 2, N // 2 + N)
-    size = spectrum.size
     for axis in range(rank - 1):
-        _transform_lines(np.fft.ifft, spectrum, axis, size)
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
         spectrum = spectrum[(slice(None),) * axis + (box,)]
     out = np.empty((N,) * rank)
     box_rows, spectrum = _rows(out), _rows(spectrum)
-    count = len(box_rows)
-    rows = -(-count // _INVERSE_BLOCKS)
+    rows = -(-len(box_rows) // _INVERSE_BLOCKS)
     lines = np.empty((rows,) + box_rows.shape[1:-1] + (L,))
-
-    def inverse_rows(start, stop):
-        # the buffer's rows [start, stop) carry the box rows [first, last),
-        # that many at a time
-        first, last = start * count // rows, stop * count // rows
-        for row in range(first, last, stop - start):
-            block = box_rows[row:min(row + stop - start, last)]
-            buffer = lines[start:start + len(block)]
-            np.fft.irfft(spectrum[row:row + len(block)], L, axis=-1, out=buffer)
-            np.multiply(buffer[..., box], scale, out=block)
-            np.maximum(block, 0.0, out=block)
-
-    _split(inverse_rows, rows, size)
+    for row in range(0, len(box_rows), rows):
+        block = box_rows[row:row + rows]
+        buffer = lines[:len(block)]
+        np.fft.irfft(spectrum[row:row + len(block)], L, axis=-1, out=buffer)
+        np.multiply(buffer[..., box], scale, out=block)
+        np.maximum(block, 0.0, out=block)
     return out
+
+
+# values per chunk of one block: the nodes' factor rows in region_sums, the
+# cells' windows in block_region_sums
+_BLOCK_CHUNK = 1 << 16
 
 
 def region_sums(f: GridFunction, exps: Exponents, points, r1, r2) -> np.ndarray:
@@ -301,10 +238,11 @@ def region_sums(f: GridFunction, exps: Exponents, points, r1, r2) -> np.ndarray:
     whose rows of Kx (columns of Ky^T) are the factor on the inner
     offsets ``|x| <= r1`` (``|y| <= r2``) and on the outer ones, so
     ``t[0, 0], t[0, 1], t[1, 0], t[1, 1]`` are t11, t12, t21, t22.  The
-    inner and outer factor rows of every node are built at once; the
-    contraction runs node by node.  The window ``f[i - j + N/2]`` is read
-    only over the run of offsets j whose samples land in the box, so a
-    radius beyond the box only puts every offset in the inner region.
+    inner and outer factor rows are built for a chunk of nodes at a time,
+    at most 2^16 values of each block's rows; the contraction runs node
+    by node.  The window ``f[i - j + N/2]`` is read only over the run of
+    offsets j whose samples land in the box, so a radius beyond the box
+    only puts every offset in the inner region.
     The two products are einsum passes that call no BLAS routine, so the
     BLAS thread count cannot change the sums.
     """
@@ -320,28 +258,31 @@ def region_sums(f: GridFunction, exps: Exponents, points, r1, r2) -> np.ndarray:
         np.subtract(factor, rows[:, 0], out=rows[:, 1])
         return rows.reshape((len(r), 2) + (N,) * dim)
 
-    x_rows = factor_rows(x_norm, x_factor, r1, grid.m)
-    y_rows = factor_rows(y_norm, y_factor, r2, grid.n)
     reverse = (slice(None, None, -1),) * grid.rank
     # per axis the offsets j and the sample indices i - j + N/2 that land in
     # the box span the same run, traversed in opposite directions
     starts = np.maximum(idx - N // 2 + 1, 0).tolist()
     stops = np.minimum(idx + N // 2 + 1, N).tolist()
-    sums = []
-    for k, (start, stop) in enumerate(zip(starts, stops)):
-        run = tuple(map(slice, start, stop))
-        window = f.values[run][reverse]
-        kx = np.ascontiguousarray(x_rows[(k, slice(None)) + run[:grid.m]]).reshape(2, -1)
-        ky = np.ascontiguousarray(y_rows[(k, slice(None)) + run[grid.m:]]).reshape(2, -1)
-        # einsum, not matmul: the first BLAS call of a process maps about 0.4 MB
-        # of buffers, a measured rise in the pointwise runs' peak RSS.  The
-        # reshape copies the reversed window, and the copy stays: it gives
-        # each einsum a contiguous inner loop.  Read in place with one
-        # subscript per axis, the same bytes came up to 14% slower at the
-        # 2-d ranks (9% faster at rank (1,1))
-        rows = np.einsum("ax,xy->ay", kx, window.reshape(kx.shape[1], ky.shape[1]))
-        sums.append(np.einsum("ay,by->ab", rows, ky))
-    return np.array(sums).reshape(len(idx), 4) * grid.cell_volume
+    sums = np.empty((len(idx), 2, 2))
+    step = max(_BLOCK_CHUNK // (2 * N ** max(grid.m, grid.n)), 1)
+    for first in range(0, len(idx), step):
+        chunk = slice(first, first + step)
+        x_rows = factor_rows(x_norm, x_factor, r1[chunk], grid.m)
+        y_rows = factor_rows(y_norm, y_factor, r2[chunk], grid.n)
+        for k, (start, stop) in enumerate(zip(starts[chunk], stops[chunk])):
+            run = tuple(map(slice, start, stop))
+            window = f.values[run][reverse]
+            kx = np.ascontiguousarray(x_rows[(k, slice(None)) + run[:grid.m]]).reshape(2, -1)
+            ky = np.ascontiguousarray(y_rows[(k, slice(None)) + run[grid.m:]]).reshape(2, -1)
+            # einsum, not matmul: the first BLAS call of a process maps about
+            # 0.4 MB of buffers, a measured rise in the pointwise runs' peak
+            # RSS.  The reshape copies the reversed window, and the copy
+            # stays: it gives each einsum a contiguous inner loop.  Read in
+            # place with one subscript per axis, the same bytes came up to
+            # 14% slower at the 2-d ranks (9% faster at rank (1,1))
+            rows = np.einsum("ax,xy->ay", kx, window.reshape(kx.shape[1], ky.shape[1]))
+            sums[first + k] = np.einsum("ay,by->ab", rows, ky)
+    return sums.reshape(len(idx), 4) * grid.cell_volume
 
 
 def _nodes_and_radii(grid, points, r1, r2):
@@ -373,10 +314,6 @@ def _shell_order(grid: ProductGrid, exps: Exponents) -> tuple[tuple[np.ndarray, 
             a.setflags(write=False)
         blocks.append(arrays)
     return tuple(blocks)
-
-
-# window cells per chunk of a block's cells in block_region_sums
-_BLOCK_CHUNK = 1 << 16
 
 
 def block_region_sums(f: TensorProduct, exps: Exponents, points, r1, r2) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import __version__
 from .convolution import _convolve_block, convolve_fast
 from .grid import GridFunction, ProductGrid, TensorProduct, _lp_norm, dilate, lp_norm
 from .hedberg import CERTIFICATE_SCHEMA_VERSION, CertificateTable, certify_points
-from .kernel import Exponents, block_factors, riesz_kernel
+from .kernel import Exponents, block_factors, check_blocks, riesz_kernel
 
 __all__ = [
     "ConfigError",
@@ -83,6 +83,14 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name, value, kind in (("grid", self.grid, ProductGrid),
+                                  ("exponents", self.exponents, Exponents)):
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        try:
+            check_blocks(self.grid, self.exponents)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not (isinstance(self.families, (list, tuple))
                 and all(isinstance(f, str) for f in self.families)):
             raise ConfigError(f"families must be a list of strings, got {self.families!r}")

@@ -3,7 +3,6 @@
 import gc
 import tracemalloc
 import warnings
-import weakref
 from fractions import Fraction
 from functools import reduce
 
@@ -16,7 +15,6 @@ from prodhls import (Exponents, GridFunction, ProductGrid, TensorProduct, block_
                      convolve_direct,
                      convolve_fast, region_split, region_sums, riesz_kernel, sample_function)
 from prodhls import convolution
-from prodhls import grid as grid_module
 
 STD = Exponents.from_balance(1, 1, 0.5, 0.5, 4 / 3)
 
@@ -143,7 +141,7 @@ def three_transform_convolve(f, k):
 
 
 @pytest.mark.parametrize("m, n, N", [(1, 1, 32), (2, 1, 8), (1, 2, 8), (2, 2, 8),
-                                     (1, 1, 2), (1, 1, 6), (1, 1, 512)])
+                                     (1, 1, 2), (1, 1, 6), (1, 1, 512), (2, 1, 48)])
 def test_fast_bytes_match_three_transform_formula(m, n, N):
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
@@ -231,8 +229,7 @@ def test_fast_peak_memory(m, n, N):
     # in all: traced peaks of 3.60, 4.84, 4.84, 6.80 and 3.48 fields,
     # against 2.27, 3.52, 3.52, 5.48 and 2.26 for the spectrum.  One more
     # full-size array, such as a copy of the result or full-width inverse
-    # lines, breaks the bound; at N = 512 the passes are split, and the
-    # pieces' line buffers share the eighth
+    # lines, breaks the bound
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     f = random_function(g, seed=12)
     k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
@@ -246,23 +243,6 @@ def test_fast_peak_memory(m, n, N):
     finally:
         tracemalloc.stop()
     assert peak <= spectrum_bytes + 1.5 * f.values.nbytes
-
-
-@pytest.mark.parametrize("m, n, N", [(1, 1, 512), (2, 1, 48)])
-def test_fast_bytes_do_not_depend_on_the_worker_count(monkeypatch, m, n, N):
-    # both shapes are above the split floor: every line pass and the
-    # product run in one piece per worker, the kernel's spectrum too
-    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
-    f = random_function(g, seed=23)
-    k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
-    L = 3 * N // 2
-    assert L ** (g.rank - 1) * (L // 2 + 1) >= grid_module._SPLIT_FLOOR
-    results = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(grid_module, "_WORKERS", workers)
-        monkeypatch.setattr(convolution, "_KERNEL_SPECTRA", weakref.WeakKeyDictionary())
-        results.append(convolve_fast(f, k).values.tobytes())
-    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_fast_result_is_not_copied(monkeypatch):
@@ -445,6 +425,29 @@ def test_region_sums_reject_bad_inputs():
     with pytest.raises(ValueError, match=r"points of shape \(1, 0\) .* do not address rank-2"):
         region_split(f, STD, (), 1.0, 1.0)
     assert region_sums(f, STD, [], [], []).shape == (0, 4)
+
+
+def test_region_sums_peak_memory():
+    # every node of a (2, 1) N = 16 field: the factor rows are built for 128
+    # nodes at a time, for a traced peak of about 66 fields of 16^3 float64.
+    # Built for all 4096 nodes at once they took 595 fields
+    g = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=16)
+    e = Exponents.from_balance(2, 1, 1.0, 0.5, 4 / 3)
+    f = random_function(g, seed=26)
+    points = np.array(list(np.ndindex(g.shape)))
+    r1, r2 = np.random.default_rng(27).uniform(0.01, 3.0, (2, len(points)))
+    region_sums(f, e, points[:1], r1[:1], r2[:1])  # the kernel factors are cached
+    tracemalloc.start()
+    try:
+        sums = region_sums(f, e, points, r1, r2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * f.values.nbytes
+    # the nodes on both sides of a chunk boundary keep their one-node splits
+    for k in (0, 127, 128, len(points) - 1):
+        rb = region_split(f, e, points[k], r1[k], r2[k])
+        assert sums[k].tolist() == [rb.t11, rb.t12, rb.t21, rb.t22]
 
 
 def random_tensor(g, seed):

@@ -1,10 +1,7 @@
 """Grid geometry, quadrature norms, slice norms, dilation."""
 
 import math
-import multiprocessing
-import os
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -192,21 +189,16 @@ def test_lp_norm_homogeneous(c, p):
 
 
 @pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 3.0, 4.0])
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_lp_norm_bytes_do_not_depend_on_the_worker_count(monkeypatch, workers, p):
-    # at 512^2 the powers are split into one piece per worker; every piece
-    # must give the bytes of the one-array formula
-    monkeypatch.setattr(grid_module, "_WORKERS", workers)
+def test_lp_norm_bytes_match_the_one_array_formula(p):
     g = grid_1x1(N=512)
     f = random_function(g, seed=21)
-    assert f.values.size >= grid_module._SPLIT_FLOOR
     expected = (float(np.sum(f.values ** p)) * g.cell_volume) ** (1.0 / p)
     assert lp_norm(f, p).hex() == expected.hex()
 
 
 def test_lp_norm_peak_memory():
-    # the powers live in one array that the pieces write into, so a split
-    # call holds one field beyond f: a second full array breaks the bound
+    # the powers live in one array, so a call holds one field beyond f:
+    # a second full array breaks the bound
     f = random_function(grid_1x1(N=512), seed=22)
     lp_norm(f, 4 / 3)
     tracemalloc.start()
@@ -216,66 +208,6 @@ def test_lp_norm_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * f.values.nbytes
-
-
-# ---------------------------------------------------------------- the split
-
-@pytest.mark.parametrize("workers, count", [(1, 10), (2, 10), (3, 10), (3, 2), (4, 7)])
-def test_split_tiles_the_range_in_one_piece_per_worker(monkeypatch, workers, count):
-    monkeypatch.setattr(grid_module, "_WORKERS", workers)
-    pieces = []
-    grid_module._split(lambda start, stop: pieces.append((start, stop)), count,
-                       grid_module._SPLIT_FLOOR)
-    pieces.sort()
-    assert len(pieces) == min(workers, count)
-    assert pieces[0][0] == 0 and pieces[-1][1] == count
-    assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(pieces, pieces[1:]))
-
-
-def test_split_below_the_floor_runs_once_inline(monkeypatch):
-    monkeypatch.setattr(grid_module, "_WORKERS", 3)
-    calls = []
-    grid_module._split(lambda start, stop: calls.append((start, stop)), 10,
-                       grid_module._SPLIT_FLOOR - 1)
-    assert calls == [(0, 10)]
-
-
-def test_split_raises_a_workers_error_after_every_piece_ran(monkeypatch):
-    monkeypatch.setattr(grid_module, "_WORKERS", 3)
-    done = []
-
-    def piece(start, stop):
-        if start == 3:
-            raise ArithmeticError("piece 2")
-        done.append(start)
-
-    with pytest.raises(ArithmeticError, match="piece 2"):
-        grid_module._split(piece, 9, grid_module._SPLIT_FLOOR)
-    assert sorted(done) == [0, 6]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_split_in_a_forked_child_starts_its_own_pool(monkeypatch):
-    # the child of a fork has none of the parent's pool threads; work
-    # queued for them would wait forever
-    monkeypatch.setattr(grid_module, "_WORKERS", 2)
-    f = random_function(grid_1x1(N=512), seed=24)
-    expected = lp_norm(f, 4 / 3)  # the parent's pool is running from here on
-
-    def child():
-        if lp_norm(f, 4 / 3) != expected:
-            raise AssertionError("the child's norm differs")
-
-    process = multiprocessing.get_context("fork").Process(target=child)
-    with warnings.catch_warnings():
-        # Python 3.12 warns that forking a process with threads may deadlock
-        warnings.simplefilter("ignore", DeprecationWarning)
-        process.start()
-    process.join(timeout=60)
-    alive = process.is_alive()
-    if alive:
-        process.kill()
-    assert not alive and process.exitcode == 0
 
 
 # ---------------------------------------------------------------- slice norms

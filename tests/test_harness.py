@@ -8,15 +8,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import prodhls
-import prodhls.convolution
-import prodhls.grid
 import prodhls.harness
 from prodhls import (ConfigError, Exponents, ExperimentConfig, convolve_fast, lp_norm,
                      make_family, riesz_kernel)
@@ -206,11 +203,17 @@ def test_config_rejects_malformed(edit, message):
     ("seed", 1.5, "seed must be an integer"),
     ("points_stride", 2.5, "points_stride must be an integer"),
     ("dilations", (("2.0", 1.0),), "dilation s must be a finite number"),
-], ids=["bool-seed", "float-seed", "float-stride", "string-dilation"])
+    ("exponents", None, "exponents must be of type Exponents, got None"),
+    ("grid", small_config()["grid"], "grid must be of type ProductGrid, got {"),
+    ("exponents", Exponents.from_balance(m=2, n=1, alpha=1.0, beta=0.5, p=4 / 3),
+     r"grid blocks \(1, 1\) do not match exponents \(2, 1\)"),
+], ids=["bool-seed", "float-seed", "float-stride", "string-dilation", "null-exponents",
+        "dict-grid", "exponents-of-other-blocks"])
 def test_config_built_in_python_obeys_the_json_rules(field, value, message):
     cfg = ExperimentConfig.from_dict(small_config())
+    kwargs = {"grid": cfg.grid, "exponents": cfg.exponents, field: value}
     with pytest.raises(ConfigError, match=message):
-        ExperimentConfig(grid=cfg.grid, exponents=cfg.exponents, **{field: value})
+        ExperimentConfig(**kwargs)
 
 
 def test_config_accepts_every_documented_key():
@@ -787,7 +790,7 @@ def fresh_interpreter(code):
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is a test-only dependency; the CLI must not pull it in.  Nor
-    # concurrent.futures, which the first split of a large array imports
+    # concurrent.futures: every pass runs in the calling thread
     code = ("import sys, prodhls.cli; "
             "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
     assert fresh_interpreter(code) == ["False False"]
@@ -806,7 +809,7 @@ def test_cli_pointwise_leaves_numpy_ma_unloaded(tmp_path):
     # plain np.unique imports numpy.ma, whose module state stays on the
     # heap: about 0.5 MB live and 1.3 MB more peak RSS in the pointwise
     # runs.  A 2-d pointwise run in a fresh interpreter must not load it,
-    # and its arrays are all below the split floor, so it starts no thread
+    # and every pass runs in the calling thread, so it starts no thread
     cfg_path = write_config(tmp_path, small_config(
         grid={"m": 2, "n": 1, "half_width": 1.0, "points_per_axis": 8},
         exponents={"alpha": 1.0, "beta": 0.5, "p": 4 / 3}, families=["gaussian", "random"],
@@ -817,37 +820,12 @@ def test_cli_pointwise_leaves_numpy_ma_unloaded(tmp_path):
 
 
 def test_cli_normcheck_starts_no_thread(tmp_path):
-    # normcheck's N = 128 convolutions and norms are below the split floor
+    # normcheck's N = 128 convolutions and norms run in the calling thread
     cfg_path = Path(__file__).resolve().parents[1] / "configs" / "normcheck.json"
     argv = ["normcheck", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     code, _, threads = cli_run_in_fresh_interpreter(argv).split()
     assert (code, threads) == ("0", "1")
     assert (tmp_path / "out" / "summary.json").exists()
-
-
-def test_sweep_norms_do_not_depend_on_the_worker_count(monkeypatch):
-    # an N = 512 sweep of the random family splits its transforms, products
-    # and powers into one piece per worker; every norm keeps the bytes of
-    # the one-piece run
-    cfg_path = Path(__file__).resolve().parents[1] / "configs" / "necessity_balanced.json"
-    raw = json.loads(cfg_path.read_text())
-    cfg = ExperimentConfig.from_dict({**raw, "families": ["random"], "family_params": {}})
-    sizes = []
-    split = prodhls.grid._split
-
-    def spied(fn, count, size):
-        sizes.append(size)
-        split(fn, count, size)
-
-    monkeypatch.setattr(prodhls.grid, "_split", spied)
-    monkeypatch.setattr(prodhls.convolution, "_split", spied)
-    results = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(prodhls.grid, "_WORKERS", workers)
-        monkeypatch.setattr(prodhls.convolution, "_KERNEL_SPECTRA", weakref.WeakKeyDictionary())
-        results.append([(r.norm_q.hex(), r.norm_p.hex()) for r in run_necessity_sweep(cfg).rows])
-    assert results[1] == results[0] and results[2] == results[0]
-    assert max(sizes) >= prodhls.grid._SPLIT_FLOOR  # the sweep did split
 
 
 @pytest.mark.parametrize("argv", [["bench-maximal"],
