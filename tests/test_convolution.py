@@ -1,8 +1,11 @@
 """Convolution contracts: delta identity, oracles, fast path, region split."""
 
 import gc
+import threading
 import tracemalloc
 import warnings
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import reduce
 
@@ -141,7 +144,7 @@ def three_transform_convolve(f, k):
 
 
 @pytest.mark.parametrize("m, n, N", [(1, 1, 32), (2, 1, 8), (1, 2, 8), (2, 2, 8),
-                                     (1, 1, 2), (1, 1, 6), (1, 1, 512), (2, 1, 48)])
+                                     (1, 1, 2), (1, 1, 6), (1, 1, 512)])
 def test_fast_bytes_match_three_transform_formula(m, n, N):
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
@@ -243,6 +246,28 @@ def test_fast_peak_memory(m, n, N):
     finally:
         tracemalloc.stop()
     assert peak <= spectrum_bytes + 1.5 * f.values.nbytes
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 512), (2, 1, 48)])
+def test_fast_bytes_do_not_depend_on_the_worker_count(monkeypatch, m, n, N):
+    # the passes run serially inside each call; callers on one, two or three
+    # threads at once, all filling the kernel's empty spectrum cache, must
+    # each get the bytes of the three-transform formula
+    g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    f = random_function(g, seed=23)
+    k = riesz_kernel(g, Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3))
+    expected = three_transform_convolve(f, k).tobytes()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(convolution, "_KERNEL_SPECTRA", weakref.WeakKeyDictionary())
+        start = threading.Barrier(workers)
+
+        def call(_):
+            start.wait(timeout=60)
+            return convolve_fast(f, k).values.tobytes()
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(call, range(workers)))
+        assert results == [expected] * workers, workers
 
 
 def test_fast_result_is_not_copied(monkeypatch):

@@ -1,7 +1,9 @@
 """Grid geometry, quadrature norms, slice norms, dilation."""
 
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -189,11 +191,22 @@ def test_lp_norm_homogeneous(c, p):
 
 
 @pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, 3.0, 4.0])
-def test_lp_norm_bytes_match_the_one_array_formula(p):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_lp_norm_bytes_do_not_depend_on_the_worker_count(workers, p):
+    # the norm runs serially inside each call; callers on that many threads
+    # at once must each get the bytes of the one-array formula
     g = grid_1x1(N=512)
     f = random_function(g, seed=21)
     expected = (float(np.sum(f.values ** p)) * g.cell_volume) ** (1.0 / p)
-    assert lp_norm(f, p).hex() == expected.hex()
+    start = threading.Barrier(workers)
+
+    def call(_):
+        start.wait(timeout=60)
+        return lp_norm(f, p).hex()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(call, range(workers)))
+    assert results == [expected.hex()] * workers
 
 
 def test_lp_norm_peak_memory():
