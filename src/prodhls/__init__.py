@@ -31,14 +31,14 @@ __version__ = "0.1.0"
 
 from .grid import (GridFunction, ProductGrid, TensorProduct, dilate, lp_norm,
                    sample_function, slice_lp_norms_x, slice_lp_norms_y)
-from .kernel import (Exponents, LayerCake, ball_volume, layer_cake,
-                     profile_ball_integral, riesz_kernel, sphere_surface)
+from .kernel import (Exponents, LayerCake, layer_cake, profile_ball_integral, riesz_kernel,
+                     sphere_surface)
 from .convolution import (RegionBounds, block_region_sums, convolve_direct, convolve_fast,
                           region_split, region_sums)
 from .maximal import (CompositionReport, GNormReport, block_maximals, composition_check,
-                      g_function, g_norm_bound, maximal_fields, node_maximals)
+                      g_norm_bound, maximal_fields, node_maximals)
 from .hedberg import (BlockTable, CertificateTable, CertificateViolation, ExponentError,
-                      HedbergCertificate, balanced_radii, certify_point, certify_points,
+                      HedbergCertificate, balanced_radii, certify_points,
                       final_bound, region_limits, region_tables, tail_integral_constant)
 from .harness import (ConfigError, ExperimentConfig, make_family,
                       run_necessity_sweep, run_norm_check,
@@ -50,14 +50,14 @@ __all__ = [
     "slice_lp_norms_y", "dilate",
     "sample_function",
     "Exponents", "riesz_kernel", "LayerCake", "layer_cake",
-    "sphere_surface", "ball_volume", "profile_ball_integral",
+    "sphere_surface", "profile_ball_integral",
     "RegionBounds", "convolve_direct", "convolve_fast", "region_split", "region_sums",
     "block_region_sums", "node_maximals", "block_maximals", "maximal_fields", "composition_check",
     "CompositionReport",
-    "g_function", "g_norm_bound", "GNormReport",
+    "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",
     "BlockTable", "region_tables", "region_limits", "balanced_radii", "final_bound",
-    "HedbergCertificate", "CertificateTable", "certify_points", "certify_point",
+    "HedbergCertificate", "CertificateTable", "certify_points",
     "ConfigError", "ExperimentConfig", "make_family",
     "run_pointwise_campaign", "run_necessity_sweep", "run_norm_check",
 ]

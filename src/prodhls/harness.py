@@ -578,14 +578,18 @@ def write_summary_json(path, payload: dict, cfg: ExperimentConfig) -> Path:
     return out
 
 
+# certificate records built at a time: bounds the writer's memory by a chunk
+_WRITE_ROWS = 4096
+
+
 def write_certificates_json(path, report: PointwiseReport,
                             cfg: ExperimentConfig) -> Path:
     """Write every certificate of ``report`` in schema 1, with the config
     sha256 and the library version embedded: the bytes of sorted compact
     JSON, ``json.dumps(sort_keys=True, separators=(",", ":"))``, written
-    from the certificate tables (:meth:`CertificateTable.json_records`).
-    The node text is built once for the instances that share their nodes,
-    as every instance of a campaign does."""
+    from the certificate tables (:meth:`CertificateTable.json_records`),
+    ``_WRITE_ROWS`` rows at a time.  The node text is built once for the
+    instances that share their nodes, as every instance of a campaign does."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     key = nodes = None
@@ -597,9 +601,11 @@ def write_certificates_json(path, report: PointwiseReport,
                          table.point_coordinates.tobytes())
             if table_key != key:
                 key, nodes = table_key, table.json_nodes()
-            fh.write('%s{"certificates":[%s],"family":%s,"s":%s,"t":%s}' % (
-                "," if i else "", ",".join(table.json_records(nodes)),
-                *map(json.dumps, (r.family, r.s, r.t))))
+            fh.write('%s{"certificates":[' % ("," if i else ""))
+            for start in range(0, len(table), _WRITE_ROWS):
+                fh.write(("," if start else "") + ",".join(
+                    table.json_records(nodes, slice(start, start + _WRITE_ROWS))))
+            fh.write('],"family":%s,"s":%s,"t":%s}' % tuple(map(json.dumps, (r.family, r.s, r.t))))
         fh.write('],"library_version":%s,"schema_version":%d}\n'
                  % (json.dumps(__version__), CERTIFICATE_SCHEMA_VERSION))
     return out

@@ -56,7 +56,6 @@ __all__ = [
     "HedbergCertificate",
     "CertificateTable",
     "certify_points",
-    "certify_point",
 ]
 
 CERTIFICATE_SCHEMA_VERSION = 1
@@ -478,19 +477,19 @@ class CertificateTable:
         return np.array([f'"point":[{",".join(map(str, p))}],"point_coordinates":[{xy}]'
                          for p, xy in zip(self.point.tolist(), coords)], dtype=object)
 
-    def json_records(self, nodes: np.ndarray) -> list[str]:
-        """Each row's schema-1 record: the text ``json.dumps(sort_keys=True,
-        separators=(",", ":"))`` writes for ``self[k].to_json_dict()``.
-        ``nodes`` is :meth:`json_nodes` of this table, or of any table with
-        the same nodes."""
-        floats = _json_floats(np.column_stack([
+    def json_records(self, nodes: np.ndarray, rows: slice) -> list[str]:
+        """The schema-1 record of each row in ``rows``: the text
+        ``json.dumps(sort_keys=True, separators=(",", ":"))`` writes for
+        ``self[k].to_json_dict()``.  ``nodes`` is :meth:`json_nodes` of this
+        table, or of any table with the same nodes."""
+        floats = _json_floats(np.column_stack([column[rows] for column in (
             np.full(len(self), self.f_norm), self.final_bound, self.g_value, self.lhs,
             self.m_value, self.n1, self.n2, self.r1, self.r2, self.ratio,
-            self.region_limits, self.regions]))
-        cells = np.empty((len(self), 20), dtype=object)
-        cells[:, 0] = [str(c) for c in self.case_id.tolist()]
+            self.region_limits, self.regions)]))
+        cells = np.empty((len(floats), 20), dtype=object)
+        cells[:, 0] = [str(c) for c in self.case_id[rows].tolist()]
         cells[:, 1:8] = floats[:, :7]
-        cells[:, 8] = nodes
+        cells[:, 8] = nodes[rows]
         cells[:, 9:] = floats[:, 7:]
         return list(map(_RECORD.__mod__, map(tuple, cells.tolist())))
 
@@ -633,22 +632,10 @@ def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
         raise CertificateViolation(
             f"{name} value {value} exceeds its bound {limit} at point {point}",
             diagnostics={"point": list(point), "region": name, "value": value,
-                         "limit": limit, "slack": 1.0, "r1": float(r1[k]),
-                         "r2": float(r2[k]), "case_id": int(case_id[k])})
+                         "limit": limit, "r1": float(r1[k]), "r2": float(r2[k]),
+                         "case_id": int(case_id[k])})
 
     return CertificateTable(
         point=idx, point_coordinates=grid.axis_centers()[idx], case_id=case_id, r1=r1, r2=r2,
         regions=regions, m_value=m_value, n1=n1, n2=n2, final_bound=final,
         region_limits=limits, f_norm=f_norm)
-
-
-def certify_point(f: GridFunction | TensorProduct, exps: Exponents,
-                  point) -> HedbergCertificate:
-    """The bound chain at one grid node of ``f``: the one-node view of
-    :func:`certify_points`, with the same checks and the same
-    :class:`CertificateViolation`; raises ``ValueError`` if f is empty on
-    the grid."""
-    certs = certify_points(f, exps, [point])
-    if not certs:
-        raise ValueError("the L^p norm of f is 0 on the grid: there is nothing to certify")
-    return certs[0]

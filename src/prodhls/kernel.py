@@ -26,29 +26,19 @@ __all__ = [
     "LayerCake",
     "layer_cake",
     "sphere_surface",
-    "ball_volume",
     "profile_ball_integral",
 ]
 
 BALANCE_TOL = 1e-12
 
-# Surface measure of the unit sphere and volume of the unit ball, d = 1, 2.
+# Surface measure of the unit sphere, d = 1, 2.
 _SPHERE_SURFACE = {1: 2.0, 2: 2.0 * math.pi}
-_BALL_VOLUME = {1: 2.0, 2: math.pi}
 
 
 def sphere_surface(dim: int) -> float:
     """Surface measure of the unit sphere in R^dim (dim = 1 or 2)."""
     try:
         return _SPHERE_SURFACE[dim]
-    except KeyError:
-        raise ValueError(f"dimension must be 1 or 2, got {dim}") from None
-
-
-def ball_volume(dim: int, radius: float) -> float:
-    """Lebesgue measure of the ball of the given radius in R^dim."""
-    try:
-        return _BALL_VOLUME[dim] * radius ** dim
     except KeyError:
         raise ValueError(f"dimension must be 1 or 2, got {dim}") from None
 
@@ -187,7 +177,7 @@ class LayerCake:
 
         step(r) = sum of coefficients of levels with ball_radius >= r
 
-    satisfies, for every r in ``(truncation_radius * 2^-depth,
+    satisfies, for every r in ``(truncation_radius * 2^-len(levels),
     truncation_radius]``,
 
         step(r) >= profile(r) >= step(r) * 2^-(dim - exponent)
@@ -212,10 +202,6 @@ class LayerCake:
         if any(a <= 0.0 for a, _ in self.levels):
             raise ValueError("level coefficients must be positive")
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
     def profile(self, r):
         """The approximated profile r^(exponent - dim)."""
         return np.asarray(r, dtype=np.float64) ** (self.exponent - self.dim)
@@ -230,10 +216,6 @@ class LayerCake:
         count = len(radii_desc) - np.searchsorted(radii_desc[::-1], r, side="left")
         return csum[count]
 
-    def level_sum(self) -> float:
-        """Sum of coefficient times ball measure over all levels."""
-        return float(sum(a * ball_volume(self.dim, r) for a, r in self.levels))
-
 
 def layer_cake(profile_exponent: float, dim: int, truncation_radius: float,
                depth: int) -> LayerCake:
@@ -244,8 +226,7 @@ def layer_cake(profile_exponent: float, dim: int, truncation_radius: float,
     half-radii, so on each dyadic annulus the step equals the profile at
     the annulus' inner edge.  That makes the step an upper envelope of
     the profile, tight to within the factor ``2^(dim - profile_exponent)``
-    down to radius ``R * 2^-depth``, and makes the total level mass
-    comparable to the integral of the profile over the ball of radius R.
+    down to radius ``R * 2^-depth``.
     """
     if not 0.0 < profile_exponent < dim:
         raise ValueError(

@@ -63,7 +63,6 @@ __all__ = [
     "maximal_fields",
     "composition_check",
     "CompositionReport",
-    "g_function",
     "g_norm_bound",
     "GNormReport",
 ]
@@ -421,22 +420,6 @@ def composition_check(f: GridFunction) -> CompositionReport:
     return CompositionReport(max_ratio=float(ratio.flat[flat]), worst_point=worst)
 
 
-def g_function(f: GridFunction, exps: Exponents) -> GridFunction:
-    """Mixed-norm field: y-slice norm of M1 f times x-slice norm of M2 f.
-
-    The output factors exactly as the outer product of an x-block grid
-    and a y-block grid.
-    """
-    _, m1, m2 = maximal_fields(f)
-    return _g_field(m1, m2, exps.p)
-
-
-def _g_field(m1: GridFunction, m2: GridFunction, p: float) -> GridFunction:
-    n1 = slice_lp_norms_x(m1, p)
-    n2 = slice_lp_norms_y(m2, p)
-    return GridFunction(m1.grid, np.multiply.outer(n1, n2))
-
-
 @dataclass(frozen=True)
 class GNormReport:
     """Norm comparison of the mixed-norm field against the input norm."""
@@ -456,7 +439,8 @@ class GNormReport:
 
 
 def g_norm_bound(f: GridFunction, exps: Exponents) -> GNormReport:
-    """Compute the norm of the mixed-norm field and its ratio to ||f||^2.
+    """Compute the norm of the mixed-norm field G, the outer product of the
+    slice norms of M1 f and of M2 f, and its ratio to ||f||^2.
 
     The full norm of the field equals the product of the full norms of
     the two partial maximal functions (a discrete Fubini identity); the
@@ -465,8 +449,9 @@ def g_norm_bound(f: GridFunction, exps: Exponents) -> GNormReport:
     """
     p = exps.p
     _, m1, m2 = maximal_fields(f)
+    g = np.multiply.outer(slice_lp_norms_x(m1, p), slice_lp_norms_y(m2, p))
     return GNormReport(
-        g_norm=lp_norm(_g_field(m1, m2, p), p),
+        g_norm=lp_norm(GridFunction(f.grid, g), p),
         f_norm=lp_norm(f, p),
         m1_norm=lp_norm(m1, p),
         m2_norm=lp_norm(m2, p),

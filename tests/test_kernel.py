@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from prodhls import (Exponents, ProductGrid, ball_volume, layer_cake,
-                     profile_ball_integral, riesz_kernel, sphere_surface)
+from prodhls import (Exponents, ProductGrid, layer_cake, profile_ball_integral, riesz_kernel,
+                     sphere_surface)
 
 
 # ---------------------------------------------------------------- exponents
@@ -150,23 +150,11 @@ def test_layer_cake_rejects_degenerate_profiles():
         layer_cake(2.5, 2, 1.0, 10)
 
 
-def test_layer_cake_level_sum_vs_integral_oracle():
-    # dim 1, profile r^(-1/2), R = 1: the ball integral is 4; sum in [2, 8]
-    cake = layer_cake(0.5, 1, 1.0, 40)
+def test_profile_ball_integral_vs_quadrature():
+    # dim 1, profile r^(-1/2), R = 1: the ball integral is 4
     oracle = quad_profile_integral(1, 0.5, 1.0)
     assert oracle == pytest.approx(4.0, rel=1e-10)
-    assert 2.0 <= cake.level_sum() <= 8.0
     assert oracle == pytest.approx(profile_ball_integral(1, 0.5, 1.0), rel=1e-10)
-
-
-def test_layer_cake_scaling_in_truncation_radius():
-    for dim, a in ((1, 0.5), (1, 0.25), (2, 1.0)):
-        c1 = layer_cake(a, dim, 1.0, 40)
-        c2 = layer_cake(a, dim, 2.0, 40)
-        assert c2.level_sum() == pytest.approx(2.0 ** a * c1.level_sum(), rel=1e-10)
-        ratio1 = c1.level_sum() / quad_profile_integral(dim, a, 1.0)
-        ratio2 = c2.level_sum() / quad_profile_integral(dim, a, 2.0)
-        assert ratio2 == pytest.approx(ratio1, rel=1e-10)
 
 
 def test_layer_cake_envelope():
@@ -178,15 +166,6 @@ def test_layer_cake_envelope():
         slack = 2.0 ** (dim - a)
         assert np.all(step >= prof * (1 - 1e-12))
         assert np.all(prof >= step / slack * (1 - 1e-12))
-
-
-def test_layer_cake_level_sum_ratio_pinned():
-    # infinite-depth closed form is (1 + sqrt(2))/2; depth 40 sits within
-    # ~1e-6 of it (geometric tail), measured once and pinned
-    cake = layer_cake(0.5, 1, 1.0, 40)
-    ratio = cake.level_sum() / quad_profile_integral(1, 0.5, 1.0)
-    assert ratio == pytest.approx((1 + math.sqrt(2)) / 2, rel=1e-5)
-    assert 1.0 <= ratio <= 2.0 ** (1 - 0.5)
 
 
 def test_layer_cake_radii_halve():
@@ -208,5 +187,3 @@ def test_layer_cake_deep_core_negligible():
 def test_geometry_constants():
     assert sphere_surface(1) == 2.0
     assert sphere_surface(2) == pytest.approx(2 * math.pi)
-    assert ball_volume(1, 3.0) == 6.0
-    assert ball_volume(2, 2.0) == pytest.approx(4 * math.pi)

@@ -8,7 +8,7 @@ import pytest
 
 import prodhls.maximal as maximal
 from prodhls import (Exponents, GridFunction, ProductGrid, TensorProduct, block_maximals,
-                     composition_check, g_function, g_norm_bound, lp_norm, maximal_fields,
+                     composition_check, g_norm_bound, lp_norm, maximal_fields,
                      node_maximals,
                      sample_function, slice_lp_norms_x, slice_lp_norms_y)
 from prodhls.maximal import _dyadic_radii, _window_rows, _window_sums
@@ -596,11 +596,17 @@ def test_composition_brute_force_both_sides():
 
 # ---------------------------------------------------------------- G function
 
+def g_field(f, p=STD.p):
+    """The mixed-norm field G: the y-slice norms of M1 f times the x-slice
+    norms of M2 f, one factor per block."""
+    _, m1, m2 = maximal_fields(f)
+    return np.multiply.outer(slice_lp_norms_x(m1, p), slice_lp_norms_y(m2, p))
+
+
 def test_g_zero():
     g = grid_1x1(N=8)
     f = GridFunction(g, np.zeros(g.shape))
-    G = g_function(f, STD)
-    assert np.all(G.values == 0.0)
+    assert np.all(g_field(f) == 0.0)
 
 
 def test_g_tensor_factorization():
@@ -609,12 +615,11 @@ def test_g_tensor_factorization():
     a = rng.uniform(0.1, 1.0, 16)
     b = rng.uniform(0.1, 1.0, 16)
     f = GridFunction(g, np.outer(a, b))
-    G = g_function(f, STD).values
     p = STD.p
     _, m1, m2 = maximal_fields(f)
     n1 = slice_lp_norms_x(m1, p)
     n2 = slice_lp_norms_y(m2, p)
-    assert np.array_equal(G, np.outer(n1, n2))
+    assert np.array_equal(g_field(f), np.outer(n1, n2))
     # tensor structure: n1(x) = (M1 a)(x) ||b||_p and n2(y) = (M2 b)(y) ||a||_p
     h = g.spacing
     b_norm = (np.sum(b ** p) * h) ** (1 / p)
@@ -626,7 +631,7 @@ def test_g_matches_oracle_composition():
     g = grid_1x1(N=12)
     f = random_function(g, seed=12)
     p = STD.p
-    G = g_function(f, STD).values
+    G = g_field(f)
     m1 = brute_partial_x(f)
     ft = GridFunction(g, f.values.T.copy())
     m2 = brute_partial_x(ft).T
@@ -641,8 +646,7 @@ def test_g_quadratic_homogeneity():
     f = random_function(g, seed=13)
     c = 2.5
     scaled = GridFunction(g, c * f.values)
-    assert np.allclose(g_function(scaled, STD).values,
-                       c ** 2 * g_function(f, STD).values, rtol=1e-12)
+    assert np.allclose(g_field(scaled), c ** 2 * g_field(f), rtol=1e-12)
 
 
 # ---------------------------------------------------------------- G norm bound
@@ -667,16 +671,14 @@ def test_g_norm_bound_computes_each_partial_maximal_once(monkeypatch):
     monkeypatch.setattr(maximal, "maximal_fields", counted)
     rep = g_norm_bound(f, STD)
     assert len(passes) == 1 and passes[0] is f
-    g_function(f, STD)
-    assert len(passes) == 2 and passes[1] is f
     composition_check(f)  # one pass on f, one on M2 f
-    assert len(passes) == 4 and passes[2] is f
+    assert len(passes) == 3 and passes[1] is f
     monkeypatch.undo()
     _, m1, m2 = maximal_fields(f)
-    assert passes[3].values.tobytes() == m2.values.tobytes()
+    assert passes[2].values.tobytes() == m2.values.tobytes()
     # the same values as the field and the norms computed separately
     p = STD.p
-    assert rep.g_norm == lp_norm(g_function(f, STD), p)
+    assert rep.g_norm == lp_norm(GridFunction(g, g_field(f, p)), p)
     assert rep.f_norm == lp_norm(f, p)
     assert rep.m1_norm == lp_norm(m1, p)
     assert rep.m2_norm == lp_norm(m2, p)
