@@ -38,7 +38,7 @@ from .convolution import (RegionBounds, block_region_sums, convolve_direct, conv
 from .maximal import (CompositionReport, GNormReport, block_maximals, composition_check,
                       g_norm_bound, maximal_fields, node_maximals)
 from .hedberg import (BlockTable, CertificateTable, CertificateViolation, ExponentError,
-                      HedbergCertificate, balanced_radii, certify_points,
+                      HedbergCertificate, balanced_radii, certify_instances, certify_points,
                       final_bound, region_limits, region_tables, tail_integral_constant)
 from .harness import (ConfigError, ExperimentConfig, make_family,
                       run_necessity_sweep, run_norm_check,
@@ -57,7 +57,7 @@ __all__ = [
     "g_norm_bound", "GNormReport",
     "ExponentError", "CertificateViolation", "tail_integral_constant",
     "BlockTable", "region_tables", "region_limits", "balanced_radii", "final_bound",
-    "HedbergCertificate", "CertificateTable", "certify_points",
+    "HedbergCertificate", "CertificateTable", "certify_points", "certify_instances",
     "ConfigError", "ExperimentConfig", "make_family",
     "run_pointwise_campaign", "run_necessity_sweep", "run_norm_check",
 ]

@@ -26,9 +26,13 @@ its last axis runs a block of rows at a time, straight into the result.
 The values are those of the full ``irfftn(rfftn(f) * rfftn(k))``
 formula, bit for bit.
 
+Every pass takes a stack: its leading axis runs over the arrays
+convolved, and no transform runs along it, so each row is the bytes a
+stack of that row alone gives; :func:`convolve_fast` is a stack of one.
 The sweeps measure a tensor-product family block by block, convolving
-each block factor with the kernel's through :func:`_convolve_block`
-(the same passes on one (N,) or (N, N) block).
+the block factors at all their dilations with the kernel's factor
+through :func:`_convolve_block`, one stack of (N,) or (N, N) blocks per
+block.
 
 :func:`region_sums` reads the kernel as x-factor times y-factor, so the
 four region sums at a node come from one two-sided block contraction of
@@ -36,7 +40,8 @@ the node's window with the inner and outer rows of each factor; it
 builds those rows for a chunk of nodes at a time, and
 :func:`region_split` is its view of one node.  For a tensor product ``a(x) b(y)`` the
 contraction factors into an x-block sum and a y-block sum, and
-:func:`block_region_sums` reads each from the block factor alone.
+:func:`block_region_sums` reads each from the block factor alone, for a
+stack of tensor products at once.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, ProductGrid, TensorProduct, check_positive, normalize_points
+from .grid import (GridFunction, ProductGrid, TensorProduct, _one_grid, check_positive,
+                   normalize_points)
 from .kernel import Exponents, block_factors
 
 __all__ = [
@@ -150,61 +156,70 @@ def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     L = 3 * N // 2
     kernel_spectrum = _KERNEL_SPECTRA.get(k)
     if kernel_spectrum is None:
-        kernel_spectrum = _KERNEL_SPECTRA[k] = _padded_spectrum(k.values, L)
-    return GridFunction._adopt(grid, _convolved(f.values, kernel_spectrum, grid.cell_volume))
+        kernel_spectrum = _KERNEL_SPECTRA[k] = _padded_spectrum(k.values[None], L)
+    return GridFunction._adopt(
+        grid, _convolved(f.values[None], kernel_spectrum, grid.cell_volume)[0])
 
 
-def _convolve_block(values: np.ndarray, kernel: np.ndarray, scale: float) -> np.ndarray:
-    """Convolve two (N,)*dim arrays as :func:`convolve_fast` convolves a
-    field with its kernel, the result scaled by ``scale`` (h^dim for a
-    block of dimension dim); the sweeps convolve each block factor of a
-    tensor-product function with the kernel's this way, at dim 1 or 2."""
-    return _convolved(values, _padded_spectrum(kernel, 3 * len(values) // 2), scale)
+def _convolve_block(stack: np.ndarray, kernel: np.ndarray, scale: float) -> np.ndarray:
+    """Convolve each row of ``stack``, of shape (R,) + (N,)*dim, with the
+    (N,)*dim ``kernel`` as :func:`convolve_fast` convolves a field with
+    its kernel, the results scaled by ``scale`` (h^dim for a block of
+    dimension dim): the stack of the R convolutions.  The sweeps convolve
+    the block factors of a tensor-product family at all their dilations
+    with the kernel's this way, one call per block, at dim 1 or 2.  Each
+    row is the bytes a stack of that row alone gives: no transform runs
+    along the stack axis."""
+    return _convolved(stack, _padded_spectrum(kernel[None], 3 * len(kernel) // 2), scale)
 
 
-def _convolved(values: np.ndarray, kernel_spectrum: np.ndarray, scale: float) -> np.ndarray:
-    """The box of the padded convolution of ``values`` with the kernel
-    whose padded spectrum is given, times ``scale`` and clipped at 0, as
-    a fresh array; the product is formed in place in the spectrum of
-    ``values``."""
-    N = len(values)
-    spectrum = _padded_spectrum(values, 3 * N // 2)
+def _convolved(stack: np.ndarray, kernel_spectrum: np.ndarray, scale: float) -> np.ndarray:
+    """The box of the padded convolution of each row of ``stack`` with the
+    kernel whose padded spectrum (a stack of one) is given, times
+    ``scale`` and clipped at 0, as a fresh stack; the products are formed
+    in place in the spectrum of ``stack``."""
+    N = stack.shape[1]
+    spectrum = _padded_spectrum(stack, 3 * N // 2)
     spectrum *= kernel_spectrum
     return _box_inverse(spectrum, N, scale)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
-    """``a`` as rows along its first axis for a line pass over its last
-    axis: a 1-d array is one row of its own."""
-    return a if a.ndim > 1 else a[None]
+    """The stack ``a`` as rows for a line pass over its last axis, taken in
+    blocks along their first axis: the rows of the stack, or for a stack of
+    one the rows along the first axis of its one entry (a 1-d entry is one
+    row of its own)."""
+    return a if len(a) > 1 or a.ndim == 2 else a[0]
 
 
-def _padded_spectrum(values: np.ndarray, L: int) -> np.ndarray:
-    """``np.fft.rfftn(values, (L,) * values.ndim)`` of an (N,)*rank
-    array, bit for bit, without numpy's padded copies.  Before the pass
+def _padded_spectrum(stack: np.ndarray, L: int) -> np.ndarray:
+    """``np.fft.rfftn(row, (L,) * rank)`` of each (N,)*rank row of
+    ``stack``, bit for bit, without numpy's padded copies: a stack of
+    spectra, with no transform along the stack axis.  Before the pass
     over a leading axis only the first N rows of the axes ahead of it
     hold data; the rows it skips are lines of zeros, whose transform is
     zero up to the sign of zero, and no nonzero value depends on that
     sign."""
-    N, rank = values.shape[0], values.ndim
-    spectrum = np.zeros((L,) * (rank - 1) + (L // 2 + 1,), dtype=np.complex128)
-    np.fft.rfft(values, L, axis=-1, out=spectrum[(slice(N),) * (rank - 1)])
-    for axis in reversed(range(rank - 1)):
-        lines = spectrum[(slice(N),) * axis]
+    N, rank = stack.shape[1], stack.ndim - 1
+    spectrum = np.zeros((len(stack),) + (L,) * (rank - 1) + (L // 2 + 1,), dtype=np.complex128)
+    np.fft.rfft(stack, L, axis=-1, out=spectrum[(slice(None),) + (slice(N),) * (rank - 1)])
+    for axis in reversed(range(1, rank)):
+        lines = spectrum[(slice(None),) + (slice(N),) * (axis - 1)]
         np.fft.fft(lines, axis=axis, out=lines)
     return spectrum
 
 
 def _box_inverse(spectrum: np.ndarray, N: int, scale: float) -> np.ndarray:
-    """The box ``[N/2, 3N/2)`` of ``irfftn(spectrum)`` per axis, times
-    ``scale`` and clipped at 0, as a fresh (N,)*rank array; the leading
-    axes are inverted in place in ``spectrum``."""
-    rank, L = spectrum.ndim, 3 * N // 2
+    """The box ``[N/2, 3N/2)`` of ``irfftn(row)`` per axis of each row of
+    the stack ``spectrum``, times ``scale`` and clipped at 0, as a fresh
+    stack of (N,)*rank arrays; the leading axes of each row are inverted
+    in place in ``spectrum``."""
+    rank, L = spectrum.ndim - 1, 3 * N // 2
     box = slice(N // 2, N // 2 + N)
-    for axis in range(rank - 1):
+    for axis in range(1, rank):
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
         spectrum = spectrum[(slice(None),) * axis + (box,)]
-    out = np.empty((N,) * rank)
+    out = np.empty((len(spectrum),) + (N,) * rank)
     box_rows, spectrum = _rows(out), _rows(spectrum)
     rows = -(-len(box_rows) // _INVERSE_BLOCKS)
     lines = np.empty((rows,) + box_rows.shape[1:-1] + (L,))
@@ -217,8 +232,7 @@ def _box_inverse(spectrum: np.ndarray, N: int, scale: float) -> np.ndarray:
     return out
 
 
-# values per chunk of one block: the nodes' factor rows in region_sums, the
-# cells' windows in block_region_sums
+# values per chunk of one block's factor rows in region_sums
 _BLOCK_CHUNK = 1 << 16
 
 
@@ -285,13 +299,16 @@ def region_sums(f: GridFunction, exps: Exponents, points, r1, r2) -> np.ndarray:
     return sums.reshape(len(idx), 4) * grid.cell_volume
 
 
-def _nodes_and_radii(grid, points, r1, r2):
-    """The validated nodes and their radii as float64 arrays, one per node."""
+def _nodes_and_radii(grid, points, r1, r2, rows=None):
+    """The validated nodes and their radii as float64 arrays, one per node,
+    or given ``rows``, that many rows of one per node."""
     idx = normalize_points(points, grid.rank, grid.points_per_axis)
     r1, r2 = np.asarray(r1, dtype=np.float64), np.asarray(r2, dtype=np.float64)
-    if r1.shape != r2.shape or r1.shape != idx.shape[:1]:
-        raise ValueError(f"{len(idx)} points need as many radii, got shapes {r1.shape} "
-                         f"and {r2.shape}")
+    shape = idx.shape[:1] if rows is None else (rows, len(idx))
+    if r1.shape != r2.shape or r1.shape != shape:
+        per_row = "" if rows is None else f" in each of {rows} rows"
+        raise ValueError(f"{len(idx)} points need as many radii{per_row}, got shapes "
+                         f"{r1.shape} and {r2.shape}")
     check_positive(r1=r1, r2=r2)
     return idx, r1, r2
 
@@ -316,10 +333,12 @@ def _shell_order(grid: ProductGrid, exps: Exponents) -> tuple[tuple[np.ndarray, 
     return tuple(blocks)
 
 
-def block_region_sums(f: TensorProduct, exps: Exponents, points, r1, r2) -> np.ndarray:
-    """:func:`region_sums` of the tensor product ``f(x, y) = a(x) b(y)``,
-    read from its two block arrays: shape (K, 4), columns t11, t12, t21,
-    t22.
+def block_region_sums(fs: list[TensorProduct], exps: Exponents, points, r1, r2
+                      ) -> np.ndarray:
+    """:func:`region_sums` of each tensor product ``f(x, y) = a(x) b(y)`` of
+    ``fs``, all on one grid, at the same nodes ``points``, read from their
+    block arrays: ``r1`` and ``r2`` hold one row of radii per instance, and
+    the result has shape (R, K, 4), columns t11, t12, t21, t22.
 
     The kernel is the product ``k_x (x) k_y`` of its block factors, and a
     node's window of f is the product of its windows of a and of b, so
@@ -329,50 +348,69 @@ def block_region_sums(f: TensorProduct, exps: Exponents, points, r1, r2) -> np.n
 
     with the same inner and outer factor rows ``Kx`` and ``Ky``.  A block
     sum depends on the node only through its block cell and its radius,
-    so each block is contracted once per block cell that holds a node:
-    the window times the kernel factor, with the offsets in ascending
-    norm, is summed from each end by one ``np.cumsum``, and a node reads
-    its inner sum (offsets of norm at most its radius) from the first and
-    its outer sum from the second.  Both are sums of nonnegative terms,
-    with no cancellation.  The cells go in chunks whose windows hold at
-    most 2^16 values; no N^rank array is built.
+    so each block of each instance is contracted once per block cell that
+    holds a node: the window times the kernel factor, with the offsets in
+    ascending norm, is summed from each end by one ``np.cumsum``, and a
+    node reads its inner sum (offsets of norm at most its radius) from the
+    first and its outer sum from the second.  Both are sums of nonnegative
+    terms, with no cancellation.  The (instance, cell) pairs of a block go
+    in chunks whose windows hold at most 2^14 values; no N^rank array is
+    built.  An instance's sums are the bytes a call on it alone gives.
     """
-    grid = f.grid
-    idx, r1, r2 = _nodes_and_radii(grid, points, r1, r2)
+    grid = _one_grid(fs)
+    idx, r1, r2 = _nodes_and_radii(grid, points, r1, r2, rows=len(fs))
     x_layout, y_layout = _shell_order(grid, exps)
-    u = _block_sums(f.x, x_layout, idx[:, :grid.m], r1)
-    v = _block_sums(f.y, y_layout, idx[:, grid.m:], r2)
-    return (u[:, :, None] * v[:, None, :]).reshape(len(idx), 4) * grid.cell_volume
+    u = _block_sums(np.stack([f.x for f in fs]), x_layout, idx[:, :grid.m], r1)
+    v = _block_sums(np.stack([f.y for f in fs]), y_layout, idx[:, grid.m:], r2)
+    return (u[..., None] * v[..., None, :]).reshape(len(fs), len(idx), 4) * grid.cell_volume
 
 
-def _block_sums(values: np.ndarray, layout, nodes: np.ndarray, r: np.ndarray) -> np.ndarray:
+# window values per chunk of block_region_sums' (instance, cell) pairs
+_PAIR_CHUNK = 1 << 14
+
+
+def _block_sums(stack: np.ndarray, layout, nodes: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Each node's block sums of the kernel factor against its window
-    ``values[i - j + N/2]`` (zero outside the box) over the offsets j of
-    norm at most ``r[k]`` (column 0) and over the others (column 1)."""
+    ``values[i - j + N/2]`` (zero outside the box) of each block array
+    ``values`` of ``stack``, over the offsets j of norm at most ``r[row,
+    k]`` (column 0) and over the others (column 1): shape (R, K, 2)."""
     norm, factor, offsets = layout
-    N, dim, size = len(values), values.ndim, values.size
-    # padded by N/2 cells per side, values[i - j + N/2] is padded[i + N - j]
-    padded = np.pad(values, N // 2).reshape(-1)
-    keys = np.ravel_multi_index(tuple(nodes.T), values.shape)
+    R, N, dim = len(stack), stack.shape[1], stack.ndim - 1
+    size, padded_size = N ** dim, (2 * N) ** dim
+    keys = np.ravel_multi_index(tuple(nodes.T), (N,) * dim)
     held = np.zeros(size, dtype=bool)
     held[keys] = True
     cells = np.flatnonzero(held)
-    at, inner = np.searchsorted(cells, keys), np.searchsorted(norm, r, side="right")
-    starts = np.ravel_multi_index(np.unravel_index(cells, values.shape), (2 * N,) * dim)
-    sums = np.empty((len(nodes), 2))
-    step = max(_BLOCK_CHUNK // size, 1)
-    # the partial sums of each cell's terms from the first offset (row 0)
+    # pair p is (row p // C, cell p % C), the C cells of each row in turn;
+    # node k of a row reads the pair of its cell
+    C = len(cells)
+    at = np.arange(R)[:, None] * C + np.searchsorted(cells, keys)
+    inner = np.searchsorted(norm, r, side="right")
+    # padded by N/2 cells per side, values[i - j + N/2] is padded[i + N - j];
+    # each pair's window starts at its cell in its row's padded array
+    starts = np.ravel_multi_index(np.unravel_index(cells, (N,) * dim), (2 * N,) * dim)
+    starts = (np.arange(R)[:, None] * padded_size + starts).reshape(-1)
+    box = (slice(None),) + (slice(N // 2, N // 2 + N),) * dim
+    sums = np.empty((R, len(keys), 2))
+    step = max(_PAIR_CHUNK // size, 1)
+    # the partial sums of each pair's terms from the first offset (row 0)
     # and from the last (row 1), each after a 0.0
-    ends = np.zeros((2, min(step, len(cells)), size + 1))
-    for start in range(0, len(cells), step):
-        terms = padded[starts[start:start + step, None] + offsets]
+    ends = np.zeros((2, min(step, len(starts)), size + 1))
+    for start in range(0, len(starts), step):
+        stop = min(start + step, len(starts))
+        # the rows the chunk reads, padded
+        first, last = start // C, -(-stop // C)
+        padded = np.zeros((last - first,) + (2 * N,) * dim)
+        padded[box] = stack[first:last]
+        terms = padded.reshape(-1)[starts[start:stop, None] - first * padded_size + offsets]
+        del padded
         terms *= factor
         count = len(terms)
         np.cumsum(terms, axis=1, out=ends[0, :count, 1:])
         np.cumsum(terms[:, ::-1], axis=1, out=ends[1, :count, 1:])
-        mine = (at >= start) & (at < start + count)
-        row, k = at[mine] - start, inner[mine]
-        sums[mine, 0], sums[mine, 1] = ends[0, row, k], ends[1, row, size - k]
+        mine = (at >= start) & (at < stop)
+        pair, k = at[mine] - start, inner[mine]
+        sums[mine, 0], sums[mine, 1] = ends[0, pair, k], ends[1, pair, size - k]
     return sums
 
 

@@ -198,7 +198,18 @@ class TensorProduct:
         """``||x||_p`` over the x-block and ``||y||_p`` over the y-block, with
         cells of volume h^m and h^n: ``||f||_p`` is their product."""
         h = self.grid.spacing
-        return _lp_norm(self.x, p, h ** self.grid.m), _lp_norm(self.y, p, h ** self.grid.n)
+        return (_lp_norm(self.x[None], p, h ** self.grid.m)[0],
+                _lp_norm(self.y[None], p, h ** self.grid.n)[0])
+
+
+def _one_grid(fs) -> ProductGrid:
+    """The grid that the functions ``fs``, at least one, all live on."""
+    if not fs:
+        raise ValueError("no functions given")
+    grid = fs[0].grid
+    if any(f.grid != grid for f in fs):
+        raise ValueError("the functions must live on one grid")
+    return grid
 
 
 def sample_function(grid: ProductGrid, fn: Callable[..., np.ndarray]) -> GridFunction:
@@ -223,16 +234,20 @@ def lp_norm(f: GridFunction, p: float) -> float:
 
     Exact for cell-constant functions; zero iff ``f`` vanishes identically.
     """
-    return _lp_norm(f.values, p, f.grid.cell_volume)
+    return _lp_norm(f.values[None], p, f.grid.cell_volume)[0]
 
 
-def _lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
-    """The body of :func:`lp_norm` on an array of any rank with cells of
-    ``cell_volume``; the sweeps also take the norm of each block factor
-    of a tensor-product function with it."""
+def _lp_norm(stack: np.ndarray, p: float, cell_volume: float) -> list[float]:
+    """The body of :func:`lp_norm` on each row of ``stack``, an array whose
+    leading axis runs over rows of any rank with cells of ``cell_volume``:
+    one norm per row, a list of floats.  Each row is summed whole, the
+    pairwise sum :func:`numpy.sum` gives on that row alone, and its root is
+    taken on a Python float (numpy's SIMD ``pow`` can differ from ``**`` in
+    the last bit).  The sweeps take the norms of a stack of block factors
+    of a tensor-product family, and of their convolutions, with it."""
     _check_exponent(p)
-    total = float(np.sum(np.power(values, p)))
-    return (total * cell_volume) ** (1.0 / p)
+    totals = np.sum(np.power(stack, p).reshape(len(stack), -1), axis=1)
+    return [(total * cell_volume) ** (1.0 / p) for total in totals.tolist()]
 
 
 def slice_lp_norms_x(g: GridFunction, p: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .convolution import _convolve_block, convolve_fast
 from .grid import GridFunction, ProductGrid, TensorProduct, _lp_norm, dilate, lp_norm
-from .hedberg import CERTIFICATE_SCHEMA_VERSION, CertificateTable, certify_points
+from .hedberg import CERTIFICATE_SCHEMA_VERSION, CertificateTable, certify_instances
 from .kernel import Exponents, block_factors, check_blocks, riesz_kernel
 
 __all__ = [
@@ -211,16 +212,18 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
     """Build a dilation family: a callable (s, t) -> GridFunction.
 
     The analytic families (gaussian, box, tensor-box, spike) are outer
-    products of block factors: ``fam.factors(s, t)`` returns the x-block
-    array, shape (N,)*m, and the y-block array, shape (N,)*n, each
-    evaluated directly at the scaled coordinates, which is the exact
-    dilation f(s x, t y); the spike's amplitude is on the x factor.
-    ``fam(s, t)`` is their outer product, so the field a pointwise run
-    certifies is the one a sweep measures block by block.  The seeded
-    random family resamples a fixed noise field through
-    :func:`prodhls.grid.dilate`, and its ``fam.factors`` is None.
-    Unknown names or parameter keys and non-positive parameters raise
-    :class:`ConfigError`.
+    products of block factors, each of which depends on its own dilation
+    alone: ``fam.blocks`` is a pair of one-argument callables, the first
+    giving the x-block array at s, shape (N,)*m, and the second the
+    y-block array at t, shape (N,)*n, each evaluated directly at the
+    scaled coordinates, which is the exact dilation f(s x, t y); the
+    spike's amplitude is a constant on the x factor.  ``fam(s, t)`` is
+    their outer product, so the field a pointwise run certifies is the
+    one a sweep measures block by block, and a sweep measures each block
+    once per distinct dilation of it.  The seeded random family resamples
+    a fixed noise field through :func:`prodhls.grid.dilate`, and its
+    ``fam.blocks`` is None.  Unknown names or parameter keys and
+    non-positive parameters raise :class:`ConfigError`.
     """
     params = _family_params(name, {} if params is None else params)
     if name == "random":
@@ -229,7 +232,7 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
 
         def fam(s, t):
             return dilate(base, s, t)
-        fam.factors = None
+        fam.blocks = None
         return fam
 
     centers = grid.axis_centers()
@@ -241,8 +244,7 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
         def block(scale, axes):
             return np.exp(-sum((scale * c) ** 2 for c in axes) / (2.0 * sigma ** 2))
 
-        def factors(s, t):
-            return block(s, x_axes), block(t, y_axes)
+        blocks = (lambda s: block(s, x_axes)), (lambda t: block(t, y_axes))
     else:
         # box, tensor-box and spike: amp times the indicator of the box
         # |s x_i| <= wx (x-block axes), |t y_j| <= wy (y-block axes)
@@ -261,12 +263,11 @@ def make_family(name: str, grid: ProductGrid, params: dict | None = None,
                 inside = inside * (np.abs(scale * c) <= half)
             return inside  # float64: the first factor is 1.0 * bool
 
-        def factors(s, t):
-            return amp * block(s, wx, x_axes), block(t, wy, y_axes)
+        blocks = (lambda s: amp * block(s, wx, x_axes)), (lambda t: block(t, wy, y_axes))
 
     def fam(s, t):
-        return GridFunction._adopt(grid, np.multiply.outer(*factors(s, t)))
-    fam.factors = factors
+        return GridFunction._adopt(grid, np.multiply.outer(blocks[0](s), blocks[1](t)))
+    fam.blocks = blocks
     return fam
 
 
@@ -335,19 +336,6 @@ class PointwiseReport:
         }
 
 
-def _certify_instance(cfg: ExperimentConfig, fam, family: str, s: float, t: float,
-                      points) -> InstanceResult:
-    """Certify the instance ``fam(s, t)`` of ``family`` at ``points``.  A
-    family with block factors (the rule :func:`_sweep_row` follows) is
-    certified from its two block arrays, as a
-    :class:`~prodhls.grid.TensorProduct`: ``certify_points`` then reads
-    ||f||_p, M f, n1, n2 and the region sums from the blocks and builds no
-    N^rank array.  The random family is sampled whole."""
-    f = fam(s, t) if fam.factors is None else TensorProduct(cfg.grid, *fam.factors(s, t))
-    return InstanceResult(family=family, s=s, t=t,
-                          certificates=certify_points(f, cfg.exponents, points))
-
-
 def _require_admissible(cfg: ExperimentConfig, experiment: str) -> None:
     if (violation := cfg.exponents.violation) is not None:
         raise ConfigError(f"{experiment} needs admissible exponents (violated: {violation})")
@@ -371,19 +359,29 @@ def _verdict(cfg: ExperimentConfig, results: list[tuple[str, float]],
 
 
 def run_pointwise_campaign(cfg: ExperimentConfig) -> PointwiseReport:
-    """Certify every configured instance on a sublattice of grid nodes.
+    """Certify every configured instance on a sublattice of grid nodes, in
+    one :func:`~prodhls.hedberg.certify_instances` call.  An instance of a
+    family with block factors is certified from its two block arrays, as a
+    :class:`~prodhls.grid.TensorProduct`, with no N^rank array; the random
+    family is sampled whole.
 
     Raises :class:`prodhls.hedberg.CertificateViolation` if any region
     check fails anywhere; the CLI turns that into a diagnostic dump.
     """
     _check_keys(cfg.tolerances, _TOLERANCE_READERS["pointwise"], "pointwise tolerances")
     _require_admissible(cfg, "pointwise campaign")
-    points = _sample_points(cfg.grid, cfg.points_stride)
-    instances = []
-    for family in cfg.families:  # each family is built once, for all its dilations
-        fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
-        instances += [_certify_instance(cfg, fam, family, s, t, points)
-                      for s, t in cfg.dilations]
+
+    def built():  # as read: certify_instances keeps no sampled field once read
+        for family in cfg.families:  # each family is built once, for all its dilations
+            fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
+            for s, t in cfg.dilations:
+                yield fam(s, t) if fam.blocks is None else TensorProduct(
+                    cfg.grid, fam.blocks[0](s), fam.blocks[1](t))
+
+    tables = certify_instances(built(), cfg.exponents, _sample_points(cfg.grid, cfg.points_stride))
+    instances = [InstanceResult(family=family, s=s, t=t, certificates=table)
+                 for (family, (s, t)), table in zip(
+                     itertools.product(cfg.families, cfg.dilations), tables)]
     suite_constant = cfg.tolerances.get("suite_constant")
     max_ratio, stability, factor, passed = _verdict(
         cfg, [(r.family, r.max_ratio) for r in instances], suite_constant)
@@ -404,27 +402,44 @@ class SweepRow:
         return self.norm_q / self.norm_p if self.norm_p > 0.0 else 0.0
 
 
-def _sweep_row(fam, grid: ProductGrid, exps: Exponents, kernel, s: float,
-               t: float) -> SweepRow:
-    """||f||_p and ||f * K||_q of f = fam(s, t), unconvolved if ||f||_p is 0.
+def _sweep_rows(fam, grid: ProductGrid, exps: Exponents, kernel, pairs) -> list[SweepRow]:
+    """The row ||f||_p, ||f * K||_q of f = fam(s, t) for each (s, t) of
+    ``pairs``, in order; ||f * K||_q is 0.0 where ||f||_p is.
 
     A family with block factors, f = f_x (x) f_y, is measured block by
     block: the kernel is the product k_x (x) k_y of its block factors,
     so ||f||_p = ||f_x||_p ||f_y||_p and ||f * K||_q = ||f_x * k_x||_q
-    ||f_y * k_y||_q, and no N^rank array is built.  A family without
-    factors is sampled and convolved with ``kernel()``, the N^rank kernel.
+    ||f_y * k_y||_q, and no N^rank array is built.  A block factor depends
+    on its own dilation alone, so each block is built at each of its
+    distinct dilations once, and the stack is convolved with the kernel's
+    factor in one call and normed in one call.  A family without factors
+    is sampled and convolved with ``kernel()``, the N^rank kernel, pair by
+    pair, unconvolved where ||f||_p is 0.
     """
-    if fam.factors is None:
-        f = fam(s, t)
-        norm_p = lp_norm(f, exps.p)
-        norm_q = lp_norm(convolve_fast(f, kernel()), exps.q) if norm_p > 0.0 else 0.0
-        return SweepRow(s=s, t=t, norm_q=norm_q, norm_p=norm_p)
-    blocks = [(f, k.reshape(f.shape), grid.spacing ** f.ndim)
-              for f, k in zip(fam.factors(s, t), block_factors(grid, exps)[2:])]
-    norm_p = math.prod(_lp_norm(f, exps.p, volume) for f, _, volume in blocks)
-    norm_q = math.prod(_lp_norm(_convolve_block(f, k, volume), exps.q, volume)
-                       for f, k, volume in blocks) if norm_p > 0.0 else 0.0
-    return SweepRow(s=s, t=t, norm_q=norm_q, norm_p=norm_p)
+    if fam.blocks is None:
+        rows = []
+        for s, t in pairs:
+            f = fam(s, t)
+            norm_p = lp_norm(f, exps.p)
+            norm_q = lp_norm(convolve_fast(f, kernel()), exps.q) if norm_p > 0.0 else 0.0
+            rows.append(SweepRow(s=s, t=t, norm_q=norm_q, norm_p=norm_p))
+        return rows
+    # per block, {dilation: (||f_block||_p, ||f_block * k_block||_q)}
+    measured = []
+    for block, kernel_factor, dilations in zip(
+            fam.blocks, block_factors(grid, exps)[2:], zip(*pairs)):
+        dilations = list(dict.fromkeys(dilations))
+        stack = np.stack([block(v) for v in dilations])
+        volume = grid.spacing ** (stack.ndim - 1)
+        convolved = _convolve_block(stack, kernel_factor.reshape(stack.shape[1:]), volume)
+        norms = zip(_lp_norm(stack, exps.p, volume), _lp_norm(convolved, exps.q, volume))
+        measured.append(dict(zip(dilations, norms)))
+    rows = []
+    for s, t in pairs:
+        (px, qx), (py, qy) = measured[0][s], measured[1][t]
+        norm_p = px * py
+        rows.append(SweepRow(s=s, t=t, norm_q=qx * qy if norm_p > 0.0 else 0.0, norm_p=norm_p))
+    return rows
 
 
 @dataclass
@@ -495,17 +510,16 @@ def run_necessity_sweep(cfg: ExperimentConfig) -> SlopeReport:
     # the N^rank kernel, built on the first row without block factors
     kernel = functools.cache(lambda: riesz_kernel(cfg.grid, exps))
 
-    @functools.cache  # (1, 1) sits on both ladders: convolve it once
-    def measure(s: float, t: float) -> SweepRow:
-        row = _sweep_row(fam, cfg.grid, exps, kernel, s, t)
+    # (1, 1) sits on both ladders: it is measured once, one row on both
+    ladder = [(s, 1.0) for s in s_ladder] + [(1.0, t) for t in t_ladder]
+    pairs = list(dict.fromkeys(ladder))
+    measured = dict(zip(pairs, _sweep_rows(fam, cfg.grid, exps, kernel, pairs)))
+    rows = [measured[pair] for pair in ladder]
+    for row in rows:
         if not row.ratio > 0.0:
             # log(0) would make both fitted slopes NaN
-            raise ConfigError(f"{family} instance at (s, t) = ({s!r}, {t!r}) vanishes "
+            raise ConfigError(f"{family} instance at (s, t) = ({row.s!r}, {row.t!r}) vanishes "
                               "on the grid; its norm ratio has no logarithm")
-        return row
-
-    rows = [measure(s, 1.0) for s in s_ladder]
-    rows += [measure(1.0, t) for t in t_ladder]
 
     def fit(points: list[SweepRow], key) -> float:
         xs = np.log([key(r) for r in points])
@@ -557,9 +571,8 @@ def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
     rows = []
     for family in cfg.families:
         fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
-        for s, t in cfg.dilations:
-            row = _sweep_row(fam, cfg.grid, exps, kernel, s, t)
-            rows.append({"family": family, **vars(row), "ratio": row.ratio})
+        rows += [{"family": family, **vars(row), "ratio": row.ratio}
+                 for row in _sweep_rows(fam, cfg.grid, exps, kernel, cfg.dilations)]
     pinned = cfg.tolerances.get("norm_constant")
     max_ratio, stability, factor, passed = _verdict(
         cfg, [(r["family"], r["ratio"]) for r in rows], pinned)

@@ -21,12 +21,14 @@ mixed bounds coincide) collapses everything, via the balance relation
 The lattice bounds hold on the grid as it stands, so a region sum above
 its bound beyond floating-point headroom is a hard failure, not a warning.
 
-One call, :func:`certify_points`, certifies a set of nodes of f: it takes
-``||f||_p``, M f, n1 and n2 at the nodes
-(:func:`~prodhls.maximal.node_maximals`) and the tables, then runs the
-bound chain at every node in one array pass.  A tensor product held as
-its two block factors (:class:`~prodhls.grid.TensorProduct`) gives the
-same inputs from its blocks, with no N^rank array, to one bound chain.
+One call, :func:`certify_instances`, certifies the same set of nodes of
+each of several instances: it takes ``||f||_p``, M f, n1 and n2 at the
+nodes (:func:`~prodhls.maximal.node_maximals`) and the tables, then runs
+the bound chain at every node.  A tensor product held as its two block
+factors (:class:`~prodhls.grid.TensorProduct`) gives the same inputs from
+its blocks, with no N^rank array, and the tensor products of a call share
+one stacked block-maximal pass and one stacked block-sum pass.
+:func:`certify_points` is the call on one instance.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
     "HedbergCertificate",
     "CertificateTable",
     "certify_points",
+    "certify_instances",
 ]
 
 CERTIFICATE_SCHEMA_VERSION = 1
@@ -502,31 +505,23 @@ _CHECK_REL = 1e-9
 _CHECKS = ("radii_balance", *REGION_NAMES, "mixed_collapse")
 
 
-def _node_inputs(f, exps: Exponents, idx: np.ndarray):
-    """What the bound chain reads at the nodes ``idx``: ``||f||_p``, M f,
-    n1 and n2, and the region sums as a function of the radii; ``None``
-    when f is empty on the grid (see :func:`certify_points`)."""
-    p = exps.p
-    if isinstance(f, GridFunction):
-        if not (f_norm := lp_norm(f, p)) > 0.0:
-            return None
-        return (f_norm, *node_maximals(f, p, idx),
-                functools.partial(region_sums, f, exps, idx))
+def _tensor_norms(f: TensorProduct, p: float) -> tuple[float, float] | None:
+    """``||a||_p`` and ``||b||_p`` of the tensor product ``f = a(x) b(y)``,
+    or ``None`` when f is empty on the grid (see :func:`certify_points`)."""
     norm_x, norm_y = f.block_norms(p)
     # the largest cell of the field a(x) b(y) is max a times max b
     largest = float(f.x.max()) * float(f.y.max())
     if not (norm_x * norm_y > 0.0 and largest ** p * f.grid.cell_volume > 0.0):
         return None
-    m_x, m_y = block_maximals(f, idx)
-    return (norm_x * norm_y, m_x * m_y, m_x * norm_y, norm_x * m_y,
-            functools.partial(block_region_sums, f, exps, idx))
+    return norm_x, norm_y
 
 
 def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
                    points) -> CertificateTable:
     """Run the full pointwise bound chain at every node of ``points`` (one
-    multi-index per row) of ``f``, in one array pass: ``f`` is a sampled
-    field, or a tensor product ``a(x) b(y)`` held as its two block factors.
+    multi-index per row) of ``f``: the table of
+    ``certify_instances([f], exps, points)``.  ``f`` is a sampled field,
+    or a tensor product ``a(x) b(y)`` held as its two block factors.
     Checks the exponents and the grid blocks, then the nodes.
 
     Returns one :class:`CertificateTable`: a column per certificate field,
@@ -587,24 +582,91 @@ def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
     ``case_id``; both branches then give the same radii and final bound to
     rounding.
     """
-    _require_admissible(exps)
-    grid = f.grid
-    check_blocks(grid, exps)
-    idx = normalize_points(points, grid.rank, grid.points_per_axis)
-    if not len(idx) or (inputs := _node_inputs(f, exps, idx)) is None:
-        return CertificateTable.empty(grid.rank)
-    f_norm, m_value, n1, n2, split = inputs
-    tables = region_tables(grid, exps)
+    return certify_instances([f], exps, points)[0]
 
+
+def certify_instances(fs, exps: Exponents, points) -> list[CertificateTable]:
+    """Run the bound chain of :func:`certify_points` for every instance of
+    ``fs``, sampled fields and tensor products all on one grid, at the same
+    nodes ``points``: one :class:`CertificateTable` per instance, in input
+    order, each the table ``certify_points`` gives for that instance alone,
+    byte for byte.
+
+    The exponents, the blocks and the nodes are checked once, on the first
+    instance.  ``fs`` may be any iterable; it is read once, in order, and a
+    sampled field is not kept once read: it takes its M f, n1 and n2 from
+    one :func:`~prodhls.maximal.node_maximals` call, its radii, and its
+    region sums from one :func:`~prodhls.convolution.region_sums` call
+    right away, so a caller that builds each field as it is read holds one
+    N^rank field at a time.  The tensor products are certified together at
+    the end: M a and M b from one :func:`~prodhls.maximal.block_maximals`
+    call over all of them, the closed forms in one pass over all their
+    rows, and the region sums from one
+    :func:`~prodhls.convolution.block_region_sums` call.  An instance that
+    is empty on the grid gets a table of length 0 and joins neither pass.
+    The limits and the checks run last, instance by instance in input
+    order, and the :class:`CertificateViolation` raised names the first
+    failing node of the first instance that has one.
+    """
+    _require_admissible(exps)
+    p, grid, chains, tensors = exps.p, None, [], []
+    for f in fs:
+        if grid is None:
+            grid = f.grid
+            check_blocks(grid, exps)
+            idx = normalize_points(points, grid.rank, grid.points_per_axis)
+        elif f.grid != grid:
+            raise ValueError("the instances must live on one grid")
+        chains.append(None)  # an empty instance, until its chain is known
+        if not len(idx):
+            continue
+        if isinstance(f, TensorProduct):
+            if (norms := _tensor_norms(f, p)) is not None:
+                tensors.append((len(chains) - 1, f, *norms))
+        elif (f_norm := lp_norm(f, p)) > 0.0:
+            [chain] = _bound_chain([f_norm], *node_maximals(f, p, idx), exps)
+            chain["regions"] = region_sums(f, exps, idx, chain["r1"], chain["r2"])
+            chains[-1] = chain
+        del f  # before the next instance is built
+    if grid is None:
+        return []
+    if tensors:
+        at, products, norm_x, norm_y = zip(*tensors)
+        m_x, m_y = block_maximals(products, idx)  # one row per instance
+        # M f = M a M b, n1 = M a ||b||_p and n2 = ||a||_p M b, end to end
+        x_col, y_col = np.array(norm_x)[:, None], np.array(norm_y)[:, None]
+        stacked = _bound_chain([x * y for x, y in zip(norm_x, norm_y)], (m_x * m_y).ravel(),
+                               (m_x * y_col).ravel(), (x_col * m_y).ravel(), exps)
+        sums = block_region_sums(products, exps, idx, np.stack([c["r1"] for c in stacked]),
+                                 np.stack([c["r2"] for c in stacked]))
+        for i, chain, regions in zip(at, stacked, sums):
+            chain["regions"] = regions
+            chains[i] = chain
+    tables, coordinates = region_tables(grid, exps), grid.axis_centers()[idx]
+    return [CertificateTable.empty(grid.rank) if chain is None
+            else _checked_table(chain, idx, coordinates, tables) for chain in chains]
+
+
+def _bound_chain(f_norms: list[float], m_value, n1, n2, exps: Exponents) -> list[dict]:
+    """The case rule and the closed forms of the bound chain at the nodes
+    of one or more instances, given each one's ``||f||_p`` and their M f, n1
+    and n2 end to end, the same number of nodes each: per instance, a dict
+    of its columns ``f_norm``, ``m_value``, ``n1``, ``n2``, ``case_id``,
+    ``r1``, ``r2``, ``final``, and the check values ``balance`` and
+    ``mixed``."""
+    K = len(m_value) // len(f_norms)
+    # each row's ||f||_p and ||f||_p^2, the squares taken on Python floats
+    f_norm, f_norm_squared = np.repeat(f_norms, K), np.repeat([v ** 2 for v in f_norms], K)
     g_value = n1 * n2
     case_id = np.where(g_value <= m_value * f_norm, 1, 2)
     case_value = np.where(case_id == 1, m_value, g_value)
-    ratio = case_value / np.where(case_id == 1, f_norm, f_norm ** 2)
-    r1, r2, final, balance, mixed = (np.empty(len(idx)) for _ in range(5))
+    ratio = case_value / np.where(case_id == 1, f_norm, f_norm_squared)
+    r1, r2, final, balance, mixed = (np.empty(len(ratio)) for _ in range(5))
     s1_power, s2_power = -exps.m / exps.p, -exps.n / exps.p
     mixed_power = exps.beta - exps.n / exps.p
-    for k, (node_ratio, u, v, value, cid) in enumerate(zip(
-            ratio.tolist(), n1.tolist(), n2.tolist(), case_value.tolist(), case_id.tolist())):
+    for k, (node_ratio, u, v, value, cid, norm) in enumerate(zip(
+            ratio.tolist(), n1.tolist(), n2.tolist(), case_value.tolist(), case_id.tolist(),
+            f_norm.tolist())):
         x, y = balanced_radii(node_ratio, u, v, exps)
         # the radii balance the recorded case: the largest relative residual of
         # r1^(-m/p) r2^(-n/p) = ratio and r1^(-m/p) / r2^(-n/p) = n1/n2
@@ -613,17 +675,28 @@ def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
         # the mixed-bound common value must itself collapse under the case-1
         # hypothesis: n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q)
         mixed[k] = u * x ** exps.alpha * y ** mixed_power if cid == 1 else 0.0
-        r1[k], r2[k], final[k] = x, y, final_bound(value, f_norm, cid, exps)
+        r1[k], r2[k], final[k] = x, y, final_bound(value, norm, cid, exps)
+    columns = {"m_value": m_value, "n1": n1, "n2": n2, "case_id": case_id, "r1": r1, "r2": r2,
+               "final": final, "balance": balance, "mixed": mixed}
+    return [dict({name: column[row * K:(row + 1) * K] for name, column in columns.items()},
+                 f_norm=norm) for row, norm in enumerate(f_norms)]
 
-    regions = split(r1, r2)
-    by_region = region_limits(m_value, n1, n2, f_norm, r1, r2, tables)
+
+def _checked_table(chain: dict, idx: np.ndarray, coordinates: np.ndarray,
+                   tables: tuple[BlockTable, BlockTable]) -> CertificateTable:
+    """One instance's :class:`CertificateTable` from its chain columns and
+    region sums, once every check passes at every node; else the
+    :class:`CertificateViolation` of its first failing node."""
+    c = chain
+    by_region = region_limits(c["m_value"], c["n1"], c["n2"], c["f_norm"], c["r1"], c["r2"],
+                              tables)
     limits = np.column_stack([by_region[name] for name in REGION_NAMES])
     # one column per check, in the order of _CHECKS
-    values = np.column_stack([balance, regions, mixed])
-    bounds = np.column_stack([np.full(len(idx), _IDENTITY_TOL), limits, final])
+    values = np.column_stack([c["balance"], c["regions"], c["mixed"]])
+    bounds = np.column_stack([np.full(len(idx), _IDENTITY_TOL), limits, c["final"]])
     # written so that a NaN value or bound fails its check
     failed = ~(values <= bounds * (1.0 + _CHECK_REL))
-    failed[:, -1] &= case_id == 1  # case 2 has no mixed collapse
+    failed[:, -1] &= c["case_id"] == 1  # case 2 has no mixed collapse
     if failed.any():
         k = int(np.argmax(failed.any(axis=1)))
         check = int(np.argmax(failed[k]))
@@ -632,10 +705,9 @@ def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
         raise CertificateViolation(
             f"{name} value {value} exceeds its bound {limit} at point {point}",
             diagnostics={"point": list(point), "region": name, "value": value,
-                         "limit": limit, "r1": float(r1[k]), "r2": float(r2[k]),
-                         "case_id": int(case_id[k])})
-
+                         "limit": limit, "r1": float(c["r1"][k]), "r2": float(c["r2"][k]),
+                         "case_id": int(c["case_id"][k])})
     return CertificateTable(
-        point=idx, point_coordinates=grid.axis_centers()[idx], case_id=case_id, r1=r1, r2=r2,
-        regions=regions, m_value=m_value, n1=n1, n2=n2, final_bound=final,
-        region_limits=limits, f_norm=f_norm)
+        point=idx, point_coordinates=coordinates, case_id=c["case_id"], r1=c["r1"],
+        r2=c["r2"], regions=c["regions"], m_value=c["m_value"], n1=c["n1"], n2=c["n2"],
+        final_bound=c["final"], region_limits=limits, f_norm=c["f_norm"])

@@ -21,7 +21,8 @@ blocks, summed at the nodes' slice centres only.  :func:`maximal_fields`
 is the same pass at every node, which the composition check and the
 mixed-norm field G read.  For a tensor product ``a(x) b(y)`` every
 product window average factors, and :func:`block_maximals` gives M a and
-M b at the nodes from one single-block pass over each factor, from
+M b at the nodes from one single-block pass over each block, with the
+factors of several tensor products stacked along a trailing axis, from
 which M f, n1 and n2 follow with no N^rank array.
 
 Window sums are read from one prefix sum per block pass.  A block pass
@@ -53,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, ProductGrid, TensorProduct, _check_exponent, lp_norm,
-                   normalize_points, slice_lp_norms_x, slice_lp_norms_y)
+from .grid import (GridFunction, ProductGrid, TensorProduct, _check_exponent, _one_grid,
+                   lp_norm, normalize_points, slice_lp_norms_x, slice_lp_norms_y)
 from .kernel import Exponents
 
 __all__ = [
@@ -353,36 +354,42 @@ def node_maximals(f: GridFunction, p: float, points
     return mf, n1[np.searchsorted(x_slices, x_keys)], n2[np.searchsorted(y_slices, y_keys)]
 
 
-def block_maximals(f: TensorProduct, points) -> tuple[np.ndarray, np.ndarray]:
-    """M a at each node's x-block cell and M b at its y-block cell, for the
-    tensor product ``f(x, y) = a(x) b(y)`` and the nodes ``points`` (one
-    multi-index per row): two float64 arrays of shape (K,), in input order.
+def block_maximals(fs: list[TensorProduct], points) -> tuple[np.ndarray, np.ndarray]:
+    """M a at each node's x-block cell and M b at its y-block cell, for
+    each tensor product ``f(x, y) = a(x) b(y)`` of ``fs``, all on one grid,
+    and the nodes ``points`` (one multi-index per row): two float64 arrays
+    of shape (R, K), one row per instance, each node in input order.
 
     Every product window average of f is the product of its two block
     averages, and the one-cell window is among each block's windows, so
     M f = M a M b, M1 f = M a b and M2 f = a M b cell by cell, and the
     slice norms are n1 = M a ``||b||_p`` and n2 = ``||a||_p`` M b.  Each
-    factor takes one single-block pass of :func:`_window_sums` over the
-    dyadic windows of :func:`node_maximals`, read at the block cells that
-    hold a node (densely when every one does); no N^rank array is built.
+    block takes one single-block pass of :func:`_window_sums` over the
+    dyadic windows of :func:`node_maximals`, with the instances' factors
+    stacked along a trailing axis, which every operation of the pass
+    treats elementwise; it reads the block cells that hold a node (densely
+    when every one does), and no N^rank array is built.  An instance's
+    values are the bytes a call on it alone gives.
     """
-    grid = f.grid
+    grid = _one_grid(fs)
     idx = normalize_points(points, grid.rank, grid.points_per_axis)
     radii = _dyadic_radii(grid)
-    return tuple(_block_maximal(values, _block_keys(grid, idx, block), radii)
-                 for values, block in ((f.x, "x"), (f.y, "y")))
+    return tuple(_block_maximal(np.stack([getattr(f, block) for f in fs], axis=-1), dim,
+                                _block_keys(grid, idx, block), radii)
+                 for block, dim in (("x", grid.m), ("y", grid.n)))
 
 
-def _block_maximal(values: np.ndarray, keys: np.ndarray, radii) -> np.ndarray:
-    """The largest window average of the block array ``values`` at the
-    block cells whose flat indices are ``keys``."""
-    cells, centres = _block_reads(keys, values.ndim, len(values))
+def _block_maximal(stack: np.ndarray, dim: int, keys: np.ndarray, radii) -> np.ndarray:
+    """The largest window average of each block array of ``stack``, of
+    shape (N,)*dim + (R,), at the block cells whose flat indices are
+    ``keys``: shape (R, K)."""
+    cells, centres = _block_reads(keys, dim, len(stack))
     best = None
-    for total, count in _window_sums(values, values.ndim, radii, centres):
-        average = total.reshape(-1)
+    for total, count in _window_sums(stack, dim, radii, centres):
+        average = total.reshape(-1, stack.shape[-1])
         average /= count
         best = average if best is None else np.maximum(best, average, out=best)
-    return best[np.searchsorted(cells, keys)]
+    return best[np.searchsorted(cells, keys)].T
 
 
 def maximal_fields(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:

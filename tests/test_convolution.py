@@ -162,22 +162,33 @@ def test_fast_bytes_match_three_transform_formula(m, n, N):
 
 @pytest.mark.parametrize("N", [2, 6, 8, 32, 512])
 def test_block_bytes_match_the_one_axis_formula(N):
-    # the rank-1 case: a 1-d block factor runs the passes of convolve_fast,
-    # the inverse's row blocks cut across lines, not along the one axis
+    # the rank-1 case: a stack of 1-d block factors runs the passes of
+    # convolve_fast, and the inverse's row blocks cut across the stack's rows,
+    # not along the one axis (a stack of 11 runs as five blocks of two rows
+    # and one of one); each row, stacked or alone, gets the formula's bytes
     rng = np.random.default_rng(31)
-    f, k = rng.uniform(0.0, 1.0, N), rng.uniform(0.0, 1.0, N)
+    stack, k = rng.uniform(0.0, 1.0, (11, N)), rng.uniform(0.0, 1.0, N)
+    stack[3] = 0.0
     L, h = 3 * N // 2, 2.0 / N
-    formula = np.fft.irfft(np.fft.rfft(f, L) * np.fft.rfft(k, L), L)[N // 2:N // 2 + N] * h
-    assert convolution._convolve_block(f, k, h).tobytes() == np.maximum(formula, 0.0).tobytes()
+    formula = np.fft.irfft(np.fft.rfft(stack, L) * np.fft.rfft(k, L), L)[:, N // 2:N // 2 + N] * h
+    want = np.maximum(formula, 0.0)
+    assert convolution._convolve_block(stack, k, h).tobytes() == want.tobytes()
+    for row, expected in zip(stack, want):
+        assert convolution._convolve_block(row[None], k, h).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("N", [2, 8, 32])
 def test_block_bytes_match_convolve_fast_at_dim_2(N):
-    # a 2-d block factor is convolved as convolve_fast convolves a (1, 1) field
+    # each 2-d block factor of a stack is convolved as convolve_fast
+    # convolves a (1, 1) field
     g = grid_1x1(N=N)
-    f, k = random_function(g, seed=32), random_function(g, seed=33)
-    block = convolution._convolve_block(f.values, k.values, g.cell_volume)
-    assert block.tobytes() == convolve_fast(f, k).values.tobytes()
+    fields = [random_function(g, seed=seed) for seed in (32, 34, 35)]
+    k = random_function(g, seed=33)
+    stack = np.stack([f.values for f in fields])
+    blocks = convolution._convolve_block(stack, k.values, g.cell_volume)
+    assert blocks.shape == stack.shape
+    for f, block in zip(fields, blocks):
+        assert block.tobytes() == convolve_fast(f, k).values.tobytes()
 
 
 @pytest.mark.parametrize("N", [2, 6, 8])
@@ -284,7 +295,8 @@ def test_fast_result_is_not_copied(monkeypatch):
 
     monkeypatch.setattr(convolution, "_box_inverse", record_box_inverse)
     out = convolve_fast(f, k)
-    assert out.values is written[-1]
+    # the inverse writes a stack of one, and the field is its one row
+    assert out.values.base is written[-1] and written[-1].shape == (1,) + g.shape
     assert not out.values.flags.writeable
 
 
@@ -486,34 +498,47 @@ def random_tensor(g, seed):
 @pytest.mark.parametrize("chunk", [1 << 16, 1])
 @pytest.mark.parametrize("m, n, N", [(1, 1, 16), (2, 1, 8), (1, 2, 8), (2, 2, 6)])
 def test_block_region_sums_match_the_sampled_split(monkeypatch, m, n, N, chunk):
-    # each node's four block-by-block sums against region_sums of the outer
-    # product, at radii from inside the first shell to past the box, in one
-    # chunk of block cells and in chunks of one cell
-    monkeypatch.setattr(convolution, "_BLOCK_CHUNK", chunk)
+    # each node's four block-by-block sums of each of three stacked tensor
+    # products against region_sums of its outer product, at radii from
+    # inside the first shell to past the box, in one chunk of every
+    # (instance, block cell) pair and in chunks of one pair; each instance's
+    # sums are the bytes of a call on it alone
+    monkeypatch.setattr(convolution, "_PAIR_CHUNK", chunk)
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
-    tensor = random_tensor(g, seed=23)
-    f = GridFunction(g, np.multiply.outer(tensor.x, tensor.y))
+    tensors = [random_tensor(g, seed=seed) for seed in (23, 27, 28)]
     rng = np.random.default_rng(24)
     points = rng.permutation(np.array(list(np.ndindex(g.shape))))
-    r1, r2 = rng.uniform(0.01, 3.0, (2, len(points)))
-    got, want = block_region_sums(tensor, e, points, r1, r2), region_sums(f, e, points, r1, r2)
-    assert got.shape == want.shape == (len(points), 4)
-    assert np.all(np.abs(got - want) <= 1e-12 * want)
-    assert np.array_equal(got == 0.0, want == 0.0) and np.any(want == 0.0)
+    r1, r2 = rng.uniform(0.01, 3.0, (2, len(tensors), len(points)))
+    got = block_region_sums(tensors, e, points, r1, r2)
+    assert got.shape == (len(tensors), len(points), 4)
+    for tensor, sums, a, b in zip(tensors, got, r1, r2):
+        f = GridFunction(g, np.multiply.outer(tensor.x, tensor.y))
+        want = region_sums(f, e, points, a, b)
+        assert np.all(np.abs(sums - want) <= 1e-12 * want)
+        assert np.array_equal(sums == 0.0, want == 0.0) and np.any(want == 0.0)
+        alone = block_region_sums([tensor], e, points, a[None], b[None])
+        assert alone.tobytes() == sums.tobytes()
 
 
 def test_block_region_sums_reject_bad_inputs():
     g = grid_1x1(N=8)
     tensor = random_tensor(g, seed=25)
     points = [(0, 0), (3, 5)]
-    with pytest.raises(ValueError, match="2 points need as many radii"):
-        block_region_sums(tensor, STD, points, [1.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="2 points need as many radii in each of 1 rows"):
+        block_region_sums([tensor], STD, points, [[1.0]], [[1.0, 1.0]])
+    with pytest.raises(ValueError, match="2 points need as many radii in each of 2 rows"):
+        block_region_sums([tensor, tensor], STD, points, [[1.0, 1.0]], [[1.0, 1.0]])
     with pytest.raises(ValueError, match="r2 must be positive and finite, got nan"):
-        block_region_sums(tensor, STD, points, [1.0, 1.0], [1.0, np.nan])
+        block_region_sums([tensor], STD, points, [[1.0, 1.0]], [[1.0, np.nan]])
     with pytest.raises(ValueError, match="do not address rank-2 grid nodes"):
-        block_region_sums(tensor, STD, [(0, 0, 0)], [1.0], [1.0])
-    assert block_region_sums(tensor, STD, [], [], []).shape == (0, 4)
+        block_region_sums([tensor], STD, [(0, 0, 0)], [[1.0]], [[1.0]])
+    with pytest.raises(ValueError, match="must live on one grid"):
+        block_region_sums([tensor, random_tensor(grid_1x1(N=6), seed=25)], STD, points,
+                          [[1.0, 1.0]] * 2, [[1.0, 1.0]] * 2)
+    with pytest.raises(ValueError, match="no functions given"):
+        block_region_sums([], STD, points, np.empty((0, 2)), np.empty((0, 2)))
+    assert block_region_sums([tensor], STD, [], [[]], [[]]).shape == (1, 0, 4)
 
 
 def test_region_split_rank3():

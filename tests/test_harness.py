@@ -19,9 +19,8 @@ from prodhls import (ConfigError, Exponents, ExperimentConfig, convolve_fast, lp
                      make_family, riesz_kernel)
 from prodhls.cli import main as cli_main
 from prodhls.grid import ProductGrid
-from prodhls.harness import (_certify_instance, _sample_points, _sweep_row,
-                             run_necessity_sweep, run_norm_check, run_pointwise_campaign,
-                             write_slopes_csv, write_summary_json)
+from prodhls.harness import (_sample_points, _sweep_rows, run_necessity_sweep, run_norm_check,
+                             run_pointwise_campaign, write_slopes_csv, write_summary_json)
 
 
 def small_config(**overrides):
@@ -278,7 +277,7 @@ def test_analytic_family_is_the_outer_product_of_its_factors(family, m, n):
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=8)
     fam = make_family(family, grid)
     for s, t in [(1.0, 1.0), (0.5, 2.0)]:
-        fx, fy = fam.factors(s, t)
+        fx, fy = fam.blocks[0](s), fam.blocks[1](t)
         assert fx.shape == (8,) * m and fy.shape == (8,) * n
         assert fam(s, t).values.tobytes() == np.multiply.outer(fx, fy).tobytes()
 
@@ -302,11 +301,12 @@ def test_tensor_rows_match_the_full_path(family, m, n, N):
         raise AssertionError("a tensor row asked for the N^rank kernel")
 
     zero_rows = 0
-    for s, t in AGREEMENT_DILATIONS:
+    rows = _sweep_rows(fam, grid, exps, no_kernel, AGREEMENT_DILATIONS)
+    assert [(row.s, row.t) for row in rows] == AGREEMENT_DILATIONS
+    for (s, t), row in zip(AGREEMENT_DILATIONS, rows):
         f = fam(s, t)
         norm_p = lp_norm(f, exps.p)
         norm_q = lp_norm(convolve_fast(f, kernel), exps.q)
-        row = _sweep_row(fam, grid, exps, no_kernel, s, t)
         if norm_p == 0.0:
             zero_rows += 1
             assert (row.norm_p, row.norm_q, norm_q) == (0.0, 0.0, 0.0)
@@ -314,6 +314,24 @@ def test_tensor_rows_match_the_full_path(family, m, n, N):
             assert row.norm_p == pytest.approx(norm_p, rel=1e-12, abs=0.0)
             assert row.norm_q == pytest.approx(norm_q, rel=1e-12, abs=0.0)
     assert zero_rows or family == "gaussian"
+
+
+@pytest.mark.parametrize("m, n, N", [(1, 1, 32), (2, 1, 16), (1, 2, 16), (2, 2, 8)])
+@pytest.mark.parametrize("family", ANALYTIC_FAMILIES)
+def test_stacked_sweep_rows_are_the_rows_of_one_pair(family, m, n, N):
+    # one _sweep_rows call over every pair, which stacks each block's distinct
+    # dilations, against each pair alone (a stack of one per block), field
+    # for field and bit for bit; (64, 1) vanishes for the indicator families
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    exps = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    fam = make_family(family, grid)
+    pairs = [(1.0, 1.0), (0.5, 1.0), (2.0, 1.0), (1.0, 0.5), (1.0, 3.0), (0.5, 0.5),
+             (64.0, 1.0), (2.0, 1.0)]
+    stacked = _sweep_rows(fam, grid, exps, None, pairs)
+    alone = [_sweep_rows(fam, grid, exps, None, [pair])[0] for pair in pairs]
+    # repr tells every two floats of different bits apart, -0.0 from 0.0 too
+    assert [repr(vars(row)) for row in stacked] == [repr(vars(row)) for row in alone]
+    assert any(row.norm_p == 0.0 for row in stacked) or family == "gaussian"
 
 
 def test_tensor_box_asymmetric():
@@ -421,7 +439,7 @@ def test_necessity_convolves_the_shared_pair_once(monkeypatch):
     monkeypatch.setattr(prodhls.harness, "convolve_fast", counted)
     cfg = ExperimentConfig.from_dict(
         {**ladder_config(tolerances={"slope_tolerance": 1.0}), "families": ["random"]})
-    assert make_family("random", cfg.grid, seed=cfg.seed).factors is None
+    assert make_family("random", cfg.grid, seed=cfg.seed).blocks is None
     rep = run_necessity_sweep(cfg)
     assert len(calls) == 9 and len(rep.rows) == 10
     first, second = [r for r in rep.rows if r.s == r.t == 1.0]
@@ -430,8 +448,9 @@ def test_necessity_convolves_the_shared_pair_once(monkeypatch):
 
 def test_tensor_necessity_measures_block_by_block(monkeypatch):
     # a gaussian sweep builds no N^rank kernel and convolves no N^rank
-    # field; it convolves the two block factors of each of its nine pairs,
-    # (1, 1) once
+    # field; it convolves each block factor at each of its distinct
+    # dilations, the ladder's five s and five t values (1 among them), in
+    # one stacked call per block
     def refused(*args):
         raise AssertionError("a tensor row took the full path")
 
@@ -447,7 +466,7 @@ def test_tensor_necessity_measures_block_by_block(monkeypatch):
     monkeypatch.setattr(prodhls.harness, "_convolve_block", counted)
     rep = run_necessity_sweep(ExperimentConfig.from_dict(
         ladder_config(tolerances={"slope_tolerance": 1.0})))
-    assert blocks == [(32,)] * 18 and len(rep.rows) == 10
+    assert blocks == [(5, 32)] * 2 and len(rep.rows) == 10
     first, second = [r for r in rep.rows if r.s == r.t == 1.0]
     assert first is second
 
@@ -467,16 +486,15 @@ def test_tensor_necessity_peak_memory():
 
 
 def test_tensor_instance_peak_memory():
-    # a gaussian instance at (2, 2), N = 16, certified at the stride-8 nodes
-    # from its block factors: no 16^4 array is alive at any time
+    # a gaussian instance at (2, 2), N = 16, certified by a campaign at the
+    # stride-8 nodes from its block factors: no 16^4 array is alive at any time
     cfg = ExperimentConfig.from_dict(small_config(
         grid={"m": 2, "n": 2, "half_width": 1.0, "points_per_axis": 16},
-        exponents={"alpha": 1.0, "beta": 1.0, "p": 4 / 3}, families=["gaussian"]))
-    points = _sample_points(cfg.grid, 8)
+        exponents={"alpha": 1.0, "beta": 1.0, "p": 4 / 3}, families=["gaussian"],
+        dilations=[[1.0, 1.0]]))
     tracemalloc.start()
     try:
-        result = _certify_instance(cfg, make_family("gaussian", cfg.grid), "gaussian", 1.0, 1.0,
-                                   points)
+        [result] = run_pointwise_campaign(cfg).instances
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -514,7 +532,8 @@ def test_sweep_transforms_its_kernel_once(monkeypatch, run, raw):
     monkeypatch.setattr(prodhls.convolution, "_padded_spectrum", record_padded_spectrum)
     run(ExperimentConfig.from_dict(raw))
     [kernel] = kernels
-    assert sum(a is kernel.values for a in transformed) == 1
+    # each transform takes a stack: the kernel's is a stack of one, a view of it
+    assert sum(a.base is kernel.values for a in transformed) == 1
     assert len(transformed) > 2  # the kernel served several convolutions
 
 

@@ -20,7 +20,7 @@ import prodhls
 from prodhls import convolution, harness, hedberg
 from prodhls import (CertificateTable, CertificateViolation, Exponents, ExponentError, GridFunction,
                      HedbergCertificate, ProductGrid, TensorProduct, balanced_radii,
-                     certify_points, convolve_direct, final_bound, lp_norm,
+                     certify_instances, certify_points, convolve_direct, final_bound, lp_norm,
                      maximal_fields, profile_ball_integral, region_limits, region_tables,
                      riesz_kernel, sample_function, slice_lp_norms_x, slice_lp_norms_y,
                      tail_integral_constant)
@@ -36,6 +36,12 @@ positive = st.floats(min_value=1e-4, max_value=1e4)
 
 def grid_1x1(N=16, L=1.0):
     return ProductGrid(m=1, n=1, half_width=L, points_per_axis=N)
+
+
+def tensor_instance(fam, s, t):
+    """The instance fam(s, t) of a family with block factors, held as them."""
+    grid = fam(s, t).grid
+    return TensorProduct(grid, fam.blocks[0](s), fam.blocks[1](t))
 
 
 # ---------------------------------------------------------------- admissibility
@@ -382,24 +388,27 @@ def test_certificate_gaussian_origin_cell():
 
 
 def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
-    # each instance is one certify_points call.  A nonzero random instance
+    # a campaign is one certify_instances call.  Each nonzero random instance
     # takes its maximal values in one node_maximals call on exactly the
-    # campaign's sampled nodes and splits the whole field (region_sums); a
-    # nonzero gaussian or box instance has block factors and takes one
-    # block_maximals call and one block_region_sums call instead, on the
-    # same nodes.  No other maximal function runs.  The dilations (20, 20)
-    # have ||f||_p = 0 on the grid: the gaussian's p-th powers underflow
-    # although its values do not, and the box and the random field hold no
-    # cell center; none reaches a maximal pass
+    # campaign's sampled nodes and splits the whole field (region_sums) when
+    # it is read; the nonzero gaussian and box instances have block factors
+    # and take one block_maximals call and one block_region_sums call over
+    # all four of them, on the same nodes, at the end.  No other maximal
+    # function runs.  The dilations (20, 20) have ||f||_p = 0 on the grid:
+    # the gaussian's p-th powers underflow although its values do not, and
+    # the box and the random field hold no cell center; none reaches a
+    # maximal pass
     import prodhls.harness as harness
     import prodhls.maximal as maximal
-    events, received = [], []
+    events, received, stacked = [], [], []
 
     def counted(name, inner):
         def call(*args, **kwargs):
             events.append(name)
             if name in ("node_maximals", "block_maximals"):
                 received.append(np.array(args[-1]))
+            if name.startswith("block_"):
+                stacked.append(len(args[0]))
             return inner(*args, **kwargs)
         return call
 
@@ -409,8 +418,8 @@ def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
             for module in (maximal, hedberg):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counted(name, fn))
-    monkeypatch.setattr(harness, "certify_points",
-                        counted("certify", harness.certify_points))
+    monkeypatch.setattr(harness, "certify_instances",
+                        counted("certify", harness.certify_instances))
     cfg = ExperimentConfig.from_dict({
         "grid": {"m": 2, "n": 1, "half_width": 1.0, "points_per_axis": 8},
         "exponents": {"alpha": 1.0, "beta": 0.5, "p": 4 / 3},
@@ -418,11 +427,68 @@ def test_campaign_makes_one_maximal_call_per_instance_on_its_nodes(monkeypatch):
         "dilations": [[1.0, 1.0], [2.0, 2.0], [20.0, 20.0]], "points_stride": 4})
     report = harness.run_pointwise_campaign(cfg)
     assert [r.n_points for r in report.instances] == [8, 8, 0] * 3
-    tensor = ["certify", "block_maximals", "block_region_sums"] * 2 + ["certify"]
-    sampled = ["certify", "node_maximals", "region_sums"] * 2 + ["certify"]
-    assert events == tensor * 2 + sampled
+    assert events == ["certify", *["node_maximals", "region_sums"] * 2, "block_maximals",
+                      "block_region_sums"]
+    assert stacked == [4, 4]
     nodes = [list(node) for node in itertools.product((0, 4), repeat=3)]
-    assert [points.tolist() for points in received] == [nodes] * 6
+    assert [points.tolist() for points in received] == [nodes] * 3
+
+
+def campaign_instances(grid, empty=20.0):
+    """A gaussian, the gaussian dilated ``empty``-fold (empty on the grid:
+    its largest cell's p-th power underflows), a random field and a box, as
+    a campaign builds them."""
+    gaussian, box = make_family("gaussian", grid), make_family("box", grid)
+    return [tensor_instance(gaussian, 1.0, 1.0), tensor_instance(gaussian, empty, empty),
+            make_family("random", grid, seed=4)(1.0, 1.0), tensor_instance(box, 0.5, 2.0)]
+
+
+@pytest.mark.parametrize("m, n, N, empty", [(1, 1, 8, 24.0), (2, 1, 8, 20.0), (1, 2, 8, 20.0),
+                                             (2, 2, 8, 20.0)])
+def test_instances_certified_together_are_certified_alone(m, n, N, empty):
+    # every column of each instance's table, and its ||f||_p, is the bytes
+    # certify_points gives for the instance alone
+    grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    fs = campaign_instances(grid, empty)
+    points = _sample_points(grid, 2)
+    together = certify_instances(iter(fs), e, points)
+    assert [len(table) for table in together] == [len(points), 0, len(points), len(points)]
+    for f, table in zip(fs, together):
+        alone = certify_points(f, e, points)
+        for name in (*(c.name for c in dataclasses.fields(alone)), "g_value", "lhs", "ratio"):
+            assert np.asarray(getattr(table, name)).tobytes() == \
+                np.asarray(getattr(alone, name)).tobytes(), name
+
+
+@pytest.mark.parametrize("order", [(0, 3, 2), (0, 2, 3)], ids=["tensor-then-sampled",
+                                                               "sampled-then-tensor"])
+def test_first_failing_instance_is_reported(monkeypatch, order):
+    # the limits of the third and the fourth instance are cut a millionfold,
+    # so that both fail; the call raises the third's violation, the one it
+    # raises alone, whether the sampled field comes third (certified as it
+    # is read) or fourth (after it, the tensor products at the end)
+    grid = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=8)
+    e = Exponents.from_balance(2, 1, 1.0, 0.5, 4 / 3)
+    fs = [campaign_instances(grid)[i] for i in (1, *order)]
+    points = _sample_points(grid, 2)
+    failing = {certify_points(f, e, points).f_norm for f in fs[2:]}
+    real = hedberg.region_limits
+
+    def cut(m_value, n1, n2, f_norm, *args):
+        limits = real(m_value, n1, n2, f_norm, *args)
+        return {k: v * 1e-6 for k, v in limits.items()} if f_norm in failing else limits
+
+    monkeypatch.setattr(hedberg, "region_limits", cut)
+    violations = []
+    for f in fs[2:]:
+        with pytest.raises(CertificateViolation) as alone:
+            certify_points(f, e, points)
+        violations.append((str(alone.value), alone.value.diagnostics))
+    assert violations[0] != violations[1]
+    with pytest.raises(CertificateViolation) as together:
+        certify_instances(fs, e, points)
+    assert (str(together.value), together.value.diagnostics) == violations[0]
 
 
 def test_certificates_do_not_depend_on_the_other_nodes():
@@ -600,7 +666,7 @@ def test_tensor_emptiness_rule_at_the_underflow_edge(monkeypatch):
     # one-node view raises, and no block maximal runs
     g = grid_1x1(N=128)
     fam = make_family("gaussian", g, {"sigma": 0.125})
-    narrow = TensorProduct(g, *fam.factors(400.0, 400.0))
+    narrow = tensor_instance(fam, 400.0, 400.0)
     assert math.prod(narrow.block_norms(STD.p)) == pytest.approx(2.0e-274, rel=0.01)
     with monkeypatch.context() as patched:
         patched.setattr(hedberg, "block_maximals", None)
@@ -611,7 +677,7 @@ def test_tensor_emptiness_rule_at_the_underflow_edge(monkeypatch):
     empty = []
     for s in np.arange(360.0, 400.0, 0.25):
         f = fam(s, s)
-        tensor_empty = not certify_points(TensorProduct(g, *fam.factors(s, s)), STD, [(64, 64)])
+        tensor_empty = not certify_points(tensor_instance(fam, s, s), STD, [(64, 64)])
         shares = f.values ** STD.p * g.cell_volume
         assert tensor_empty == (lp_norm(f, STD.p) == 0.0) or shares.max() < np.finfo(float).tiny
         empty.append(tensor_empty)
@@ -840,7 +906,7 @@ def t11_nan(real, _):
     NaN, which no comparison with its bound lets through."""
     def sums(*args):
         out = real(*args)
-        out[:, 0] = math.nan
+        out[..., 0] = math.nan
         return out
     return sums
 
@@ -943,11 +1009,16 @@ def test_mutation_is_caught(monkeypatch, mutation, m, n, N):
 
 def x_outer_column_dropped(real, tensor):
     """A ``convolution._block_sums`` mutation: the x-block's sums over its
-    outer offsets read 0.0, so t21 and t22 do."""
-    def sums(values, layout, nodes, r):
-        out = real(values, layout, nodes, r)
-        if values is tensor.x:
-            out[:, 1] = 0.0
+    outer offsets read 0.0, so t21 and t22 do.  ``block_region_sums`` sums
+    the x-block first, then the y-block: the x-block call is every even
+    one."""
+    calls = itertools.count()
+
+    def sums(stack, layout, nodes, r):
+        out = real(stack, layout, nodes, r)
+        if next(calls) % 2 == 0:
+            assert stack.shape[1:] == tensor.x.shape
+            out[..., 1] = 0.0
         return out
     return sums
 
@@ -976,7 +1047,7 @@ def test_block_mutation_is_caught(monkeypatch, mutation, m, n, N):
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
     fam = make_family("gaussian", grid)
-    tensor = TensorProduct(grid, *fam.factors(1.0, 1.0))
+    tensor = tensor_instance(fam, 1.0, 1.0)
     monkeypatch.setattr(module, binding, mutate(getattr(module, binding), tensor))
     assert checks_fired(fam(1.0, 1.0), tensor, e) == expected
 
@@ -1315,7 +1386,7 @@ def test_certificate_table_holds_at_most_200_bytes_a_node(m, n, N):
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
     fam = make_family("gaussian", grid)
-    f = TensorProduct(grid, *fam.factors(1.0, 1.0))
+    f = tensor_instance(fam, 1.0, 1.0)
     points = list(itertools.product(range(N), repeat=m + n))
     certify_points(f, e, points[:1])  # the tables and kernel factors are built once
     gc.collect()
@@ -1336,7 +1407,7 @@ def test_certify_and_write_peak_memory(tmp_path):
     # node); 8 MiB allows for other Python and numpy releases
     grid = grid_1x1(N=64)
     fam = make_family("gaussian", grid)
-    f = TensorProduct(grid, *fam.factors(1.0, 1.0))
+    f = tensor_instance(fam, 1.0, 1.0)
     points = list(itertools.product(range(64), repeat=2))
     cfg = ExperimentConfig(grid=grid, exponents=STD)
     certify_points(f, STD, points[:1])

@@ -417,22 +417,31 @@ def test_node_maximals_of_no_nodes(m, n):
 def test_block_maximals_give_the_node_values(m, n, N):
     # M a M b, M a ||b||_p and ||a||_p M b against node_maximals of the
     # outer product, at every node, at a stride-4 sample and at no nodes
+    # for each of three stacked tensor products; each instance's values are
+    # the bytes of a call on it alone
     g = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     rng = np.random.default_rng(26)
-    x, y = (rng.uniform(0.0, 1.0, (N,) * dim) for dim in (m, n))
-    x[x < 0.3] = 0.0
-    tensor = TensorProduct(g, x, y)
-    f = GridFunction(g, np.multiply.outer(x, y))
-    norm_x, norm_y = tensor.block_norms(4 / 3)
+    tensors = []
+    for _ in range(3):
+        x, y = (rng.uniform(0.0, 1.0, (N,) * dim) for dim in (m, n))
+        x[x < 0.3] = 0.0
+        tensors.append(TensorProduct(g, x, y))
     every = np.array(list(np.ndindex(g.shape)))
     for points in (every, every[np.all(every % 4 == 0, axis=1)]):
-        m_x, m_y = block_maximals(tensor, points)
-        got = np.array([m_x * m_y, m_x * norm_y, norm_x * m_y])
-        want = np.array(node_maximals(f, 4 / 3, points))
-        assert np.all(np.abs(got - want) <= 1e-13 * want)
-        assert np.array_equal(got == 0.0, want == 0.0)
-    got = block_maximals(tensor, np.empty((0, g.rank), dtype=np.intp))
-    assert [(a.shape, a.dtype) for a in got] == [((0,), np.float64)] * 2
+        stacked = block_maximals(tensors, points)
+        assert [a.shape for a in stacked] == [(3, len(points))] * 2
+        for row, tensor in enumerate(tensors):
+            m_x, m_y = (a[row] for a in stacked)
+            norm_x, norm_y = tensor.block_norms(4 / 3)
+            got = np.array([m_x * m_y, m_x * norm_y, norm_x * m_y])
+            f = GridFunction(g, np.multiply.outer(tensor.x, tensor.y))
+            want = np.array(node_maximals(f, 4 / 3, points))
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            alone = block_maximals([tensor], points)
+            assert [a[0].tobytes() for a in alone] == [m_x.tobytes(), m_y.tobytes()]
+    got = block_maximals(tensors, np.empty((0, g.rank), dtype=np.intp))
+    assert [(a.shape, a.dtype) for a in got] == [((3, 0), np.float64)] * 2
 
 
 def recorded_passes(monkeypatch):
