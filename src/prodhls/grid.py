@@ -34,7 +34,7 @@ class ProductGrid:
     Cell centers along every axis sit at ``-L + (i + 1/2) h`` with
     ``h = 2 L / N``.  ``N`` must be even so that no center lies on the
     coordinate origin of either block; power-law kernels evaluated at
-    cell centers are therefore always finite.
+    cell centers are therefore always finite.  No field may be a boolean.
 
     Attributes
     ----------
@@ -52,6 +52,7 @@ class ProductGrid:
     points_per_axis: int
 
     def __post_init__(self) -> None:
+        _reject_booleans(self, "grid")
         if self.m not in (1, 2):
             raise ValueError(f"x-block dimension m must be 1 or 2, got {self.m}")
         if self.n not in (1, 2):
@@ -97,6 +98,13 @@ class ProductGrid:
     def y_norms(self) -> np.ndarray:
         """Euclidean norm |y| at the cell centers of the y-block, shape (N,)*n."""
         return _block_norms(self.axis_centers(), self.n)
+
+
+def _reject_booleans(record, what: str) -> None:
+    """Reject a boolean field of the dataclass ``record``: True == 1 passes as a number."""
+    for name, value in vars(record).items():
+        if isinstance(value, bool):
+            raise ValueError(f"{what} {name} must not be a boolean, got {value!r}")
 
 
 def _block_norms(centers: np.ndarray, dim: int) -> np.ndarray:
@@ -241,13 +249,12 @@ def _lp_norm(stack: np.ndarray, p: float, cell_volume: float) -> list[float]:
     """The body of :func:`lp_norm` on each row of ``stack``, an array whose
     leading axis runs over rows of any rank with cells of ``cell_volume``:
     one norm per row, a list of floats.  Each row is summed whole, the
-    pairwise sum :func:`numpy.sum` gives on that row alone, and its root is
-    taken on a Python float (numpy's SIMD ``pow`` can differ from ``**`` in
-    the last bit).  The sweeps take the norms of a stack of block factors
-    of a tensor-product family, and of their convolutions, with it."""
+    pairwise sum :func:`numpy.sum` gives on that row alone.  The sweeps
+    take the norms of a stack of block factors of a tensor-product family,
+    and of their convolutions, with it."""
     _check_exponent(p)
     totals = np.sum(np.power(stack, p).reshape(len(stack), -1), axis=1)
-    return [(total * cell_volume) ** (1.0 / p) for total in totals.tolist()]
+    return np.float_power(totals * cell_volume, 1.0 / p).tolist()
 
 
 def slice_lp_norms_x(g: GridFunction, p: float) -> np.ndarray:

@@ -188,9 +188,9 @@ def region_limits(m_value, n1, n2, f_norm, r1, r2,
             "region21": a_y * t_x * n2, "region22": t_x * t_y * f_norm}
 
 
-def balanced_radii(ratio: float, n1: float, n2: float, exps: Exponents) -> tuple[float, float]:
+def balanced_radii(ratio, n1, n2, exps: Exponents):
     """Radii equalizing the inner bound with the outer bound and the two
-    mixed bounds with each other.
+    mixed bounds with each other, at one node or at each node of arrays.
 
     ``ratio`` is ``Mf/||f||`` in case 1 and ``Gf/||f||^2`` in case 2.
     Closed forms::
@@ -204,18 +204,19 @@ def balanced_radii(ratio: float, n1: float, n2: float, exps: Exponents) -> tuple
     """
     check_positive(ratio=ratio, n1=n1, n2=n2)
     b = n1 / n2
-    r1 = (ratio * b) ** (-exps.p / (2.0 * exps.m))
-    r2 = (ratio / b) ** (-exps.p / (2.0 * exps.n))
-    return r1, r2
+    return (np.float_power(ratio * b, -exps.p / (2.0 * exps.m)),
+            np.float_power(ratio / b, -exps.p / (2.0 * exps.n)))
 
 
-def final_bound(value: float, f_norm: float, case_id: int, exps: Exponents) -> float:
-    """Collapsed pointwise bound ``value^(p/q) ||f||^(1 - case_id p/q)``:
-    ``value`` is M f in case 1 and G f in case 2."""
-    if case_id not in (1, 2):
-        raise ValueError(f"case_id must be 1 or 2, got {case_id!r}")
+def final_bound(value, f_norm, case_id, exps: Exponents):
+    """Collapsed pointwise bound ``value^(p/q) ||f||^(1 - case_id p/q)``, at
+    one node or at each node of arrays: ``value`` is M f in case 1 and G f
+    in case 2, and a case id other than 1 or 2 raises ``ValueError``."""
+    case_id = np.asarray(case_id)
+    if (unknown := case_id[(case_id != 1) & (case_id != 2)]).size:
+        raise ValueError(f"case_id must be 1 or 2, got {unknown[0].item()!r}")
     e = exps.p / exps.q
-    return value ** e * f_norm ** (1.0 - case_id * e)
+    return np.float_power(value, e) * np.float_power(f_norm, 1.0 - case_id * e)
 
 
 def _check_json_keys(d, expected, where: str) -> None:
@@ -565,15 +566,10 @@ def certify_points(f: GridFunction | TensorProduct, exps: Exponents,
     (both identities of :func:`balanced_radii`, to 1e-12 relative), every
     region sum against its lattice bound from :func:`region_limits`, and in
     case 1 the collapse of the mixed bound, each bound to a relative 1e-9
-    of floating-point headroom.  The case rule, the table lookups, the
-    limits and the checks are array operations; a NaN fails its check.
-    The closed forms of :func:`balanced_radii` and :func:`final_bound` and
-    the check values built from the radii are evaluated on Python floats
-    node by node, written into preallocated columns: numpy's SIMD ``pow``
-    differs from ``**`` in the last bit.  With numpy 2.4.6 on an AVX-512
-    host, ``np.power`` gave 70 of the 1200 ``r1`` values and 93 of the
-    ``r2`` values of the benchmark's pointwise-2d configs one ulp away
-    from ``**``.  Raises :class:`CertificateViolation` for the first node,
+    of floating-point headroom.  Every step is one array operation over all
+    the nodes, and a NaN fails its check.  A power whose bytes the reports
+    pin goes through :func:`numpy.float_power`, the C library's ``pow`` as
+    in ``**``.  Raises :class:`CertificateViolation` for the first node,
     in input order, with a failing check, naming its first failing check
     in the order above.
 
@@ -640,8 +636,7 @@ def certify_instances(fs, exps: Exponents, points) -> list[CertificateTable]:
         sums = block_region_sums(products, exps, idx, np.stack([c["r1"] for c in stacked]),
                                  np.stack([c["r2"] for c in stacked]))
         for i, chain, regions in zip(at, stacked, sums):
-            chain["regions"] = regions
-            chains[i] = chain
+            chains[i] = dict(chain, regions=regions)
     tables, coordinates = region_tables(grid, exps), grid.axis_centers()[idx]
     return [CertificateTable.empty(grid.rank) if chain is None
             else _checked_table(chain, idx, coordinates, tables) for chain in chains]
@@ -655,39 +650,35 @@ def _bound_chain(f_norms: list[float], m_value, n1, n2, exps: Exponents) -> list
     ``r1``, ``r2``, ``final``, and the check values ``balance`` and
     ``mixed``."""
     K = len(m_value) // len(f_norms)
-    # each row's ||f||_p and ||f||_p^2, the squares taken on Python floats
-    f_norm, f_norm_squared = np.repeat(f_norms, K), np.repeat([v ** 2 for v in f_norms], K)
+    f_norm = np.repeat(f_norms, K)  # each row's ||f||_p
     g_value = n1 * n2
     case_id = np.where(g_value <= m_value * f_norm, 1, 2)
-    case_value = np.where(case_id == 1, m_value, g_value)
-    ratio = case_value / np.where(case_id == 1, f_norm, f_norm_squared)
-    r1, r2, final, balance, mixed = (np.empty(len(ratio)) for _ in range(5))
-    s1_power, s2_power = -exps.m / exps.p, -exps.n / exps.p
-    mixed_power = exps.beta - exps.n / exps.p
-    for k, (node_ratio, u, v, value, cid, norm) in enumerate(zip(
-            ratio.tolist(), n1.tolist(), n2.tolist(), case_value.tolist(), case_id.tolist(),
-            f_norm.tolist())):
-        x, y = balanced_radii(node_ratio, u, v, exps)
-        # the radii balance the recorded case: the largest relative residual of
-        # r1^(-m/p) r2^(-n/p) = ratio and r1^(-m/p) / r2^(-n/p) = n1/n2
-        s1, s2 = x ** s1_power, y ** s2_power
-        balance[k] = max(abs(s1 * s2 / node_ratio - 1.0), abs(s1 / s2 / (u / v) - 1.0))
-        # the mixed-bound common value must itself collapse under the case-1
-        # hypothesis: n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q)
-        mixed[k] = u * x ** exps.alpha * y ** mixed_power if cid == 1 else 0.0
-        r1[k], r2[k], final[k] = x, y, final_bound(value, norm, cid, exps)
+    case1 = case_id == 1
+    case_value = np.where(case1, m_value, g_value)
+    ratio = case_value / np.where(case1, f_norm, np.float_power(f_norm, 2.0))
+    r1, r2 = balanced_radii(ratio, n1, n2, exps)
+    # the radii balance the recorded case: the larger relative residual of
+    # r1^(-m/p) r2^(-n/p) = ratio and r1^(-m/p) / r2^(-n/p) = n1/n2
+    s1, s2 = np.float_power(r1, -exps.m / exps.p), np.float_power(r2, -exps.n / exps.p)
+    product, quotient = np.abs(s1 * s2 / ratio - 1.0), np.abs(s1 / s2 / (n1 / n2) - 1.0)
+    balance = np.where(quotient > product, quotient, product)  # a NaN product is kept
+    # the mixed-bound common value must itself collapse under the case-1 hypothesis,
+    # n1 r1^a r2^(b - n/p) <= Mf^(p/q) ||f||^(1-p/q): on case-1 rows, so no case-2 r overflows
+    mixed = np.zeros(len(ratio))
+    mixed[case1] = (n1[case1] * np.float_power(r1[case1], exps.alpha)
+                    * np.float_power(r2[case1], exps.beta - exps.n / exps.p))
+    final = final_bound(case_value, f_norm, case_id, exps)
     columns = {"m_value": m_value, "n1": n1, "n2": n2, "case_id": case_id, "r1": r1, "r2": r2,
                "final": final, "balance": balance, "mixed": mixed}
     return [dict({name: column[row * K:(row + 1) * K] for name, column in columns.items()},
                  f_norm=norm) for row, norm in enumerate(f_norms)]
 
 
-def _checked_table(chain: dict, idx: np.ndarray, coordinates: np.ndarray,
+def _checked_table(c: dict, idx: np.ndarray, coordinates: np.ndarray,
                    tables: tuple[BlockTable, BlockTable]) -> CertificateTable:
-    """One instance's :class:`CertificateTable` from its chain columns and
-    region sums, once every check passes at every node; else the
+    """One instance's :class:`CertificateTable` from its chain columns ``c``
+    and region sums, once every check passes at every node; else the
     :class:`CertificateViolation` of its first failing node."""
-    c = chain
     by_region = region_limits(c["m_value"], c["n1"], c["n2"], c["f_norm"], c["r1"], c["r2"],
                               tables)
     limits = np.column_stack([by_region[name] for name in REGION_NAMES])

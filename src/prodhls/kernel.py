@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, ProductGrid
+from .grid import GridFunction, ProductGrid, _reject_booleans
 
 __all__ = [
     "BALANCE_TOL",
@@ -54,7 +54,7 @@ def profile_ball_integral(dim: int, exponent: float, radius: float) -> float:
 class Exponents:
     """The exponent tuple (m, n, alpha, beta, p, q).
 
-    Constraints enforced at construction: ``0 < alpha < m``,
+    Constraints enforced at construction: no boolean, ``0 < alpha < m``,
     ``0 < beta < n`` and ``1 < p < q < inf``.  :attr:`violation` names
     the first admissibility condition the tuple fails; the pointwise
     certification engine requires admissibility, while the dilation
@@ -69,6 +69,7 @@ class Exponents:
     q: float
 
     def __post_init__(self) -> None:
+        _reject_booleans(self, "exponents")
         if self.m not in (1, 2):
             raise ValueError(f"m must be 1 or 2, got {self.m}")
         if self.n not in (1, 2):

@@ -1,5 +1,6 @@
 """Experiment configs, campaign reports, CLI wiring, determinism."""
 
+import functools
 import gc
 import json
 import math
@@ -206,13 +207,26 @@ def test_config_rejects_malformed(edit, message):
     ("grid", small_config()["grid"], "grid must be of type ProductGrid, got {"),
     ("exponents", Exponents.from_balance(m=2, n=1, alpha=1.0, beta=0.5, p=4 / 3),
      r"grid blocks \(1, 1\) do not match exponents \(2, 1\)"),
+    # true == 1 in Python, as JSON's true is not an integer
+    ("grid", functools.partial(ProductGrid, m=True, n=1, half_width=True, points_per_axis=16),
+     "grid m must not be a boolean, got True"),
+    ("grid", functools.partial(ProductGrid, m=1, n=1, half_width=True, points_per_axis=16),
+     "grid half_width must not be a boolean, got True"),
+    ("grid", functools.partial(ProductGrid, m=1, n=1, half_width=1.0, points_per_axis=True),
+     "grid points_per_axis must not be a boolean, got True"),
+    ("exponents", functools.partial(Exponents, m=2, n=2, alpha=True, beta=1.0, p=4 / 3, q=4.0),
+     "exponents alpha must not be a boolean, got True"),
 ], ids=["bool-seed", "float-seed", "float-stride", "string-dilation", "null-exponents",
-        "dict-grid", "exponents-of-other-blocks"])
+        "dict-grid", "exponents-of-other-blocks", "bool-grid-m", "bool-half-width",
+        "bool-points", "bool-alpha"])
 def test_config_built_in_python_obeys_the_json_rules(field, value, message):
+    # a grid or exponents given as a callable is built in the check: its own
+    # class raises the ValueError, as ExperimentConfig raises ConfigError
     cfg = ExperimentConfig.from_dict(small_config())
-    kwargs = {"grid": cfg.grid, "exponents": cfg.exponents, field: value}
-    with pytest.raises(ConfigError, match=message):
-        ExperimentConfig(**kwargs)
+    with pytest.raises(ValueError, match=message) as info:
+        ExperimentConfig(**{"grid": cfg.grid, "exponents": cfg.exponents,
+                            field: value() if callable(value) else value})
+    assert callable(value) or info.type is ConfigError
 
 
 def test_config_accepts_every_documented_key():

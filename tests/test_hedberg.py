@@ -356,6 +356,43 @@ def test_closed_forms_equal_the_per_case_formulas(e):
                 "region21": a_y * t_x * n2, "region22": t_x * t_y * fn}
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2)])
+def test_float_power_is_the_python_power(m, n):
+    # the closed forms and the L^p roots take their powers with
+    # np.float_power on arrays, and the reports pin the bytes of x ** e on
+    # Python floats: both call the C library's pow, at every power the chain
+    # takes with the reference exponents, over positive x from 1e-300 to
+    # 1e300 (narrowed where x ** e would overflow)
+    e = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
+    pq = e.p / e.q
+    rng = np.random.default_rng(20 * m + n)
+    for power in (-e.p / (2.0 * e.m), -e.p / (2.0 * e.n), -e.m / e.p, -e.n / e.p, e.alpha,
+                  e.beta - e.n / e.p, pq, 1.0 - pq, 1.0 - 2.0 * pq, 1.0 / e.p, 2.0):
+        span = 300.0 / max(1.0, abs(power))
+        x = 10.0 ** rng.uniform(-span, span, 20_000)
+        want = np.array([v ** power for v in x.tolist()])
+        assert np.float_power(x, power).tobytes() == want.tobytes(), power
+
+
+def test_closed_forms_take_arrays():
+    # each closed form on arrays of nodes against its formula on Python
+    # floats at each node, bit for bit
+    e = Exponents.from_balance(2, 1, 1.0, 0.5, 4 / 3)
+    pq = e.p / e.q
+    rng = np.random.default_rng(3)
+    ratio, n1, n2, value, f_norm = 10.0 ** rng.uniform(-3, 3, (5, 40))
+    case_id = rng.integers(1, 3, 40)
+    r1, r2 = balanced_radii(ratio, n1, n2, e)
+    final = final_bound(value, f_norm, case_id, e)
+    for k, (node_ratio, u, v, x, norm, cid) in enumerate(zip(
+            *(a.tolist() for a in (ratio, n1, n2, value, f_norm, case_id)))):
+        assert r1[k] == (node_ratio * (u / v)) ** (-e.p / (2.0 * e.m))
+        assert r2[k] == (node_ratio / (u / v)) ** (-e.p / (2.0 * e.n))
+        assert final[k] == x ** pq * norm ** (1.0 - cid * pq)
+    with pytest.raises(ValueError, match="case_id must be 1 or 2, got 0"):
+        final_bound(value, f_norm, np.where(np.arange(40) == 7, 0, case_id), e)
+
+
 def test_final_bound_rejects_unknown_case():
     with pytest.raises(ValueError, match="case_id"):
         final_bound(1.0, 1.0, 3, STD)
@@ -489,6 +526,27 @@ def test_first_failing_instance_is_reported(monkeypatch, order):
     with pytest.raises(CertificateViolation) as together:
         certify_instances(fs, e, points)
     assert (str(together.value), together.value.diagnostics) == violations[0]
+
+
+def test_closed_forms_run_once_per_bound_chain(monkeypatch):
+    # two sampled fields and two nonempty tensor products make three bound
+    # chains, one per sampled field and one stacked over the tensor
+    # products: each closed form is called once per chain, on its columns
+    grid = ProductGrid(m=2, n=1, half_width=1.0, points_per_axis=8)
+    e = Exponents.from_balance(2, 1, 1.0, 0.5, 4 / 3)
+    fs = [*campaign_instances(grid), make_family("random", grid, seed=5)(1.0, 1.0)]
+    points = _sample_points(grid, 2)
+    sizes = {"balanced_radii": [], "final_bound": []}
+    for name, seen in sizes.items():
+        def spy(first, *args, real=getattr(hedberg, name), seen=seen):
+            seen.append(np.shape(first))
+            return real(first, *args)
+        monkeypatch.setattr(hedberg, name, spy)
+    tables = certify_instances(fs, e, points)
+    K = len(points)
+    assert [len(table) for table in tables] == [K, 0, K, K, K]
+    assert sizes == {"balanced_radii": [(K,), (K,), (2 * K,)],
+                     "final_bound": [(K,), (K,), (2 * K,)]}
 
 
 def test_certificates_do_not_depend_on_the_other_nodes():
@@ -913,10 +971,12 @@ def t11_nan(real, _):
 
 def case2_ratio_over_f_norm(real, f_norm):
     """A ``balanced_radii`` mutation: the case-2 ratio G f / ||f||^2 passed
-    as G f / ||f||.  A case-2 ratio is exactly n1 n2 / ||f||^2; the random
-    family has no case-1 node where the case-1 ratio takes that value."""
+    as G f / ||f||, node by node of the arrays.  A case-2 ratio is exactly
+    n1 n2 / ||f||^2; the random family has no case-1 node where the case-1
+    ratio takes that value."""
     def radii(ratio, n1, n2, exps):
-        return real(ratio * f_norm if ratio == n1 * n2 / f_norm ** 2 else ratio, n1, n2, exps)
+        return real(np.where(ratio == n1 * n2 / f_norm ** 2, ratio * f_norm, ratio), n1, n2,
+                    exps)
     return radii
 
 
@@ -945,19 +1005,32 @@ MUTATIONS = {
 
 
 def certify_each(f, exps, points, chunk=64):
-    """Each node's certificate or the CertificateViolation it raises: the
-    instance pass over each chunk of nodes, and the one-node view at every
-    node of a chunk that the pass rejects."""
+    """Each node's certificate or the CertificateViolation it raises, in
+    node order: the instance pass over each chunk of nodes, split where a
+    pass is rejected (:func:`certify_run`)."""
     for start in range(0, len(points), chunk):
-        nodes = points[start:start + chunk]
+        yield from certify_run(f, exps, points[start:start + chunk])
+
+
+def certify_run(f, exps, nodes):
+    """The certificates or violations of ``nodes``, a list of multi-index
+    tuples, from passes over runs of them.  A rejected pass names its first
+    failing node: the nodes before it are certified in one pass, it yields
+    the violation, which is the one a pass over it alone raises, and the
+    next run is one node, doubled after each run that passes.  A chunk
+    whose every node fails pays one pass a node, one that rarely fails a
+    few passes a failing node."""
+    size = len(nodes)
+    while nodes:
+        run = nodes[:size]
         try:
-            yield from certify_points(f, exps, nodes)
-        except CertificateViolation:
-            for point in nodes:
-                try:
-                    yield certify_points(f, exps, [point])[0]
-                except CertificateViolation as exc:
-                    yield exc
+            yield from certify_points(f, exps, run)
+            nodes, size = nodes[size:], 2 * size
+        except CertificateViolation as exc:
+            k = run.index(tuple(exc.diagnostics["point"]))
+            yield from certify_run(f, exps, run[:k])
+            yield exc
+            nodes, size = nodes[k + 1:], 1
 
 
 def checks_fired(f, certified, e):
@@ -1159,9 +1232,14 @@ def test_region_violation_diagnostics(monkeypatch, case_id, name):
         "r1": cert.r1, "r2": cert.r2, "case_id": case_id}
 
 
+def tiny_final_bound(value, *args):
+    """A ``final_bound`` that returns TINY_LIMIT at every node of ``value``."""
+    return np.full(np.shape(value), TINY_LIMIT)
+
+
 def test_mixed_collapse_violation_diagnostics(monkeypatch):
     f, cert = violation_setup(1)
-    monkeypatch.setattr(hedberg, "final_bound", lambda *args: TINY_LIMIT)
+    monkeypatch.setattr(hedberg, "final_bound", tiny_final_bound)
     with pytest.raises(CertificateViolation) as info:
         certify_points(f, STD, [cert.point])
     mixed = cert.n1 * cert.r1 ** STD.alpha * cert.r2 ** (STD.beta - STD.n / STD.p)
@@ -1173,7 +1251,7 @@ def test_mixed_collapse_violation_diagnostics(monkeypatch):
 def test_violation_checks_run_in_order(monkeypatch):
     # the region checks run in the order 11, 12, 21, 22, then the mixed collapse
     f, cert = violation_setup(1)
-    monkeypatch.setattr(hedberg, "final_bound", lambda *args: TINY_LIMIT)
+    monkeypatch.setattr(hedberg, "final_bound", tiny_final_bound)
     for name in ("region22", "region21", "region12", "region11"):
         shrink_limit(monkeypatch, name)  # each patch wraps the previous one
         with pytest.raises(CertificateViolation) as info:
