@@ -22,7 +22,8 @@ only the rows that are not all zero.  It transforms each kernel once, the
 same way: the padded spectrum is cached on the kernel object, so a sweep
 convolving many dilates of f against one kernel pays for one kernel
 transform.  The inverse computes only the rows that land in the box, and
-its last axis runs a block of rows at a time, straight into the result.
+its last axis runs in blocks of rows along each entry's first axis, every
+entry at once, straight into the result.
 The values are those of the full ``irfftn(rfftn(f) * rfftn(k))``
 formula, bit for bit.
 
@@ -52,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, ProductGrid, TensorProduct, _one_grid, check_positive,
-                   normalize_points)
+from .grid import (GridFunction, ProductGrid, TensorProduct, _node_cells, _one_grid,
+                   check_positive, normalize_points)
 from .kernel import Exponents, block_factors
 
 __all__ = [
@@ -86,19 +87,13 @@ class RegionBounds:
         return self.t11 + self.t12 + self.t21 + self.t22
 
 
-def _require_same_grid(f: GridFunction, k: GridFunction) -> None:
-    if f.grid != k.grid:
-        raise ValueError("operands must live on the same grid")
-
-
 def convolve_direct(f: GridFunction, k: GridFunction) -> GridFunction:
     """Convolution by direct summation, in a fixed kernel-major order.
 
     Implemented as a sliding-window contraction over the zero-padded
     samples; intended for modest grids (the work is N^(2 rank)).
     """
-    _require_same_grid(f, k)
-    grid = f.grid
+    grid = _one_grid((f, k))
     N = grid.points_per_axis
     rank = grid.rank
     reverse = (slice(None, None, -1),) * rank
@@ -118,8 +113,9 @@ def convolve_direct(f: GridFunction, k: GridFunction) -> GridFunction:
 # go with its kernel.
 _KERNEL_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-# The last-axis inverse runs in this many blocks of leading rows, through
-# one line buffer of a block's size.
+# The last-axis inverse runs in this many blocks of rows along each entry's
+# first axis, across every entry of the stack at once, through one line
+# buffer of a block's size; a stack of 1-d entries runs as one block.
 _INVERSE_BLOCKS = 8
 
 
@@ -150,8 +146,7 @@ def convolve_fast(f: GridFunction, k: GridFunction) -> GridFunction:
     bit for bit.  Tiny negative rounding residues are clipped to keep
     the result a valid sample field.
     """
-    _require_same_grid(f, k)
-    grid = f.grid
+    grid = _one_grid((f, k))
     N = grid.points_per_axis
     L = 3 * N // 2
     kernel_spectrum = _KERNEL_SPECTRA.get(k)
@@ -184,14 +179,6 @@ def _convolved(stack: np.ndarray, kernel_spectrum: np.ndarray, scale: float) -> 
     return _box_inverse(spectrum, N, scale)
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """The stack ``a`` as rows for a line pass over its last axis, taken in
-    blocks along their first axis: the rows of the stack, or for a stack of
-    one the rows along the first axis of its one entry (a 1-d entry is one
-    row of its own)."""
-    return a if len(a) > 1 or a.ndim == 2 else a[0]
-
-
 def _padded_spectrum(stack: np.ndarray, L: int) -> np.ndarray:
     """``np.fft.rfftn(row, (L,) * rank)`` of each (N,)*rank row of
     ``stack``, bit for bit, without numpy's padded copies: a stack of
@@ -213,20 +200,23 @@ def _box_inverse(spectrum: np.ndarray, N: int, scale: float) -> np.ndarray:
     """The box ``[N/2, 3N/2)`` of ``irfftn(row)`` per axis of each row of
     the stack ``spectrum``, times ``scale`` and clipped at 0, as a fresh
     stack of (N,)*rank arrays; the leading axes of each row are inverted
-    in place in ``spectrum``."""
+    in place in ``spectrum``.  The last axis is inverted in
+    ``_INVERSE_BLOCKS`` blocks of rows along each entry's first axis, every
+    entry at once, or in one block for a stack of 1-d entries."""
     rank, L = spectrum.ndim - 1, 3 * N // 2
     box = slice(N // 2, N // 2 + N)
     for axis in range(1, rank):
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
         spectrum = spectrum[(slice(None),) * axis + (box,)]
     out = np.empty((len(spectrum),) + (N,) * rank)
-    box_rows, spectrum = _rows(out), _rows(spectrum)
-    rows = -(-len(box_rows) // _INVERSE_BLOCKS)
-    lines = np.empty((rows,) + box_rows.shape[1:-1] + (L,))
-    for row in range(0, len(box_rows), rows):
-        block = box_rows[row:row + rows]
-        buffer = lines[:len(block)]
-        np.fft.irfft(spectrum[row:row + len(block)], L, axis=-1, out=buffer)
+    # a 1-d entry has no first axis to block along: one of length 1 stands in
+    box_rows, spectrum = (out, spectrum) if rank > 1 else (out[:, None], spectrum[:, None])
+    rows = -(-box_rows.shape[1] // _INVERSE_BLOCKS)
+    lines = np.empty(box_rows[:, :rows].shape[:-1] + (L,))
+    for row in range(0, box_rows.shape[1], rows):
+        block = box_rows[:, row:row + rows]
+        buffer = lines[:, :block.shape[1]]
+        np.fft.irfft(spectrum[:, row:row + rows], L, axis=-1, out=buffer)
         np.multiply(buffer[..., box], scale, out=block)
         np.maximum(block, 0.0, out=block)
     return out
@@ -377,21 +367,18 @@ def _block_sums(stack: np.ndarray, layout, nodes: np.ndarray, r: np.ndarray) -> 
     norm, factor, offsets = layout
     R, N, dim = len(stack), stack.shape[1], stack.ndim - 1
     size, padded_size = N ** dim, (2 * N) ** dim
-    keys = np.ravel_multi_index(tuple(nodes.T), (N,) * dim)
-    held = np.zeros(size, dtype=bool)
-    held[keys] = True
-    cells = np.flatnonzero(held)
+    cells, at = _node_cells(np.ravel_multi_index(tuple(nodes.T), (N,) * dim), size)
     # pair p is (row p // C, cell p % C), the C cells of each row in turn;
     # node k of a row reads the pair of its cell
     C = len(cells)
-    at = np.arange(R)[:, None] * C + np.searchsorted(cells, keys)
+    at = np.arange(R)[:, None] * C + at
     inner = np.searchsorted(norm, r, side="right")
     # padded by N/2 cells per side, values[i - j + N/2] is padded[i + N - j];
     # each pair's window starts at its cell in its row's padded array
     starts = np.ravel_multi_index(np.unravel_index(cells, (N,) * dim), (2 * N,) * dim)
     starts = (np.arange(R)[:, None] * padded_size + starts).reshape(-1)
     box = (slice(None),) + (slice(N // 2, N // 2 + N),) * dim
-    sums = np.empty((R, len(keys), 2))
+    sums = np.empty((R, len(nodes), 2))
     step = max(_PAIR_CHUNK // size, 1)
     # the partial sums of each pair's terms from the first offset (row 0)
     # and from the last (row 1), each after a 0.0

@@ -34,7 +34,8 @@ class ProductGrid:
     Cell centers along every axis sit at ``-L + (i + 1/2) h`` with
     ``h = 2 L / N``.  ``N`` must be even so that no center lies on the
     coordinate origin of either block; power-law kernels evaluated at
-    cell centers are therefore always finite.  No field may be a boolean.
+    cell centers are therefore always finite.  No field may be a boolean,
+    and the cell volume h^(m+n) must neither overflow nor underflow to 0.
 
     Attributes
     ----------
@@ -63,6 +64,11 @@ class ProductGrid:
         N = self.points_per_axis
         if not isinstance(N, int) or N < 2 or N % 2 != 0:
             raise ValueError(f"points_per_axis must be an even integer >= 2, got {N}")
+        try:
+            volume = self.cell_volume
+        except OverflowError:
+            volume = math.inf
+        check_positive(**{"cell volume h^(m+n)": volume})  # every integral is scaled by it
 
     @property
     def spacing(self) -> float:
@@ -208,6 +214,19 @@ class TensorProduct:
         h = self.grid.spacing
         return (_lp_norm(self.x[None], p, h ** self.grid.m)[0],
                 _lp_norm(self.y[None], p, h ** self.grid.n)[0])
+
+
+def _node_cells(keys, size: int) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The cells of a block of ``size`` cells that hold a node, ascending,
+    and each node's position among them, given the nodes' flat block
+    indices ``keys``.  ``slice(None)``, a node at every cell, gives every
+    cell and ``slice(None)``.  Every block pass reads its cells from here."""
+    if isinstance(keys, slice):
+        return np.arange(size), keys
+    held = np.zeros(size, dtype=bool)
+    held[keys] = True
+    cells = np.flatnonzero(held)
+    return cells, np.searchsorted(cells, keys)
 
 
 def _one_grid(fs) -> ProductGrid:

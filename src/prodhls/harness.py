@@ -7,13 +7,12 @@ canonical configuration and the library version.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -151,19 +150,11 @@ class ExperimentConfig:
             raise ConfigError(f"bad configuration: {exc}") from exc
 
     def to_canonical_dict(self) -> dict:
-        return {
-            "grid": {"m": self.grid.m, "n": self.grid.n,
-                     "half_width": self.grid.half_width,
-                     "points_per_axis": self.grid.points_per_axis},
-            "exponents": {"alpha": self.exponents.alpha, "beta": self.exponents.beta,
-                          "p": self.exponents.p, "q": self.exponents.q},
-            "families": list(self.families),
-            "family_params": self.family_params,
-            "dilations": [[s, t] for s, t in self.dilations],
-            "seed": self.seed,
-            "points_stride": self.points_stride,
-            "tolerances": self.tolerances,
-        }
+        """Every field, as hashed by :meth:`sha256`; the exponents' block
+        dimensions are the grid's."""
+        canon = asdict(self)
+        del canon["exponents"]["m"], canon["exponents"]["n"]
+        return canon
 
     def sha256(self) -> str:
         canon = json.dumps(self.to_canonical_dict(), sort_keys=True,
@@ -204,7 +195,16 @@ def _family_params(name: str, params: dict) -> dict:
     for key, value in params.items():  # every family parameter is a length
         if not _number(value, f"{name} parameter {key}") > 0:
             raise ConfigError(f"{name} parameter {key} must be positive, got {value!r}")
-    return {**_FAMILY_PARAMS[name], **params}
+    params = {**_FAMILY_PARAMS[name], **params}
+    if name == "gaussian":  # the gaussian divides by 2 sigma^2
+        try:
+            width = 2.0 * float(params["sigma"]) ** 2
+        except OverflowError:
+            width = math.inf
+        if not 0.0 < width < math.inf:
+            raise ConfigError(f"gaussian parameter sigma {params['sigma']!r} gives "
+                              f"2 sigma^2 = {width}, not positive and finite")
+    return params
 
 
 def make_family(name: str, grid: ProductGrid, params: dict | None = None,
@@ -402,7 +402,7 @@ class SweepRow:
         return self.norm_q / self.norm_p if self.norm_p > 0.0 else 0.0
 
 
-def _sweep_rows(fam, grid: ProductGrid, exps: Exponents, kernel, pairs) -> list[SweepRow]:
+def _sweep_rows(fam, grid: ProductGrid, exps: Exponents, pairs) -> list[SweepRow]:
     """The row ||f||_p, ||f * K||_q of f = fam(s, t) for each (s, t) of
     ``pairs``, in order; ||f * K||_q is 0.0 where ||f||_p is.
 
@@ -413,15 +413,15 @@ def _sweep_rows(fam, grid: ProductGrid, exps: Exponents, kernel, pairs) -> list[
     on its own dilation alone, so each block is built at each of its
     distinct dilations once, and the stack is convolved with the kernel's
     factor in one call and normed in one call.  A family without factors
-    is sampled and convolved with ``kernel()``, the N^rank kernel, pair by
-    pair, unconvolved where ||f||_p is 0.
+    is sampled and convolved with the N^rank kernel, built once per call,
+    pair by pair, unconvolved where ||f||_p is 0.
     """
     if fam.blocks is None:
-        rows = []
+        kernel, rows = riesz_kernel(grid, exps), []
         for s, t in pairs:
             f = fam(s, t)
             norm_p = lp_norm(f, exps.p)
-            norm_q = lp_norm(convolve_fast(f, kernel()), exps.q) if norm_p > 0.0 else 0.0
+            norm_q = lp_norm(convolve_fast(f, kernel), exps.q) if norm_p > 0.0 else 0.0
             rows.append(SweepRow(s=s, t=t, norm_q=norm_q, norm_p=norm_p))
         return rows
     # per block, {dilation: (||f_block||_p, ||f_block * k_block||_q)}
@@ -507,13 +507,10 @@ def run_necessity_sweep(cfg: ExperimentConfig) -> SlopeReport:
     _validate_ladder(t_ladder, "t")
 
     exps = cfg.exponents
-    # the N^rank kernel, built on the first row without block factors
-    kernel = functools.cache(lambda: riesz_kernel(cfg.grid, exps))
-
     # (1, 1) sits on both ladders: it is measured once, one row on both
     ladder = [(s, 1.0) for s in s_ladder] + [(1.0, t) for t in t_ladder]
     pairs = list(dict.fromkeys(ladder))
-    measured = dict(zip(pairs, _sweep_rows(fam, cfg.grid, exps, kernel, pairs)))
+    measured = dict(zip(pairs, _sweep_rows(fam, cfg.grid, exps, pairs)))
     rows = [measured[pair] for pair in ladder]
     for row in rows:
         if not row.ratio > 0.0:
@@ -566,13 +563,11 @@ def run_norm_check(cfg: ExperimentConfig) -> NormCheckReport:
     _check_keys(cfg.tolerances, _TOLERANCE_READERS["normcheck"], "normcheck tolerances")
     _require_admissible(cfg, "norm check")
     exps = cfg.exponents
-    # the N^rank kernel, built on the first row without block factors
-    kernel = functools.cache(lambda: riesz_kernel(cfg.grid, exps))
     rows = []
     for family in cfg.families:
         fam = make_family(family, cfg.grid, cfg.family_params.get(family), cfg.seed)
         rows += [{"family": family, **vars(row), "ratio": row.ratio}
-                 for row in _sweep_rows(fam, cfg.grid, exps, kernel, cfg.dilations)]
+                 for row in _sweep_rows(fam, cfg.grid, exps, cfg.dilations)]
     pinned = cfg.tolerances.get("norm_constant")
     max_ratio, stability, factor, passed = _verdict(
         cfg, [(r["family"], r["ratio"]) for r in rows], pinned)

@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridFunction, ProductGrid, TensorProduct, _check_exponent, _one_grid,
-                   lp_norm, normalize_points, slice_lp_norms_x, slice_lp_norms_y)
+from .grid import (GridFunction, ProductGrid, TensorProduct, _check_exponent, _node_cells,
+                   _one_grid, lp_norm, normalize_points, slice_lp_norms_x, slice_lp_norms_y)
 from .kernel import Exponents
 
 __all__ = [
@@ -222,23 +222,37 @@ def _block_keys(grid: ProductGrid, idx: np.ndarray, block: str) -> np.ndarray:
 
 
 def _block_reads(keys, dim: int, N: int):
-    """The slices of a block that hold a node, whose flat block indices
-    are ``keys`` (``slice(None)`` for every node), ascending, and the
-    centres the block's passes read their window sums at: those slices,
-    or ``None``, the dense read, when every slice holds a node."""
-    held = np.zeros(N ** dim, dtype=bool)
-    held[keys] = True
-    slices = np.flatnonzero(held)
-    return slices, (None if held.all() else slices)
+    """The cells of a block that hold a node and each node's position among
+    them (:func:`~prodhls.grid._node_cells`, for the nodes' flat block
+    indices ``keys``), and the centres the block's passes read their window
+    sums at: those cells, or ``None``, the dense read, when every cell of
+    the block holds a node."""
+    cells, at = _node_cells(keys, N ** dim)
+    return cells, at, (None if len(cells) == N ** dim else cells)
+
+
+def _largest_average(sums, width: int) -> np.ndarray:
+    """The largest of the window averages of the ``(window sum, full cell
+    count)`` pairs ``sums``, each sum a fresh array read as rows of
+    ``width`` values and divided in place.  The first average is the
+    start: the maximum with zeros would be the same bytes, since no average
+    is -0.0.  Each sum is freed before the next one is built."""
+    best = None
+    for total, count in sums:
+        average = total.reshape(-1, width)
+        average /= count
+        best = average if best is None else np.maximum(best, average, out=best)
+        del total, average
+    return best
 
 
 def _maximal_pass(f: GridFunction, x_keys, y_keys):
     """M f at the nodes whose x-block and y-block flat indices are
     ``x_keys`` and ``y_keys``, and each partial maximal on the slices that
-    hold a node: ``(x-slices, M1 f)`` and ``(y-slices, M2 f)``, the
-    slices' flat block indices ascending and the field one slice per row.
-    Given ``slice(None)`` for both, every node, M f is the whole field
-    with each block's axes flattened, read with no gather.
+    hold a node: ``(at_x, M1 f)`` and ``(at_y, M2 f)``, the field one row
+    per slice in ascending flat block index and the row of each node's
+    slice.  Given ``slice(None)`` for both, every node, M f is the whole
+    field with each block's axes flattened, read with no gather.
 
     The smallest window on a block is the cell itself (the one window of
     full cell count 1).  So M1 f and M2 f come from two single-block
@@ -268,16 +282,9 @@ def _maximal_pass(f: GridFunction, x_keys, y_keys):
         ((grid.m, x_keys, f.values), (grid.n, y_keys, y_leading)) if x_outer
         else ((grid.n, y_keys, y_leading), (grid.m, x_keys, f.values)))
     width_o, width_i = N ** outer, N ** inner
-    # each field starts as its first average, the one-cell window: the
-    # maximum with zeros would be the same bytes, since no average is -0.0
-    i_slices, i_centres = _block_reads(i_keys, inner, N)
-    m_in = None
-    for total, count_i in _window_sums(i_vals, inner, radii, i_centres):
-        part = total.reshape(-1, width_o)
-        part /= count_i
-        m_in = part if m_in is None else np.maximum(m_in, part, out=m_in)
-        del total, part  # freed before the next sum is built
-    slabs, o_centres = _block_reads(o_keys, outer, N)
+    i_slices, at_i, i_centres = _block_reads(i_keys, inner, N)
+    m_in = _largest_average(_window_sums(i_vals, inner, radii, i_centres), width_o)
+    slabs, at_o, o_centres = _block_reads(o_keys, outer, N)
     # the product windows, one row per inner slice and one column per slab
     products = np.zeros((len(i_slices), len(slabs)))
     per_gather = width_o // max(len(slabs), 1)  # outer radii per gather: a field's cells
@@ -318,11 +325,9 @@ def _maximal_pass(f: GridFunction, x_keys, y_keys):
         np.maximum(mf, m_in, out=mf)
         mf = mf.T if x_outer else mf
     else:
-        at_o, at_i = np.searchsorted(slabs, o_keys), np.searchsorted(i_slices, i_keys)
         mf = np.maximum(products[at_i, at_o], m_out[at_o, i_keys])
         np.maximum(mf, m_in[at_i, o_keys], out=mf)
-    return (mf, (slabs, m_out), (i_slices, m_in)) if x_outer else (
-        mf, (i_slices, m_in), (slabs, m_out))
+    return (mf, (at_o, m_out), (at_i, m_in)) if x_outer else (mf, (at_i, m_in), (at_o, m_out))
 
 
 def node_maximals(f: GridFunction, p: float, points
@@ -340,18 +345,18 @@ def node_maximals(f: GridFunction, p: float, points
     _check_exponent(p)
     grid = f.grid
     idx = normalize_points(points, grid.rank, grid.points_per_axis)
-    x_keys, y_keys = _block_keys(grid, idx, "x"), _block_keys(grid, idx, "y")
-    mf, (x_slices, m1), (y_slices, m2) = _maximal_pass(f, x_keys, y_keys)
+    mf, (at_x, m1), (at_y, m2) = _maximal_pass(
+        f, _block_keys(grid, idx, "x"), _block_keys(grid, idx, "y"))
     # numpy sums each contiguous row pairwise, as over the full field's
     # trailing axes; it adds the rows of several columns one after
     # another, as over the full field's leading axes, but sums a lone
     # column pairwise, so that one is accumulated row after row
     n1 = np.sum(m1 ** p, axis=1)
     powered = np.ascontiguousarray(m2.T) ** p
-    n2 = np.sum(powered, axis=0) if len(y_slices) > 1 else np.add.accumulate(powered)[-1]
+    n2 = np.sum(powered, axis=0) if len(m2) > 1 else np.add.accumulate(powered)[-1]
     n1, n2 = ((total * grid.spacing ** dim) ** (1.0 / p)
               for total, dim in ((n1, grid.n), (n2, grid.m)))
-    return mf, n1[np.searchsorted(x_slices, x_keys)], n2[np.searchsorted(y_slices, y_keys)]
+    return mf, n1[at_x], n2[at_y]
 
 
 def block_maximals(fs: list[TensorProduct], points) -> tuple[np.ndarray, np.ndarray]:
@@ -373,23 +378,13 @@ def block_maximals(fs: list[TensorProduct], points) -> tuple[np.ndarray, np.ndar
     """
     grid = _one_grid(fs)
     idx = normalize_points(points, grid.rank, grid.points_per_axis)
-    radii = _dyadic_radii(grid)
-    return tuple(_block_maximal(np.stack([getattr(f, block) for f in fs], axis=-1), dim,
-                                _block_keys(grid, idx, block), radii)
-                 for block, dim in (("x", grid.m), ("y", grid.n)))
-
-
-def _block_maximal(stack: np.ndarray, dim: int, keys: np.ndarray, radii) -> np.ndarray:
-    """The largest window average of each block array of ``stack``, of
-    shape (N,)*dim + (R,), at the block cells whose flat indices are
-    ``keys``: shape (R, K)."""
-    cells, centres = _block_reads(keys, dim, len(stack))
-    best = None
-    for total, count in _window_sums(stack, dim, radii, centres):
-        average = total.reshape(-1, stack.shape[-1])
-        average /= count
-        best = average if best is None else np.maximum(best, average, out=best)
-    return best[np.searchsorted(cells, keys)].T
+    N, radii = grid.points_per_axis, _dyadic_radii(grid)
+    maximals = []
+    for block, dim in (("x", grid.m), ("y", grid.n)):
+        _, at, centres = _block_reads(_block_keys(grid, idx, block), dim, N)
+        stack = np.stack([getattr(f, block) for f in fs], axis=-1)
+        maximals.append(_largest_average(_window_sums(stack, dim, radii, centres), len(fs))[at].T)
+    return tuple(maximals)
 
 
 def maximal_fields(f: GridFunction) -> tuple[GridFunction, GridFunction, GridFunction]:

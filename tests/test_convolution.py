@@ -633,3 +633,41 @@ def test_region_split_bytes_match_index_gather(m, n, N, family):
                 exact = exact_sum_of_products(terms)
                 gamma = Fraction(len(terms) + 2, 2 ** 53 - len(terms) - 2)
                 assert abs(Fraction(value) - exact) <= gamma * exact, (point, r1, r2)
+
+
+def count_irfft_calls(monkeypatch) -> list:
+    """Spy on ``np.fft.irfft``: the shape of each call's input, in order."""
+    irfft, seen = np.fft.irfft, []
+
+    def counted(*args, **kwargs):
+        seen.append(args[0].shape)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    return seen
+
+
+@pytest.mark.parametrize("stack, calls", [
+    ((11, 512), 1),  # a stack of 1-d rows has no first axis: one block
+    ((3, 16, 16), 8),  # 8 blocks of 2 rows along each entry's first axis
+], ids=["rows-11x512", "fields-3x16x16"])
+def test_block_inverse_splits_along_each_entrys_first_axis(monkeypatch, stack, calls):
+    # every entry is inverted at once, in blocks along its own first axis;
+    # each row is still the bytes a stack of that row alone gives
+    rng = np.random.default_rng(3)
+    values, k = rng.uniform(size=stack), rng.uniform(size=stack[1:])
+    alone = [convolution._convolve_block(row[None], k, 0.5) for row in values]
+    seen = count_irfft_calls(monkeypatch)
+    got = convolution._convolve_block(values, k, 0.5)
+    assert len(seen) == calls and all(shape[0] == stack[0] for shape in seen)
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in np.concatenate(alone)]
+
+
+def test_fast_inverse_runs_in_eight_blocks(monkeypatch):
+    # one field splits along its first axis as a stack of one did: 8 blocks
+    # of 64 rows at N = 512, the line buffer test_fast_peak_memory bounds
+    g = grid_1x1(N=512)
+    f, k = random_function(g, seed=12), riesz_kernel(g, STD)
+    seen = count_irfft_calls(monkeypatch)
+    convolve_fast(f, k)
+    assert [shape[-2:] for shape in seen] == [(64, 385)] * 8

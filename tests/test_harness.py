@@ -176,6 +176,18 @@ def test_config_rejects_missing_q_when_unbalanced():
      "tolerances must be a JSON object"),
     (lambda raw: raw.update(family_params=[["gaussian", {"sigma": 0.2}]]),
      "family_params must be a JSON object"),
+    (lambda raw: raw.update(dilations=[[1.0, 1.0], [2.0, 2.0, 2.0]]),
+     r"dilations must be a list of \[s, t\] pairs"),
+    (lambda raw: raw.update(points_stride=0), "points_stride must be >= 1, got 0"),
+    (lambda raw: raw["grid"].update(n=3), "y-block dimension n must be 1 or 2, got 3"),
+    (lambda raw: raw["grid"].update(half_width=0), "half_width must be a positive finite"),
+    # a cell volume h^2 that overflows or underflows to 0 scales every integral
+    (lambda raw: raw["grid"].update(half_width=1e300), "cell volume h.* positive and finite"),
+    (lambda raw: raw["grid"].update(half_width=1e-300), "cell volume h.* positive and finite"),
+    (lambda raw: raw.update(family_params={"gaussian": {"sigma": 1e300}}),
+     r"gaussian parameter sigma 1e\+300 gives 2 sigma\^2 = inf"),
+    (lambda raw: raw.update(family_params={"gaussian": {"sigma": 1e-300}}),
+     r"gaussian parameter sigma 1e-300 gives 2 sigma\^2 = 0.0"),
 ], ids=["top-level", "grid", "exponents", "tolerance-key", "family-param-key",
         "family-params-family", "family-param-of-other-family", "family-params-list",
         "family-params-null", "family-params-false", "family-params-zero",
@@ -189,7 +201,9 @@ def test_config_rejects_missing_q_when_unbalanced():
         "family-and-families", "repeated-family", "repeated-dilation",
         "unit-stability-factor", "half-stability-factor", "zero-stability-factor",
         "zero-suite-constant", "negative-norm-constant", "negative-slope-tolerance",
-        "null-families", "null-q", "tolerance-pairs", "family-params-pairs"])
+        "null-families", "null-q", "tolerance-pairs", "family-params-pairs",
+        "dilation-triple", "zero-stride", "grid-n-3", "zero-half-width", "huge-half-width",
+        "tiny-half-width", "huge-sigma", "tiny-sigma"])
 def test_config_rejects_malformed(edit, message):
     raw = small_config()
     edit(raw)
@@ -296,6 +310,14 @@ def test_analytic_family_is_the_outer_product_of_its_factors(family, m, n):
         assert fam(s, t).values.tobytes() == np.multiply.outer(fx, fy).tobytes()
 
 
+def refuse_full_kernel(monkeypatch):
+    """Make the sweeps' N^rank kernel fail: a tensor row must not build it."""
+    def refused(*args):
+        raise AssertionError("a tensor row asked for the N^rank kernel")
+
+    monkeypatch.setattr(prodhls.harness, "riesz_kernel", refused)
+
+
 # at (64, 1) the indicator families vanish on each grid below, and so does
 # the gaussian at N = 8: zero rows on both paths
 AGREEMENT_DILATIONS = [(1.0, 1.0), (0.5, 2.0), (3.0, 0.75), (1.0, 0.3), (64.0, 1.0)]
@@ -303,19 +325,16 @@ AGREEMENT_DILATIONS = [(1.0, 1.0), (0.5, 2.0), (3.0, 0.75), (1.0, 0.3), (64.0, 1
 
 @pytest.mark.parametrize("m, n, N", [(1, 1, 64), (2, 1, 16), (1, 2, 16), (2, 2, 8)])
 @pytest.mark.parametrize("family", ANALYTIC_FAMILIES)
-def test_tensor_rows_match_the_full_path(family, m, n, N):
+def test_tensor_rows_match_the_full_path(monkeypatch, family, m, n, N):
     # the block-by-block norms against lp_norm and convolve_fast of the
     # whole field and kernel
     grid = ProductGrid(m=m, n=n, half_width=1.0, points_per_axis=N)
     exps = Exponents.from_balance(m, n, m / 2, n / 2, 4 / 3)
     fam = make_family(family, grid)
     kernel = riesz_kernel(grid, exps)
-
-    def no_kernel():
-        raise AssertionError("a tensor row asked for the N^rank kernel")
-
+    refuse_full_kernel(monkeypatch)
     zero_rows = 0
-    rows = _sweep_rows(fam, grid, exps, no_kernel, AGREEMENT_DILATIONS)
+    rows = _sweep_rows(fam, grid, exps, AGREEMENT_DILATIONS)
     assert [(row.s, row.t) for row in rows] == AGREEMENT_DILATIONS
     for (s, t), row in zip(AGREEMENT_DILATIONS, rows):
         f = fam(s, t)
@@ -332,7 +351,7 @@ def test_tensor_rows_match_the_full_path(family, m, n, N):
 
 @pytest.mark.parametrize("m, n, N", [(1, 1, 32), (2, 1, 16), (1, 2, 16), (2, 2, 8)])
 @pytest.mark.parametrize("family", ANALYTIC_FAMILIES)
-def test_stacked_sweep_rows_are_the_rows_of_one_pair(family, m, n, N):
+def test_stacked_sweep_rows_are_the_rows_of_one_pair(monkeypatch, family, m, n, N):
     # one _sweep_rows call over every pair, which stacks each block's distinct
     # dilations, against each pair alone (a stack of one per block), field
     # for field and bit for bit; (64, 1) vanishes for the indicator families
@@ -341,8 +360,9 @@ def test_stacked_sweep_rows_are_the_rows_of_one_pair(family, m, n, N):
     fam = make_family(family, grid)
     pairs = [(1.0, 1.0), (0.5, 1.0), (2.0, 1.0), (1.0, 0.5), (1.0, 3.0), (0.5, 0.5),
              (64.0, 1.0), (2.0, 1.0)]
-    stacked = _sweep_rows(fam, grid, exps, None, pairs)
-    alone = [_sweep_rows(fam, grid, exps, None, [pair])[0] for pair in pairs]
+    refuse_full_kernel(monkeypatch)
+    stacked = _sweep_rows(fam, grid, exps, pairs)
+    alone = [_sweep_rows(fam, grid, exps, [pair])[0] for pair in pairs]
     # repr tells every two floats of different bits apart, -0.0 from 0.0 too
     assert [repr(vars(row)) for row in stacked] == [repr(vars(row)) for row in alone]
     assert any(row.norm_p == 0.0 for row in stacked) or family == "gaussian"
@@ -527,9 +547,11 @@ def test_necessity_rejects_vanishing_instance(half_extent):
     (run_necessity_sweep, {**ladder_config(tolerances={"slope_tolerance": 1.0}),
                            "families": ["random"]}),
     (run_norm_check, small_config(families=["random"])),
-], ids=["necessity", "normcheck"])
+    (run_norm_check, small_config(families=["gaussian", "random", "box"])),
+], ids=["necessity", "normcheck", "normcheck-with-tensors"])
 def test_sweep_transforms_its_kernel_once(monkeypatch, run, raw):
-    # on the random family, which goes through convolve_fast
+    # on the random family, which goes through convolve_fast; the tensor
+    # families of a norm check build no N^rank kernel
     kernels, transformed = [], []
 
     def record_kernel(*args):
@@ -672,6 +694,19 @@ def test_cli_config_error_exit_code(tmp_path):
         cfg_path = write_config(tmp_path, raw, name)
         assert cli_main(["normcheck", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")]) == 2
+    # a file that is not JSON, and lengths whose cell volume or gaussian
+    # width overflows or underflows to 0: each is rejected before any run
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"grid": ')
+    assert cli_main(["normcheck", "--config", str(broken), "--out", str(tmp_path / "o")]) == 2
+    huge, tiny = small_config(), small_config()
+    huge["grid"]["half_width"], tiny["grid"]["half_width"] = 1e300, 1e-300
+    for name, raw in (("huge.json", huge), ("tiny.json", tiny),
+                      ("sigma.json", small_config(family_params={"gaussian": {"sigma": 1e300}}))):
+        cfg_path = write_config(tmp_path, raw, name)
+        for command in ("pointwise", "normcheck"):
+            assert cli_main([command, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
 
 

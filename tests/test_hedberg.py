@@ -528,6 +528,17 @@ def test_first_failing_instance_is_reported(monkeypatch, order):
     assert (str(together.value), together.value.diagnostics) == violations[0]
 
 
+def test_certify_instances_takes_one_grid():
+    # instances on two grids are refused; no instances give no tables
+    e = Exponents.from_balance(2, 1, 1.0, 0.5, 4 / 3)
+    fs = [make_family("gaussian", ProductGrid(m=2, n=1, half_width=L, points_per_axis=8))(1.0, 1.0)
+          for L in (1.0, 2.0)]
+    with pytest.raises(ValueError, match="the instances must live on one grid"):
+        certify_instances(fs, e, [(0, 0, 0)])
+    assert certify_instances([], e, [(0, 0, 0)]) == []
+    assert certify_instances(iter(()), e, [(0, 0, 0)]) == []
+
+
 def test_closed_forms_run_once_per_bound_chain(monkeypatch):
     # two sampled fields and two nonempty tensor products make three bound
     # chains, one per sampled field and one stacked over the tensor
@@ -1399,9 +1410,10 @@ def pointwise_2d_config(m, n, N):
                 dilations=[[0.5, 0.5], [1.0, 1.0], [2.0, 2.0]])
 
 
-def assert_written_as_json_dumps(path, report, cfg):
+def assert_written_as_json_dumps(path, report, cfg, read_back=True):
     """certificates.json holds the bytes json.dumps writes for the row
-    views' records, and every view reads back from its record."""
+    views' records, and every view reads back from its record (unless
+    ``read_back`` is false: a record that is not finite does not)."""
     text = write_certificates_json(path, report, cfg).read_text()
     assert text == json.dumps({
         "config_sha256": cfg.sha256(), "library_version": prodhls.__version__,
@@ -1409,7 +1421,7 @@ def assert_written_as_json_dumps(path, report, cfg):
             "family": r.family, "s": r.s, "t": r.t,
             "certificates": [view.to_json_dict() for view in r.certificates],
         } for r in report.instances]}, sort_keys=True, separators=(",", ":")) + "\n"
-    for r in report.instances:
+    for r in report.instances if read_back else ():
         for view in r.certificates:
             assert HedbergCertificate.from_json_dict(view.to_json_dict()) == view
 
@@ -1456,6 +1468,15 @@ def test_certificates_json_writes_each_float_as_json_does(tmp_path):
                              max_ratio=0.0, family_stability={}, stability_factor=2.0,
                              suite_constant=None, passed=True)
     assert_written_as_json_dumps(tmp_path / "certificates.json", report, cfg)
+    # json writes a float that is not finite as a bare constant, not by repr
+    wild = np.array([math.inf, -math.inf, math.nan])
+    table = dataclasses.replace(
+        table, regions=np.column_stack([cycle(wild, 0)] + [cycle(values, j) for j in range(1, 4)]),
+        region_limits=np.column_stack([cycle(values, j) for j in range(4, 7)] + [cycle(wild, 1)]))
+    report.instances[:] = [InstanceResult("gaussian", 1.0, -0.0, table)]
+    assert_written_as_json_dumps(tmp_path / "wild.json", report, cfg, read_back=False)
+    assert all(word in (tmp_path / "wild.json").read_text()
+               for word in ("Infinity", "-Infinity", "NaN"))
 
 
 @pytest.mark.parametrize("m, n, N", [(1, 1, 64), (2, 2, 8)])
